@@ -19,6 +19,7 @@ from .estimators import (
     EstimateBundle,
     MeanModelSample,
     estimate_all,
+    estimate_arrays,
     make_multi_pipeline,
     make_pipeline,
     mean_model_estimate,

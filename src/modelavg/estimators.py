@@ -9,20 +9,31 @@ the sample mean) is included for the resampling coverage experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .model import Dataset, DesignStats, compute_design_stats, fit_restricted, fit_unrestricted
+from .model import (
+    Dataset,
+    DesignStats,
+    compute_design_stats,
+    fit_restricted,
+    fit_unrestricted,
+    response_stats,
+    rss_gap,
+    slope_sd,
+    solve_normal_equations,
+)
 from .weights import (
     AdaptiveConfig,
     ModelChoice,
     ModelWeights,
     PretestConfig,
-    adaptive_weights,
-    bic_weights,
-    exact_posterior_weights,
+    adaptive_p_r,
+    bic_p_r,
+    exact_posterior_p_r,
     pretest_select,
+    pretest_threshold,
 )
 
 ESTIMATOR_NAMES = ("r", "u", "ms", "bma_exact", "bma_bic", "ama")
@@ -72,10 +83,86 @@ class MeanModelSample:
         return self.y.size
 
 
+def _check_names(names, pretest_config, adaptive_config) -> None:
+    unknown = set(names) - set(ESTIMATOR_NAMES)
+    if unknown:
+        raise ValueError(f"unknown estimator names: {sorted(unknown)}")
+    if "ms" in names and pretest_config is None:
+        raise ValueError("'ms' needs a pretest config")
+    if "ama" in names and adaptive_config is None:
+        raise ValueError("'ama' needs an adaptive config")
+
+
+def _convex(alpha_r, alpha_u, p_r):
+    value = alpha_u + p_r * (alpha_r - alpha_u)
+    # Clamp away the last-ulp excursions so the average always lies in the
+    # closed interval between its two constituents.
+    lo, hi = np.minimum(alpha_r, alpha_u), np.maximum(alpha_r, alpha_u)
+    return np.minimum(np.maximum(value, lo), hi)
+
+
+def estimate_arrays(
+    n: int, s11, s22, s12, p1, p2,
+    names: Sequence[str],
+    sigma: float,
+    pretest_config: PretestConfig | None = None,
+    adaptive_config: AdaptiveConfig | None = None,
+    prior_scale: float = 1.0,
+    prior_p_r: float = 0.5,
+    yy=None,
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """Every estimator of alpha from the sufficient statistics, elementwise.
+
+    ``s11``, ``s22``, ``s12`` are the design inner products and ``p1``, ``p2``
+    the products <x1,y>, <x2,y> of n observations; each may be a scalar or an
+    array of datasets. Returns the estimates for ``names`` and the weight on
+    the restricted model of each averaging rule among them (``bma_exact``,
+    ``bma_bic``, ``ama``). ``yy`` = <y,y> is needed only for ``bma_exact`` at
+    sigma = 0. The design must be non-singular (det > 0).
+    """
+    _check_names(names, pretest_config, adaptive_config)
+    det = s11 * s22 - s12 * s12
+    alpha_r = p1 / s11
+    alpha_u, beta_u = solve_normal_equations(s11, s22, s12, det, p1, p2)
+    p_r = {}
+    if "bma_exact" in names:
+        p_r["bma_exact"] = exact_posterior_p_r(
+            p1, p2, s11, s22, s12, sigma, prior_scale, prior_p_r, yy
+        )
+    if "bma_bic" in names:
+        p_r["bma_bic"] = bic_p_r(rss_gap(beta_u, s11, det), 0.0, n)
+    if "ama" in names:
+        p_r["ama"] = adaptive_p_r(beta_u, adaptive_config.a_n, adaptive_config.k_n)
+    estimates = {}
+    for name in names:
+        if name == "r":
+            estimates[name] = alpha_r
+        elif name == "u":
+            estimates[name] = alpha_u
+        elif name == "ms":
+            threshold = pretest_threshold(slope_sd(sigma, s11, det), pretest_config)
+            estimates[name] = np.where(np.abs(beta_u) > threshold, alpha_u, alpha_r)
+        else:
+            estimates[name] = _convex(alpha_r, alpha_u, p_r[name])
+    return estimates, p_r
+
+
+def _dataset_estimates(dataset, stats, names, sigma, pretest_config, adaptive_config,
+                       prior_scale, prior_p_r):
+    p1, p2, yy = response_stats(dataset)
+    return estimate_arrays(
+        dataset.n, stats.s11, stats.s22, stats.s12, p1, p2, names, sigma,
+        pretest_config, adaptive_config, prior_scale, prior_p_r, yy=yy,
+    )
+
+
 def post_model_selection(
     dataset: Dataset, stats: DesignStats, pretest_config: PretestConfig
 ) -> float:
-    """alpha_r when the pretest keeps the restricted model, alpha_u otherwise."""
+    """alpha_r when the pretest keeps the restricted model, alpha_u otherwise.
+
+    sigma reaches this rule only as ``stats.sigma_beta``, hence no kernel call.
+    """
     fit = fit_unrestricted(dataset, stats)
     choice = pretest_select(fit.beta_u, stats.sigma_beta, pretest_config)
     if choice is ModelChoice.R:
@@ -85,11 +172,7 @@ def post_model_selection(
 
 def model_average(alpha_r: float, alpha_u: float, weights: ModelWeights) -> float:
     """Convex combination p_r * alpha_r + p_u * alpha_u."""
-    value = alpha_u + weights.p_r * (alpha_r - alpha_u)
-    # Clamp away the last-ulp excursions so the average always lies in the
-    # closed interval between its two constituents.
-    lo, hi = (alpha_r, alpha_u) if alpha_r <= alpha_u else (alpha_u, alpha_r)
-    return min(max(value, lo), hi)
+    return float(_convex(alpha_r, alpha_u, weights.p_r))
 
 
 def estimate_all(
@@ -101,29 +184,22 @@ def estimate_all(
     prior_scale: float = 1.0,
     prior_p_r: float = 0.5,
 ) -> EstimateBundle:
-    """One pass over a dataset: both fits, all three weight rules, six estimates.
-
-    The single unrestricted fit is shared by every rule so that all weights see
-    the same beta_u.
-    """
-    alpha_r = fit_restricted(dataset, stats)
-    fit = fit_unrestricted(dataset, stats)
-    choice = pretest_select(fit.beta_u, stats.sigma_beta, pretest_config)
-    ms = alpha_r if choice is ModelChoice.R else fit.alpha_u
-    w_post = exact_posterior_weights(dataset, sigma, prior_scale, prior_p_r)
-    w_bic = bic_weights(dataset, stats)
-    w_ada = adaptive_weights(fit.beta_u, adaptive_config)
+    """All six estimates of one dataset and the weights behind them."""
+    est, p_r = _dataset_estimates(
+        dataset, stats, ESTIMATOR_NAMES, sigma, pretest_config, adaptive_config,
+        prior_scale, prior_p_r,
+    )
     return EstimateBundle(
-        alpha_r=alpha_r,
-        alpha_u=fit.alpha_u,
-        beta_u=fit.beta_u,
-        ms=ms,
-        bma_exact=model_average(alpha_r, fit.alpha_u, w_post),
-        bma_bic=model_average(alpha_r, fit.alpha_u, w_bic),
-        ama=model_average(alpha_r, fit.alpha_u, w_ada),
-        weights_posterior=w_post,
-        weights_bic=w_bic,
-        weights_adaptive=w_ada,
+        alpha_r=float(est["r"]),
+        alpha_u=float(est["u"]),
+        beta_u=fit_unrestricted(dataset, stats).beta_u,
+        ms=float(est["ms"]),
+        bma_exact=float(est["bma_exact"]),
+        bma_bic=float(est["bma_bic"]),
+        ama=float(est["ama"]),
+        weights_posterior=ModelWeights(float(p_r["bma_exact"])),
+        weights_bic=ModelWeights(float(p_r["bma_bic"])),
+        weights_adaptive=ModelWeights(float(p_r["ama"])),
     )
 
 
@@ -165,41 +241,20 @@ def make_multi_pipeline(
     prior_scale: float = 1.0,
     prior_p_r: float = 0.5,
 ) -> Callable[[Dataset], dict[str, float]]:
-    """Like :func:`make_pipeline` but computes several estimators in one pass."""
+    """Like :func:`make_pipeline` but computes several estimators in one pass.
+
+    Raises CollinearDesign or ZeroColumn on a singular dataset, which is what
+    resampling engines redraw on.
+    """
     names = tuple(names)
-    unknown = set(names) - set(ESTIMATOR_NAMES)
-    if unknown:
-        raise ValueError(f"unknown estimator names: {sorted(unknown)}")
-    need_ms = "ms" in names
-    need_bic = "bma_bic" in names
-    need_post = "bma_exact" in names
-    need_ama = "ama" in names
-    if need_ms and pretest_config is None:
-        raise ValueError("'ms' needs a pretest config")
-    if need_ama and adaptive_config is None:
-        raise ValueError("'ama' needs an adaptive config")
+    _check_names(names, pretest_config, adaptive_config)
 
     def procedure(dataset: Dataset) -> dict[str, float]:
         stats = compute_design_stats(dataset.design, sigma)
-        alpha_r = fit_restricted(dataset, stats)
-        fit = fit_unrestricted(dataset, stats)
-        out: dict[str, float] = {}
-        for nm in names:
-            if nm == "r":
-                out[nm] = alpha_r
-            elif nm == "u":
-                out[nm] = fit.alpha_u
-        if need_ms:
-            choice = pretest_select(fit.beta_u, stats.sigma_beta, pretest_config)
-            out["ms"] = alpha_r if choice is ModelChoice.R else fit.alpha_u
-        if need_bic:
-            out["bma_bic"] = model_average(alpha_r, fit.alpha_u, bic_weights(dataset, stats))
-        if need_post:
-            w = exact_posterior_weights(dataset, sigma, prior_scale, prior_p_r)
-            out["bma_exact"] = model_average(alpha_r, fit.alpha_u, w)
-        if need_ama:
-            w = adaptive_weights(fit.beta_u, adaptive_config)
-            out["ama"] = model_average(alpha_r, fit.alpha_u, w)
-        return out
+        est, _ = _dataset_estimates(
+            dataset, stats, names, sigma, pretest_config, adaptive_config,
+            prior_scale, prior_p_r,
+        )
+        return {name: float(est[name]) for name in names}
 
     return procedure

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import TooManySingularResamples
-from .estimators import make_multi_pipeline
+from .estimators import estimate_arrays, make_multi_pipeline
 from .model import (
     COLLINEARITY_RTOL,
     Dataset,
@@ -29,15 +29,7 @@ from .model import (
     make_uniform_design,
 )
 from .resampling import EmpiricalSample, ResamplePlan
-from .weights import (
-    AdaptiveConfig,
-    PretestConfig,
-    adaptive_p_r,
-    bic_p_r,
-    default_tuning,
-    posterior_log_odds,
-    stable_sigmoid,
-)
+from .weights import AdaptiveConfig, PretestConfig, default_tuning
 
 # Substream roles.
 _TAG_DESIGN = 0
@@ -86,63 +78,13 @@ def batch_estimates(
     returned arrays hold one estimate per row. Matches the scalar pipeline to
     floating round-off.
     """
-    x1, x2 = design.x1, design.x2
-    n = design.n
-    y = params.alpha * x1 + params.beta * x2 + params.sigma * z
-    p1 = y @ x1
-    p2 = y @ x2
-    alpha_r = p1 / stats.s11
-    alpha_u = (stats.s22 * p1 - stats.s12 * p2) / stats.det
-    beta_u = (stats.s11 * p2 - stats.s12 * p1) / stats.det
-
-    def averaged(p_r: np.ndarray) -> np.ndarray:
-        val = alpha_u + p_r * (alpha_r - alpha_u)
-        lo = np.minimum(alpha_r, alpha_u)
-        hi = np.maximum(alpha_r, alpha_u)
-        return np.clip(val, lo, hi)
-
-    rss_r = rss_u = None
-    if "bma_bic" in names or ("bma_exact" in names and params.sigma == 0.0):
-        resid_r = y - alpha_r[:, None] * x1
-        resid_u = y - alpha_u[:, None] * x1 - beta_u[:, None] * x2
-        rss_r = np.sum(resid_r * resid_r, axis=1)
-        rss_u = np.sum(resid_u * resid_u, axis=1)
-
-    out: dict[str, np.ndarray] = {}
-    for name in names:
-        if name == "r":
-            out[name] = alpha_r
-        elif name == "u":
-            out[name] = alpha_u
-        elif name == "ms":
-            if pretest is None:
-                raise ValueError("'ms' needs a pretest config")
-            threshold = pretest.c * stats.sigma_beta
-            if pretest.form == "scaled":
-                threshold *= np.sqrt(pretest.n)
-            out[name] = np.where(np.abs(beta_u) > threshold, alpha_u, alpha_r)
-        elif name == "bma_bic":
-            out[name] = averaged(bic_p_r(rss_r, rss_u, n))
-        elif name == "ama":
-            if adaptive is None:
-                raise ValueError("'ama' needs an adaptive config")
-            out[name] = averaged(adaptive_p_r(beta_u, adaptive.a_n, adaptive.k_n))
-        elif name == "bma_exact":
-            if params.sigma == 0.0:
-                # sigma -> 0 limit: all weight on R when both models interpolate.
-                tol = 1e-9 * (1.0 + np.sum(y * y, axis=1))
-                p_r = np.where(rss_r - rss_u <= tol, 1.0, 0.0)
-            else:
-                yy = np.sum(y * y, axis=1)
-                d = posterior_log_odds(
-                    yy, p1, p2, n, stats.s11, stats.s22, stats.s12,
-                    params.sigma, prior_scale, prior_p_r,
-                )
-                p_r = stable_sigmoid(d)
-            out[name] = averaged(p_r)
-        else:
-            raise ValueError(f"unknown estimator name {name!r}")
-    return out
+    y = params.alpha * design.x1 + params.beta * design.x2 + params.sigma * z
+    estimates, _ = estimate_arrays(
+        design.n, stats.s11, stats.s22, stats.s12, y @ design.x1, y @ design.x2, names,
+        params.sigma, pretest, adaptive, prior_scale, prior_p_r,
+        yy=np.einsum("ij,ij->i", y, y),
+    )
+    return estimates
 
 
 def mc_estimator_draws(
@@ -202,6 +144,8 @@ def resampled_estimates(
     pretest: PretestConfig | None = None,
     adaptive: AdaptiveConfig | None = None,
     sigma: float = 1.0,
+    prior_scale: float = 1.0,
+    prior_p_r: float = 0.5,
 ) -> dict[str, np.ndarray]:
     """Vectorized resampling engine for the standard estimator set.
 
@@ -223,80 +167,40 @@ def resampled_estimates(
             return np.sort(child.choice(n, size=size, replace=False))
         return child.integers(0, n, size=n)
 
-    idx = np.empty((plan.b, size), dtype=np.intp)
-    for i, child in enumerate(children):
-        idx[i] = draw(child)
+    def gather(index):
+        x1 = x1_full[index]
+        x2 = x2_full[index]
+        y = y_full[index]
+        # Rows: s11, s22, s12, <x1,y>, <x2,y>, <y,y>.
+        return np.stack([
+            np.sum(x1 * x1, axis=-1), np.sum(x2 * x2, axis=-1), np.sum(x1 * x2, axis=-1),
+            np.sum(x1 * y, axis=-1), np.sum(x2 * y, axis=-1), np.sum(y * y, axis=-1),
+        ])
 
-    def gather(index_matrix):
-        x1 = x1_full[index_matrix]
-        x2 = x2_full[index_matrix]
-        y = y_full[index_matrix]
-        s11 = np.sum(x1 * x1, axis=-1)
-        s22 = np.sum(x2 * x2, axis=-1)
-        s12 = np.sum(x1 * x2, axis=-1)
-        det = s11 * s22 - s12 * s12
-        return x1, x2, y, s11, s22, s12, det
+    def singular(sums):
+        s11, s22, s12 = sums[0], sums[1], sums[2]
+        return (s11 <= 0.0) | (s11 * s22 - s12 * s12 <= COLLINEARITY_RTOL * s11 * s22)
 
-    x1, x2, y, s11, s22, s12, det = gather(idx)
+    sums = gather(np.array([draw(child) for child in children]))
     budget = plan.redraw_budget
     redraws = 0
-    bad = (s11 <= 0.0) | (det <= COLLINEARITY_RTOL * s11 * s22)
-    for i in np.nonzero(bad)[0]:
+    for i in np.nonzero(singular(sums))[0]:
         while True:
             redraws += 1
             if redraws > budget:
                 raise TooManySingularResamples(
                     f"exceeded {budget} redraws after singular resampled designs"
                 )
-            idx[i] = draw(children[i])
-            r = gather(idx[i])
-            if r[3] > 0.0 and r[6] > COLLINEARITY_RTOL * r[3] * r[4]:
-                x1[i], x2[i], y[i], s11[i], s22[i], s12[i], det[i] = r
+            sums[:, i] = gather(draw(children[i]))
+            if not singular(sums[:, i]):
                 break
 
-    p1 = np.sum(x1 * y, axis=1)
-    p2 = np.sum(x2 * y, axis=1)
-    alpha_r = p1 / s11
-    alpha_u = (s22 * p1 - s12 * p2) / det
-    beta_u = (s11 * p2 - s12 * p1) / det
-
-    def averaged(p_r):
-        val = alpha_u + p_r * (alpha_r - alpha_u)
-        return np.clip(val, np.minimum(alpha_r, alpha_u), np.maximum(alpha_r, alpha_u))
-
-    out: dict[str, np.ndarray] = {}
-    for name in names:
-        if name == "r":
-            out[name] = alpha_r
-        elif name == "u":
-            out[name] = alpha_u
-        elif name == "ms":
-            if pretest is None:
-                raise ValueError("'ms' needs a pretest config")
-            sigma_beta = sigma * np.sqrt(s11 / det)
-            threshold = pretest.c * sigma_beta
-            if pretest.form == "scaled":
-                threshold = threshold * np.sqrt(pretest.n)
-            out[name] = np.where(np.abs(beta_u) > threshold, alpha_u, alpha_r)
-        elif name == "bma_bic":
-            resid_r = y - alpha_r[:, None] * x1
-            resid_u = y - alpha_u[:, None] * x1 - beta_u[:, None] * x2
-            rss_r = np.sum(resid_r * resid_r, axis=1)
-            rss_u = np.sum(resid_u * resid_u, axis=1)
-            out[name] = averaged(bic_p_r(rss_r, rss_u, size))
-        elif name == "ama":
-            if adaptive is None:
-                raise ValueError("'ama' needs an adaptive config")
-            out[name] = averaged(adaptive_p_r(beta_u, adaptive.a_n, adaptive.k_n))
-        elif name == "bma_exact":
-            if not sigma > 0.0:
-                raise ValueError("resampled exact-posterior weights need sigma > 0")
-            yy = np.sum(y * y, axis=1)
-            d = posterior_log_odds(yy, p1, p2, size, s11, s22, s12, sigma)
-            out[name] = averaged(stable_sigmoid(d))
-        else:
-            raise ValueError(f"unknown estimator name {name!r}")
-    return out
+    s11, s22, s12, p1, p2, yy = sums
+    estimates, _ = estimate_arrays(
+        size, s11, s22, s12, p1, p2, names, sigma, pretest, adaptive,
+        prior_scale, prior_p_r, yy=yy,
+    )
+    return estimates
 
 
 def _ks_ratio(ks_r: float, ks_u: float) -> float:
@@ -304,7 +208,7 @@ def _ks_ratio(ks_r: float, ks_u: float) -> float:
     if total == 0.0:
         # Both references coincide with the sample; the location is uninformative.
         return 50.0
-    return 100.0 * ks_r / total
+    return 100.0 * (ks_r / total)
 
 
 def _map_ordered(fn: Callable[[int], dict], count: int, workers: int) -> list[dict]:
@@ -448,6 +352,7 @@ def resampling_error_curve(
                     ds, names, plan, stream(scenario.seed, _TAG_RESAMPLE, i, d),
                     subsample=subsample, pretest=scenario.pretest,
                     adaptive=scenario.adaptive, sigma=sigma,
+                    prior_scale=scenario.prior_scale, prior_p_r=scenario.prior_p_r,
                 )
             except TooManySingularResamples:
                 excluded += 1
@@ -543,10 +448,10 @@ def weight_decay_sweep(
         tuning = default_tuning(n)
         z = stream(seed, _TAG_TRUTH, i).standard_normal((reps, n))
         y = params.alpha * design.x1 + params.beta * design.x2 + params.sigma * z
-        p1 = y @ design.x1
-        p2 = y @ design.x2
-        beta_u = (stats.s11 * p2 - stats.s12 * p1) / stats.det
-        p_r = adaptive_p_r(beta_u, tuning.a_n, tuning.k_n)
+        p_r = estimate_arrays(
+            n, stats.s11, stats.s22, stats.s12, y @ design.x1, y @ design.x2, ("ama",),
+            params.sigma, adaptive_config=tuning,
+        )[1]["ama"]
         mean_p = float(np.mean(p_r))
         return {
             "n": n,

@@ -152,8 +152,42 @@ def compute_design_stats(design: DesignMatrix, sigma: float) -> DesignStats:
     det = s11 * s22 - s12 * s12
     if det <= COLLINEARITY_RTOL * s11 * s22:
         raise CollinearDesign(f"design determinant {det!r} is zero up to tolerance")
-    sigma_beta = sigma * np.sqrt(s11) / np.sqrt(det)
-    return DesignStats(s11=s11, s22=s22, s12=s12, det=det, sigma_beta=float(sigma_beta))
+    return DesignStats(
+        s11=s11, s22=s22, s12=s12, det=det, sigma_beta=float(slope_sd(sigma, s11, det))
+    )
+
+
+def slope_sd(sigma, s11, det):
+    """sigma * sqrt(s11 / det), the sd of the unrestricted slope, elementwise."""
+    return sigma * np.sqrt(s11) / np.sqrt(det)
+
+
+def solve_normal_equations(s11, s22, s12, det, p1, p2):
+    """Unrestricted (alpha_u, beta_u) from the Gram matrix and <x1,y>, <x2,y>, elementwise.
+
+    beta_u regresses y on x2's residual on x1 (Frisch-Waugh-Lovell; det / s11 is
+    that residual's squared norm) and alpha_u back-substitutes, so
+    alpha_r = alpha_u + beta_u * s12 / s11 holds to round-off.  Cramer's rule
+    would form s11 * p2, a product of three inner products that underflows to 0
+    when x1 is tiny (entries near 1e-141) although the design is well conditioned.
+    """
+    beta_u = (p2 - (s12 / s11) * p1) / (det / s11)
+    alpha_u = (p1 - s12 * beta_u) / s11
+    return alpha_u, beta_u
+
+
+def rss_gap(beta_u, s11, det):
+    """RSS_R - RSS_U = beta_u^2 * det / s11 by Frisch-Waugh-Lovell, elementwise.
+
+    det / s11 is the squared norm of x2's residual on x1.
+    """
+    return beta_u * beta_u * det / s11
+
+
+def response_stats(dataset: Dataset) -> tuple[float, float, float]:
+    """<x1, y>, <x2, y> and <y, y>: with the design's Gram matrix, all the estimators need."""
+    y = dataset.y
+    return _inner(dataset.design.x1, y), _inner(dataset.design.x2, y), _inner(y, y)
 
 
 def generate_response(
@@ -171,8 +205,7 @@ def fit_unrestricted(dataset: Dataset, stats: DesignStats) -> UnrestrictedFit:
         raise CollinearDesign("unrestricted fit needs det > 0")
     p1 = _inner(dataset.design.x1, dataset.y)
     p2 = _inner(dataset.design.x2, dataset.y)
-    alpha_u = (stats.s22 * p1 - stats.s12 * p2) / stats.det
-    beta_u = (stats.s11 * p2 - stats.s12 * p1) / stats.det
+    alpha_u, beta_u = solve_normal_equations(stats.s11, stats.s22, stats.s12, stats.det, p1, p2)
     return UnrestrictedFit(alpha_u=alpha_u, beta_u=beta_u)
 
 

@@ -14,7 +14,15 @@ from enum import Enum
 
 import numpy as np
 
-from .model import Dataset, DesignStats, compute_design_stats, fit_restricted, fit_unrestricted
+from .model import (
+    Dataset,
+    DesignStats,
+    compute_design_stats,
+    fit_unrestricted,
+    response_stats,
+    rss_gap,
+    solve_normal_equations,
+)
 
 
 class ModelChoice(Enum):
@@ -85,16 +93,23 @@ def stable_sigmoid(t):
     return out
 
 
+def pretest_threshold(sigma_beta, config: PretestConfig):
+    """The pretest keeps U where |beta_u| exceeds c * sigma_beta (times sqrt(n) if scaled).
+
+    Comparing |beta_u| against c * sigma_beta avoids a 0/0 when sigma_beta = 0
+    (noiseless data); the rule then reduces to beta_u != 0.
+    """
+    threshold = config.c * sigma_beta
+    if config.form == "scaled":
+        threshold = threshold * math.sqrt(config.n)
+    return threshold
+
+
 def pretest_select(beta_u: float, sigma_beta: float, config: PretestConfig) -> ModelChoice:
     """U when the studentized slope exceeds c, R otherwise (ties go to R)."""
     if not sigma_beta >= 0.0:
         raise ValueError("sigma_beta must be >= 0")
-    threshold = config.c * sigma_beta
-    if config.form == "scaled":
-        threshold *= math.sqrt(config.n)
-    # Comparing |beta_u| against c * sigma_beta avoids a 0/0 when sigma_beta = 0
-    # (noiseless data); the rule then reduces to beta_u != 0.
-    return ModelChoice.U if abs(beta_u) > threshold else ModelChoice.R
+    return ModelChoice.U if abs(beta_u) > pretest_threshold(sigma_beta, config) else ModelChoice.R
 
 
 def adaptive_p_r(beta_u, a_n: float, k_n: float):
@@ -132,7 +147,8 @@ def bic_p_r(rss_r, rss_u, n: int):
 
     BIC_R = RSS_R + log n and BIC_U = RSS_U + 2 log n; the ratio is evaluated
     as a logistic of (BIC_U - BIC_R)/2 which never exponentiates a large
-    positive number.
+    positive number. Only RSS_R - RSS_U matters, so ``(rss_gap, 0)`` may stand
+    in for the pair.
     """
     rss_r = np.asarray(rss_r, dtype=float)
     rss_u = np.asarray(rss_u, dtype=float)
@@ -140,25 +156,17 @@ def bic_p_r(rss_r, rss_u, n: int):
 
 
 def bic_weights(dataset: Dataset, stats: DesignStats) -> ModelWeights:
-    """BIC-approximate posterior weight from the two residual sums of squares."""
-    x1, x2, y = dataset.design.x1, dataset.design.x2, dataset.y
-    alpha_r = fit_restricted(dataset, stats)
-    fit = fit_unrestricted(dataset, stats)
-    resid_r = y - alpha_r * x1
-    resid_u = y - fit.alpha_u * x1 - fit.beta_u * x2
-    rss_r = float(np.sum(resid_r * resid_r))
-    rss_u = float(np.sum(resid_u * resid_u))
-    return ModelWeights(float(bic_p_r(rss_r, rss_u, dataset.n)))
+    """BIC-approximate posterior weight; RSS_R - RSS_U comes in closed form from beta_u."""
+    beta_u = fit_unrestricted(dataset, stats).beta_u
+    return ModelWeights(float(bic_p_r(rss_gap(beta_u, stats.s11, stats.det), 0.0, dataset.n)))
 
 
 def posterior_log_odds(
-    yy,
     p1,
     p2,
-    n: int,
-    s11: float,
-    s22: float,
-    s12: float,
+    s11,
+    s22,
+    s12,
     sigma: float,
     prior_scale: float = 1.0,
     prior_p_r: float = 0.5,
@@ -170,16 +178,12 @@ def posterior_log_odds(
     zero-mean Gaussians with covariances sigma^2 I + prior_scale^2 X1 X1' and
     sigma^2 I + prior_scale^2 X X'. Log-determinants use the matrix determinant
     lemma and quadratic forms the Sherman-Morrison-Woodbury identity, so no n x n
-    matrix is ever formed. ``yy``, ``p1``, ``p2`` are <y,y>, <x1,y>, <x2,y>.
+    matrix is ever formed. ``p1``, ``p2`` are <x1,y>, <x2,y>. Both quadratic
+    forms start from <y,y>/sigma^2, which cancels in their difference, so <y,y>
+    is not an argument.
     """
     if not sigma > 0.0:
         raise ValueError("posterior log odds need sigma > 0")
-    yy = np.asarray(yy, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
-    s11 = np.asarray(s11, dtype=float)
-    s22 = np.asarray(s22, dtype=float)
-    s12 = np.asarray(s12, dtype=float)
     s2 = sigma * sigma
     t2 = prior_scale * prior_scale
     a11 = t2 * s11 / s2
@@ -194,11 +198,36 @@ def posterior_log_odds(
     det_m = m11 * m22 - m12 * m12
     z1 = (m22 * p1 - m12 * p2) / det_m
     z2 = (m11 * p2 - m12 * p1) / det_m
-    quad_u = (yy - t2 * (p1 * z1 + p2 * z2)) / s2
-    quad_r = (yy - t2 * p1 * p1 / m11) / s2
+    # quad_u - quad_r with the common <y,y>/sigma^2 term cancelled.
+    quad_diff = t2 * (p1 * p1 / m11 - (p1 * z1 + p2 * z2)) / s2
 
     prior_odds = math.log(prior_p_r) - math.log1p(-prior_p_r)
-    return prior_odds + 0.5 * logdet_diff + 0.5 * (quad_u - quad_r)
+    return prior_odds + 0.5 * logdet_diff + 0.5 * quad_diff
+
+
+def exact_posterior_p_r(
+    p1, p2, s11, s22, s12, sigma: float, prior_scale=1.0, prior_p_r=0.5, yy=None
+):
+    """Exact posterior weight of the restricted model, elementwise.
+
+    For sigma = 0 the sigma -> 0 limit is returned: all weight on R when both
+    models interpolate y equally well (RSS_R - RSS_U within 1e-9 (1 + <y,y>)),
+    otherwise all weight on U. Only that limit needs ``yy`` = <y,y>, and it
+    needs a non-collinear design.
+    """
+    if not 0.0 < prior_p_r < 1.0:
+        raise ValueError("prior_p_r must lie in (0, 1)")
+    if not prior_scale > 0.0:
+        raise ValueError("prior_scale must be > 0")
+    if sigma != 0.0:
+        return stable_sigmoid(
+            posterior_log_odds(p1, p2, s11, s22, s12, sigma, prior_scale, prior_p_r)
+        )
+    if yy is None:
+        raise ValueError("the sigma = 0 limit of the posterior weight needs <y,y>")
+    det = s11 * s22 - s12 * s12
+    beta_u = solve_normal_equations(s11, s22, s12, det, p1, p2)[1]
+    return np.where(rss_gap(beta_u, s11, det) <= 1e-9 * (1.0 + yy), 1.0, 0.0)
 
 
 def exact_posterior_weights(
@@ -210,32 +239,13 @@ def exact_posterior_weights(
     """Exact posterior model probability of the restricted model.
 
     Defined for any design, collinear or not, since only marginal Gaussian
-    densities of y are compared. For sigma = 0 the sigma -> 0 limit is returned:
-    all weight on R when both models interpolate y equally well, otherwise all
-    weight on U.
+    densities of y are compared; the sigma = 0 limit (see
+    :func:`exact_posterior_p_r`) raises CollinearDesign on a collinear design.
     """
-    if not 0.0 < prior_p_r < 1.0:
-        raise ValueError("prior_p_r must lie in (0, 1)")
-    if not prior_scale > 0.0:
-        raise ValueError("prior_scale must be > 0")
-    x1, x2, y = dataset.design.x1, dataset.design.x2, dataset.y
+    x1, x2 = dataset.design.x1, dataset.design.x2
     if sigma == 0.0:
-        stats = compute_design_stats(dataset.design, 0.0)
-        alpha_r = fit_restricted(dataset, stats)
-        fit = fit_unrestricted(dataset, stats)
-        resid_r = y - alpha_r * x1
-        resid_u = y - fit.alpha_u * x1 - fit.beta_u * x2
-        rss_r = float(np.sum(resid_r * resid_r))
-        rss_u = float(np.sum(resid_u * resid_u))
-        tol = 1e-9 * (1.0 + float(np.sum(y * y)))
-        return ModelWeights(1.0 if rss_r - rss_u <= tol else 0.0)
-    yy = float(np.sum(y * y))
-    p1 = float(np.sum(x1 * y))
-    p2 = float(np.sum(x2 * y))
-    s11 = float(np.sum(x1 * x1))
-    s22 = float(np.sum(x2 * x2))
-    s12 = float(np.sum(x1 * x2))
-    d = posterior_log_odds(
-        yy, p1, p2, dataset.n, s11, s22, s12, sigma, prior_scale, prior_p_r
-    )
-    return ModelWeights(float(stable_sigmoid(d)))
+        compute_design_stats(dataset.design, 0.0)
+    s11, s22, s12 = (float(np.sum(a * b)) for a, b in ((x1, x1), (x2, x2), (x1, x2)))
+    p1, p2, yy = response_stats(dataset)
+    p_r = exact_posterior_p_r(p1, p2, s11, s22, s12, sigma, prior_scale, prior_p_r, yy)
+    return ModelWeights(float(p_r))

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from modelavg.errors import CollinearDesign
 from modelavg.estimators import (
+    ESTIMATOR_NAMES,
     EstimateBundle,
     MeanModelSample,
     estimate_all,
+    estimate_arrays,
     make_multi_pipeline,
     make_pipeline,
     mean_model_estimate,
@@ -20,7 +22,7 @@ from modelavg.experiments import draw_dataset, make_scenario
 from modelavg.model import Dataset, DesignMatrix, compute_design_stats
 from modelavg.weights import AdaptiveConfig, ModelWeights, PretestConfig, default_tuning
 
-from conftest import random_dataset
+from conftest import ols_normal_equation_oracle, random_dataset
 
 
 def _hand_dataset():
@@ -171,6 +173,82 @@ def test_golden_bundle_reference_design():
     assert bundle.weights_posterior.p_r == pytest.approx(0.004099775605761013, rel=1e-12)
     assert bundle.weights_bic.p_r == pytest.approx(0.012747823869259848, rel=1e-12)
     assert bundle.weights_adaptive.p_r == pytest.approx(0.04595874387631306, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the sufficient-statistic kernel
+
+
+def _scaled_x2(ds, c):
+    return Dataset(DesignMatrix(ds.design.x1, c * ds.design.x2), ds.y)
+
+
+def _kernel(ds, names, sigma, pretest=None, adaptive=None):
+    x1, x2, y = ds.design.x1, ds.design.x2, ds.y
+    return estimate_arrays(
+        ds.n, x1 @ x1, x2 @ x2, x1 @ x2, x1 @ y, x2 @ y, names, sigma, pretest, adaptive
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), sigma=st.sampled_from([0.0, 0.5, 1.0, 3.0]))
+def test_every_estimate_invariant_under_x2_sign_flip(seed, sigma):
+    # s12 and <x2,y> change sign and beta_u with them; every estimate depends
+    # on them only through products that cancel the sign, so equality is exact.
+    rng = np.random.default_rng(seed)
+    ds = random_dataset(rng, allow_badly_scaled=True)
+    flipped = _scaled_x2(ds, -1.0)
+    pretest, adaptive = PretestConfig(), default_tuning(ds.n)
+    b0 = estimate_all(ds, compute_design_stats(ds.design, sigma), pretest, adaptive, sigma)
+    b1 = estimate_all(
+        flipped, compute_design_stats(flipped.design, sigma), pretest, adaptive, sigma
+    )
+    for name in ESTIMATOR_NAMES:
+        assert b1.by_name(name) == b0.by_name(name), name
+    assert b1.beta_u == -b0.beta_u
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    c=st.floats(1e-3, 1e3).flatmap(lambda v: st.sampled_from([v, -v])),
+)
+def test_ms_and_bma_bic_invariant_under_x2_rescaling(seed, c):
+    # The t-statistic and RSS_R - RSS_U do not depend on the units of x2.
+    rng = np.random.default_rng(seed)
+    ds = random_dataset(rng)
+    names = ("ms", "bma_bic")
+    est0, p0 = _kernel(ds, names, 1.0, PretestConfig())
+    est1, p1 = _kernel(_scaled_x2(ds, c), names, 1.0, PretestConfig())
+    assert p1["bma_bic"] == pytest.approx(p0["bma_bic"], rel=1e-9, abs=1e-12)
+    assert est1["bma_bic"] == pytest.approx(est0["bma_bic"], rel=1e-9, abs=1e-9)
+    assert est1["ms"] == pytest.approx(est0["ms"], rel=1e-9, abs=1e-9)
+
+
+def test_bic_weight_matches_residual_vector_oracle(rng):
+    # Closed form RSS_R - RSS_U = beta_u^2 det / s11 against explicit residuals.
+    for _ in range(300):
+        ds = random_dataset(rng, allow_badly_scaled=True)
+        x1, x2, y = ds.design.x1, ds.design.x2, ds.y
+        alpha_u, beta_u = ols_normal_equation_oracle(ds)
+        rss_u = float(np.sum((y - alpha_u * x1 - beta_u * x2) ** 2))
+        rss_r = float(np.sum((y - (x1 @ y) / (x1 @ x1) * x1) ** 2))
+        oracle = 1.0 / (1.0 + math.exp(-(rss_u - rss_r + math.log(ds.n)) / 2.0))
+        _, p_r = _kernel(ds, ("bma_bic",), 1.0)
+        assert float(p_r["bma_bic"]) == pytest.approx(oracle, rel=1e-9, abs=1e-12)
+
+
+def test_bic_weight_uses_rss_not_rss_over_sigma_squared():
+    # Orthonormal design with beta_u = 3, so RSS_R - RSS_U = 9. The weight
+    # is a function of RSS alone; the known-sigma BIC, which would use
+    # RSS / sigma^2, coincides with it only at sigma = 1.
+    ds = Dataset(DesignMatrix(np.array([1.0, 0.0]), np.array([0.0, 1.0])), np.array([0.7, 3.0]))
+    weights = {s: float(_kernel(ds, ("bma_bic",), s)[1]["bma_bic"]) for s in (0.0, 0.5, 1.0, 4.0)}
+    rss_form = 1.0 / (1.0 + math.exp(-(math.log(2.0) - 9.0) / 2.0))
+    for sigma, w in weights.items():
+        assert w == pytest.approx(rss_form, rel=1e-12), sigma
+    known_sigma_form = 1.0 / (1.0 + math.exp(-(math.log(2.0) - 9.0 / 16.0) / 2.0))
+    assert abs(weights[4.0] - known_sigma_form) > 0.5
 
 
 def test_mean_model_estimate_constant_rules():

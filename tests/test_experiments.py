@@ -203,6 +203,13 @@ def test_ks_ratio_curve_degenerate_maps_to_50():
     assert rows[0]["ratio_ama"] == 50.0
 
 
+def test_ks_ratio_stays_within_0_100_when_ks_u_is_zero():
+    from modelavg.experiments import _ks_ratio
+
+    assert _ks_ratio(7 / 5000, 0.0) == 100.0
+    assert all(_ks_ratio(k / 5000, 0.0) == 100.0 for k in range(1, 5001))
+
+
 def test_ks_ratio_curve_columns():
     scenario = _uniform_scenario(reps=100, seed=3)
     rows = ks_ratio_curve([0.0, 0.5], scenario)
@@ -255,18 +262,15 @@ def test_resampling_error_subsample_and_pooled_modes():
         )
 
 
-def test_fast_resampling_engine_matches_generic_engine():
-    # The vectorized engine must reproduce the per-dataset loop engine:
-    # identical index streams, identical redraw policy, same estimates.
+def _assert_engines_agree(ds, scenario, sigma, prior_scale=1.0, prior_p_r=0.5):
     from modelavg.estimators import make_multi_pipeline
     from modelavg.experiments import resampled_estimates
     from modelavg.resampling import ResamplePlan, resample_many
 
-    rng_data = np.random.default_rng(91)
-    scenario = _uniform_scenario(n=12, reps=10, seed=91)
     names = ("r", "u", "ms", "bma_bic", "ama", "bma_exact")
-    ds = draw_dataset(scenario)
-    proc = make_multi_pipeline(names, 1.0, scenario.pretest, scenario.adaptive)
+    proc = make_multi_pipeline(
+        names, sigma, scenario.pretest, scenario.adaptive, prior_scale, prior_p_r
+    )
     originals = proc(ds)
     for subsample, m in ((False, None), (True, 5), (True, 12)):
         plan = ResamplePlan(b=40, m=m)
@@ -276,13 +280,29 @@ def test_fast_resampling_engine_matches_generic_engine():
         )
         fast = resampled_estimates(
             ds, names, plan, np.random.default_rng(17), subsample=subsample,
-            pretest=scenario.pretest, adaptive=scenario.adaptive, sigma=1.0,
+            pretest=scenario.pretest, adaptive=scenario.adaptive, sigma=sigma,
+            prior_scale=prior_scale, prior_p_r=prior_p_r,
         )
         for name in names:
             fast_centered = scale * (fast[name] - originals[name])
             np.testing.assert_allclose(
-                fast_centered, loop[name].values, rtol=1e-9, atol=1e-9, err_msg=name
+                fast_centered, loop[name].values, rtol=1e-9, atol=1e-9,
+                err_msg=f"{name} subsample={subsample}",
             )
+
+
+def test_fast_resampling_engine_matches_generic_engine():
+    # The vectorized engine must reproduce the per-dataset loop engine:
+    # identical index streams, identical redraw policy, same estimates.
+    from modelavg.estimators import make_multi_pipeline
+    from modelavg.experiments import resampled_estimates
+    from modelavg.resampling import ResamplePlan, resample_many
+
+    scenario = _uniform_scenario(n=12, reps=10, seed=91)
+    ds = draw_dataset(scenario)
+    _assert_engines_agree(ds, scenario, 1.0)
+    # A non-default coefficient prior must reach the exact-posterior weights.
+    _assert_engines_agree(ds, scenario, 1.0, prior_scale=2.0, prior_p_r=0.3)
     # Redraw parity on a tiny design where duplicated rows are collinear.
     tiny_design = DesignMatrix(np.array([1.0, 1.0, 1.0]), np.array([0.0, 1.0, 2.0]))
     tiny = Scenario(
@@ -307,6 +327,14 @@ def test_fast_resampling_engine_matches_generic_engine():
     np.testing.assert_allclose(
         np.sqrt(3.0) * (fast3["u"] - orig3["u"]), loop3["u"].values, rtol=1e-9, atol=1e-9
     )
+
+
+def test_fast_resampling_engine_matches_generic_engine_at_sigma_zero():
+    # Both engines take the sigma -> 0 limit, on noisy and on noiseless data.
+    noisy = _uniform_scenario(n=12, reps=10, seed=91)
+    _assert_engines_agree(draw_dataset(noisy), noisy, 0.0)
+    null = _uniform_scenario(n=12, reps=10, seed=92, sigma=0.0)
+    _assert_engines_agree(draw_dataset(null), null, 0.0)
 
 
 def test_resampling_error_counts_excluded_datasets():

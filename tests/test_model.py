@@ -264,6 +264,17 @@ def test_identity_property_hypothesis(data):
     assert abs(alpha_r - rhs) < 1e-10 * cond * (1.0 + abs(alpha_r) + abs(fit.alpha_u))
 
 
+def test_unrestricted_fit_with_tiny_x1_does_not_underflow():
+    # y = -x1 + a * x2 exactly; s11 * <x2, y> = a**3 is below the smallest double.
+    a = 2.3288848677721623e-141
+    ds = Dataset(DesignMatrix(np.array([0.0, a]), np.array([1.0, 1.0])), np.array([a, 0.0]))
+    stats = compute_design_stats(ds.design, 1.0)
+    fit = fit_unrestricted(ds, stats)
+    assert fit.alpha_u == pytest.approx(-1.0, rel=1e-12)
+    assert fit.beta_u == pytest.approx(a, rel=1e-12, abs=0.0)
+    assert fit_restricted(ds, stats) == 0.0
+
+
 def test_make_uniform_design_properties():
     rng = np.random.default_rng(3)
     design = make_uniform_design(2, rng)
