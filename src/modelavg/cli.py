@@ -189,18 +189,24 @@ def _execute(config: RunConfig, outdir: Path, written: list[Path]) -> None:
 
 
 def run(config: RunConfig) -> int:
-    """Run one experiment; on any failure remove partial outputs and return 1."""
+    """Run one experiment; on any failure remove partial outputs and return 1.
+
+    An interrupt (``KeyboardInterrupt``, ``SystemExit``) also removes the
+    partial outputs, then propagates.
+    """
     outdir = Path(config.out)
     outdir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     try:
         _execute(config, outdir, written)
-    except Exception as exc:
+    except BaseException as exc:
         for path in written:
             try:
                 path.unlink()
             except FileNotFoundError:
                 pass
+        if not isinstance(exc, Exception):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

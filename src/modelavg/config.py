@@ -16,6 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConfigError
+from .resampling import STREAM_VERSION
 
 EXPERIMENTS = (
     "figure1a",
@@ -235,7 +236,10 @@ def parse_config(
 
 
 def echo_config(config: RunConfig, path) -> None:
-    """Write the fully resolved configuration, one 'key = value' line per field."""
+    """Write the fully resolved configuration, one 'key = value' line per field.
+
+    A last line records the resample stream layout the outputs were drawn with.
+    """
     lines = []
     for f in fields(config):
         value = getattr(config, f.name)
@@ -244,5 +248,6 @@ def echo_config(config: RunConfig, path) -> None:
         elif isinstance(value, float):
             value = repr(value)
         lines.append(f"{f.name} = {value}")
+    lines.append(f"stream_version = {STREAM_VERSION}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -28,7 +28,7 @@ from .model import (
     generate_response,
     make_uniform_design,
 )
-from .resampling import EmpiricalSample, ResamplePlan
+from .resampling import EmpiricalSample, ResampleIndices, ResamplePlan
 from .weights import AdaptiveConfig, PretestConfig, default_tuning
 
 # Substream roles.
@@ -122,12 +122,23 @@ def draw_dataset(scenario: Scenario, grid_index: int = 0, dataset_index: int = 0
 
 
 def _ks_arrays(x: np.ndarray, y: np.ndarray) -> float:
-    xs = np.sort(x)
-    ys = np.sort(y)
-    grid = np.concatenate([xs, ys])
-    fx = np.searchsorted(xs, grid, side="right") / xs.size
-    fy = np.searchsorted(ys, grid, side="right") / ys.size
-    return float(np.max(np.abs(fx - fy)))
+    """Exact two-sample KS distance sup_t |F_x(t) - F_y(t)|.
+
+    Between consecutive points of the smaller sample its ECDF is constant and
+    the larger one's only rises, so the distance peaks at a point of the
+    smaller sample: at the right values there or at the left limits. Counting
+    into the larger sorted sample at those points alone gives the same counts,
+    and so the same floats, as evaluating both ECDFs on the merged samples.
+    """
+    small, large = (x, y) if x.size <= y.size else (y, x)
+    s = np.sort(small)
+    big = np.sort(large)
+    sup = 0.0
+    for side in ("right", "left"):
+        f_small = np.searchsorted(s, s, side=side) / s.size
+        f_large = np.searchsorted(big, s, side=side) / big.size
+        sup = max(sup, float(np.max(np.abs(f_small - f_large))))
+    return sup
 
 
 def ks_two_sample(a: EmpiricalSample, b: EmpiricalSample) -> float:
@@ -149,23 +160,15 @@ def resampled_estimates(
 ) -> dict[str, np.ndarray]:
     """Vectorized resampling engine for the standard estimator set.
 
-    Draws indices exactly like :func:`modelavg.resampling.resample_many`
-    (per-replicate spawned streams, singular designs redrawn against the same
-    budget) but evaluates all refits as array operations, which makes the
+    Takes its indices from :class:`modelavg.resampling.ResampleIndices`, as
+    :func:`modelavg.resampling.resample_many` does (one block per dataset,
+    singular rows redrawn in ascending order against the same budget), but
+    evaluates all refits as array operations, which makes the
     resampling-accuracy curves tractable at full scale. Returns raw resample
     estimates; tests pin its agreement with the generic per-dataset engine.
     """
     x1_full, x2_full, y_full = dataset.design.x1, dataset.design.x2, dataset.y
-    n = dataset.n
-    size = plan.m if subsample and plan.m is not None else n
-    if subsample and not 1 <= size <= n:
-        raise ValueError(f"subsample size m={size} must lie in [1, n={n}]")
-    children = rng.spawn(plan.b)
-
-    def draw(child):
-        if subsample:
-            return np.sort(child.choice(n, size=size, replace=False))
-        return child.integers(0, n, size=n)
+    indices = ResampleIndices(rng, dataset.n, plan, subsample)
 
     def gather(index):
         x1 = x1_full[index]
@@ -181,23 +184,14 @@ def resampled_estimates(
         s11, s22, s12 = sums[0], sums[1], sums[2]
         return (s11 <= 0.0) | (s11 * s22 - s12 * s12 <= COLLINEARITY_RTOL * s11 * s22)
 
-    sums = gather(np.array([draw(child) for child in children]))
-    budget = plan.redraw_budget
-    redraws = 0
+    sums = gather(indices.block)
     for i in np.nonzero(singular(sums))[0]:
-        while True:
-            redraws += 1
-            if redraws > budget:
-                raise TooManySingularResamples(
-                    f"exceeded {budget} redraws after singular resampled designs"
-                )
-            sums[:, i] = gather(draw(children[i]))
-            if not singular(sums[:, i]):
-                break
+        while singular(sums[:, i]):
+            sums[:, i] = gather(indices.redraw())
 
     s11, s22, s12, p1, p2, yy = sums
     estimates, _ = estimate_arrays(
-        size, s11, s22, s12, p1, p2, names, sigma, pretest, adaptive,
+        indices.size, s11, s22, s12, p1, p2, names, sigma, pretest, adaptive,
         prior_scale, prior_p_r, yy=yy,
     )
     return estimates

@@ -1,8 +1,11 @@
 """Paired bootstrap, subsampling, and the mean-model bootstrap.
 
 Each engine returns an :class:`EmpiricalSample` of centered-and-scaled
-replicates. Per-replicate random streams are spawned from the caller's
-generator, so output is bit-reproducible regardless of evaluation order.
+replicates. A dataset's resample indices come from :class:`ResampleIndices`:
+one (b, size) block drawn from the caller's generator, plus redraws for
+singular rows from one generator spawned from it. The output is a
+bit-reproducible function of the caller's generator, and every engine that
+takes its indices from there sees the same replicates.
 """
 
 from __future__ import annotations
@@ -18,6 +21,11 @@ from .model import Dataset
 # Redraw budget for singular resampled designs, as a multiple of the number of
 # requested resamples.
 MAX_REDRAW_FACTOR = 100
+
+# Layout of the resample index streams, written to every run's resolved
+# config. 1: one spawned generator per replicate. 2: one (b, size) block per
+# dataset, singular rows redrawn from one spawned generator.
+STREAM_VERSION = 2
 
 
 class EmpiricalSample:
@@ -85,6 +93,49 @@ class ResamplePlan:
         return self.max_redraws if self.max_redraws is not None else MAX_REDRAW_FACTOR * self.b
 
 
+class ResampleIndices:
+    """Row indices of one dataset's ``plan.b`` resamples.
+
+    ``block`` holds one row of indices per replicate, all drawn at once from
+    ``rng``: n draws with replacement for the bootstrap; for subsampling, the
+    first ``size`` entries of a random permutation per row, sorted. Sorted
+    rows make a subsample a row set, so size = n reproduces the dataset
+    bit-for-bit. :meth:`redraw` replaces a singular row from one generator
+    spawned from ``rng``. Engines redraw singular rows in ascending row order,
+    so two engines that agree on which designs are singular agree on every
+    replicate.
+    """
+
+    def __init__(self, rng: np.random.Generator, n: int, plan: ResamplePlan, subsample: bool):
+        size = n
+        if subsample:
+            size = plan.m if plan.m is not None else n
+            if not 1 <= size <= n:
+                raise ValueError(f"subsample size m={size} must lie in [1, n={n}]")
+        self.n = n
+        self.size = size
+        self.subsample = subsample
+        self.budget = plan.redraw_budget
+        self.redraws = 0
+        self.block = self._draw(rng, plan.b)
+        self._redraw_rng = rng.spawn(1)[0]
+
+    def _draw(self, rng: np.random.Generator, rows: int) -> np.ndarray:
+        if self.subsample:
+            perm = np.argsort(rng.random((rows, self.n)), axis=1)
+            return np.sort(perm[:, : self.size], axis=1)
+        return rng.integers(0, self.n, size=(rows, self.n))
+
+    def redraw(self) -> np.ndarray:
+        """A fresh index row; raises once the redraw budget is spent."""
+        self.redraws += 1
+        if self.redraws > self.budget:
+            raise TooManySingularResamples(
+                f"exceeded {self.budget} redraws after singular resampled designs"
+            )
+        return self._draw(self._redraw_rng, 1)[0]
+
+
 def resample_many(
     dataset: Dataset,
     procedure: Callable[[Dataset], Mapping[str, float]],
@@ -100,35 +151,19 @@ def resample_many(
     per name, where theta_hat comes from the full dataset. Resamples whose
     design is singular are redrawn against a shared budget.
     """
-    n = dataset.n
-    if subsample:
-        m = plan.m if plan.m is not None else n
-        if not 1 <= m <= n:
-            raise ValueError(f"subsample size m={m} must lie in [1, n={n}]")
+    indices = ResampleIndices(rng, dataset.n, plan, subsample)
     originals = dict(procedure(dataset))
     out = {name: np.empty(plan.b) for name in originals}
-    budget = plan.redraw_budget
-    redraws = 0
-    for i, child in enumerate(rng.spawn(plan.b)):
+    for i, idx in enumerate(indices.block):
         while True:
-            if subsample:
-                # Sorted index set: subsamples are row sets, and a canonical
-                # order makes m = n reproduce the original dataset bit-for-bit.
-                idx = np.sort(child.choice(n, size=m, replace=False))
-            else:
-                idx = child.integers(0, n, size=n)
             try:
                 star = procedure(dataset.rows(idx))
+                break
             except (CollinearDesign, ZeroColumn):
-                redraws += 1
-                if redraws > budget:
-                    raise TooManySingularResamples(
-                        f"exceeded {budget} redraws after singular resampled designs"
-                    ) from None
-                continue
-            for name, theta in star.items():
-                out[name][i] = scale * (theta - originals[name])
-            break
+                pass
+            idx = indices.redraw()
+        for name, theta in star.items():
+            out[name][i] = scale * (theta - originals[name])
     return {name: EmpiricalSample(vals) for name, vals in out.items()}
 
 

@@ -12,6 +12,7 @@ from modelavg.config import (
     read_config_file,
 )
 from modelavg.errors import ConfigError
+from modelavg.resampling import STREAM_VERSION
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +129,7 @@ def test_echo_config_roundtrips(tmp_path):
     assert "n = 50" in text
     assert "a_n = 12.5" in text
     assert "beta_grid = -1.0,0.0,1.0" in text
+    assert text.splitlines()[-1] == f"stream_version = {STREAM_VERSION}"
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +239,28 @@ def test_failed_run_removes_partial_files(tmp_path, monkeypatch):
     assert not (out / "resolved_config.txt").exists()
     assert not (out / "design_n50.csv").exists()
     assert not (out / "mse_curve.csv").exists()
+
+
+def test_interrupted_run_removes_partial_files_and_propagates(tmp_path, monkeypatch):
+    # Ctrl-C while figure2 resamples its third dataset: the interrupt reaches
+    # the caller and --out holds none of the files the run had begun.
+    out = tmp_path / "interrupted"
+    real = modelavg.experiments.resampled_estimates
+    calls = {"count": 0}
+
+    def interrupt_on_third(*args, **kwargs):
+        calls["count"] += 1
+        if calls["count"] == 3:
+            raise KeyboardInterrupt
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(modelavg.experiments, "resampled_estimates", interrupt_on_third)
+    args = ["figure2", "--reps", "30", "--datasets-per-beta", "4", "--b", "10",
+            "--beta-grid=0", "--workers", "1", "--out", str(out)]
+    with pytest.raises(KeyboardInterrupt):
+        _run_cli(args)
+    assert calls["count"] == 3
+    assert list(out.iterdir()) == []
 
 
 def test_cli_error_reporting_bad_flags(tmp_path, capsys):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from modelavg.estimators import estimate_all
 from modelavg.experiments import (
     Scenario,
+    _ks_arrays,
     batch_estimates,
     draw_dataset,
     ks_ratio_curve,
@@ -87,6 +88,33 @@ def test_ks_matches_brute_force_and_is_symmetric(x, y):
     assert 0.0 <= d <= 1.0
     assert d == ks_two_sample(b, a)
     assert d == pytest.approx(_ks_brute_force(x, y), abs=1e-12)
+
+
+def _ks_merged_grid(x, y):
+    # Dense oracle: both right-continuous ECDFs on the sorted union grid.
+    xs, ys = np.sort(x), np.sort(y)
+    grid = np.sort(np.concatenate([xs, ys]))
+    fx = np.searchsorted(xs, grid, side="right") / xs.size
+    fy = np.searchsorted(ys, grid, side="right") / ys.size
+    return float(np.max(np.abs(fx - fy)))
+
+
+_tied = st.integers(-4, 4).map(float)
+_spread = st.floats(-50, 50)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=st.one_of(st.lists(_tied, min_size=1, max_size=60), st.lists(_spread, min_size=1, max_size=60)),
+    y=st.one_of(st.lists(_tied, min_size=1, max_size=7), st.lists(_spread, min_size=1, max_size=300)),
+)
+def test_ks_equals_merged_grid_oracle_exactly(x, y):
+    # Evaluating only at the smaller sample's points must give the very same
+    # float as the merged grid, for either argument order and with ties.
+    x, y = np.array(x), np.array(y)
+    expected = _ks_merged_grid(x, y)
+    assert _ks_arrays(x, y) == expected
+    assert _ks_arrays(y, x) == expected
 
 
 def test_ks_brute_force_oracle_larger_samples(rng):
@@ -292,8 +320,10 @@ def _assert_engines_agree(ds, scenario, sigma, prior_scale=1.0, prior_p_r=0.5):
 
 
 def test_fast_resampling_engine_matches_generic_engine():
-    # The vectorized engine must reproduce the per-dataset loop engine:
-    # identical index streams, identical redraw policy, same estimates.
+    # The vectorized engine must reproduce the per-dataset loop engine: both
+    # take one (b, size) index block from the same generator and redraw
+    # singular rows in ascending order from one spawned generator, under the
+    # same budget, so they refit the same resamples.
     from modelavg.estimators import make_multi_pipeline
     from modelavg.experiments import resampled_estimates
     from modelavg.resampling import ResamplePlan, resample_many
@@ -327,6 +357,77 @@ def test_fast_resampling_engine_matches_generic_engine():
     np.testing.assert_allclose(
         np.sqrt(3.0) * (fast3["u"] - orig3["u"]), loop3["u"].values, rtol=1e-9, atol=1e-9
     )
+
+
+def test_full_size_subsample_reproduces_dataset_in_both_engines():
+    # m = n: every sorted index row is 0..n-1, so each replicate refits the
+    # original dataset bit-for-bit and every centered replicate is exactly 0.
+    from modelavg.estimators import make_multi_pipeline
+    from modelavg.experiments import resampled_estimates
+    from modelavg.resampling import ResamplePlan, resample_many
+
+    names = ("r", "u", "ms", "bma_bic", "ama", "bma_exact")
+    for n, sigma in ((12, 1.0), (50, 1.0), (9, 0.0)):
+        scenario = _uniform_scenario(n=n, reps=10, seed=91, sigma=sigma)
+        ds = draw_dataset(scenario)
+        proc = make_multi_pipeline(names, sigma, scenario.pretest, scenario.adaptive)
+        originals = proc(ds)
+        plan = ResamplePlan(b=30, m=n)
+        loop = resample_many(
+            ds, proc, plan, np.random.default_rng(1), scale=np.sqrt(n), subsample=True
+        )
+        fast = resampled_estimates(
+            ds, names, plan, np.random.default_rng(1), subsample=True,
+            pretest=scenario.pretest, adaptive=scenario.adaptive, sigma=sigma,
+        )
+        for name in names:
+            assert np.all(loop[name].values == 0.0), name
+            assert np.all(np.sqrt(n) * (fast[name] - originals[name]) == 0.0), name
+
+
+def test_singular_redraw_leaves_other_rows_on_their_block_row():
+    # n = 3 with x1 constant: a bootstrap row is singular exactly when it
+    # repeats one row three times. Each singular row is replaced from one
+    # generator spawned from the caller's, in ascending row order; every other
+    # replicate is the refit of its own block row.
+    from modelavg.estimators import make_multi_pipeline
+    from modelavg.experiments import resampled_estimates
+    from modelavg.resampling import ResampleIndices, ResamplePlan, resample_many
+
+    design = DesignMatrix(np.array([1.0, 1.0, 1.0]), np.array([0.0, 1.0, 2.0]))
+    tiny = Scenario(
+        design=design,
+        params=TrueParams(alpha=1.0, beta=0.3, sigma=1.0),
+        pretest=PretestConfig(),
+        adaptive=default_tuning(3),
+        reps=5,
+        seed=1,
+    )
+    ds = draw_dataset(tiny)
+    proc = make_multi_pipeline(("u",), 1.0, tiny.pretest, tiny.adaptive)
+    plan = ResamplePlan(b=60)
+    block = ResampleIndices(np.random.default_rng(4), 3, plan, False).block
+    singular = np.array([len(set(row)) == 1 for row in block])
+    assert 0 < singular.sum() < plan.b
+
+    redraw_rng = np.random.default_rng(4).spawn(1)[0]
+    expected_rows = []
+    for row in block:
+        while len(set(row)) == 1:
+            row = redraw_rng.integers(0, 3, size=(1, 3))[0]
+        expected_rows.append(row)
+    expected = np.array([proc(ds.rows(row))["u"] for row in expected_rows])
+    assert not np.array_equal(np.array(expected_rows)[singular], block[singular])
+
+    scale = np.sqrt(3.0)
+    loop = resample_many(ds, proc, plan, np.random.default_rng(4), scale=scale, subsample=False)
+    fast = resampled_estimates(
+        ds, ("u",), plan, np.random.default_rng(4), subsample=False,
+        pretest=tiny.pretest, adaptive=tiny.adaptive, sigma=1.0,
+    )
+    original = proc(ds)["u"]
+    assert np.array_equal(loop["u"].values, scale * (expected - original))
+    np.testing.assert_allclose(fast["u"], expected, rtol=1e-12, atol=1e-12)
 
 
 def test_fast_resampling_engine_matches_generic_engine_at_sigma_zero():

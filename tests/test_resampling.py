@@ -9,6 +9,7 @@ from modelavg.estimators import make_pipeline
 from modelavg.model import Dataset, DesignMatrix
 from modelavg.resampling import (
     EmpiricalSample,
+    ResampleIndices,
     ResamplePlan,
     mean_model_bootstrap,
     paired_bootstrap,
@@ -120,6 +121,25 @@ def test_subsample_full_size_is_degenerate():
     proc = make_pipeline("u", 1.0)
     sample = subsample_distribution(ds, proc, ResamplePlan(b=25, m=9), rng)
     assert np.all(sample.values == 0.0)
+
+
+@pytest.mark.parametrize("n,m", [(9, 1), (9, 4), (12, 12), (50, 20)])
+def test_subsample_rows_are_sorted_sets_of_distinct_indices(n, m):
+    block = ResampleIndices(np.random.default_rng(n + m), n, ResamplePlan(b=300, m=m), True).block
+    assert block.shape == (300, m)
+    assert block.min() >= 0 and block.max() < n
+    assert np.all(np.diff(block, axis=1) > 0)  # strictly increasing: sorted and distinct
+    if m == n:
+        assert np.all(block == np.arange(n))
+
+
+def test_index_block_is_one_draw_from_the_callers_generator():
+    # Stream layout 2: a change here moves every resampling output.
+    boot = ResampleIndices(np.random.default_rng(3), 7, ResamplePlan(b=40), False).block
+    assert np.array_equal(boot, np.random.default_rng(3).integers(0, 7, size=(40, 7)))
+    sub = ResampleIndices(np.random.default_rng(3), 7, ResamplePlan(b=40, m=3), True).block
+    perm = np.argsort(np.random.default_rng(3).random((40, 7)), axis=1)
+    assert np.array_equal(sub, np.sort(perm[:, :3], axis=1))
 
 
 def test_subsample_size_contract_and_validation():
