@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
+from typing import Callable
 
 from . import experiments
-from .config import EXPERIMENTS, RunConfig, echo_config, parse_config
+from .config import EXPERIMENTS, SETTINGS, RunConfig, echo_config, parse_config
 from .errors import ModelAvgError
 from .estimators import estimate_all
 from .model import TrueParams, compute_design_stats, write_design_csv
@@ -20,7 +22,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_rows_csv(path, header: list[str], rows: list[dict]) -> None:
+def write_rows_csv(path, rows: list[dict]) -> None:
+    """Write rows as CSV; the first row's keys, in order, are the header."""
+    header = list(rows[0])
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(row[col]) for col in header))
@@ -45,12 +49,7 @@ def _scenario_from_config(config: RunConfig, beta: float = 0.0) -> experiments.S
     )
 
 
-def _execute(config: RunConfig, outdir: Path, written: list[Path]) -> None:
-    def target(name: str) -> Path:
-        path = outdir / name
-        written.append(path)
-        return path
-
+def _execute(config: RunConfig, target: Callable[[str], Path]) -> None:
     echo_config(config, target("resolved_config.txt"))
     workers = config.resolved_workers()
     experiment = config.experiment
@@ -61,8 +60,7 @@ def _execute(config: RunConfig, outdir: Path, written: list[Path]) -> None:
 
     if experiment == "figure1a":
         rows = experiments.mse_curve(config.beta_grid, scenario, workers=workers)
-        header = ["beta", "mse_ms", "mse_bma_bic", "mse_ama", "mse_u", "reps", "seed"]
-        write_rows_csv(target("mse_curve.csv"), header, rows)
+        write_rows_csv(target("mse_curve.csv"), rows)
         write_line_plot(
             target("mse_curve.svg"),
             title="Mean squared error by estimator",
@@ -78,12 +76,7 @@ def _execute(config: RunConfig, outdir: Path, written: list[Path]) -> None:
         )
     elif experiment == "figure1b":
         rows = experiments.ks_ratio_curve(config.beta_grid, scenario, workers=workers)
-        header = [
-            "beta", "ratio_ms", "ratio_bma_bic", "ratio_ama",
-            "ks_ms_r", "ks_ms_u", "ks_bma_r", "ks_bma_u", "ks_ama_r", "ks_ama_u",
-            "reps", "seed",
-        ]
-        write_rows_csv(target("ks_ratio.csv"), header, rows)
+        write_rows_csv(target("ks_ratio.csv"), rows)
         write_line_plot(
             target("ks_ratio.svg"),
             title="KS location ratio between R and U references",
@@ -108,8 +101,7 @@ def _execute(config: RunConfig, outdir: Path, written: list[Path]) -> None:
             mode=config.ks_mode,
             workers=workers,
         )
-        header = ["beta", "err_ms", "err_bma_bic", "err_ama", "datasets", "b", "excluded", "seed"]
-        write_rows_csv(target(f"resamp_error_{method}.csv"), header, rows)
+        write_rows_csv(target(f"resamp_error_{method}.csv"), rows)
         write_line_plot(
             target(f"resamp_error_{method}.svg"),
             title=f"{method} approximation error (100 x mean KS distance)",
@@ -128,7 +120,7 @@ def _execute(config: RunConfig, outdir: Path, written: list[Path]) -> None:
             params, config.n_grid, config.reps, config.seed,
             prior_scale=config.prior_scale, prior_p_r=config.prior_p_r, workers=workers,
         )
-        write_rows_csv(target("risk_bound.csv"), ["n", "n_risk", "mc_se", "reps", "seed"], rows)
+        write_rows_csv(target("risk_bound.csv"), rows)
         write_line_plot(
             target("risk_bound.svg"),
             title="Normalized risk of the exact-posterior model average",
@@ -142,11 +134,7 @@ def _execute(config: RunConfig, outdir: Path, written: list[Path]) -> None:
         rows = experiments.weight_decay_sweep(
             params, config.n_grid, config.reps, config.seed, workers=workers
         )
-        write_rows_csv(
-            target("weight_decay.csv"),
-            ["n", "mean_p_r", "mean_sqrtn_p_r", "reps", "seed"],
-            rows,
-        )
+        write_rows_csv(target("weight_decay.csv"), rows)
         write_line_plot(
             target("weight_decay.svg"),
             title="Adaptive weight decay",
@@ -165,10 +153,6 @@ def _execute(config: RunConfig, outdir: Path, written: list[Path]) -> None:
             dataset, stats, scenario.pretest, scenario.adaptive, config.sigma,
             prior_scale=config.prior_scale, prior_p_r=config.prior_p_r,
         )
-        header = [
-            "alpha_r", "alpha_u", "beta_u", "ms", "bma_exact", "bma_bic", "ama",
-            "w_posterior_r", "w_bic_r", "w_adaptive_r", "n", "seed",
-        ]
         row = {
             "alpha_r": bundle.alpha_r,
             "alpha_u": bundle.alpha_u,
@@ -183,57 +167,41 @@ def _execute(config: RunConfig, outdir: Path, written: list[Path]) -> None:
             "n": config.n,
             "seed": config.seed,
         }
-        write_rows_csv(target("single.csv"), header, [row])
+        write_rows_csv(target("single.csv"), [row])
     else:  # pragma: no cover - guarded by config validation
         raise ModelAvgError(f"unhandled experiment {experiment!r}")
 
 
 def run(config: RunConfig) -> int:
-    """Run one experiment; on any failure remove partial outputs and return 1.
+    """Run one experiment into ``config.out``; return 0, or 1 on failure.
 
-    An interrupt (``KeyboardInterrupt``, ``SystemExit``) also removes the
-    partial outputs, then propagates.
+    Outputs are written under temporary names in ``config.out`` and moved into
+    place with ``os.replace`` after the experiment succeeded, so no file is
+    ever left truncated under its final name. On any failure, including an
+    interrupt (``KeyboardInterrupt``, ``SystemExit``, which then propagates),
+    only the temporaries are removed; an earlier run's files stay as they were.
     """
     outdir = Path(config.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
+    staged: dict[Path, Path] = {}  # temporary name -> final name
+
+    def target(name: str) -> Path:
+        temporary = outdir / f".{name}.{os.getpid()}.tmp"
+        staged[temporary] = outdir / name
+        return temporary
+
     try:
-        _execute(config, outdir, written)
+        _execute(config, target)
+        for temporary, final in staged.items():
+            os.replace(temporary, final)
     except BaseException as exc:
-        for path in written:
-            try:
-                path.unlink()
-            except FileNotFoundError:
-                pass
+        for temporary in staged:
+            temporary.unlink(missing_ok=True)
         if not isinstance(exc, Exception):
             raise
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
-
-
-_FLAGS: list[tuple[str, str, type]] = [
-    ("--n", "n", int),
-    ("--reps", "reps", int),
-    ("--seed", "seed", int),
-    ("--alpha", "alpha", float),
-    ("--beta", "beta", float),
-    ("--sigma", "sigma", float),
-    ("--c", "c", float),
-    ("--pretest-form", "pretest_form", str),
-    ("--a-n", "a_n", str),
-    ("--k-n", "k_n", str),
-    ("--prior-scale", "prior_scale", float),
-    ("--prior-p-r", "prior_p_r", float),
-    ("--beta-grid", "beta_grid", str),
-    ("--b", "b", int),
-    ("--m", "m", int),
-    ("--datasets-per-beta", "datasets_per_beta", int),
-    ("--ks-mode", "ks_mode", str),
-    ("--n-grid", "n_grid", str),
-    ("--out", "out", str),
-    ("--workers", "workers", int),
-]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -250,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
                 "--method", choices=("bootstrap", "subsample"), default="bootstrap",
                 help="resampling engine (default: bootstrap)",
             )
-        for flag, key, typ in _FLAGS:
-            p.add_argument(flag, dest=key, type=typ, default=None)
+        for key in SETTINGS:
+            p.add_argument("--" + key.replace("_", "-"), dest=key, default=None)
     return parser
 
 
@@ -263,11 +231,7 @@ def main(argv=None) -> int:
     if experiment not in EXPERIMENTS:  # pragma: no cover - argparse restricts choices
         print(f"error: unknown experiment {experiment!r}", file=sys.stderr)
         return 2
-    overrides = {}
-    for _, key, _ in _FLAGS:
-        value = getattr(args, key)
-        if value is not None:
-            overrides[key] = value
+    overrides = {key: getattr(args, key) for key in SETTINGS if getattr(args, key) is not None}
     try:
         config = parse_config(experiment, config_file=args.config, overrides=overrides)
     except (ModelAvgError, OSError) as exc:

@@ -108,44 +108,48 @@ def _parse_optional_float(text: str, key: str) -> float | None:
         raise ConfigError(f"{key}: expected a number, got {text!r}") from None
 
 
-_PARSERS = {
-    "n": ("n", int),
-    "reps": ("reps", int),
-    "seed": ("seed", int),
-    "alpha": ("alpha", float),
-    "beta": ("beta", float),
-    "sigma": ("sigma", float),
-    "c": ("c", float),
-    "pretest_form": ("pretest_form", str),
-    "a_n": ("a_n", _parse_optional_float),
-    "k_n": ("k_n", _parse_optional_float),
-    "prior_scale": ("prior_scale", float),
-    "prior_p_r": ("prior_p_r", float),
-    "beta_grid": ("beta_grid", _parse_float_grid),
-    "b": ("b", int),
-    "m": ("m", int),
-    "datasets_per_beta": ("datasets_per_beta", int),
-    "ks_mode": ("ks_mode", str),
-    "n_grid": ("n_grid", _parse_int_grid),
-    "out": ("out", str),
-    "workers": ("workers", int),
+def _scalar(kind):
+    def parse(text: str, key: str):
+        try:
+            return kind(text)
+        except ValueError:
+            raise ConfigError(f"{key}: expected {kind.__name__}, got {text!r}") from None
+
+    return parse
+
+
+# One parser per field annotation (annotations are strings under
+# ``from __future__ import annotations``).
+_PARSER_FOR_TYPE = {
+    "int": _scalar(int),
+    "float": _scalar(float),
+    "str": _scalar(str),
+    "float | None": _parse_optional_float,
+    "tuple[float, ...]": _parse_float_grid,
+    "tuple[int, ...]": _parse_int_grid,
+}
+
+# Config key -> parser, one per RunConfig field. Each key is also a CLI flag.
+SETTINGS = {
+    f.name: _PARSER_FOR_TYPE[f.type] for f in fields(RunConfig) if f.name != "experiment"
 }
 
 
 def _convert(key: str, raw: str):
-    if key not in _PARSERS:
+    if key not in SETTINGS:
         raise ConfigError(f"unknown config key {key!r}")
-    field, parser = _PARSERS[key]
-    if parser in (int, float, str):
-        try:
-            return field, parser(raw)
-        except ValueError:
-            raise ConfigError(f"{key}: expected {parser.__name__}, got {raw!r}") from None
-    return field, parser(raw, key)
+    return SETTINGS[key](raw, key)
 
 
-def read_config_file(path) -> dict:
-    """Parse 'key = value' lines; '#' starts a comment, blank lines ignored."""
+def read_config_file(path, experiment: str | None = None) -> dict:
+    """Parse 'key = value' lines; '#' starts a comment, blank lines ignored.
+
+    The two lines :func:`echo_config` adds besides the settings are checked,
+    not set: ``experiment`` must name ``experiment`` and ``stream_version``
+    must equal ``STREAM_VERSION``, so a resolved config loads back only into
+    a run that reproduces it.
+    """
+    checked = {"experiment": experiment, "stream_version": str(STREAM_VERSION)}
     values = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -157,11 +161,16 @@ def read_config_file(path) -> dict:
             key, _, raw = text.partition("=")
             key = key.strip()
             raw = raw.strip()
+            if key in checked:
+                if raw != checked[key]:
+                    raise ConfigError(
+                        f"{path}:{lineno}: {key} = {raw}, but this run has {key} = {checked[key]}"
+                    )
+                continue
             try:
-                field, value = _convert(key, raw)
+                values[key] = _convert(key, raw)
             except ConfigError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from None
-            values[field] = value
     return values
 
 
@@ -221,10 +230,9 @@ def parse_config(
                 f"{SEED_ENV_VAR}: expected an integer, got {env[SEED_ENV_VAR]!r}"
             ) from None
     if config_file is not None:
-        values.update(read_config_file(config_file))
+        values.update(read_config_file(config_file, experiment))
     for key, raw in (overrides or {}).items():
-        field, value = _convert(key, str(raw))
-        values[field] = value
+        values[key] = _convert(key, str(raw))
     if "beta_grid" not in values:
         values["beta_grid"] = default_beta_grid(experiment)
     if "m" not in values:

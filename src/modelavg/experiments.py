@@ -268,13 +268,7 @@ def ks_ratio_curve(
         row["seed"] = scenario.seed
         return row
 
-    rows = _map_ordered(one, len(beta_grid), workers)
-    ordered_cols = [
-        "beta", "ratio_ms", "ratio_bma_bic", "ratio_ama",
-        "ks_ms_r", "ks_ms_u", "ks_bma_r", "ks_bma_u", "ks_ama_r", "ks_ama_u",
-        "reps", "seed",
-    ]
-    return [{k: row[k] for k in ordered_cols} for row in rows]
+    return _map_ordered(one, len(beta_grid), workers)
 
 
 def resampling_error_curve(

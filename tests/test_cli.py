@@ -2,10 +2,14 @@ import math
 
 import pytest
 
+import modelavg.cli
 import modelavg.experiments
 from modelavg.cli import main, run
 from modelavg.config import (
     DEFAULT_SEED,
+    EXPERIMENTS,
+    SETTINGS,
+    RunConfig,
     default_beta_grid,
     echo_config,
     parse_config,
@@ -115,21 +119,38 @@ def test_validation_rejects_bad_combinations():
         {"workers": "-2"},
         {"ks_mode": "sideways"},
         {"pretest_form": "zform"},
+        {"experiment": "figure1a"},  # checked in a config file, never set
+        {"stream_version": str(STREAM_VERSION)},
     ):
         with pytest.raises(ConfigError):
             parse_config("figure1a", overrides=overrides, env={})
 
 
-def test_echo_config_roundtrips(tmp_path):
-    cfg = parse_config("figure1a", overrides={"beta_grid": "-1:1:3", "a_n": "12.5"}, env={})
+# A value for every setting, each different from its default.
+NON_DEFAULT_SETTINGS = {
+    "n": "60", "reps": "70", "seed": "8", "alpha": "1.5", "beta": "-0.25", "sigma": "2.0",
+    "c": "1.25", "pretest_form": "scaled", "a_n": "12.5", "k_n": "4.5", "prior_scale": "3.0",
+    "prior_p_r": "0.25", "beta_grid": "-1:1:3", "b": "40", "m": "30", "datasets_per_beta": "6",
+    "ks_mode": "pooled", "n_grid": "25,75", "out": "elsewhere", "workers": "3",
+}
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_echo_config_roundtrips(tmp_path, experiment):
+    cfg = parse_config(experiment, overrides=NON_DEFAULT_SETTINGS, env={})
+    defaults = parse_config(experiment, env={})
+    assert set(NON_DEFAULT_SETTINGS) == set(SETTINGS)
+    for key in SETTINGS:
+        assert getattr(cfg, key) != getattr(defaults, key), key
     path = tmp_path / "resolved_config.txt"
     echo_config(cfg, path)
     text = path.read_text()
-    assert "experiment = figure1a" in text
-    assert "n = 50" in text
+    assert text.splitlines()[0] == f"experiment = {experiment}"
+    assert "n = 60" in text
     assert "a_n = 12.5" in text
     assert "beta_grid = -1.0,0.0,1.0" in text
     assert text.splitlines()[-1] == f"stream_version = {STREAM_VERSION}"
+    assert parse_config(experiment, config_file=path, env={}) == cfg
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +249,12 @@ def test_worker_count_does_not_change_bytes(tmp_path):
 
 
 def test_failed_run_removes_partial_files(tmp_path, monkeypatch):
+    # A failed rerun into an existing --out leaves the earlier run's file as
+    # it was and leaves no temporary behind.
     out = tmp_path / "fail"
+    out.mkdir()
+    old = b"beta,mse_ms\n0.5,0.25\n"
+    (out / "mse_curve.csv").write_bytes(old)
 
     def boom(*args, **kwargs):
         raise RuntimeError("forced failure")
@@ -238,7 +264,30 @@ def test_failed_run_removes_partial_files(tmp_path, monkeypatch):
     assert code == 1
     assert not (out / "resolved_config.txt").exists()
     assert not (out / "design_n50.csv").exists()
-    assert not (out / "mse_curve.csv").exists()
+    assert (out / "mse_curve.csv").read_bytes() == old
+    assert [p.name for p in out.iterdir()] == ["mse_curve.csv"]
+
+
+def test_outputs_appear_only_when_the_run_succeeds(tmp_path, monkeypatch):
+    # The CSV is complete when the plot fails; it still never reaches its
+    # final name, and during the run only temporaries exist in --out.
+    out = tmp_path / "late"
+    out.mkdir()
+    old = {"mse_curve.csv": b"old csv\n", "resolved_config.txt": b"old config\n"}
+    for name, data in old.items():
+        (out / name).write_bytes(data)
+    seen = []
+
+    def failing_plot(path, *args, **kwargs):
+        seen.extend(sorted(p.name for p in out.iterdir()))
+        raise OSError("disk full")
+
+    monkeypatch.setattr(modelavg.cli, "write_line_plot", failing_plot)
+    code = run(parse_config("figure1a", overrides={"reps": "10", "out": str(out)}, env={}))
+    assert code == 1
+    new = [name for name in seen if name not in old]
+    assert len(new) == 3 and all(name.startswith(".") for name in new)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == old
 
 
 def test_interrupted_run_removes_partial_files_and_propagates(tmp_path, monkeypatch):
@@ -300,3 +349,92 @@ def test_csv_floats_roundtrip(tmp_path):
     for cells, row in zip(rows, recomputed):
         assert float(cells[1]) == row["mean_p_r"]
         assert float(cells[2]) == row["mean_sqrtn_p_r"]
+
+
+def _resolved_rerun(tmp_path, command, flags):
+    """Run, then rerun from the first run's resolved_config.txt into a new --out."""
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert _run_cli(command + flags + ["--out", str(first)]) == 0
+    resolved = first / "resolved_config.txt"
+    assert _run_cli(command + ["--config", str(resolved), "--out", str(second)]) == 0
+    return first, second
+
+
+def test_resolved_config_reproduces_figure1a(tmp_path):
+    flags = ["--reps", "40", "--beta-grid=-0.5:0.5:3", "--seed", "13", "--c", "1.5"]
+    first, second = _resolved_rerun(tmp_path, ["figure1a"], flags)
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in second.iterdir())
+    for name in names:
+        if name != "resolved_config.txt":
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+    lines1 = (first / "resolved_config.txt").read_text().splitlines()
+    lines2 = (second / "resolved_config.txt").read_text().splitlines()
+    assert [a != b for a, b in zip(lines1, lines2)].count(True) == 1
+    assert f"out = {second}" in lines2
+
+
+def test_resolved_config_reproduces_figure2_subsample(tmp_path):
+    flags = ["--reps", "60", "--b", "15", "--m", "18", "--datasets-per-beta", "2",
+             "--beta-grid=0,0.2", "--seed", "21", "--workers", "1"]
+    first, second = _resolved_rerun(tmp_path, ["figure2", "--method", "subsample"], flags)
+    for name in ("resamp_error_subsample.csv", "resamp_error_subsample.svg", "design_n50.csv"):
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+def test_resolved_config_of_another_run_exits_2(tmp_path, capsys):
+    first = tmp_path / "f1a"
+    assert _run_cli(["figure1a", "--reps", "20", "--beta-grid=0", "--out", str(first)]) == 0
+    resolved = first / "resolved_config.txt"
+    capsys.readouterr()
+    code = _run_cli(["figure1b", "--config", str(resolved), "--out", str(tmp_path / "f1b")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{resolved}:1:" in err and "figure1a" in err and "figure1b" in err
+    assert not (tmp_path / "f1b").exists()
+
+    old_layout = tmp_path / "old_layout.txt"
+    old_layout.write_text(resolved.read_text().replace(
+        f"stream_version = {STREAM_VERSION}", "stream_version = 1"))
+    code = _run_cli(["figure1a", "--config", str(old_layout), "--out", str(tmp_path / "old")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(old_layout) in err
+    assert "stream_version = 1" in err and f"stream_version = {STREAM_VERSION}" in err
+
+
+def test_bad_flag_value_exits_2_with_config_message(tmp_path, capsys):
+    assert _run_cli(["decay", "--reps", "abc", "--out", str(tmp_path / "x")]) == 2
+    assert "reps: expected int, got 'abc'" in capsys.readouterr().err
+    assert _run_cli(["figure1a", "--beta-grid=a,b", "--out", str(tmp_path / "x")]) == 2
+    assert "beta_grid: expected 'lo:hi:count'" in capsys.readouterr().err
+
+
+def test_flag_spellings_parse_to_the_same_config(monkeypatch):
+    # Every flag spelling, space- and '='-separated; the expected configs are
+    # what the argparse front end with one hand-written flag table produced.
+    seen = []
+    monkeypatch.setattr(modelavg.cli, "run", lambda cfg: seen.append(cfg) or 0)
+    monkeypatch.delenv("MODELAVG_SEED", raising=False)
+    assert main([
+        "figure2", "--method", "subsample", "--n", "60", "--reps", "70", "--seed", "8",
+        "--alpha", "1.5", "--beta", "-0.25", "--sigma", "2.0", "--c", "1.25",
+        "--pretest-form", "scaled", "--a-n", "12.5", "--k-n", "none", "--prior-scale", "3.0",
+        "--prior-p-r", "0.25", "--beta-grid=-0.2:0.2:3", "--b", "40", "--m", "30",
+        "--datasets-per-beta", "6", "--ks-mode", "pooled", "--n-grid", "25,75",
+        "--out", "somewhere", "--workers", "3",
+    ]) == 0
+    assert main(["figure2", "--datasets-per-beta=7", "--beta-grid=0.0,0.1", "--workers=1",
+                 "--k-n=4.5"]) == 0
+    assert seen == [
+        RunConfig(
+            experiment="figure2-subsample", n=60, reps=70, seed=8, alpha=1.5, beta=-0.25,
+            sigma=2.0, c=1.25, pretest_form="scaled", a_n=12.5, k_n=None, prior_scale=3.0,
+            prior_p_r=0.25, beta_grid=(-0.2, 0.0, 0.2), b=40, m=30, datasets_per_beta=6,
+            ks_mode="pooled", n_grid=(25, 75), out="somewhere", workers=3,
+        ),
+        RunConfig(
+            experiment="figure2-bootstrap", beta_grid=(0.0, 0.1), m=20, datasets_per_beta=7,
+            k_n=4.5, workers=1,
+        ),
+    ]
