@@ -16,15 +16,12 @@ from .errors import (
 )
 from .estimators import (
     ESTIMATOR_NAMES,
-    EstimateBundle,
     MeanModelSample,
     estimate_all,
     estimate_arrays,
     make_multi_pipeline,
     make_pipeline,
     mean_model_estimate,
-    model_average,
-    post_model_selection,
 )
 from .experiments import (
     Scenario,
@@ -66,14 +63,11 @@ from .resampling import (
 )
 from .weights import (
     AdaptiveConfig,
-    ModelChoice,
     ModelWeights,
     PretestConfig,
     adaptive_weights,
-    bic_weights,
     default_tuning,
     exact_posterior_weights,
-    pretest_select,
 )
 
 __version__ = "0.1.0"

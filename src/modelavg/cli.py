@@ -149,21 +149,21 @@ def _execute(config: RunConfig, target: Callable[[str], Path]) -> None:
     elif experiment == "single":
         dataset = experiments.draw_dataset(scenario)
         stats = compute_design_stats(dataset.design, config.sigma)
-        bundle = estimate_all(
+        est, p_r = estimate_all(
             dataset, stats, scenario.pretest, scenario.adaptive, config.sigma,
             prior_scale=config.prior_scale, prior_p_r=config.prior_p_r,
         )
         row = {
-            "alpha_r": bundle.alpha_r,
-            "alpha_u": bundle.alpha_u,
-            "beta_u": bundle.beta_u,
-            "ms": bundle.ms,
-            "bma_exact": bundle.bma_exact,
-            "bma_bic": bundle.bma_bic,
-            "ama": bundle.ama,
-            "w_posterior_r": bundle.weights_posterior.p_r,
-            "w_bic_r": bundle.weights_bic.p_r,
-            "w_adaptive_r": bundle.weights_adaptive.p_r,
+            "alpha_r": est["r"],
+            "alpha_u": est["u"],
+            "beta_u": est["beta_u"],
+            "ms": est["ms"],
+            "bma_exact": est["bma_exact"],
+            "bma_bic": est["bma_bic"],
+            "ama": est["ama"],
+            "w_posterior_r": p_r["bma_exact"],
+            "w_bic_r": p_r["bma_bic"],
+            "w_adaptive_r": p_r["ama"],
             "n": config.n,
             "seed": config.seed,
         }

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import dataclass, fields
 from typing import Mapping
 
@@ -141,8 +142,15 @@ def _convert(key: str, raw: str):
     return SETTINGS[key](raw, key)
 
 
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def read_config_file(path, experiment: str | None = None) -> dict:
-    """Parse 'key = value' lines; '#' starts a comment, blank lines ignored.
+    """Parse 'key = value' lines; blank lines are ignored.
+
+    A '#' at the start of a line or after whitespace starts a comment, so
+    ``seed = 9  # note`` sets 9 and ``out = runs/#3`` keeps its '#'. Keys and
+    values are stripped of surrounding whitespace.
 
     The two lines :func:`echo_config` adds besides the settings are checked,
     not set: ``experiment`` must name ``experiment`` and ``stream_version``
@@ -153,7 +161,7 @@ def read_config_file(path, experiment: str | None = None) -> dict:
     values = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
+            text = _COMMENT.split(line, 1)[0].strip()
             if not text:
                 continue
             if "=" not in text:
@@ -247,6 +255,9 @@ def echo_config(config: RunConfig, path) -> None:
     """Write the fully resolved configuration, one 'key = value' line per field.
 
     A last line records the resample stream layout the outputs were drawn with.
+    Raises ConfigError, naming the key, for a value that
+    :func:`read_config_file` would not read back as written: one with leading
+    or trailing whitespace, a line break, or a '#' that starts a comment.
     """
     lines = []
     for f in fields(config):
@@ -255,6 +266,9 @@ def echo_config(config: RunConfig, path) -> None:
             value = ",".join(repr(v) if isinstance(v, float) else str(v) for v in value)
         elif isinstance(value, float):
             value = repr(value)
+        value = str(value)
+        if value != value.strip() or "\n" in value or "\r" in value or _COMMENT.search(value):
+            raise ConfigError(f"{f.name}: {value!r} cannot be written to a config file and read back")
         lines.append(f"{f.name} = {value}")
     lines.append(f"stream_version = {STREAM_VERSION}")
     with open(path, "w") as fh:

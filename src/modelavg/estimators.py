@@ -17,7 +17,6 @@ from .model import (
     Dataset,
     DesignStats,
     compute_design_stats,
-    fit_restricted,
     fit_unrestricted,
     response_stats,
     rss_gap,
@@ -26,43 +25,14 @@ from .model import (
 )
 from .weights import (
     AdaptiveConfig,
-    ModelChoice,
-    ModelWeights,
     PretestConfig,
     adaptive_p_r,
     bic_p_r,
     exact_posterior_p_r,
-    pretest_select,
     pretest_threshold,
 )
 
 ESTIMATOR_NAMES = ("r", "u", "ms", "bma_exact", "bma_bic", "ama")
-
-
-@dataclass(frozen=True)
-class EstimateBundle:
-    """All six point estimates of alpha for one dataset plus the weights used."""
-
-    alpha_r: float
-    alpha_u: float
-    beta_u: float
-    ms: float
-    bma_exact: float
-    bma_bic: float
-    ama: float
-    weights_posterior: ModelWeights
-    weights_bic: ModelWeights
-    weights_adaptive: ModelWeights
-
-    def by_name(self, name: str) -> float:
-        return {
-            "r": self.alpha_r,
-            "u": self.alpha_u,
-            "ms": self.ms,
-            "bma_exact": self.bma_exact,
-            "bma_bic": self.bma_bic,
-            "ama": self.ama,
-        }[name]
 
 
 @dataclass(frozen=True)
@@ -156,25 +126,6 @@ def _dataset_estimates(dataset, stats, names, sigma, pretest_config, adaptive_co
     )
 
 
-def post_model_selection(
-    dataset: Dataset, stats: DesignStats, pretest_config: PretestConfig
-) -> float:
-    """alpha_r when the pretest keeps the restricted model, alpha_u otherwise.
-
-    sigma reaches this rule only as ``stats.sigma_beta``, hence no kernel call.
-    """
-    fit = fit_unrestricted(dataset, stats)
-    choice = pretest_select(fit.beta_u, stats.sigma_beta, pretest_config)
-    if choice is ModelChoice.R:
-        return fit_restricted(dataset, stats)
-    return fit.alpha_u
-
-
-def model_average(alpha_r: float, alpha_u: float, weights: ModelWeights) -> float:
-    """Convex combination p_r * alpha_r + p_u * alpha_u."""
-    return float(_convex(alpha_r, alpha_u, weights.p_r))
-
-
 def estimate_all(
     dataset: Dataset,
     stats: DesignStats,
@@ -183,24 +134,20 @@ def estimate_all(
     sigma: float,
     prior_scale: float = 1.0,
     prior_p_r: float = 0.5,
-) -> EstimateBundle:
-    """All six estimates of one dataset and the weights behind them."""
+) -> tuple[dict[str, float], dict[str, float]]:
+    """All six estimates of one dataset and the weights behind them, as floats.
+
+    The first dict holds the estimates keyed by ``ESTIMATOR_NAMES`` plus the
+    unrestricted slope under ``"beta_u"``; the second each averaging rule's
+    weight on the restricted model (``bma_exact``, ``bma_bic``, ``ama``).
+    """
     est, p_r = _dataset_estimates(
         dataset, stats, ESTIMATOR_NAMES, sigma, pretest_config, adaptive_config,
         prior_scale, prior_p_r,
     )
-    return EstimateBundle(
-        alpha_r=float(est["r"]),
-        alpha_u=float(est["u"]),
-        beta_u=fit_unrestricted(dataset, stats).beta_u,
-        ms=float(est["ms"]),
-        bma_exact=float(est["bma_exact"]),
-        bma_bic=float(est["bma_bic"]),
-        ama=float(est["ama"]),
-        weights_posterior=ModelWeights(float(p_r["bma_exact"])),
-        weights_bic=ModelWeights(float(p_r["bma_bic"])),
-        weights_adaptive=ModelWeights(float(p_r["ama"])),
-    )
+    estimates = {name: float(value) for name, value in est.items()}
+    estimates["beta_u"] = fit_unrestricted(dataset, stats).beta_u
+    return estimates, {name: float(value) for name, value in p_r.items()}
 
 
 def mean_model_estimate(sample: MeanModelSample, weight_rule: Callable[[float], float]) -> float:

@@ -1,33 +1,25 @@
 """Model-weight rules: hard pretest, exact posterior, BIC, and adaptive smooth weights.
 
-All rules produce a weight pair (p_r, p_u) on the restricted (slope-free) and
-unrestricted models with p_u = 1 - p_r. Every rule is evaluated in log-space /
-through a stable logistic so that arbitrarily large slope estimates cannot
-overflow.
+The averaging rules give the restricted (slope-free) model a weight p_r and
+the unrestricted model p_u = 1 - p_r; the pretest gives a threshold on
+|beta_u|. Every rule is evaluated in log-space / through a stable logistic so
+that arbitrarily large slope estimates cannot overflow.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .model import (
     Dataset,
-    DesignStats,
     compute_design_stats,
-    fit_unrestricted,
     response_stats,
     rss_gap,
     solve_normal_equations,
 )
-
-
-class ModelChoice(Enum):
-    R = "R"
-    U = "U"
 
 
 @dataclass(frozen=True)
@@ -105,13 +97,6 @@ def pretest_threshold(sigma_beta, config: PretestConfig):
     return threshold
 
 
-def pretest_select(beta_u: float, sigma_beta: float, config: PretestConfig) -> ModelChoice:
-    """U when the studentized slope exceeds c, R otherwise (ties go to R)."""
-    if not sigma_beta >= 0.0:
-        raise ValueError("sigma_beta must be >= 0")
-    return ModelChoice.U if abs(beta_u) > pretest_threshold(sigma_beta, config) else ModelChoice.R
-
-
 def adaptive_p_r(beta_u, a_n: float, k_n: float):
     """Vectorized adaptive weight 0.5*xi1 + 0.5*xi2.
 
@@ -153,12 +138,6 @@ def bic_p_r(rss_r, rss_u, n: int):
     rss_r = np.asarray(rss_r, dtype=float)
     rss_u = np.asarray(rss_u, dtype=float)
     return stable_sigmoid(((rss_u - rss_r) + math.log(n)) / 2.0)
-
-
-def bic_weights(dataset: Dataset, stats: DesignStats) -> ModelWeights:
-    """BIC-approximate posterior weight; RSS_R - RSS_U comes in closed form from beta_u."""
-    beta_u = fit_unrestricted(dataset, stats).beta_u
-    return ModelWeights(float(bic_p_r(rss_gap(beta_u, stats.s11, stats.det), 0.0, dataset.n)))
 
 
 def posterior_log_odds(

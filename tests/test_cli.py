@@ -131,7 +131,7 @@ NON_DEFAULT_SETTINGS = {
     "n": "60", "reps": "70", "seed": "8", "alpha": "1.5", "beta": "-0.25", "sigma": "2.0",
     "c": "1.25", "pretest_form": "scaled", "a_n": "12.5", "k_n": "4.5", "prior_scale": "3.0",
     "prior_p_r": "0.25", "beta_grid": "-1:1:3", "b": "40", "m": "30", "datasets_per_beta": "6",
-    "ks_mode": "pooled", "n_grid": "25,75", "out": "elsewhere", "workers": "3",
+    "ks_mode": "pooled", "n_grid": "25,75", "out": "runs/#3", "workers": "3",
 }
 
 
@@ -151,6 +151,24 @@ def test_echo_config_roundtrips(tmp_path, experiment):
     assert "beta_grid = -1.0,0.0,1.0" in text
     assert text.splitlines()[-1] == f"stream_version = {STREAM_VERSION}"
     assert parse_config(experiment, config_file=path, env={}) == cfg
+
+
+@pytest.mark.parametrize("out", [" sp ", "sp ", " sp", "a\nb", "a\rb", "runs #3", "runs\t#3", "#3"])
+def test_echo_config_rejects_values_it_cannot_write_back(tmp_path, out):
+    # Each of these would load back as a different value: surrounding
+    # whitespace is stripped, a line break splits the line, and '#' at the
+    # start of the value or after whitespace starts a comment.
+    cfg = parse_config("figure1a", overrides={"out": out}, env={})
+    path = tmp_path / "resolved_config.txt"
+    with pytest.raises(ConfigError, match="^out: "):
+        echo_config(cfg, path)
+    assert not path.exists()
+
+
+def test_hash_inside_a_value_is_not_a_comment(tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("out = runs/#3\t# tab comment\n  # indented comment\nreps = 7 #8\n")
+    assert read_config_file(cfg_file) == {"out": "runs/#3", "reps": 7}
 
 
 # ---------------------------------------------------------------------------

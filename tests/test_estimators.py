@@ -8,19 +8,17 @@ from hypothesis import strategies as st
 from modelavg.errors import CollinearDesign
 from modelavg.estimators import (
     ESTIMATOR_NAMES,
-    EstimateBundle,
     MeanModelSample,
+    _convex,
     estimate_all,
     estimate_arrays,
     make_multi_pipeline,
     make_pipeline,
     mean_model_estimate,
-    model_average,
-    post_model_selection,
 )
 from modelavg.experiments import draw_dataset, make_scenario
 from modelavg.model import Dataset, DesignMatrix, compute_design_stats
-from modelavg.weights import AdaptiveConfig, ModelWeights, PretestConfig, default_tuning
+from modelavg.weights import AdaptiveConfig, PretestConfig, default_tuning
 
 from conftest import ols_normal_equation_oracle, random_dataset
 
@@ -30,16 +28,16 @@ def _hand_dataset():
     return Dataset(design, np.array([1.0, 2.0, 3.0]))
 
 
+def _ms(ds, pretest):
+    return make_pipeline("ms", 1.0, pretest)(ds)
+
+
 def test_post_model_selection_huge_threshold_keeps_r():
-    ds = _hand_dataset()
-    stats = compute_design_stats(ds.design, 1.0)
-    assert post_model_selection(ds, stats, PretestConfig(c=1e6)) == pytest.approx(2.0, abs=1e-12)
+    assert _ms(_hand_dataset(), PretestConfig(c=1e6)) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_post_model_selection_tiny_threshold_takes_u():
-    ds = _hand_dataset()
-    stats = compute_design_stats(ds.design, 1.0)
-    assert post_model_selection(ds, stats, PretestConfig(c=1e-12)) == pytest.approx(1.0, abs=1e-10)
+    assert _ms(_hand_dataset(), PretestConfig(c=1e-12)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_post_model_selection_exact_tie_keeps_r():
@@ -50,9 +48,9 @@ def test_post_model_selection_exact_tie_keeps_r():
     assert stats.sigma_beta == 1.0
     c = 1.5
     ds = Dataset(design, np.array([0.25, c]))  # beta_u = y2 for this design
-    assert post_model_selection(ds, stats, PretestConfig(c=c)) == 0.25
+    assert _ms(ds, PretestConfig(c=c)) == 0.25
     ds_above = Dataset(design, np.array([0.25, np.nextafter(c, 2.0)]))
-    assert post_model_selection(ds_above, stats, PretestConfig(c=c)) != 0.25
+    assert _ms(ds_above, PretestConfig(c=c)) != 0.25
 
 
 def test_collinear_design_propagates_through_pipeline():
@@ -67,9 +65,9 @@ def test_collinear_design_propagates_through_pipeline():
 
 
 def test_model_average_endpoints_and_midpoint():
-    assert model_average(2.0, 1.0, ModelWeights(0.0)) == 1.0
-    assert model_average(2.0, 1.0, ModelWeights(1.0)) == 2.0
-    assert model_average(2.0, 1.0, ModelWeights(0.5)) == pytest.approx(1.5, abs=1e-15)
+    assert _convex(2.0, 1.0, 0.0) == 1.0
+    assert _convex(2.0, 1.0, 1.0) == 2.0
+    assert _convex(2.0, 1.0, 0.5) == pytest.approx(1.5, abs=1e-15)
 
 
 @settings(max_examples=300, deadline=None)
@@ -79,7 +77,7 @@ def test_model_average_endpoints_and_midpoint():
     p=st.floats(0.0, 1.0),
 )
 def test_model_average_stays_in_hull(alpha_r, alpha_u, p):
-    value = model_average(alpha_r, alpha_u, ModelWeights(p))
+    value = _convex(alpha_r, alpha_u, p)
     assert min(alpha_r, alpha_u) <= value <= max(alpha_r, alpha_u)
 
 
@@ -89,10 +87,10 @@ def test_estimate_all_noiseless_null_all_equal():
     design = DesignMatrix(np.ones(6), np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0]))
     ds = Dataset(design, 2.0 * design.x1)
     stats = compute_design_stats(design, 0.0)
-    bundle = estimate_all(ds, stats, PretestConfig(), default_tuning(6), sigma=0.0)
-    for name in ("alpha_r", "alpha_u", "ms", "bma_exact", "bma_bic", "ama"):
-        assert getattr(bundle, name) == 2.0
-    assert bundle.beta_u == 0.0
+    est, _ = estimate_all(ds, stats, PretestConfig(), default_tuning(6), sigma=0.0)
+    for name in ESTIMATOR_NAMES:
+        assert est[name] == 2.0
+    assert est["beta_u"] == 0.0
 
 
 def test_estimate_all_orthogonal_design_collapses_to_u(rng):
@@ -100,20 +98,19 @@ def test_estimate_all_orthogonal_design_collapses_to_u(rng):
     stats = compute_design_stats(design, 1.0)
     for _ in range(10):
         ds = Dataset(design, rng.normal(size=4))
-        bundle = estimate_all(ds, stats, PretestConfig(), default_tuning(4), sigma=1.0)
-        for name in ("alpha_r", "ms", "bma_exact", "bma_bic", "ama"):
-            assert getattr(bundle, name) == pytest.approx(bundle.alpha_u, rel=1e-13, abs=1e-13)
+        est, _ = estimate_all(ds, stats, PretestConfig(), default_tuning(4), sigma=1.0)
+        for name in ("r", "ms", "bma_exact", "bma_bic", "ama"):
+            assert est[name] == pytest.approx(est["u"], rel=1e-13, abs=1e-13)
 
 
 def test_estimate_all_zero_slope_estimate_all_equal():
     design = DesignMatrix(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     stats = compute_design_stats(design, 1.0)
     ds = Dataset(design, np.array([0.37, 0.0]))  # beta_u = y2 = 0 exactly
-    bundle = estimate_all(ds, stats, PretestConfig(), AdaptiveConfig(16.0, 0.25), sigma=1.0)
-    assert bundle.beta_u == 0.0
-    values = {bundle.alpha_r, bundle.alpha_u, bundle.ms, bundle.bma_exact, bundle.bma_bic, bundle.ama}
-    assert values == {0.37}
-    assert bundle.weights_adaptive.p_r == 0.5
+    est, p_r = estimate_all(ds, stats, PretestConfig(), AdaptiveConfig(16.0, 0.25), sigma=1.0)
+    assert est["beta_u"] == 0.0
+    assert {est[name] for name in ESTIMATOR_NAMES} == {0.37}
+    assert p_r["ama"] == 0.5
 
 
 def test_estimate_all_hull_and_ms_membership(rng):
@@ -122,12 +119,12 @@ def test_estimate_all_hull_and_ms_membership(rng):
     for _ in range(200):
         ds = random_dataset(rng)
         stats = compute_design_stats(ds.design, 1.0)
-        bundle = estimate_all(ds, stats, pretest, adaptive, sigma=1.0)
-        lo = min(bundle.alpha_r, bundle.alpha_u)
-        hi = max(bundle.alpha_r, bundle.alpha_u)
+        est, _ = estimate_all(ds, stats, pretest, adaptive, sigma=1.0)
+        lo = min(est["r"], est["u"])
+        hi = max(est["r"], est["u"])
         for name in ("bma_exact", "bma_bic", "ama"):
-            assert lo <= getattr(bundle, name) <= hi
-        assert bundle.ms in (bundle.alpha_r, bundle.alpha_u)
+            assert lo <= est[name] <= hi
+        assert est["ms"] in (est["r"], est["u"])
 
 
 def test_location_equivariance_ms_ama(rng):
@@ -141,14 +138,14 @@ def test_location_equivariance_ms_ama(rng):
         delta = float(rng.normal(0.0, 3.0))
         stats = compute_design_stats(ds.design, 1.0)
         shifted = Dataset(ds.design, ds.y + delta * ds.design.x1)
-        b0 = estimate_all(ds, stats, pretest, adaptive, sigma=1.0)
-        b1 = estimate_all(shifted, stats, pretest, adaptive, sigma=1.0)
-        scale = 1.0 + abs(b0.ms) + abs(delta)
-        assert abs(b1.ms - (b0.ms + delta)) < 1e-10 * scale
-        assert abs(b1.ama - (b0.ama + delta)) < 1e-10 * scale
-        assert abs(b1.beta_u - b0.beta_u) < 1e-10 * (1.0 + abs(b0.beta_u))
-        assert b1.weights_adaptive.p_r == pytest.approx(b0.weights_adaptive.p_r, rel=1e-9)
-        diffs_bma.append(abs(b1.bma_exact - (b0.bma_exact + delta)))
+        e0, w0 = estimate_all(ds, stats, pretest, adaptive, sigma=1.0)
+        e1, w1 = estimate_all(shifted, stats, pretest, adaptive, sigma=1.0)
+        scale = 1.0 + abs(e0["ms"]) + abs(delta)
+        assert abs(e1["ms"] - (e0["ms"] + delta)) < 1e-10 * scale
+        assert abs(e1["ama"] - (e0["ama"] + delta)) < 1e-10 * scale
+        assert abs(e1["beta_u"] - e0["beta_u"]) < 1e-10 * (1.0 + abs(e0["beta_u"]))
+        assert w1["ama"] == pytest.approx(w0["ama"], rel=1e-9)
+        diffs_bma.append(abs(e1["bma_exact"] - (e0["bma_exact"] + delta)))
     # The exact-posterior average is not location equivariant; report only.
     print(f"\n[diagnostic] max |BMA-exact shift mismatch| over 50 draws: {max(diffs_bma):.3e}")
 
@@ -158,10 +155,10 @@ def test_golden_bundle_reference_design():
     scenario = make_scenario(n=50, seed=5050, reps=1, alpha=1.0, beta=0.5, sigma=1.0)
     ds = draw_dataset(scenario)
     stats = compute_design_stats(ds.design, 1.0)
-    bundle = estimate_all(ds, stats, scenario.pretest, scenario.adaptive, 1.0)
+    est, p_r = estimate_all(ds, stats, scenario.pretest, scenario.adaptive, 1.0)
     expected = {
-        "alpha_r": 1.8507221732113366,
-        "alpha_u": 0.9549287168969826,
+        "r": 1.8507221732113366,
+        "u": 0.9549287168969826,
         "beta_u": 0.5520719229966496,
         "ms": 0.9549287168969826,
         "bma_exact": 0.9586012690569805,
@@ -169,10 +166,10 @@ def test_golden_bundle_reference_design():
         "ama": 0.9960982589218111,
     }
     for name, value in expected.items():
-        assert getattr(bundle, name) == pytest.approx(value, rel=1e-12), name
-    assert bundle.weights_posterior.p_r == pytest.approx(0.004099775605761013, rel=1e-12)
-    assert bundle.weights_bic.p_r == pytest.approx(0.012747823869259848, rel=1e-12)
-    assert bundle.weights_adaptive.p_r == pytest.approx(0.04595874387631306, rel=1e-12)
+        assert est[name] == pytest.approx(value, rel=1e-12), name
+    assert p_r["bma_exact"] == pytest.approx(0.004099775605761013, rel=1e-12)
+    assert p_r["bma_bic"] == pytest.approx(0.012747823869259848, rel=1e-12)
+    assert p_r["ama"] == pytest.approx(0.04595874387631306, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -199,13 +196,13 @@ def test_every_estimate_invariant_under_x2_sign_flip(seed, sigma):
     ds = random_dataset(rng, allow_badly_scaled=True)
     flipped = _scaled_x2(ds, -1.0)
     pretest, adaptive = PretestConfig(), default_tuning(ds.n)
-    b0 = estimate_all(ds, compute_design_stats(ds.design, sigma), pretest, adaptive, sigma)
-    b1 = estimate_all(
+    e0, _ = estimate_all(ds, compute_design_stats(ds.design, sigma), pretest, adaptive, sigma)
+    e1, _ = estimate_all(
         flipped, compute_design_stats(flipped.design, sigma), pretest, adaptive, sigma
     )
     for name in ESTIMATOR_NAMES:
-        assert b1.by_name(name) == b0.by_name(name), name
-    assert b1.beta_u == -b0.beta_u
+        assert e1[name] == e0[name], name
+    assert e1["beta_u"] == -e0["beta_u"]
 
 
 @settings(max_examples=100, deadline=None)
@@ -279,16 +276,11 @@ def test_pipeline_matches_direct_computation(rng):
     for _ in range(25):
         ds = random_dataset(rng)
         stats = compute_design_stats(ds.design, 1.0)
-        bundle = estimate_all(ds, stats, pretest, adaptive, sigma=1.0)
+        est, _ = estimate_all(ds, stats, pretest, adaptive, sigma=1.0)
         got = multi(ds)
         for name in procs:
             assert procs[name](ds) == got[name]
-        assert got["r"] == bundle.alpha_r
-        assert got["u"] == bundle.alpha_u
-        assert got["ms"] == bundle.ms
-        assert got["bma_exact"] == bundle.bma_exact
-        assert got["bma_bic"] == bundle.bma_bic
-        assert got["ama"] == bundle.ama
+            assert got[name] == est[name]
 
 
 def test_pipeline_validation():
@@ -299,16 +291,3 @@ def test_pipeline_validation():
     with pytest.raises(ValueError):
         make_multi_pipeline(("ama",), 1.0, adaptive_config=None)
 
-
-def test_bundle_by_name():
-    bundle = EstimateBundle(
-        alpha_r=1.0, alpha_u=2.0, beta_u=0.5, ms=1.0, bma_exact=1.5,
-        bma_bic=1.25, ama=1.75,
-        weights_posterior=ModelWeights(0.5),
-        weights_bic=ModelWeights(0.75),
-        weights_adaptive=ModelWeights(0.25),
-    )
-    assert bundle.by_name("r") == 1.0
-    assert bundle.by_name("ama") == 1.75
-    with pytest.raises(KeyError):
-        bundle.by_name("nope")

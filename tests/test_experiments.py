@@ -146,11 +146,11 @@ def test_batch_matches_scalar_pipeline(rng):
         )
         from modelavg.model import Dataset
 
-        bundle = estimate_all(
+        est, _ = estimate_all(
             Dataset(scenario.design, y), stats, scenario.pretest, scenario.adaptive, 1.0
         )
         for name in names:
-            assert batch[name][row] == pytest.approx(bundle.by_name(name), rel=1e-11), name
+            assert batch[name][row] == pytest.approx(est[name], rel=1e-11), name
 
 
 def test_mc_noiseless_null_draws_exactly_zero():

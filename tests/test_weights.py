@@ -5,19 +5,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modelavg.model import Dataset, DesignMatrix, compute_design_stats, fit_restricted, fit_unrestricted
+from modelavg.estimators import estimate_arrays, make_multi_pipeline
+from modelavg.model import (
+    Dataset,
+    DesignMatrix,
+    compute_design_stats,
+    fit_restricted,
+    fit_unrestricted,
+    response_stats,
+)
 from modelavg.weights import (
     AdaptiveConfig,
-    ModelChoice,
     ModelWeights,
     PretestConfig,
     adaptive_p_r,
     adaptive_weights,
     bic_p_r,
-    bic_weights,
     default_tuning,
     exact_posterior_weights,
-    pretest_select,
+    pretest_threshold,
 )
 
 from conftest import random_dataset
@@ -27,22 +33,36 @@ from conftest import random_dataset
 # pretest
 
 
+def _pretest_keeps_r(beta_u, sigma_beta, cfg):
+    """Whether the kernel's ms estimate is alpha_r for this slope and slope sd.
+
+    With s11 = 1, s22 = 2, s12 = 1 (so det = 1), sigma_beta equals sigma and
+    beta_u = p2 - p1 exactly for these inputs; alpha_r = p1 and
+    alpha_u = p1 - beta_u differ, so ms shows which model the pretest kept.
+    """
+    p1 = 0.25
+    est, _ = estimate_arrays(2, 1.0, 2.0, 1.0, p1, p1 + beta_u, ("r", "u", "ms"), sigma_beta, cfg)
+    assert est["r"] != est["u"]
+    return est["ms"] == est["r"]
+
+
 def test_pretest_zero_slope_selects_r():
+    # The kernel keeps U only where |beta_u| exceeds the threshold; |0| never does.
     for c in (1e-9, 1.0, 1e6):
-        assert pretest_select(0.0, 1.0, PretestConfig(c=c)) is ModelChoice.R
+        assert not abs(0.0) > pretest_threshold(1.0, PretestConfig(c=c))
 
 
 def test_pretest_worked_ratio():
     # |0.5 / 0.70711| = 0.70711 <= sqrt(2), so the restricted model is kept.
     cfg = PretestConfig(c=math.sqrt(2.0))
-    assert pretest_select(0.5, 0.70711, cfg) is ModelChoice.R
-    assert pretest_select(1.5, 0.70711, cfg) is ModelChoice.U
+    assert _pretest_keeps_r(0.5, 0.70711, cfg)
+    assert not _pretest_keeps_r(1.5, 0.70711, cfg)
 
 
 def test_pretest_tie_goes_to_r():
     cfg = PretestConfig(c=1.5)
-    assert pretest_select(1.5, 1.0, cfg) is ModelChoice.R
-    assert pretest_select(np.nextafter(1.5, 2.0), 1.0, cfg) is ModelChoice.U
+    assert _pretest_keeps_r(1.5, 1.0, cfg)
+    assert not _pretest_keeps_r(np.nextafter(1.5, 2.0), 1.0, cfg)
 
 
 def test_pretest_matches_penalized_rss_comparison(rng):
@@ -53,15 +73,16 @@ def test_pretest_matches_penalized_rss_comparison(rng):
         n = ds.n
         stats = compute_design_stats(ds.design, 1.0)
         cfg = PretestConfig(c=math.sqrt(math.log(n)))
+        est = make_multi_pipeline(("r", "u", "ms"), 1.0, cfg)(ds)
+        assert est["r"] != est["u"]
+        keeps_u = est["ms"] == est["u"]
         fit = fit_unrestricted(ds, stats)
-        choice = pretest_select(fit.beta_u, stats.sigma_beta, cfg)
         alpha_r = fit_restricted(ds, stats)
         rss_r = float(np.sum((ds.y - alpha_r * ds.design.x1) ** 2))
         rss_u = float(
             np.sum((ds.y - fit.alpha_u * ds.design.x1 - fit.beta_u * ds.design.x2) ** 2)
         )
-        oracle = ModelChoice.U if rss_r + math.log(n) > rss_u + 2 * math.log(n) else ModelChoice.R
-        assert choice is oracle
+        assert keeps_u == (rss_r + math.log(n) > rss_u + 2 * math.log(n))
 
 
 def test_pretest_scaled_form_needs_n():
@@ -69,8 +90,8 @@ def test_pretest_scaled_form_needs_n():
         PretestConfig(c=1.0, form="scaled")
     cfg = PretestConfig(c=1.0, form="scaled", n=100)
     # Statistic |beta_u| / (sigma_beta * sqrt(n)): far harder to exceed.
-    assert pretest_select(5.0, 1.0, cfg) is ModelChoice.R
-    assert pretest_select(11.0, 1.0, cfg) is ModelChoice.U
+    assert _pretest_keeps_r(5.0, 1.0, cfg)
+    assert not _pretest_keeps_r(11.0, 1.0, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -168,13 +189,20 @@ def test_posterior_extreme_responses_stay_in_unit_interval(rng):
 # BIC weights
 
 
+def _bic_weight(ds):
+    """The kernel's bma_bic weight on R, from the inner products the pipeline uses."""
+    stats = compute_design_stats(ds.design, 1.0)
+    p1, p2, _ = response_stats(ds)
+    _, p_r = estimate_arrays(ds.n, stats.s11, stats.s22, stats.s12, p1, p2, ("bma_bic",), 1.0)
+    return ModelWeights(float(p_r["bma_bic"]))
+
+
 def test_bic_noiseless_null_data():
     # RSS_R = RSS_U = 0 exactly (integer data), so q = sqrt(n) / (sqrt(n) + 1).
     n = 50
     design = DesignMatrix(np.ones(n), np.arange(1.0, n + 1.0))
     ds = Dataset(design, 2.0 * design.x1)
-    stats = compute_design_stats(design, 1.0)
-    w = bic_weights(ds, stats)
+    w = _bic_weight(ds)
     expected = math.sqrt(n) / (math.sqrt(n) + 1.0)
     assert w.p_r == pytest.approx(expected, rel=1e-12)
     assert w.p_r == pytest.approx(0.8761, abs=2e-4)
@@ -184,8 +212,7 @@ def test_bic_equal_exponents_give_half():
     # Orthonormal design, y2 chosen so RSS_R - RSS_U = log n exactly.
     design = DesignMatrix(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     ds = Dataset(design, np.array([0.7, math.sqrt(math.log(2.0))]))
-    stats = compute_design_stats(design, 1.0)
-    w = bic_weights(ds, stats)
+    w = _bic_weight(ds)
     assert w.p_r == pytest.approx(0.5, abs=1e-12)
 
 
@@ -298,7 +325,7 @@ def test_every_rule_valid_for_rough_inputs(rng):
         ds = random_dataset(rng, allow_badly_scaled=True)
         stats = compute_design_stats(ds.design, 1.0)
         for w in (
-            bic_weights(ds, stats),
+            _bic_weight(ds),
             exact_posterior_weights(ds, 1.0),
             adaptive_weights(fit_unrestricted(ds, stats).beta_u, cfg_a),
         ):
@@ -313,8 +340,7 @@ def test_bic_posterior_direction_agreement_reported(rng):
     total = 1000
     for _ in range(total):
         ds = random_dataset(rng, n=50)
-        stats = compute_design_stats(ds.design, 1.0)
-        q = bic_weights(ds, stats).p_r
+        q = _bic_weight(ds).p_r
         pi = exact_posterior_weights(ds, 1.0).p_r
         if (q - 0.5) * (pi - 0.5) >= 0:
             agree += 1
