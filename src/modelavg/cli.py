@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from pathlib import Path
@@ -179,9 +180,11 @@ def run(config: RunConfig) -> int:
     place with ``os.replace`` after the experiment succeeded, so no file is
     ever left truncated under its final name. On any failure, including an
     interrupt (``KeyboardInterrupt``, ``SystemExit``, which then propagates),
-    only the temporaries are removed; an earlier run's files stay as they were.
+    the temporaries and the directories this run created are removed; an
+    earlier run's files stay as they were.
     """
     outdir = Path(config.out)
+    created = [d for d in (outdir, *outdir.parents) if not d.exists()]  # deepest first
     outdir.mkdir(parents=True, exist_ok=True)
     staged: dict[Path, Path] = {}  # temporary name -> final name
 
@@ -197,6 +200,9 @@ def run(config: RunConfig) -> int:
     except BaseException as exc:
         for temporary in staged:
             temporary.unlink(missing_ok=True)
+        for directory in created:
+            with contextlib.suppress(OSError):  # not empty: someone else wrote there
+                directory.rmdir()
         if not isinstance(exc, Exception):
             raise
         print(f"error: {exc}", file=sys.stderr)

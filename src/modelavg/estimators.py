@@ -117,15 +117,6 @@ def estimate_arrays(
     return estimates, p_r
 
 
-def _dataset_estimates(dataset, stats, names, sigma, pretest_config, adaptive_config,
-                       prior_scale, prior_p_r):
-    p1, p2, yy = response_stats(dataset)
-    return estimate_arrays(
-        dataset.n, stats.s11, stats.s22, stats.s12, p1, p2, names, sigma,
-        pretest_config, adaptive_config, prior_scale, prior_p_r, yy=yy,
-    )
-
-
 def estimate_all(
     dataset: Dataset,
     stats: DesignStats,
@@ -141,9 +132,10 @@ def estimate_all(
     unrestricted slope under ``"beta_u"``; the second each averaging rule's
     weight on the restricted model (``bma_exact``, ``bma_bic``, ``ama``).
     """
-    est, p_r = _dataset_estimates(
-        dataset, stats, ESTIMATOR_NAMES, sigma, pretest_config, adaptive_config,
-        prior_scale, prior_p_r,
+    p1, p2, yy = response_stats(dataset)
+    est, p_r = estimate_arrays(
+        dataset.n, stats.s11, stats.s22, stats.s12, p1, p2, ESTIMATOR_NAMES, sigma,
+        pretest_config, adaptive_config, prior_scale, prior_p_r, yy=yy,
     )
     estimates = {name: float(value) for name, value in est.items()}
     estimates["beta_u"] = fit_unrestricted(dataset, stats).beta_u
@@ -157,6 +149,48 @@ def mean_model_estimate(sample: MeanModelSample, weight_rule: Callable[[float], 
     return w * ybar
 
 
+@dataclass(frozen=True)
+class Pipeline:
+    """The estimators ``names`` and the kernel settings they run with.
+
+    Calling it on a dataset refits everything from scratch (design stats,
+    fits, weights) and returns ``{name: estimate}``, or the one estimate as a
+    float when ``single``. The resampling engine reads the same settings
+    through :meth:`kernel` and evaluates every resample in one array call.
+    Construction raises on unknown names or missing configs; calling it on a
+    singular dataset raises CollinearDesign or ZeroColumn.
+    """
+
+    names: tuple[str, ...]
+    sigma: float
+    pretest: PretestConfig | None = None
+    adaptive: AdaptiveConfig | None = None
+    prior_scale: float = 1.0
+    prior_p_r: float = 0.5
+    single: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "names", tuple(self.names))
+        _check_names(self.names, self.pretest, self.adaptive)
+
+    def kernel(self, n: int, s11, s22, s12, p1, p2, yy=None):
+        """:func:`estimate_arrays` for ``names`` with this pipeline's settings."""
+        return estimate_arrays(
+            n, s11, s22, s12, p1, p2, self.names, self.sigma, self.pretest,
+            self.adaptive, self.prior_scale, self.prior_p_r, yy=yy,
+        )
+
+    def fit(self, dataset: Dataset) -> dict[str, float]:
+        stats = compute_design_stats(dataset.design, self.sigma)
+        p1, p2, yy = response_stats(dataset)
+        est, _ = self.kernel(dataset.n, stats.s11, stats.s22, stats.s12, p1, p2, yy)
+        return {name: float(est[name]) for name in self.names}
+
+    def __call__(self, dataset: Dataset) -> float | dict[str, float]:
+        est = self.fit(dataset)
+        return est[self.names[0]] if self.single else est
+
+
 def make_pipeline(
     name: str,
     sigma: float,
@@ -164,20 +198,11 @@ def make_pipeline(
     adaptive_config: AdaptiveConfig | None = None,
     prior_scale: float = 1.0,
     prior_p_r: float = 0.5,
-) -> Callable[[Dataset], float]:
-    """A Dataset -> estimate map that re-runs the full pipeline from scratch.
-
-    This is the resampling unit of work: stats, fits and weights are all
-    recomputed on whatever dataset it is handed.
-    """
-    multi = make_multi_pipeline(
-        (name,), sigma, pretest_config, adaptive_config, prior_scale, prior_p_r
+) -> Pipeline:
+    """The pipeline of one estimator: called on a dataset, it returns a float."""
+    return Pipeline(
+        (name,), sigma, pretest_config, adaptive_config, prior_scale, prior_p_r, single=True
     )
-
-    def procedure(dataset: Dataset) -> float:
-        return multi(dataset)[name]
-
-    return procedure
 
 
 def make_multi_pipeline(
@@ -187,21 +212,6 @@ def make_multi_pipeline(
     adaptive_config: AdaptiveConfig | None = None,
     prior_scale: float = 1.0,
     prior_p_r: float = 0.5,
-) -> Callable[[Dataset], dict[str, float]]:
-    """Like :func:`make_pipeline` but computes several estimators in one pass.
-
-    Raises CollinearDesign or ZeroColumn on a singular dataset, which is what
-    resampling engines redraw on.
-    """
-    names = tuple(names)
-    _check_names(names, pretest_config, adaptive_config)
-
-    def procedure(dataset: Dataset) -> dict[str, float]:
-        stats = compute_design_stats(dataset.design, sigma)
-        est, _ = _dataset_estimates(
-            dataset, stats, names, sigma, pretest_config, adaptive_config,
-            prior_scale, prior_p_r,
-        )
-        return {name: float(est[name]) for name in names}
-
-    return procedure
+) -> Pipeline:
+    """The pipeline of several estimators: called on a dataset, it returns a dict."""
+    return Pipeline(tuple(names), sigma, pretest_config, adaptive_config, prior_scale, prior_p_r)

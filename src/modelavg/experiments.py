@@ -17,9 +17,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import TooManySingularResamples
-from .estimators import estimate_arrays, make_multi_pipeline
+from .estimators import Pipeline, estimate_arrays
 from .model import (
-    COLLINEARITY_RTOL,
     Dataset,
     DesignMatrix,
     DesignStats,
@@ -28,7 +27,12 @@ from .model import (
     generate_response,
     make_uniform_design,
 )
-from .resampling import EmpiricalSample, ResampleIndices, ResamplePlan
+from .resampling import (
+    EmpiricalSample,
+    ResamplePlan,
+    centered_replicates,
+    resampled_estimates,
+)
 from .weights import AdaptiveConfig, PretestConfig, default_tuning
 
 # Substream roles.
@@ -142,59 +146,8 @@ def _ks_arrays(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def ks_two_sample(a: EmpiricalSample, b: EmpiricalSample) -> float:
-    """Exact sup-distance between two empirical CDFs via a sorted merge."""
+    """Exact sup-distance between two empirical CDFs (see :func:`_ks_arrays`)."""
     return _ks_arrays(a.values, b.values)
-
-
-def resampled_estimates(
-    dataset: Dataset,
-    names: Sequence[str],
-    plan: ResamplePlan,
-    rng: np.random.Generator,
-    subsample: bool,
-    pretest: PretestConfig | None = None,
-    adaptive: AdaptiveConfig | None = None,
-    sigma: float = 1.0,
-    prior_scale: float = 1.0,
-    prior_p_r: float = 0.5,
-) -> dict[str, np.ndarray]:
-    """Vectorized resampling engine for the standard estimator set.
-
-    Takes its indices from :class:`modelavg.resampling.ResampleIndices`, as
-    :func:`modelavg.resampling.resample_many` does (one block per dataset,
-    singular rows redrawn in ascending order against the same budget), but
-    evaluates all refits as array operations, which makes the
-    resampling-accuracy curves tractable at full scale. Returns raw resample
-    estimates; tests pin its agreement with the generic per-dataset engine.
-    """
-    x1_full, x2_full, y_full = dataset.design.x1, dataset.design.x2, dataset.y
-    indices = ResampleIndices(rng, dataset.n, plan, subsample)
-
-    def gather(index):
-        x1 = x1_full[index]
-        x2 = x2_full[index]
-        y = y_full[index]
-        # Rows: s11, s22, s12, <x1,y>, <x2,y>, <y,y>.
-        return np.stack([
-            np.sum(x1 * x1, axis=-1), np.sum(x2 * x2, axis=-1), np.sum(x1 * x2, axis=-1),
-            np.sum(x1 * y, axis=-1), np.sum(x2 * y, axis=-1), np.sum(y * y, axis=-1),
-        ])
-
-    def singular(sums):
-        s11, s22, s12 = sums[0], sums[1], sums[2]
-        return (s11 <= 0.0) | (s11 * s22 - s12 * s12 <= COLLINEARITY_RTOL * s11 * s22)
-
-    sums = gather(indices.block)
-    for i in np.nonzero(singular(sums))[0]:
-        while singular(sums[:, i]):
-            sums[:, i] = gather(indices.redraw())
-
-    s11, s22, s12, p1, p2, yy = sums
-    estimates, _ = estimate_arrays(
-        indices.size, s11, s22, s12, p1, p2, names, sigma, pretest, adaptive,
-        prior_scale, prior_p_r, yy=yy,
-    )
-    return estimates
 
 
 def _ks_ratio(ks_r: float, ks_u: float) -> float:
@@ -308,17 +261,11 @@ def resampling_error_curve(
         if not 1 <= m <= scenario.design.n:
             raise ValueError(f"m={m} must lie in [1, n={scenario.design.n}]")
     names = ("ms", "bma_bic", "ama")
-    sigma = scenario.params.sigma
-    procedure = make_multi_pipeline(
-        names,
-        sigma,
-        scenario.pretest,
-        scenario.adaptive,
-        scenario.prior_scale,
-        scenario.prior_p_r,
+    pipeline = Pipeline(
+        names, scenario.params.sigma, scenario.pretest, scenario.adaptive,
+        scenario.prior_scale, scenario.prior_p_r,
     )
     plan = ResamplePlan(b=b, m=m if subsample else None, max_redraws=max_redraws)
-    scale = float(np.sqrt(m if subsample else scenario.design.n))
 
     def one(i: int) -> dict:
         beta = beta_grid[i]
@@ -334,18 +281,14 @@ def resampling_error_curve(
             ds = generate_response(
                 scenario.design, cell.params, stream(scenario.seed, _TAG_DATASET, i, d)
             )
-            originals = procedure(ds)
             try:
                 star = resampled_estimates(
-                    ds, names, plan, stream(scenario.seed, _TAG_RESAMPLE, i, d),
-                    subsample=subsample, pretest=scenario.pretest,
-                    adaptive=scenario.adaptive, sigma=sigma,
-                    prior_scale=scenario.prior_scale, prior_p_r=scenario.prior_p_r,
+                    ds, pipeline, plan, stream(scenario.seed, _TAG_RESAMPLE, i, d), subsample
                 )
             except TooManySingularResamples:
                 excluded += 1
                 continue
-            samples = {k: scale * (star[k] - originals[k]) for k in names}
+            samples = centered_replicates(ds, pipeline, star, plan, subsample)
             for k in names:
                 if mode == "per_dataset":
                     per_dataset[k].append(_ks_arrays(truth[k], samples[k]))

@@ -1,22 +1,26 @@
 """Paired bootstrap, subsampling, and the mean-model bootstrap.
 
-Each engine returns an :class:`EmpiricalSample` of centered-and-scaled
-replicates. A dataset's resample indices come from :class:`ResampleIndices`:
-one (b, size) block drawn from the caller's generator, plus redraws for
-singular rows from one generator spawned from it. The output is a
-bit-reproducible function of the caller's generator, and every engine that
-takes its indices from there sees the same replicates.
+One engine, :func:`resampled_estimates`, serves the bootstrap and
+subsampling, for the library calls and for figure2 alike. A dataset's
+resample indices come from :class:`ResampleIndices`: one (b, size) block
+drawn from the caller's generator, plus redraws for singular rows from one
+generator spawned from it. Each resample is reduced to its sufficient
+statistics and a :class:`~modelavg.estimators.Pipeline`'s kernel evaluates
+them all at once; :func:`centered_replicates` turns the estimates into
+sqrt(size) * (theta_star - theta_hat). The output is a bit-reproducible
+function of the caller's generator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
-from .errors import CollinearDesign, TooManySingularResamples, ZeroColumn
-from .model import Dataset
+from .errors import TooManySingularResamples
+from .estimators import Pipeline
+from .model import COLLINEARITY_RTOL, Dataset, compute_design_stats
 
 # Redraw budget for singular resampled designs, as a multiple of the number of
 # requested resamples.
@@ -93,6 +97,14 @@ class ResamplePlan:
         return self.max_redraws if self.max_redraws is not None else MAX_REDRAW_FACTOR * self.b
 
 
+def _resample_size(n: int, plan: ResamplePlan, subsample: bool) -> int:
+    """Rows per resample: n for the bootstrap, ``plan.m`` (default n) for subsampling."""
+    size = plan.m if subsample and plan.m is not None else n
+    if not 1 <= size <= n:
+        raise ValueError(f"subsample size m={size} must lie in [1, n={n}]")
+    return size
+
+
 class ResampleIndices:
     """Row indices of one dataset's ``plan.b`` resamples.
 
@@ -107,13 +119,8 @@ class ResampleIndices:
     """
 
     def __init__(self, rng: np.random.Generator, n: int, plan: ResamplePlan, subsample: bool):
-        size = n
-        if subsample:
-            size = plan.m if plan.m is not None else n
-            if not 1 <= size <= n:
-                raise ValueError(f"subsample size m={size} must lie in [1, n={n}]")
         self.n = n
-        self.size = size
+        self.size = _resample_size(n, plan, subsample)
         self.subsample = subsample
         self.budget = plan.redraw_budget
         self.redraws = 0
@@ -136,76 +143,102 @@ class ResampleIndices:
         return self._draw(self._redraw_rng, 1)[0]
 
 
-def resample_many(
+def resampled_estimates(
     dataset: Dataset,
-    procedure: Callable[[Dataset], Mapping[str, float]],
+    pipeline: Pipeline,
     plan: ResamplePlan,
     rng: np.random.Generator,
-    scale: float,
     subsample: bool,
-) -> dict[str, EmpiricalSample]:
-    """Shared engine: draw index sets, refit, center and scale.
+) -> dict[str, np.ndarray]:
+    """The pipeline's estimates on each of the ``plan.b`` resamples of ``dataset``.
 
-    ``procedure`` maps a dataset to named estimates, letting several estimators
-    share one set of resample draws. Returns ``scale * (theta_star - theta_hat)``
-    per name, where theta_hat comes from the full dataset. Resamples whose
-    design is singular are redrawn against a shared budget.
+    Indices come from :class:`ResampleIndices`. Each resample is reduced to
+    its sufficient statistics (the design inner products, <x1,y>, <x2,y> and
+    <y,y>), and one call of the pipeline's kernel evaluates all of them.
+    Singular rows are redrawn in ascending row order until the plan's budget
+    is spent, then TooManySingularResamples is raised. A singular dataset or
+    m = 1, whose resamples are all singular, raises at once.
     """
+    if not isinstance(pipeline, Pipeline):
+        raise TypeError(
+            "resampling needs a pipeline from make_pipeline or make_multi_pipeline, "
+            f"not {type(pipeline).__name__}"
+        )
+    compute_design_stats(dataset.design, pipeline.sigma)
+    x1_full, x2_full, y_full = dataset.design.x1, dataset.design.x2, dataset.y
     indices = ResampleIndices(rng, dataset.n, plan, subsample)
-    originals = dict(procedure(dataset))
-    out = {name: np.empty(plan.b) for name in originals}
-    for i, idx in enumerate(indices.block):
-        while True:
-            try:
-                star = procedure(dataset.rows(idx))
-                break
-            except (CollinearDesign, ZeroColumn):
-                pass
-            idx = indices.redraw()
-        for name, theta in star.items():
-            out[name][i] = scale * (theta - originals[name])
-    return {name: EmpiricalSample(vals) for name, vals in out.items()}
+    if indices.size < 2:
+        raise ValueError("a one-row resample is always singular; m must be >= 2")
+
+    def gather(index):
+        x1 = x1_full[index]
+        x2 = x2_full[index]
+        y = y_full[index]
+        # Rows: s11, s22, s12, <x1,y>, <x2,y>, <y,y>.
+        return np.stack([
+            np.sum(x1 * x1, axis=-1), np.sum(x2 * x2, axis=-1), np.sum(x1 * x2, axis=-1),
+            np.sum(x1 * y, axis=-1), np.sum(x2 * y, axis=-1), np.sum(y * y, axis=-1),
+        ])
+
+    def singular(sums):
+        s11, s22, s12 = sums[0], sums[1], sums[2]
+        return (s11 <= 0.0) | (s11 * s22 - s12 * s12 <= COLLINEARITY_RTOL * s11 * s22)
+
+    sums = gather(indices.block)
+    for i in np.nonzero(singular(sums))[0]:
+        while singular(sums[:, i]):
+            sums[:, i] = gather(indices.redraw())
+    estimates, _ = pipeline.kernel(indices.size, *sums)
+    return estimates
+
+
+def centered_replicates(
+    dataset: Dataset,
+    pipeline: Pipeline,
+    estimates: dict[str, np.ndarray],
+    plan: ResamplePlan,
+    subsample: bool,
+) -> dict[str, np.ndarray]:
+    """sqrt(size) * (theta_star - theta_hat) per name.
+
+    ``estimates`` are the theta_star from :func:`resampled_estimates`, theta_hat
+    is the pipeline's fit of the full dataset, and size is the resample size.
+    """
+    scale = float(np.sqrt(_resample_size(dataset.n, plan, subsample)))
+    originals = pipeline.fit(dataset)
+    return {name: scale * (estimates[name] - originals[name]) for name in pipeline.names}
+
+
+def _distribution(dataset, pipeline, plan, rng, subsample) -> EmpiricalSample:
+    estimates = resampled_estimates(dataset, pipeline, plan, rng, subsample)
+    if len(pipeline.names) != 1:
+        raise ValueError("needs the pipeline of one estimator, from make_pipeline")
+    values = centered_replicates(dataset, pipeline, estimates, plan, subsample)
+    return EmpiricalSample(values[pipeline.names[0]])
 
 
 def paired_bootstrap(
     dataset: Dataset,
-    estimator_procedure: Callable[[Dataset], float],
+    pipeline: Pipeline,
     plan: ResamplePlan,
     rng: np.random.Generator,
 ) -> EmpiricalSample:
     """Simple random sampling of (x, y) pairs with replacement, b times.
 
-    The estimator procedure re-runs the whole pipeline on each resample; the
-    returned sample holds sqrt(n) * (theta_star - theta_hat).
+    The returned sample holds sqrt(n) * (theta_star - theta_hat) for the one
+    estimator of ``pipeline`` (from :func:`make_pipeline`).
     """
-    res = resample_many(
-        dataset,
-        lambda ds: {"_": estimator_procedure(ds)},
-        plan,
-        rng,
-        scale=float(np.sqrt(dataset.n)),
-        subsample=False,
-    )
-    return res["_"]
+    return _distribution(dataset, pipeline, plan, rng, subsample=False)
 
 
 def subsample_distribution(
     dataset: Dataset,
-    estimator_procedure: Callable[[Dataset], float],
+    pipeline: Pipeline,
     plan: ResamplePlan,
     rng: np.random.Generator,
 ) -> EmpiricalSample:
     """b random size-m subsets without replacement; sqrt(m) * (theta_m - theta_n)."""
-    m = plan.m if plan.m is not None else dataset.n
-    res = resample_many(
-        dataset,
-        lambda ds: {"_": estimator_procedure(ds)},
-        plan,
-        rng,
-        scale=float(np.sqrt(m)),
-        subsample=True,
-    )
-    return res["_"]
+    return _distribution(dataset, pipeline, plan, rng, subsample=True)
 
 
 def mean_model_bootstrap(

@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from modelavg.cli import main
-from modelavg.estimators import make_multi_pipeline
+from modelavg.estimators import make_pipeline
 from modelavg.experiments import (
     Scenario,
     draw_dataset,
@@ -26,7 +26,7 @@ from modelavg.experiments import (
     weight_decay_sweep,
 )
 from modelavg.model import TrueParams, compute_design_stats, fit_restricted, fit_unrestricted, make_uniform_design
-from modelavg.resampling import ResamplePlan, mean_model_bootstrap
+from modelavg.resampling import ResamplePlan, mean_model_bootstrap, paired_bootstrap
 from modelavg.weights import adaptive_p_r, exact_posterior_weights, stable_sigmoid
 
 from conftest import ols_normal_equation_oracle, random_dataset
@@ -287,20 +287,15 @@ def test_criterion_08_weight_decay_and_bootstrap_trend():
             )
             truth = mc_estimator_draws(scenario, ("ama",))["ama"]
             truth = np.sqrt(n) * (truth - 1.0)
-            proc = make_multi_pipeline(("ama",), 1.0, scenario.pretest, scenario.adaptive)
+            pipeline = make_pipeline("ama", 1.0, scenario.pretest, scenario.adaptive)
             plan = ResamplePlan(b=400)
-            from modelavg.experiments import _ks_arrays, resampled_estimates, stream
+            from modelavg.experiments import _ks_arrays, stream
 
             ks_vals = []
             for d in range(50):
                 ds = draw_dataset(scenario, dataset_index=d)
-                star = resampled_estimates(
-                    ds, ("ama",), plan, stream(ACCEPTANCE_SEED, 3, 0, d),
-                    subsample=False, pretest=scenario.pretest,
-                    adaptive=scenario.adaptive, sigma=1.0,
-                )
-                boot = np.sqrt(n) * (star["ama"] - proc(ds)["ama"])
-                ks_vals.append(_ks_arrays(truth, boot))
+                boot = paired_bootstrap(ds, pipeline, plan, stream(ACCEPTANCE_SEED, 3, 0, d))
+                ks_vals.append(_ks_arrays(truth, boot.values))
             means[n] = float(np.mean(ks_vals))
         _check(
             failures, f"8 bootstrap KS decreases n=25 -> n=100 at beta={beta}",

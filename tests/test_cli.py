@@ -286,6 +286,20 @@ def test_failed_run_removes_partial_files(tmp_path, monkeypatch):
     assert [p.name for p in out.iterdir()] == ["mse_curve.csv"]
 
 
+def test_failed_run_into_a_new_out_leaves_no_directory(tmp_path, monkeypatch):
+    # --out and its missing parents are created by the run, so a failed run
+    # removes them all; the existing parent stays.
+    out = tmp_path / "new" / "deeper"
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("forced failure")
+
+    monkeypatch.setattr(modelavg.experiments, "mse_curve", boom)
+    code = run(parse_config("figure1a", overrides={"reps": "10", "out": str(out)}, env={}))
+    assert code == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_outputs_appear_only_when_the_run_succeeds(tmp_path, monkeypatch):
     # The CSV is complete when the plot fails; it still never reaches its
     # final name, and during the run only temporaries exist in --out.
@@ -310,7 +324,8 @@ def test_outputs_appear_only_when_the_run_succeeds(tmp_path, monkeypatch):
 
 def test_interrupted_run_removes_partial_files_and_propagates(tmp_path, monkeypatch):
     # Ctrl-C while figure2 resamples its third dataset: the interrupt reaches
-    # the caller and --out holds none of the files the run had begun.
+    # the caller, and the --out directory the run created is gone with the
+    # files it had begun.
     out = tmp_path / "interrupted"
     real = modelavg.experiments.resampled_estimates
     calls = {"count": 0}
@@ -327,7 +342,7 @@ def test_interrupted_run_removes_partial_files_and_propagates(tmp_path, monkeypa
     with pytest.raises(KeyboardInterrupt):
         _run_cli(args)
     assert calls["count"] == 3
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_cli_error_reporting_bad_flags(tmp_path, capsys):

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modelavg.estimators import estimate_all
+from modelavg.errors import CollinearDesign, ZeroColumn
+from modelavg.estimators import estimate_all, make_multi_pipeline
 from modelavg.experiments import (
     Scenario,
     _ks_arrays,
@@ -25,7 +26,13 @@ from modelavg.model import (
     TrueParams,
     compute_design_stats,
 )
-from modelavg.resampling import EmpiricalSample
+from modelavg.resampling import (
+    EmpiricalSample,
+    ResampleIndices,
+    ResamplePlan,
+    centered_replicates,
+    resampled_estimates,
+)
 from modelavg.weights import PretestConfig, default_tuning
 
 
@@ -290,121 +297,107 @@ def test_resampling_error_subsample_and_pooled_modes():
         )
 
 
-def _assert_engines_agree(ds, scenario, sigma, prior_scale=1.0, prior_p_r=0.5):
-    from modelavg.estimators import make_multi_pipeline
-    from modelavg.experiments import resampled_estimates
-    from modelavg.resampling import ResamplePlan, resample_many
+def _generic_engine(ds, pipeline, plan, seed, subsample):
+    """Per-row reference for the resampling engine, one refit per replicate.
 
+    Takes the ResampleIndices block of ``seed``, redraws singular rows in
+    ascending order, refits each row through ``pipeline(ds.rows(row))`` and
+    returns sqrt(size) * (theta_star - theta_hat) per name.
+    """
+    indices = ResampleIndices(np.random.default_rng(seed), ds.n, plan, subsample)
+    originals = pipeline(ds)
+    out = {name: [] for name in pipeline.names}
+    for row in indices.block:
+        while True:
+            try:
+                star = pipeline(ds.rows(row))
+                break
+            except (CollinearDesign, ZeroColumn):
+                row = indices.redraw()
+        for name in pipeline.names:
+            out[name].append(np.sqrt(indices.size) * (star[name] - originals[name]))
+    return {name: np.array(values) for name, values in out.items()}
+
+
+def _engine(ds, pipeline, plan, seed, subsample):
+    star = resampled_estimates(ds, pipeline, plan, np.random.default_rng(seed), subsample)
+    return centered_replicates(ds, pipeline, star, plan, subsample)
+
+
+def _assert_engines_agree(ds, scenario, sigma, prior_scale=1.0, prior_p_r=0.5):
     names = ("r", "u", "ms", "bma_bic", "ama", "bma_exact")
-    proc = make_multi_pipeline(
+    pipeline = make_multi_pipeline(
         names, sigma, scenario.pretest, scenario.adaptive, prior_scale, prior_p_r
     )
-    originals = proc(ds)
     for subsample, m in ((False, None), (True, 5), (True, 12)):
         plan = ResamplePlan(b=40, m=m)
-        scale = float(np.sqrt(m if subsample else ds.n))
-        loop = resample_many(
-            ds, proc, plan, np.random.default_rng(17), scale=scale, subsample=subsample
-        )
-        fast = resampled_estimates(
-            ds, names, plan, np.random.default_rng(17), subsample=subsample,
-            pretest=scenario.pretest, adaptive=scenario.adaptive, sigma=sigma,
-            prior_scale=prior_scale, prior_p_r=prior_p_r,
-        )
+        loop = _generic_engine(ds, pipeline, plan, 17, subsample)
+        fast = _engine(ds, pipeline, plan, 17, subsample)
         for name in names:
-            fast_centered = scale * (fast[name] - originals[name])
             np.testing.assert_allclose(
-                fast_centered, loop[name].values, rtol=1e-9, atol=1e-9,
+                fast[name], loop[name], rtol=1e-9, atol=1e-9,
                 err_msg=f"{name} subsample={subsample}",
             )
 
 
-def test_fast_resampling_engine_matches_generic_engine():
-    # The vectorized engine must reproduce the per-dataset loop engine: both
-    # take one (b, size) index block from the same generator and redraw
-    # singular rows in ascending order from one spawned generator, under the
-    # same budget, so they refit the same resamples.
-    from modelavg.estimators import make_multi_pipeline
-    from modelavg.experiments import resampled_estimates
-    from modelavg.resampling import ResamplePlan, resample_many
+def _tiny_scenario():
+    # n = 3 with x1 constant: a bootstrap row is singular exactly when it
+    # repeats one row three times.
+    return Scenario(
+        design=DesignMatrix(np.array([1.0, 1.0, 1.0]), np.array([0.0, 1.0, 2.0])),
+        params=TrueParams(alpha=1.0, beta=0.3, sigma=1.0),
+        pretest=PretestConfig(),
+        adaptive=default_tuning(3),
+        reps=5,
+        seed=1,
+    )
 
+
+def test_fast_resampling_engine_matches_generic_engine():
+    # The vectorized engine must reproduce the per-row refits: both take one
+    # (b, size) index block from the same generator and redraw singular rows
+    # in ascending order from one spawned generator, under the same budget,
+    # so they refit the same resamples.
     scenario = _uniform_scenario(n=12, reps=10, seed=91)
     ds = draw_dataset(scenario)
     _assert_engines_agree(ds, scenario, 1.0)
     # A non-default coefficient prior must reach the exact-posterior weights.
     _assert_engines_agree(ds, scenario, 1.0, prior_scale=2.0, prior_p_r=0.3)
     # Redraw parity on a tiny design where duplicated rows are collinear.
-    tiny_design = DesignMatrix(np.array([1.0, 1.0, 1.0]), np.array([0.0, 1.0, 2.0]))
-    tiny = Scenario(
-        design=tiny_design,
-        params=TrueParams(alpha=1.0, beta=0.3, sigma=1.0),
-        pretest=PretestConfig(),
-        adaptive=default_tuning(3),
-        reps=5,
-        seed=1,
-    )
+    tiny = _tiny_scenario()
     ds3 = draw_dataset(tiny)
-    proc3 = make_multi_pipeline(("u",), 1.0, tiny.pretest, tiny.adaptive)
+    pipeline3 = make_multi_pipeline(("u",), 1.0, tiny.pretest, tiny.adaptive)
     plan3 = ResamplePlan(b=60)
-    loop3 = resample_many(
-        ds3, proc3, plan3, np.random.default_rng(4), scale=np.sqrt(3.0), subsample=False
-    )
-    fast3 = resampled_estimates(
-        ds3, ("u",), plan3, np.random.default_rng(4), subsample=False,
-        pretest=tiny.pretest, adaptive=tiny.adaptive, sigma=1.0,
-    )
-    orig3 = proc3(ds3)
     np.testing.assert_allclose(
-        np.sqrt(3.0) * (fast3["u"] - orig3["u"]), loop3["u"].values, rtol=1e-9, atol=1e-9
+        _engine(ds3, pipeline3, plan3, 4, False)["u"],
+        _generic_engine(ds3, pipeline3, plan3, 4, False)["u"],
+        rtol=1e-9, atol=1e-9,
     )
 
 
 def test_full_size_subsample_reproduces_dataset_in_both_engines():
     # m = n: every sorted index row is 0..n-1, so each replicate refits the
     # original dataset bit-for-bit and every centered replicate is exactly 0.
-    from modelavg.estimators import make_multi_pipeline
-    from modelavg.experiments import resampled_estimates
-    from modelavg.resampling import ResamplePlan, resample_many
-
     names = ("r", "u", "ms", "bma_bic", "ama", "bma_exact")
     for n, sigma in ((12, 1.0), (50, 1.0), (9, 0.0)):
         scenario = _uniform_scenario(n=n, reps=10, seed=91, sigma=sigma)
         ds = draw_dataset(scenario)
-        proc = make_multi_pipeline(names, sigma, scenario.pretest, scenario.adaptive)
-        originals = proc(ds)
+        pipeline = make_multi_pipeline(names, sigma, scenario.pretest, scenario.adaptive)
         plan = ResamplePlan(b=30, m=n)
-        loop = resample_many(
-            ds, proc, plan, np.random.default_rng(1), scale=np.sqrt(n), subsample=True
-        )
-        fast = resampled_estimates(
-            ds, names, plan, np.random.default_rng(1), subsample=True,
-            pretest=scenario.pretest, adaptive=scenario.adaptive, sigma=sigma,
-        )
+        loop = _generic_engine(ds, pipeline, plan, 1, True)
+        fast = _engine(ds, pipeline, plan, 1, True)
         for name in names:
-            assert np.all(loop[name].values == 0.0), name
-            assert np.all(np.sqrt(n) * (fast[name] - originals[name]) == 0.0), name
+            assert np.all(loop[name] == 0.0), name
+            assert np.all(fast[name] == 0.0), name
 
 
 def test_singular_redraw_leaves_other_rows_on_their_block_row():
-    # n = 3 with x1 constant: a bootstrap row is singular exactly when it
-    # repeats one row three times. Each singular row is replaced from one
-    # generator spawned from the caller's, in ascending row order; every other
-    # replicate is the refit of its own block row.
-    from modelavg.estimators import make_multi_pipeline
-    from modelavg.experiments import resampled_estimates
-    from modelavg.resampling import ResampleIndices, ResamplePlan, resample_many
-
-    design = DesignMatrix(np.array([1.0, 1.0, 1.0]), np.array([0.0, 1.0, 2.0]))
-    tiny = Scenario(
-        design=design,
-        params=TrueParams(alpha=1.0, beta=0.3, sigma=1.0),
-        pretest=PretestConfig(),
-        adaptive=default_tuning(3),
-        reps=5,
-        seed=1,
-    )
+    # Each singular row is replaced from one generator spawned from the
+    # caller's, in ascending row order; every other replicate is the refit of
+    # its own block row.
+    tiny = _tiny_scenario()
     ds = draw_dataset(tiny)
-    proc = make_multi_pipeline(("u",), 1.0, tiny.pretest, tiny.adaptive)
+    pipeline = make_multi_pipeline(("u",), 1.0, tiny.pretest, tiny.adaptive)
     plan = ResamplePlan(b=60)
     block = ResampleIndices(np.random.default_rng(4), 3, plan, False).block
     singular = np.array([len(set(row)) == 1 for row in block])
@@ -416,17 +409,14 @@ def test_singular_redraw_leaves_other_rows_on_their_block_row():
         while len(set(row)) == 1:
             row = redraw_rng.integers(0, 3, size=(1, 3))[0]
         expected_rows.append(row)
-    expected = np.array([proc(ds.rows(row))["u"] for row in expected_rows])
+    expected = np.array([pipeline(ds.rows(row))["u"] for row in expected_rows])
     assert not np.array_equal(np.array(expected_rows)[singular], block[singular])
 
     scale = np.sqrt(3.0)
-    loop = resample_many(ds, proc, plan, np.random.default_rng(4), scale=scale, subsample=False)
-    fast = resampled_estimates(
-        ds, ("u",), plan, np.random.default_rng(4), subsample=False,
-        pretest=tiny.pretest, adaptive=tiny.adaptive, sigma=1.0,
-    )
-    original = proc(ds)["u"]
-    assert np.array_equal(loop["u"].values, scale * (expected - original))
+    loop = _generic_engine(ds, pipeline, plan, 4, False)
+    fast = resampled_estimates(ds, pipeline, plan, np.random.default_rng(4), False)
+    original = pipeline(ds)["u"]
+    assert np.array_equal(loop["u"], scale * (expected - original))
     np.testing.assert_allclose(fast["u"], expected, rtol=1e-12, atol=1e-12)
 
 

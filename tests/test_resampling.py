@@ -5,7 +5,7 @@ import pytest
 from scipy import stats as spstats
 
 from modelavg.errors import CollinearDesign, TooManySingularResamples
-from modelavg.estimators import make_pipeline
+from modelavg.estimators import make_multi_pipeline, make_pipeline
 from modelavg.model import Dataset, DesignMatrix
 from modelavg.resampling import (
     EmpiricalSample,
@@ -13,7 +13,6 @@ from modelavg.resampling import (
     ResamplePlan,
     mean_model_bootstrap,
     paired_bootstrap,
-    resample_many,
     subsample_distribution,
 )
 from modelavg.weights import PretestConfig, default_tuning
@@ -89,16 +88,12 @@ def test_bootstrap_replicates_finite():
 
 
 def test_bootstrap_first_index_marginal_uniform():
-    # The first drawn index, recovered through y of the resampled dataset,
-    # follows a uniform law over rows; chi-square GOF at significance 1e-6.
+    # The first index of each bootstrap row follows a uniform law over rows;
+    # chi-square GOF at significance 1e-6.
     n = 10
-    design = DesignMatrix(np.ones(n), np.arange(float(n)) + 1.0)
-    ds = Dataset(design, np.arange(float(n)))
-    proc = lambda d: float(d.y[0])
     draws = 100_000
-    sample = paired_bootstrap(ds, proc, ResamplePlan(b=draws), np.random.default_rng(3))
-    first = (sample.values / math.sqrt(n)).round().astype(int)  # sqrt(n)*(y*-y0): y0=0
-    counts = np.bincount(first, minlength=n)
+    block = ResampleIndices(np.random.default_rng(3), n, ResamplePlan(b=draws), False).block
+    counts = np.bincount(block[:, 0], minlength=n)
     assert counts.sum() == draws
     expected = draws / n
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
@@ -147,8 +142,9 @@ def test_subsample_size_contract_and_validation():
     proc = make_pipeline("r", 1.0)
     sample = subsample_distribution(ds, proc, ResamplePlan(b=11, m=3), np.random.default_rng(0))
     assert len(sample) == 11
-    with pytest.raises(ValueError):
-        subsample_distribution(ds, proc, ResamplePlan(b=2, m=7), np.random.default_rng(0))
+    for m in (7, 1):  # m = 1: every one-row design is singular
+        with pytest.raises(ValueError):
+            subsample_distribution(ds, proc, ResamplePlan(b=2, m=m), np.random.default_rng(0))
 
 
 def test_subsample_deterministic():
@@ -163,32 +159,37 @@ def test_subsample_deterministic():
 
 
 def test_singular_resamples_are_redrawn():
-    # n = 2 paired bootstrap: half of all index draws duplicate one row and
-    # give a collinear design; the engine must keep drawing and still deliver b
-    # finite replicates.
-    design = DesignMatrix(np.array([1.0, 1.0]), np.array([0.0, 1.0]))
-    ds = Dataset(design, np.array([0.3, 1.9]))
+    # The engine must keep redrawing the singular rows of the n = 2 design and
+    # still deliver b finite replicates.
     proc = make_pipeline("u", 1.0)
+    ds = _two_row_dataset()
     sample = paired_bootstrap(ds, proc, ResamplePlan(b=50), np.random.default_rng(1))
     assert len(sample) == 50
     assert np.all(np.isfinite(sample.values))
 
 
+def _two_row_dataset():
+    # n = 2: half of all bootstrap rows duplicate one row, a collinear design.
+    design = DesignMatrix(np.array([1.0, 1.0]), np.array([0.0, 1.0]))
+    return Dataset(design, np.array([0.3, 1.9]))
+
+
 def test_too_many_singular_resamples_raises():
-    ds = _integer_dataset(n=5)
-    calls = {"count": 0}
-
-    def flaky(dataset):
-        calls["count"] += 1
-        if calls["count"] > 1:  # the original estimate is fine
-            raise CollinearDesign("forced")
-        return {"v": 0.0}
-
+    proc = make_pipeline("u", 1.0)
     with pytest.raises(TooManySingularResamples):
-        resample_many(
-            ds, flaky, ResamplePlan(b=4, max_redraws=10), np.random.default_rng(0),
-            scale=1.0, subsample=False,
+        paired_bootstrap(
+            _two_row_dataset(), proc, ResamplePlan(b=4, max_redraws=0), np.random.default_rng(0)
         )
+
+
+def test_callable_that_is_not_a_pipeline_is_refused():
+    ds = _integer_dataset()
+    plan = ResamplePlan(b=3)
+    for engine in (paired_bootstrap, subsample_distribution):
+        with pytest.raises(TypeError, match="make_pipeline"):
+            engine(ds, lambda d: float(d.y[0]), plan, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="one estimator"):
+        paired_bootstrap(ds, make_multi_pipeline(("r", "u"), 1.0), plan, np.random.default_rng(0))
 
 
 def test_original_collinearity_propagates():
