@@ -209,8 +209,9 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError("beta_grid must be non-empty")
     if config.b < 1:
         raise ConfigError(f"b = {config.b} must be >= 1")
-    if not 1 <= config.m <= config.n:
-        raise ConfigError(f"m = {config.m} must lie in [1, n = {config.n}]")
+    if not 2 <= config.m <= config.n:
+        # A one-row subsample cannot fit the two-regressor model.
+        raise ConfigError(f"m = {config.m} must lie in [2, n = {config.n}]")
     if config.datasets_per_beta < 1:
         raise ConfigError(f"datasets_per_beta = {config.datasets_per_beta} must be >= 1")
     if config.ks_mode not in ("per_dataset", "pooled"):
@@ -244,8 +245,9 @@ def parse_config(
     if "beta_grid" not in values:
         values["beta_grid"] = default_beta_grid(experiment)
     if "m" not in values:
-        # Reference scale ties the subsample size to the sample size (0.4 n).
-        values["m"] = max(1, round(0.4 * values.get("n", RunConfig.n)))
+        # Reference scale ties the subsample size to the sample size (0.4 n),
+        # but never below the two rows a fit needs.
+        values["m"] = max(2, round(0.4 * values.get("n", RunConfig.n)))
     config = RunConfig(**values)
     _validate(config)
     return config

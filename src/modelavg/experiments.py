@@ -65,6 +65,18 @@ class Scenario:
             raise ValueError("reps must be >= 1")
 
 
+def _responses_in_place(design: DesignMatrix, params: TrueParams, z: np.ndarray) -> np.ndarray:
+    """Turn a (reps, n) noise block into the responses alpha*x1 + beta*x2 + sigma*z.
+
+    Works in ``z``'s own buffer, so no further (reps, n) array is allocated.
+    The floats equal those of the out-of-place formula, since IEEE addition
+    and multiplication are commutative (signed zeros at sigma = 0 included).
+    """
+    z *= params.sigma
+    z += params.alpha * design.x1 + params.beta * design.x2
+    return z
+
+
 def batch_estimates(
     design: DesignMatrix,
     stats: DesignStats,
@@ -79,14 +91,15 @@ def batch_estimates(
     """Vectorized estimates over a (reps, n) block of standard-normal noise.
 
     Row r of ``z`` yields the response alpha*x1 + beta*x2 + sigma*z[r]; the
-    returned arrays hold one estimate per row. Matches the scalar pipeline to
-    floating round-off.
+    returned arrays hold one estimate per row. ``z`` is overwritten with
+    those responses. Matches the scalar pipeline to floating round-off.
     """
-    y = params.alpha * design.x1 + params.beta * design.x2 + params.sigma * z
+    y = _responses_in_place(design, params, z)
+    # <y,y> is read only by the sigma = 0 limit of bma_exact.
+    yy = np.einsum("ij,ij->i", y, y) if params.sigma == 0.0 else None
     estimates, _ = estimate_arrays(
         design.n, stats.s11, stats.s22, stats.s12, y @ design.x1, y @ design.x2, names,
-        params.sigma, pretest, adaptive, prior_scale, prior_p_r,
-        yy=np.einsum("ij,ij->i", y, y),
+        params.sigma, pretest, adaptive, prior_scale, prior_p_r, yy=yy,
     )
     return estimates
 
@@ -158,10 +171,23 @@ def _ks_ratio(ks_r: float, ks_u: float) -> float:
     return 100.0 * (ks_r / total)
 
 
-def _map_ordered(fn: Callable[[int], dict], count: int, workers: int) -> list[dict]:
+def _map_ordered(
+    fn: Callable[[int], dict],
+    count: int,
+    workers: int,
+    cost: Sequence[float] | None = None,
+) -> list[dict]:
+    """``[fn(0), ..., fn(count - 1)]``, computed on ``workers`` threads.
+
+    Given a per-item ``cost``, the pool receives the items costliest first
+    (ties in index order), so the largest item does not start last and run
+    alone. Results come back in index order either way.
+    """
     if workers > 1:
+        order = range(count) if cost is None else sorted(range(count), key=lambda i: -cost[i])
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, range(count)))
+            futures = {i: pool.submit(fn, i) for i in order}
+            return [futures[i].result() for i in range(count)]
     return [fn(i) for i in range(count)]
 
 
@@ -353,7 +379,7 @@ def risk_bound_sweep(
             "seed": seed,
         }
 
-    return _map_ordered(one, len(n_grid), workers)
+    return _map_ordered(one, len(n_grid), workers, cost=n_grid)
 
 
 def weight_decay_sweep(
@@ -377,8 +403,9 @@ def weight_decay_sweep(
         design = make_uniform_design(n, stream(seed, _TAG_DESIGN, i))
         stats = compute_design_stats(design, params.sigma)
         tuning = default_tuning(n)
-        z = stream(seed, _TAG_TRUTH, i).standard_normal((reps, n))
-        y = params.alpha * design.x1 + params.beta * design.x2 + params.sigma * z
+        y = _responses_in_place(
+            design, params, stream(seed, _TAG_TRUTH, i).standard_normal((reps, n))
+        )
         p_r = estimate_arrays(
             n, stats.s11, stats.s22, stats.s12, y @ design.x1, y @ design.x2, ("ama",),
             params.sigma, adaptive_config=tuning,
@@ -392,7 +419,7 @@ def weight_decay_sweep(
             "seed": seed,
         }
 
-    return _map_ordered(one, len(n_grid), workers)
+    return _map_ordered(one, len(n_grid), workers, cost=n_grid)
 
 
 def make_scenario(

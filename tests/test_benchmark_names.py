@@ -5,7 +5,13 @@ name would fail every unit of a workload. These tests make it fail here first.
 """
 
 import functools
+import json
+import os
 import shutil
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,3 +126,54 @@ def test_outputs_unchanged_when_the_pipeline_factory_returns_plain_functions(
         modelavg.estimators.make_multi_pipeline(("u",), 1.0), modelavg.estimators.Pipeline
     )
     assert _benchmark_outputs(out) == expected
+
+
+# Runs in a fresh interpreter, because the tracer replaces module globals of
+# modelavg for good. Prints each CLI exit status and every span it recorded.
+_TRACED_RUNS = textwrap.dedent("""
+    import json, sys
+    from tracing import Tracer, install
+    import modelavg.cli
+
+    tracer = Tracer(run_id="names")
+    install(tracer)
+    out = sys.argv[1]
+    common = ["--reps", "30", "--workers", "1"]
+    runs = {
+        "figure1a": ["figure1a", "--beta-grid=0,0.5"],
+        "figure1b": ["figure1b", "--beta-grid=0,0.5"],
+        "riskbound": ["riskbound", "--n-grid", "50,25"],
+        "decay": ["decay", "--n-grid", "50,25"],
+        "figure2": ["figure2", "--beta-grid=0", "--datasets-per-beta", "2", "--b", "10"],
+    }
+    codes = {
+        name: modelavg.cli.main(argv + common + ["--out", f"{out}/{name}"])
+        for name, argv in runs.items()
+    }
+    print(json.dumps({"codes": codes, "spans": tracer.spans}))
+""")
+
+
+def test_cli_runs_under_the_benchmark_tracer(tmp_path):
+    # perfbench's --trace 1 wraps experiments.batch_estimates and reads the
+    # noise block's row count from its fourth positional argument (or "z").
+    # A signature change there would crash every traced unit.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src"), str(root / "perfbench"), env.get("PYTHONPATH", "")]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_RUNS, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["codes"] == dict.fromkeys(
+        ("figure1a", "figure1b", "riskbound", "decay", "figure2"), 0
+    ), proc.stderr
+    spans = result["spans"]
+    assert all(span[6] is None for span in spans)  # no wrapped call raised
+    batch = [span for span in spans if span[1] == "experiments.batch_estimates"]
+    assert batch
+    assert all(span[7] == {"rows": 30} for span in batch)

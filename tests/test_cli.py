@@ -29,6 +29,8 @@ def test_defaults_reproduce_reference_scale():
     assert cfg.reps == 5000
     assert cfg.c == pytest.approx(math.sqrt(2.0))
     assert cfg.m == 20  # 0.4 * n
+    for n in (2, 3):  # never below the two rows a fit needs
+        assert parse_config("figure2-subsample", overrides={"n": str(n)}, env={}).m == 2
     assert cfg.b == 500
     assert cfg.datasets_per_beta == 100
     assert cfg.seed == DEFAULT_SEED
@@ -121,6 +123,7 @@ def test_validation_rejects_bad_combinations():
         {"pretest_form": "zform"},
         {"experiment": "figure1a"},  # checked in a config file, never set
         {"stream_version": str(STREAM_VERSION)},
+        {"m": "1"},  # every one-row subsample is singular
     ):
         with pytest.raises(ConfigError):
             parse_config("figure1a", overrides=overrides, env={})
@@ -351,6 +354,11 @@ def test_cli_error_reporting_bad_flags(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "m = 60" in err and "n = 50" in err
+
+    out = tmp_path / "m1"
+    assert _run_cli(["figure2", "--method", "subsample", "--m", "1", "--out", str(out)]) == 2
+    assert "m = 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_env_seed_through_cli(tmp_path, monkeypatch):

@@ -1,3 +1,7 @@
+import threading
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +12,7 @@ from modelavg.estimators import estimate_all, make_multi_pipeline
 from modelavg.experiments import (
     Scenario,
     _ks_arrays,
+    _map_ordered,
     batch_estimates,
     draw_dataset,
     ks_ratio_curve,
@@ -141,6 +146,7 @@ def test_batch_matches_scalar_pipeline(rng):
     stats = compute_design_stats(scenario.design, 1.0)
     names = ("r", "u", "ms", "bma_exact", "bma_bic", "ama")
     z = rng.standard_normal((25, 20))
+    noise = z.copy()  # batch_estimates overwrites z with the responses
     batch = batch_estimates(
         scenario.design, stats, scenario.params, z, names,
         pretest=scenario.pretest, adaptive=scenario.adaptive,
@@ -149,7 +155,7 @@ def test_batch_matches_scalar_pipeline(rng):
         y = (
             scenario.params.alpha * scenario.design.x1
             + scenario.params.beta * scenario.design.x2
-            + z[row]
+            + noise[row]
         )
         from modelavg.model import Dataset
 
@@ -458,6 +464,54 @@ def test_curves_deterministic_across_workers():
     r1 = resampling_error_curve(grid, scenario, "bootstrap", datasets_per_beta=2, b=10)
     r2 = resampling_error_curve(grid, scenario, "bootstrap", datasets_per_beta=2, b=10, workers=3)
     assert r1 == r2
+    # The n sweeps hand the pool their largest n first; rows keep the given order.
+    params = TrueParams(alpha=1.0, beta=0.2, sigma=1.0)
+    n_grid = (100, 25, 200, 50)
+    for sweep in (risk_bound_sweep, weight_decay_sweep):
+        rows = sweep(params, n_grid, reps=200, seed=77, workers=1)
+        assert sweep(params, n_grid, reps=200, seed=77, workers=3) == rows
+        assert [row["n"] for row in rows] == list(n_grid)
+
+
+def test_pool_starts_the_costliest_items_first():
+    started, lock = [], threading.Lock()
+
+    def fn(i):
+        with lock:
+            started.append(i)
+        time.sleep(0.05)  # both workers are busy before a third item is taken
+        return {"i": i}
+
+    rows = _map_ordered(fn, 4, workers=2, cost=[1, 5, 2, 8])
+    assert rows == [{"i": i} for i in range(4)]
+    assert set(started[:2]) == {3, 1}
+
+
+def _peak_blocks(fn, reps, n):
+    """Peak traced allocation during ``fn()``, in (reps, n) float64 blocks."""
+    tracemalloc.start()
+    try:
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (reps * n * 8)
+
+
+@pytest.mark.parametrize("path", ["mc_estimator_draws", "risk_bound_sweep", "weight_decay_sweep"])
+def test_monte_carlo_paths_hold_one_noise_block(path):
+    # The responses are formed in the noise block's own buffer, so each grid
+    # point needs one (reps, n) array and nothing else of that size.
+    reps, n = 2000, 400
+    params = TrueParams(alpha=1.0, beta=0.3, sigma=1.0)
+    scenario = _uniform_scenario(beta=0.3, n=n, reps=reps, seed=12)
+    names = ("r", "u", "ms", "bma_exact", "bma_bic", "ama")
+    run = {
+        "mc_estimator_draws": lambda: mc_estimator_draws(scenario, names),
+        "risk_bound_sweep": lambda: risk_bound_sweep(params, [n], reps, seed=12, workers=1),
+        "weight_decay_sweep": lambda: weight_decay_sweep(params, [n], reps, seed=12, workers=1),
+    }[path]
+    assert _peak_blocks(run, reps, n) <= 1.25
 
 
 def test_mse_curve_even_for_symmetrized_design():
