@@ -216,13 +216,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Model-averaging simulation laboratory for the two-regressor linear model.",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in ("figure1a", "figure1b", "figure2", "riskbound", "decay", "single"):
+    # "figure2-bootstrap" is the subcommand "figure2" with "--method bootstrap".
+    for name in dict.fromkeys(e.partition("-")[0] for e in EXPERIMENTS):
+        choices = [e.partition("-")[2] for e in EXPERIMENTS if e.startswith(name + "-")]
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", type=str, default=None, help="config file (key = value lines)")
-        if name == "figure2":
+        if choices:
             p.add_argument(
-                "--method", choices=("bootstrap", "subsample"), default="bootstrap",
-                help="resampling engine (default: bootstrap)",
+                "--method", choices=choices, default=choices[0],
+                help=f"resampling engine (default: {choices[0]})",
             )
         for key in SETTINGS:
             p.add_argument("--" + key.replace("_", "-"), dest=key, default=None)
@@ -232,11 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     experiment = args.experiment
-    if experiment == "figure2":
-        experiment = f"figure2-{args.method}"
-    if experiment not in EXPERIMENTS:  # pragma: no cover - argparse restricts choices
-        print(f"error: unknown experiment {experiment!r}", file=sys.stderr)
-        return 2
+    if "method" in args:
+        experiment += "-" + args.method
     overrides = {key: getattr(args, key) for key in SETTINGS if getattr(args, key) is not None}
     try:
         config = parse_config(experiment, config_file=args.config, overrides=overrides)

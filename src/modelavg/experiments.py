@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import TooManySingularResamples
-from .estimators import Pipeline, estimate_arrays
+from .estimators import Pipeline
 from .model import (
     Dataset,
     DesignMatrix,
@@ -26,6 +26,7 @@ from .model import (
     compute_design_stats,
     generate_response,
     make_uniform_design,
+    responses_in_place,
 )
 from .resampling import (
     EmpiricalSample,
@@ -64,17 +65,12 @@ class Scenario:
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
 
-
-def _responses_in_place(design: DesignMatrix, params: TrueParams, z: np.ndarray) -> np.ndarray:
-    """Turn a (reps, n) noise block into the responses alpha*x1 + beta*x2 + sigma*z.
-
-    Works in ``z``'s own buffer, so no further (reps, n) array is allocated.
-    The floats equal those of the out-of-place formula, since IEEE addition
-    and multiplication are commutative (signed zeros at sigma = 0 included).
-    """
-    z *= params.sigma
-    z += params.alpha * design.x1 + params.beta * design.x2
-    return z
+    def pipeline(self, names: Sequence[str]) -> Pipeline:
+        """The estimators ``names`` with this scenario's kernel settings."""
+        return Pipeline(
+            names, self.params.sigma, self.pretest, self.adaptive,
+            self.prior_scale, self.prior_p_r,
+        )
 
 
 def batch_estimates(
@@ -82,11 +78,7 @@ def batch_estimates(
     stats: DesignStats,
     params: TrueParams,
     z: np.ndarray,
-    names: Sequence[str],
-    pretest: PretestConfig | None = None,
-    adaptive: AdaptiveConfig | None = None,
-    prior_scale: float = 1.0,
-    prior_p_r: float = 0.5,
+    pipeline: Pipeline,
 ) -> dict[str, np.ndarray]:
     """Vectorized estimates over a (reps, n) block of standard-normal noise.
 
@@ -94,12 +86,11 @@ def batch_estimates(
     returned arrays hold one estimate per row. ``z`` is overwritten with
     those responses. Matches the scalar pipeline to floating round-off.
     """
-    y = _responses_in_place(design, params, z)
+    y = responses_in_place(design, params, z)
     # <y,y> is read only by the sigma = 0 limit of bma_exact.
     yy = np.einsum("ij,ij->i", y, y) if params.sigma == 0.0 else None
-    estimates, _ = estimate_arrays(
-        design.n, stats.s11, stats.s22, stats.s12, y @ design.x1, y @ design.x2, names,
-        params.sigma, pretest, adaptive, prior_scale, prior_p_r, yy=yy,
+    estimates, _ = pipeline.kernel(
+        design.n, stats.s11, stats.s22, stats.s12, y @ design.x1, y @ design.x2, yy
     )
     return estimates
 
@@ -112,24 +103,21 @@ def mc_estimator_draws(
     z = stream(scenario.seed, _TAG_TRUTH, grid_index).standard_normal(
         (scenario.reps, scenario.design.n)
     )
-    return batch_estimates(
-        scenario.design,
-        stats,
-        scenario.params,
-        z,
-        names,
-        pretest=scenario.pretest,
-        adaptive=scenario.adaptive,
-        prior_scale=scenario.prior_scale,
-        prior_p_r=scenario.prior_p_r,
-    )
+    return batch_estimates(scenario.design, stats, scenario.params, z, scenario.pipeline(names))
+
+
+def _centered_draws(
+    scenario: Scenario, names: Sequence[str], grid_index: int
+) -> dict[str, np.ndarray]:
+    """sqrt(n) * (estimate - alpha) per name, from :func:`mc_estimator_draws`."""
+    draws = mc_estimator_draws(scenario, names, grid_index=grid_index)
+    root_n = np.sqrt(scenario.design.n)
+    return {k: root_n * (v - scenario.params.alpha) for k, v in draws.items()}
 
 
 def mc_sampling_distribution(scenario: Scenario, estimator_name: str) -> EmpiricalSample:
     """Monte Carlo sample of sqrt(n) * (estimate - alpha) for one estimator."""
-    draws = mc_estimator_draws(scenario, (estimator_name,))[estimator_name]
-    root_n = np.sqrt(scenario.design.n)
-    return EmpiricalSample(root_n * (draws - scenario.params.alpha))
+    return EmpiricalSample(_centered_draws(scenario, (estimator_name,), 0)[estimator_name])
 
 
 def draw_dataset(scenario: Scenario, grid_index: int = 0, dataset_index: int = 0) -> Dataset:
@@ -191,26 +179,68 @@ def _map_ordered(
     return [fn(i) for i in range(count)]
 
 
-def mse_curve(
-    beta_grid: Sequence[float], scenario: Scenario, workers: int = 1
+def _along_beta(
+    beta_grid: Sequence[float],
+    scenario: Scenario,
+    workers: int,
+    row: Callable[[int, Scenario], dict],
 ) -> list[dict]:
-    """Mean squared error of MS, BIC-weighted BMA, AMA and U-only along a beta grid."""
+    """One CSV row per beta: ``beta``, the columns ``row(i, cell)`` returns, ``seed``.
+
+    ``cell`` is ``scenario`` with beta set to ``beta_grid[i]``; ``i`` keys the
+    grid point's substreams.
+    """
     beta_grid = list(beta_grid)
     if not beta_grid:
         raise ValueError("beta grid must be non-empty")
 
     def one(i: int) -> dict:
         cell = replace(scenario, params=replace(scenario.params, beta=beta_grid[i]))
-        draws = mc_estimator_draws(cell, ("ms", "bma_bic", "ama", "u"), grid_index=i)
-        alpha = scenario.params.alpha
-        row = {"beta": beta_grid[i]}
-        for name in ("ms", "bma_bic", "ama", "u"):
-            row[f"mse_{name}"] = float(np.mean((draws[name] - alpha) ** 2))
-        row["reps"] = scenario.reps
-        row["seed"] = scenario.seed
-        return row
+        return {"beta": beta_grid[i], **row(i, cell), "seed": scenario.seed}
 
     return _map_ordered(one, len(beta_grid), workers)
+
+
+def _along_n(
+    n_grid: Sequence[int],
+    reps: int,
+    seed: int,
+    workers: int,
+    row: Callable[[int, DesignMatrix, np.ndarray], dict],
+) -> list[dict]:
+    """One CSV row per n: ``n``, the columns ``row(n, design, z)`` returns, ``reps``, ``seed``.
+
+    Each n gets a freshly frozen intercept-plus-Uniform(0,3) design and a
+    (reps, n) block ``z`` of standard-normal noise, both from grid point i's
+    substreams. The pool starts the largest n first.
+    """
+    n_grid = list(n_grid)
+    if not n_grid:
+        raise ValueError("n grid must be non-empty")
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
+
+    def one(i: int) -> dict:
+        n = n_grid[i]
+        design = make_uniform_design(n, stream(seed, _TAG_DESIGN, i))
+        z = stream(seed, _TAG_TRUTH, i).standard_normal((reps, n))
+        return {"n": n, **row(n, design, z), "reps": reps, "seed": seed}
+
+    return _map_ordered(one, len(n_grid), workers, cost=n_grid)
+
+
+def mse_curve(
+    beta_grid: Sequence[float], scenario: Scenario, workers: int = 1
+) -> list[dict]:
+    """Mean squared error of MS, BIC-weighted BMA, AMA and U-only along a beta grid."""
+    names = ("ms", "bma_bic", "ama", "u")
+
+    def row(i: int, cell: Scenario) -> dict:
+        draws = mc_estimator_draws(cell, names, grid_index=i)
+        mse = {f"mse_{k}": float(np.mean((draws[k] - cell.params.alpha) ** 2)) for k in names}
+        return {**mse, "reps": cell.reps}
+
+    return _along_beta(beta_grid, scenario, workers, row)
 
 
 def ks_ratio_curve(
@@ -222,32 +252,18 @@ def ks_ratio_curve(
     replications as the estimator samples; the ratio is
     100 * KS(j, R) / (KS(j, R) + KS(j, U)), with 0/0 mapped to 50.
     """
-    beta_grid = list(beta_grid)
-    if not beta_grid:
-        raise ValueError("beta grid must be non-empty")
 
-    def one(i: int) -> dict:
-        cell = replace(scenario, params=replace(scenario.params, beta=beta_grid[i]))
-        draws = mc_estimator_draws(
-            cell, ("r", "u", "ms", "bma_bic", "ama"), grid_index=i
-        )
-        root_n = np.sqrt(scenario.design.n)
-        alpha = scenario.params.alpha
-        centered = {k: root_n * (v - alpha) for k, v in draws.items()}
-        row = {"beta": beta_grid[i]}
-        ks_vals = {}
+    def row(i: int, cell: Scenario) -> dict:
+        centered = _centered_draws(cell, ("r", "u", "ms", "bma_bic", "ama"), i)
+        ratios, distances = {}, {}
         for name, col in (("ms", "ms"), ("bma_bic", "bma"), ("ama", "ama")):
             ks_r = _ks_arrays(centered[name], centered["r"])
             ks_u = _ks_arrays(centered[name], centered["u"])
-            ks_vals[col] = (ks_r, ks_u)
-            row[f"ratio_{name}"] = _ks_ratio(ks_r, ks_u)
-        for col in ("ms", "bma", "ama"):
-            row[f"ks_{col}_r"], row[f"ks_{col}_u"] = ks_vals[col]
-        row["reps"] = scenario.reps
-        row["seed"] = scenario.seed
-        return row
+            ratios[f"ratio_{name}"] = _ks_ratio(ks_r, ks_u)
+            distances[f"ks_{col}_r"], distances[f"ks_{col}_u"] = ks_r, ks_u
+        return {**ratios, **distances, "reps": cell.reps}
 
-    return _map_ordered(one, len(beta_grid), workers)
+    return _along_beta(beta_grid, scenario, workers, row)
 
 
 def resampling_error_curve(
@@ -277,36 +293,23 @@ def resampling_error_curve(
         raise ValueError(f"mode must be 'per_dataset' or 'pooled', got {mode!r}")
     if datasets_per_beta < 1:
         raise ValueError("datasets_per_beta must be >= 1")
-    beta_grid = list(beta_grid)
-    if not beta_grid:
-        raise ValueError("beta grid must be non-empty")
     subsample = method == "subsample"
     if subsample:
         if m is None:
             raise ValueError("subsampling needs a subsample size m")
-        if not 1 <= m <= scenario.design.n:
-            raise ValueError(f"m={m} must lie in [1, n={scenario.design.n}]")
+        if not 2 <= m <= scenario.design.n:
+            raise ValueError(f"m={m} must lie in [2, n={scenario.design.n}]")
     names = ("ms", "bma_bic", "ama")
-    pipeline = Pipeline(
-        names, scenario.params.sigma, scenario.pretest, scenario.adaptive,
-        scenario.prior_scale, scenario.prior_p_r,
-    )
+    pipeline = scenario.pipeline(names)
     plan = ResamplePlan(b=b, m=m if subsample else None, max_redraws=max_redraws)
 
-    def one(i: int) -> dict:
-        beta = beta_grid[i]
-        cell = replace(scenario, params=replace(scenario.params, beta=beta))
-        draws = mc_estimator_draws(cell, names, grid_index=i)
-        root_n = np.sqrt(scenario.design.n)
-        alpha = scenario.params.alpha
-        truth = {k: root_n * (v - alpha) for k, v in draws.items()}
+    def row(i: int, cell: Scenario) -> dict:
+        truth = _centered_draws(cell, names, i)
         per_dataset = {k: [] for k in names}
         pooled = {k: [] for k in names}
         excluded = 0
         for d in range(datasets_per_beta):
-            ds = generate_response(
-                scenario.design, cell.params, stream(scenario.seed, _TAG_DATASET, i, d)
-            )
+            ds = draw_dataset(cell, i, d)
             try:
                 star = resampled_estimates(
                     ds, pipeline, plan, stream(scenario.seed, _TAG_RESAMPLE, i, d), subsample
@@ -323,22 +326,18 @@ def resampling_error_curve(
         included = datasets_per_beta - excluded
         if included == 0:
             raise TooManySingularResamples(
-                f"all {datasets_per_beta} datasets at beta={beta} were excluded"
+                f"all {datasets_per_beta} datasets at beta={cell.params.beta} were excluded"
             )
-        row = {"beta": beta}
+        errors = {}
         for k in names:
             if mode == "per_dataset":
                 err = float(np.mean(per_dataset[k]))
             else:
                 err = _ks_arrays(truth[k], np.concatenate(pooled[k]))
-            row[f"err_{k}"] = 100.0 * err
-        row["datasets"] = included
-        row["b"] = b
-        row["excluded"] = excluded
-        row["seed"] = scenario.seed
-        return row
+            errors[f"err_{k}"] = 100.0 * err
+        return {**errors, "datasets": included, "b": b, "excluded": excluded}
 
-    return _map_ordered(one, len(beta_grid), workers)
+    return _along_beta(beta_grid, scenario, workers, row)
 
 
 def risk_bound_sweep(
@@ -356,30 +355,18 @@ def risk_bound_sweep(
     non-vanishing x1'x2/n correlation that makes the problem non-trivial holds
     by construction. The Monte Carlo standard error of each point is reported.
     """
-    n_grid = list(n_grid)
-    if not n_grid:
-        raise ValueError("n grid must be non-empty")
+    pipeline = Pipeline(
+        ("bma_exact",), params.sigma, prior_scale=prior_scale, prior_p_r=prior_p_r
+    )
 
-    def one(i: int) -> dict:
-        n = n_grid[i]
-        design = make_uniform_design(n, stream(seed, _TAG_DESIGN, i))
+    def row(n: int, design: DesignMatrix, z: np.ndarray) -> dict:
         stats = compute_design_stats(design, params.sigma)
-        z = stream(seed, _TAG_TRUTH, i).standard_normal((reps, n))
-        draws = batch_estimates(
-            design, stats, params, z, ("bma_exact",),
-            prior_scale=prior_scale, prior_p_r=prior_p_r,
-        )["bma_exact"]
+        draws = batch_estimates(design, stats, params, z, pipeline)["bma_exact"]
         sq = (draws - params.alpha) ** 2
         mc_se = float(n * np.std(sq, ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
-        return {
-            "n": n,
-            "n_risk": float(n * np.mean(sq)),
-            "mc_se": mc_se,
-            "reps": reps,
-            "seed": seed,
-        }
+        return {"n_risk": float(n * np.mean(sq)), "mc_se": mc_se}
 
-    return _map_ordered(one, len(n_grid), workers, cost=n_grid)
+    return _along_n(n_grid, reps, seed, workers, row)
 
 
 def weight_decay_sweep(
@@ -394,32 +381,18 @@ def weight_decay_sweep(
     Tuning follows :func:`default_tuning` at each n; designs are re-frozen per n
     exactly as in :func:`risk_bound_sweep`.
     """
-    n_grid = list(n_grid)
-    if not n_grid:
-        raise ValueError("n grid must be non-empty")
 
-    def one(i: int) -> dict:
-        n = n_grid[i]
-        design = make_uniform_design(n, stream(seed, _TAG_DESIGN, i))
+    def row(n: int, design: DesignMatrix, z: np.ndarray) -> dict:
         stats = compute_design_stats(design, params.sigma)
-        tuning = default_tuning(n)
-        y = _responses_in_place(
-            design, params, stream(seed, _TAG_TRUTH, i).standard_normal((reps, n))
-        )
-        p_r = estimate_arrays(
-            n, stats.s11, stats.s22, stats.s12, y @ design.x1, y @ design.x2, ("ama",),
-            params.sigma, adaptive_config=tuning,
+        y = responses_in_place(design, params, z)
+        pipeline = Pipeline(("ama",), params.sigma, adaptive=default_tuning(n))
+        p_r = pipeline.kernel(
+            n, stats.s11, stats.s22, stats.s12, y @ design.x1, y @ design.x2
         )[1]["ama"]
         mean_p = float(np.mean(p_r))
-        return {
-            "n": n,
-            "mean_p_r": mean_p,
-            "mean_sqrtn_p_r": float(np.sqrt(n) * mean_p),
-            "reps": reps,
-            "seed": seed,
-        }
+        return {"mean_p_r": mean_p, "mean_sqrtn_p_r": float(np.sqrt(n) * mean_p)}
 
-    return _map_ordered(one, len(n_grid), workers, cost=n_grid)
+    return _along_n(n_grid, reps, seed, workers, row)
 
 
 def make_scenario(

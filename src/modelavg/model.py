@@ -190,13 +190,24 @@ def response_stats(dataset: Dataset) -> tuple[float, float, float]:
     return _inner(dataset.design.x1, y), _inner(dataset.design.x2, y), _inner(y, y)
 
 
+def responses_in_place(design: DesignMatrix, params: TrueParams, z: np.ndarray) -> np.ndarray:
+    """Turn standard-normal noise ``z`` (one row per dataset) into alpha*x1 + beta*x2 + sigma*z.
+
+    Works in ``z``'s own buffer, so a (reps, n) noise block needs no second
+    array. The floats equal those of the out-of-place formula, since IEEE
+    addition and multiplication are commutative (signed zeros at sigma = 0
+    included).
+    """
+    z *= params.sigma
+    z += params.alpha * design.x1 + params.beta * design.x2
+    return z
+
+
 def generate_response(
     design: DesignMatrix, params: TrueParams, rng: np.random.Generator
 ) -> Dataset:
     """Draw y = alpha*x1 + beta*x2 + sigma*z with z iid standard normal from rng."""
-    z = rng.standard_normal(design.n)
-    y = params.alpha * design.x1 + params.beta * design.x2 + params.sigma * z
-    return Dataset(design, y)
+    return Dataset(design, responses_in_place(design, params, rng.standard_normal(design.n)))
 
 
 def fit_unrestricted(dataset: Dataset, stats: DesignStats) -> UnrestrictedFit:

@@ -11,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -129,7 +130,8 @@ def test_outputs_unchanged_when_the_pipeline_factory_returns_plain_functions(
 
 
 # Runs in a fresh interpreter, because the tracer replaces module globals of
-# modelavg for good. Prints each CLI exit status and every span it recorded.
+# modelavg for good. Runs each CLI argv given as JSON, then prints each exit
+# status and every span it recorded.
 _TRACED_RUNS = textwrap.dedent("""
     import json, sys
     from tracing import Tracer, install
@@ -137,43 +139,80 @@ _TRACED_RUNS = textwrap.dedent("""
 
     tracer = Tracer(run_id="names")
     install(tracer)
-    out = sys.argv[1]
-    common = ["--reps", "30", "--workers", "1"]
-    runs = {
-        "figure1a": ["figure1a", "--beta-grid=0,0.5"],
-        "figure1b": ["figure1b", "--beta-grid=0,0.5"],
-        "riskbound": ["riskbound", "--n-grid", "50,25"],
-        "decay": ["decay", "--n-grid", "50,25"],
-        "figure2": ["figure2", "--beta-grid=0", "--datasets-per-beta", "2", "--b", "10"],
-    }
+    out, runs = sys.argv[1], json.loads(sys.argv[2])
     codes = {
-        name: modelavg.cli.main(argv + common + ["--out", f"{out}/{name}"])
+        name: modelavg.cli.main(argv + ["--out", f"{out}/{name}"])
         for name, argv in runs.items()
     }
     print(json.dumps({"codes": codes, "spans": tracer.spans}))
 """)
 
+# The work sizes of the traced runs.
+_REPS = 30
+_BETA_GRID = (0.0, 0.5)  # figure1a and figure1b
+_N_GRID = (50, 25)  # riskbound and decay
+_FIGURE2_GRID = (0.0,)
+_DATASETS = 2  # per figure2 grid point, each resampled _B times
+_B = 10
+
+
+def _grid(values):
+    return ",".join(str(v) for v in values)
+
 
 def test_cli_runs_under_the_benchmark_tracer(tmp_path):
-    # perfbench's --trace 1 wraps experiments.batch_estimates and reads the
-    # noise block's row count from its fourth positional argument (or "z").
-    # A signature change there would crash every traced unit.
+    # perfbench's --trace 1 wraps module-global names of modelavg, and reads
+    # the noise block's row count from experiments.batch_estimates' fourth
+    # positional argument (or "z"). A signature change there would crash every
+    # traced unit, and a helper that calls a wrapped name through a reference
+    # it captured, not through the module global, would silently drop spans.
+    common = ["--reps", str(_REPS), "--workers", "1"]
+    runs = {
+        "figure1a": ["figure1a", f"--beta-grid={_grid(_BETA_GRID)}"],
+        "figure1b": ["figure1b", f"--beta-grid={_grid(_BETA_GRID)}"],
+        "riskbound": ["riskbound", "--n-grid", _grid(_N_GRID)],
+        "decay": ["decay", "--n-grid", _grid(_N_GRID)],
+        "figure2": ["figure2", f"--beta-grid={_grid(_FIGURE2_GRID)}",
+                    "--datasets-per-beta", str(_DATASETS), "--b", str(_B)],
+    }
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(root / "src"), str(root / "perfbench"), env.get("PYTHONPATH", "")]
     )
     proc = subprocess.run(
-        [sys.executable, "-c", _TRACED_RUNS, str(tmp_path)],
+        [sys.executable, "-c", _TRACED_RUNS, str(tmp_path),
+         json.dumps({name: argv + common for name, argv in runs.items()})],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result["codes"] == dict.fromkeys(
-        ("figure1a", "figure1b", "riskbound", "decay", "figure2"), 0
-    ), proc.stderr
+    assert result["codes"] == dict.fromkeys(runs, 0), proc.stderr
     spans = result["spans"]
     assert all(span[6] is None for span in spans)  # no wrapped call raised
     batch = [span for span in spans if span[1] == "experiments.batch_estimates"]
     assert batch
-    assert all(span[7] == {"rows": 30} for span in batch)
+    assert all(span[7] == {"rows": _REPS} for span in batch)
+
+    # figure1a, figure1b and figure2 each freeze one design; the two sweeps one per n.
+    designs = 3 + 2 * len(_N_GRID)
+    mc_draws = 2 * len(_BETA_GRID) + len(_FIGURE2_GRID)  # one truth sample per beta
+    sweep_rows = 2 * len(_N_GRID)
+    datasets = len(_FIGURE2_GRID) * _DATASETS
+    estimators = 3  # ms, bma_bic, ama
+    assert Counter(span[1] for span in spans) == {
+        "config.parse_config": len(runs),
+        # resolved config, CSV and SVG per run, and each frozen beta-grid design
+        "cli.write": 3 * len(runs) + 3,
+        "experiments.mc_estimator_draws": mc_draws,
+        "experiments.batch_estimates": mc_draws + len(_N_GRID),  # riskbound's rows too
+        # figure1b: each estimator against R and U; figure2: against the truth
+        "experiments.ks": 2 * estimators * len(_BETA_GRID) + estimators * datasets,
+        "experiments.resampled_estimates": datasets,
+        "model.generate_response": datasets,
+        "experiments.sweep": 2,
+        # a design, noise and dataset/resample stream per unit of work
+        "experiments.stream": designs + mc_draws + sweep_rows + 2 * datasets,
+        # each design once when drawn, then once per truth sample, sweep row and dataset fit
+        "model.compute_design_stats": designs + mc_draws + sweep_rows + datasets,
+    }

@@ -361,6 +361,25 @@ def test_cli_error_reporting_bad_flags(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_subcommands_follow_the_experiment_list(monkeypatch):
+    seen = []
+    monkeypatch.setattr(modelavg.cli, "run", lambda cfg: seen.append(cfg.experiment) or 0)
+    for experiment in EXPERIMENTS:
+        name, _, method = experiment.partition("-")
+        assert main([name, *(["--method", method] if method else [])]) == 0
+    assert seen == list(EXPERIMENTS)
+    for argv in (["figure3"], ["figure2", "--method", "jackknife"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    # A new entry of the list is a new subcommand or --method choice.
+    monkeypatch.setattr(modelavg.cli, "EXPERIMENTS", (*EXPERIMENTS, "figure2-jackknife", "local"))
+    parser = modelavg.cli.build_parser()
+    assert parser.parse_args(["figure2", "--method", "jackknife"]).method == "jackknife"
+    assert parser.parse_args(["figure2"]).method == "bootstrap"
+    assert parser.parse_args(["local"]).experiment == "local"
+
+
 def test_env_seed_through_cli(tmp_path, monkeypatch):
     monkeypatch.setenv("MODELAVG_SEED", "999")
     out = tmp_path / "env"

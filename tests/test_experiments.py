@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import modelavg.experiments
 from modelavg.errors import CollinearDesign, ZeroColumn
 from modelavg.estimators import estimate_all, make_multi_pipeline
 from modelavg.experiments import (
@@ -147,10 +148,7 @@ def test_batch_matches_scalar_pipeline(rng):
     names = ("r", "u", "ms", "bma_exact", "bma_bic", "ama")
     z = rng.standard_normal((25, 20))
     noise = z.copy()  # batch_estimates overwrites z with the responses
-    batch = batch_estimates(
-        scenario.design, stats, scenario.params, z, names,
-        pretest=scenario.pretest, adaptive=scenario.adaptive,
-    )
+    batch = batch_estimates(scenario.design, stats, scenario.params, z, scenario.pipeline(names))
     for row in range(25):
         y = (
             scenario.params.alpha * scenario.design.x1
@@ -607,9 +605,33 @@ def test_draw_dataset_deterministic():
 
 def test_empty_grids_rejected():
     scenario = _uniform_scenario(reps=10)
-    with pytest.raises(ValueError):
-        mse_curve([], scenario)
-    with pytest.raises(ValueError):
-        ks_ratio_curve([], scenario)
-    with pytest.raises(ValueError):
-        risk_bound_sweep(TrueParams(1.0, 0.0, 1.0), [], reps=10, seed=0)
+    params = TrueParams(1.0, 0.5, 1.0)
+    calls = (
+        lambda: mse_curve([], scenario),
+        lambda: ks_ratio_curve([], scenario),
+        lambda: resampling_error_curve([], scenario, method="bootstrap",
+                                       datasets_per_beta=1, b=5),
+        lambda: risk_bound_sweep(TrueParams(1.0, 0.0, 1.0), [], reps=10, seed=0),
+        lambda: weight_decay_sweep(params, [], reps=10, seed=0),
+        # reps = 0 would average over no replicates and report nan.
+        lambda: risk_bound_sweep(params, [25], reps=0, seed=1),
+        lambda: weight_decay_sweep(params, [25], reps=0, seed=1),
+    )
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_subsample_size_one_is_refused_before_any_truth_sample(monkeypatch):
+    # Every one-row subsample is singular, so m = 1 must fail up front rather
+    # than after the grid points' truth samples were drawn.
+    def no_truth_sample(*args, **kwargs):
+        raise AssertionError("truth sample drawn before m was checked")
+
+    monkeypatch.setattr(modelavg.experiments, "mc_estimator_draws", no_truth_sample)
+    scenario = _uniform_scenario(reps=10, n=20)
+    with pytest.raises(ValueError, match="m=1"):
+        resampling_error_curve(
+            [0.0, 0.3, 0.6], scenario, method="subsample", datasets_per_beta=1, b=5, m=1,
+            workers=3,
+        )
