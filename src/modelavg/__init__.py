@@ -17,9 +17,8 @@ from .errors import (
 from .estimators import (
     ESTIMATOR_NAMES,
     MeanModelSample,
-    estimate_all,
+    Pipeline,
     estimate_arrays,
-    make_multi_pipeline,
     make_pipeline,
     mean_model_estimate,
 )

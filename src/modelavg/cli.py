@@ -12,8 +12,8 @@ from typing import Callable
 from . import experiments
 from .config import EXPERIMENTS, SETTINGS, RunConfig, echo_config, parse_config
 from .errors import ModelAvgError
-from .estimators import estimate_all
-from .model import TrueParams, compute_design_stats, write_design_csv
+from .estimators import ESTIMATOR_NAMES
+from .model import TrueParams, compute_design_stats, fit_unrestricted, write_design_csv
 from .svgplot import write_line_plot
 
 
@@ -50,45 +50,37 @@ def _scenario_from_config(config: RunConfig, beta: float = 0.0) -> experiments.S
     )
 
 
+# Legend label and line style of each plotted column, keyed by the column name
+# after its prefix; a plot draws the columns its rows have, in this order.
+_LEGEND = {
+    "bma_bic": ("BMA (BIC weights)", "solid"),
+    "ms": ("MS (pretest)", "broken"),
+    "ama": ("AMA (adaptive)", "dotted"),
+    "u": ("U only", "dotdash"),
+    "n_risk": ("n * risk", "solid"),
+    "mean_p_r": ("mean weight on R", "solid"),
+    "mean_sqrtn_p_r": ("sqrt(n) x mean weight", "broken"),
+}
+
+
 def _execute(config: RunConfig, target: Callable[[str], Path]) -> None:
     echo_config(config, target("resolved_config.txt"))
     workers = config.resolved_workers()
     experiment = config.experiment
-
-    if experiment in ("figure1a", "figure1b", "figure2-bootstrap", "figure2-subsample", "single"):
+    params = TrueParams(alpha=config.alpha, beta=config.beta, sigma=config.sigma)
+    if experiment not in ("riskbound", "decay"):
         scenario = _scenario_from_config(config, beta=config.beta)
         write_design_csv(scenario.design, target(f"design_n{config.n}.csv"))
 
+    # Each experiment yields its rows, the stem of its output files, and the
+    # (column prefix, title, y label) of its plot, or None for no plot.
     if experiment == "figure1a":
         rows = experiments.mse_curve(config.beta_grid, scenario, workers=workers)
-        write_rows_csv(target("mse_curve.csv"), rows)
-        write_line_plot(
-            target("mse_curve.svg"),
-            title="Mean squared error by estimator",
-            x_label="beta",
-            y_label="MSE",
-            x=[r["beta"] for r in rows],
-            series=[
-                ("BMA (BIC weights)", [r["mse_bma_bic"] for r in rows], "solid"),
-                ("MS (pretest)", [r["mse_ms"] for r in rows], "broken"),
-                ("AMA (adaptive)", [r["mse_ama"] for r in rows], "dotted"),
-                ("U only", [r["mse_u"] for r in rows], "dotdash"),
-            ],
-        )
+        stem, plot = "mse_curve", ("mse_", "Mean squared error by estimator", "MSE")
     elif experiment == "figure1b":
         rows = experiments.ks_ratio_curve(config.beta_grid, scenario, workers=workers)
-        write_rows_csv(target("ks_ratio.csv"), rows)
-        write_line_plot(
-            target("ks_ratio.svg"),
-            title="KS location ratio between R and U references",
-            x_label="beta",
-            y_label="100 * KS_R / (KS_R + KS_U)",
-            x=[r["beta"] for r in rows],
-            series=[
-                ("BMA (BIC weights)", [r["ratio_bma_bic"] for r in rows], "solid"),
-                ("MS (pretest)", [r["ratio_ms"] for r in rows], "broken"),
-                ("AMA (adaptive)", [r["ratio_ama"] for r in rows], "dotted"),
-            ],
+        stem, plot = "ks_ratio", (
+            "ratio_", "KS location ratio between R and U references", "100 * KS_R / (KS_R + KS_U)"
         )
     elif experiment in ("figure2-bootstrap", "figure2-subsample"):
         method = experiment.split("-", 1)[1]
@@ -102,62 +94,31 @@ def _execute(config: RunConfig, target: Callable[[str], Path]) -> None:
             mode=config.ks_mode,
             workers=workers,
         )
-        write_rows_csv(target(f"resamp_error_{method}.csv"), rows)
-        write_line_plot(
-            target(f"resamp_error_{method}.svg"),
-            title=f"{method} approximation error (100 x mean KS distance)",
-            x_label="beta",
-            y_label="100 * KS(truth, resampling)",
-            x=[r["beta"] for r in rows],
-            series=[
-                ("BMA (BIC weights)", [r["err_bma_bic"] for r in rows], "solid"),
-                ("MS (pretest)", [r["err_ms"] for r in rows], "broken"),
-                ("AMA (adaptive)", [r["err_ama"] for r in rows], "dotted"),
-            ],
+        stem, plot = f"resamp_error_{method}", (
+            "err_", f"{method} approximation error (100 x mean KS distance)",
+            "100 * KS(truth, resampling)",
         )
     elif experiment == "riskbound":
-        params = TrueParams(alpha=config.alpha, beta=config.beta, sigma=config.sigma)
         rows = experiments.risk_bound_sweep(
             params, config.n_grid, config.reps, config.seed,
             prior_scale=config.prior_scale, prior_p_r=config.prior_p_r, workers=workers,
         )
-        write_rows_csv(target("risk_bound.csv"), rows)
-        write_line_plot(
-            target("risk_bound.svg"),
-            title="Normalized risk of the exact-posterior model average",
-            x_label="n",
-            y_label="n * MSE",
-            x=[r["n"] for r in rows],
-            series=[("n * risk", [r["n_risk"] for r in rows], "solid")],
+        stem, plot = "risk_bound", (
+            "", "Normalized risk of the exact-posterior model average", "n * MSE"
         )
     elif experiment == "decay":
-        params = TrueParams(alpha=config.alpha, beta=config.beta, sigma=config.sigma)
         rows = experiments.weight_decay_sweep(
             params, config.n_grid, config.reps, config.seed, workers=workers
         )
-        write_rows_csv(target("weight_decay.csv"), rows)
-        write_line_plot(
-            target("weight_decay.svg"),
-            title="Adaptive weight decay",
-            x_label="n",
-            y_label="weight",
-            x=[r["n"] for r in rows],
-            series=[
-                ("mean weight on R", [r["mean_p_r"] for r in rows], "solid"),
-                ("sqrt(n) x mean weight", [r["mean_sqrtn_p_r"] for r in rows], "broken"),
-            ],
-        )
-    elif experiment == "single":
+        stem, plot = "weight_decay", ("", "Adaptive weight decay", "weight")
+    else:  # single
         dataset = experiments.draw_dataset(scenario)
+        est, p_r = scenario.pipeline(ESTIMATOR_NAMES).fit(dataset)
         stats = compute_design_stats(dataset.design, config.sigma)
-        est, p_r = estimate_all(
-            dataset, stats, scenario.pretest, scenario.adaptive, config.sigma,
-            prior_scale=config.prior_scale, prior_p_r=config.prior_p_r,
-        )
-        row = {
+        rows = [{
             "alpha_r": est["r"],
             "alpha_u": est["u"],
-            "beta_u": est["beta_u"],
+            "beta_u": fit_unrestricted(dataset, stats).beta_u,
             "ms": est["ms"],
             "bma_exact": est["bma_exact"],
             "bma_bic": est["bma_bic"],
@@ -167,10 +128,22 @@ def _execute(config: RunConfig, target: Callable[[str], Path]) -> None:
             "w_adaptive_r": p_r["ama"],
             "n": config.n,
             "seed": config.seed,
-        }
-        write_rows_csv(target("single.csv"), [row])
-    else:  # pragma: no cover - guarded by config validation
-        raise ModelAvgError(f"unhandled experiment {experiment!r}")
+        }]
+        stem, plot = "single", None
+
+    write_rows_csv(target(f"{stem}.csv"), rows)
+    if plot is not None:
+        prefix, title, y_label = plot
+        x_label = next(iter(rows[0]))
+        series = [
+            (label, [r[prefix + key] for r in rows], style)
+            for key, (label, style) in _LEGEND.items()
+            if prefix + key in rows[0]
+        ]
+        write_line_plot(
+            target(f"{stem}.svg"), title=title, x_label=x_label, y_label=y_label,
+            x=[r[x_label] for r in rows], series=series,
+        )
 
 
 def run(config: RunConfig) -> int:

@@ -81,7 +81,8 @@ def _parse_float_grid(text: str, key: str) -> tuple[float, ...]:
             lo, hi, count = float(lo_s), float(hi_s), int(count_s)
             if count < 1:
                 raise ValueError
-            return tuple(float(v) for v in np.linspace(lo, hi, count))
+            with np.errstate(invalid="ignore"):  # infinite bounds are refused by _finite
+                return tuple(float(v) for v in np.linspace(lo, hi, count))
         values = tuple(float(v) for v in text.split(",") if v.strip() != "")
     except ValueError:
         raise ConfigError(f"{key}: expected 'lo:hi:count' or a comma list, got {text!r}") from None
@@ -119,14 +120,27 @@ def _scalar(kind):
     return parse
 
 
+def _finite(parse):
+    """``parse``, refusing a nan or an infinity, which every bound check lets pass."""
+
+    def checked(text: str, key: str):
+        value = parse(text, key)
+        values = value if isinstance(value, tuple) else (value,)
+        if any(v is not None and not math.isfinite(v) for v in values):
+            raise ConfigError(f"{key}: values must be finite, got {text!r}")
+        return value
+
+    return checked
+
+
 # One parser per field annotation (annotations are strings under
 # ``from __future__ import annotations``).
 _PARSER_FOR_TYPE = {
     "int": _scalar(int),
-    "float": _scalar(float),
+    "float": _finite(_scalar(float)),
     "str": _scalar(str),
-    "float | None": _parse_optional_float,
-    "tuple[float, ...]": _parse_float_grid,
+    "float | None": _finite(_parse_optional_float),
+    "tuple[float, ...]": _finite(_parse_float_grid),
     "tuple[int, ...]": _parse_int_grid,
 }
 

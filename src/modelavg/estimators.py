@@ -9,15 +9,13 @@ the sample mean) is included for the resampling coverage experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .model import (
     Dataset,
-    DesignStats,
     compute_design_stats,
-    fit_unrestricted,
     response_stats,
     rss_gap,
     slope_sd,
@@ -117,31 +115,6 @@ def estimate_arrays(
     return estimates, p_r
 
 
-def estimate_all(
-    dataset: Dataset,
-    stats: DesignStats,
-    pretest_config: PretestConfig,
-    adaptive_config: AdaptiveConfig,
-    sigma: float,
-    prior_scale: float = 1.0,
-    prior_p_r: float = 0.5,
-) -> tuple[dict[str, float], dict[str, float]]:
-    """All six estimates of one dataset and the weights behind them, as floats.
-
-    The first dict holds the estimates keyed by ``ESTIMATOR_NAMES`` plus the
-    unrestricted slope under ``"beta_u"``; the second each averaging rule's
-    weight on the restricted model (``bma_exact``, ``bma_bic``, ``ama``).
-    """
-    p1, p2, yy = response_stats(dataset)
-    est, p_r = estimate_arrays(
-        dataset.n, stats.s11, stats.s22, stats.s12, p1, p2, ESTIMATOR_NAMES, sigma,
-        pretest_config, adaptive_config, prior_scale, prior_p_r, yy=yy,
-    )
-    estimates = {name: float(value) for name, value in est.items()}
-    estimates["beta_u"] = fit_unrestricted(dataset, stats).beta_u
-    return estimates, {name: float(value) for name, value in p_r.items()}
-
-
 def mean_model_estimate(sample: MeanModelSample, weight_rule: Callable[[float], float]) -> float:
     """Shrunken mean W(sqrt(n) * ybar) * ybar for a weight function W into [0, 1]."""
     ybar = float(np.mean(sample.y))
@@ -153,12 +126,11 @@ def mean_model_estimate(sample: MeanModelSample, weight_rule: Callable[[float], 
 class Pipeline:
     """The estimators ``names`` and the kernel settings they run with.
 
-    Calling it on a dataset refits everything from scratch (design stats,
-    fits, weights) and returns ``{name: estimate}``, or the one estimate as a
-    float when ``single``. The resampling engine reads the same settings
-    through :meth:`kernel` and evaluates every resample in one array call.
-    Construction raises on unknown names or missing configs; calling it on a
-    singular dataset raises CollinearDesign or ZeroColumn.
+    :meth:`fit` refits one dataset from scratch (design stats, fits, weights);
+    the Monte Carlo harness and the resampling engine evaluate whole arrays of
+    datasets through :meth:`kernel`. Construction raises on unknown names or
+    missing configs; fitting a singular dataset raises CollinearDesign or
+    ZeroColumn.
     """
 
     names: tuple[str, ...]
@@ -167,7 +139,6 @@ class Pipeline:
     adaptive: AdaptiveConfig | None = None
     prior_scale: float = 1.0
     prior_p_r: float = 0.5
-    single: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "names", tuple(self.names))
@@ -180,15 +151,20 @@ class Pipeline:
             self.adaptive, self.prior_scale, self.prior_p_r, yy=yy,
         )
 
-    def fit(self, dataset: Dataset) -> dict[str, float]:
+    def fit(self, dataset: Dataset) -> tuple[dict[str, float], dict[str, float]]:
+        """The estimate of each name and each averaging rule's weight on R, as floats."""
         stats = compute_design_stats(dataset.design, self.sigma)
         p1, p2, yy = response_stats(dataset)
-        est, _ = self.kernel(dataset.n, stats.s11, stats.s22, stats.s12, p1, p2, yy)
-        return {name: float(est[name]) for name in self.names}
+        est, p_r = self.kernel(dataset.n, stats.s11, stats.s22, stats.s12, p1, p2, yy)
+        return (
+            {name: float(value) for name, value in est.items()},
+            {name: float(value) for name, value in p_r.items()},
+        )
 
-    def __call__(self, dataset: Dataset) -> float | dict[str, float]:
-        est = self.fit(dataset)
-        return est[self.names[0]] if self.single else est
+    def __call__(self, dataset: Dataset) -> float:
+        """A one-estimator pipeline's estimate; perfbench's api_resample check calls it."""
+        (name,) = self.names  # ValueError for a pipeline of several estimators
+        return self.fit(dataset)[0][name]
 
 
 def make_pipeline(
@@ -199,19 +175,5 @@ def make_pipeline(
     prior_scale: float = 1.0,
     prior_p_r: float = 0.5,
 ) -> Pipeline:
-    """The pipeline of one estimator: called on a dataset, it returns a float."""
-    return Pipeline(
-        (name,), sigma, pretest_config, adaptive_config, prior_scale, prior_p_r, single=True
-    )
-
-
-def make_multi_pipeline(
-    names: Iterable[str],
-    sigma: float,
-    pretest_config: PretestConfig | None = None,
-    adaptive_config: AdaptiveConfig | None = None,
-    prior_scale: float = 1.0,
-    prior_p_r: float = 0.5,
-) -> Pipeline:
-    """The pipeline of several estimators: called on a dataset, it returns a dict."""
-    return Pipeline(tuple(names), sigma, pretest_config, adaptive_config, prior_scale, prior_p_r)
+    """The pipeline of the one estimator ``name``, as the resampling calls take it."""
+    return Pipeline((name,), sigma, pretest_config, adaptive_config, prior_scale, prior_p_r)

@@ -297,7 +297,7 @@ def resampling_error_curve(
     if subsample:
         if m is None:
             raise ValueError("subsampling needs a subsample size m")
-        if not 2 <= m <= scenario.design.n:
+        if m > scenario.design.n:
             raise ValueError(f"m={m} must lie in [2, n={scenario.design.n}]")
     names = ("ms", "bma_bic", "ama")
     pipeline = scenario.pipeline(names)

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import TooManySingularResamples
-from .estimators import Pipeline
+from .estimators import MeanModelSample, Pipeline, mean_model_estimate
 from .model import COLLINEARITY_RTOL, Dataset, compute_design_stats
 
 # Redraw budget for singular resampled designs, as a multiple of the number of
@@ -87,8 +87,8 @@ class ResamplePlan:
     def __post_init__(self):
         if self.b < 1:
             raise ValueError("b must be >= 1")
-        if self.m is not None and self.m < 1:
-            raise ValueError("m must be >= 1")
+        if self.m is not None and self.m < 2:
+            raise ValueError(f"m={self.m} must be >= 2: a one-row resample is always singular")
         if self.max_redraws is not None and self.max_redraws < 0:
             raise ValueError("max_redraws must be >= 0")
 
@@ -100,8 +100,8 @@ class ResamplePlan:
 def _resample_size(n: int, plan: ResamplePlan, subsample: bool) -> int:
     """Rows per resample: n for the bootstrap, ``plan.m`` (default n) for subsampling."""
     size = plan.m if subsample and plan.m is not None else n
-    if not 1 <= size <= n:
-        raise ValueError(f"subsample size m={size} must lie in [1, n={n}]")
+    if size > n:
+        raise ValueError(f"subsample size m={size} must lie in [2, n={n}]")
     return size
 
 
@@ -156,19 +156,16 @@ def resampled_estimates(
     its sufficient statistics (the design inner products, <x1,y>, <x2,y> and
     <y,y>), and one call of the pipeline's kernel evaluates all of them.
     Singular rows are redrawn in ascending row order until the plan's budget
-    is spent, then TooManySingularResamples is raised. A singular dataset or
-    m = 1, whose resamples are all singular, raises at once.
+    is spent, then TooManySingularResamples is raised. A singular dataset
+    raises at once.
     """
     if not isinstance(pipeline, Pipeline):
         raise TypeError(
-            "resampling needs a pipeline from make_pipeline or make_multi_pipeline, "
-            f"not {type(pipeline).__name__}"
+            f"resampling needs a Pipeline (see make_pipeline), not {type(pipeline).__name__}"
         )
     compute_design_stats(dataset.design, pipeline.sigma)
     x1_full, x2_full, y_full = dataset.design.x1, dataset.design.x2, dataset.y
     indices = ResampleIndices(rng, dataset.n, plan, subsample)
-    if indices.size < 2:
-        raise ValueError("a one-row resample is always singular; m must be >= 2")
 
     def gather(index):
         x1 = x1_full[index]
@@ -205,7 +202,7 @@ def centered_replicates(
     is the pipeline's fit of the full dataset, and size is the resample size.
     """
     scale = float(np.sqrt(_resample_size(dataset.n, plan, subsample)))
-    originals = pipeline.fit(dataset)
+    originals, _ = pipeline.fit(dataset)
     return {name: scale * (estimates[name] - originals[name]) for name in pipeline.names}
 
 
@@ -255,15 +252,13 @@ def mean_model_bootstrap(
     rule that resampling should reflect the no-effect model rather than the
     observed mean.
     """
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1 or y.size < 1:
-        raise ValueError("y must be a non-empty vector")
+    sample = MeanModelSample(y)
     if b < 1:
         raise ValueError("b must be >= 1")
-    n = y.size
+    y, n = sample.y, sample.n
     root_n = float(np.sqrt(n))
     ybar = float(np.mean(y))
-    mu_hat = float(weight_rule(root_n * ybar)) * ybar
+    mu_hat = mean_model_estimate(sample, weight_rule)
     idx = rng.integers(0, n, size=(b, n))
     ybar_star = y[idx].mean(axis=1)
     values = np.empty(b)

@@ -4,10 +4,8 @@ The benchmark cannot change together with the library, so a removed or renamed
 name would fail every unit of a workload. These tests make it fail here first.
 """
 
-import functools
 import json
 import os
-import shutil
 import subprocess
 import sys
 import textwrap
@@ -75,58 +73,18 @@ def test_benchmark_calls_run_as_spelled():
         assert np.isfinite(sample.quantile(0.5))
 
 
-def _benchmark_outputs(out):
-    # A tiny figure2 through the CLI, both methods, and the api_resample calls.
-    files = {}
-    for method in ("bootstrap", "subsample"):
-        argv = ["figure2", "--method", method, "--reps", "200", "--datasets-per-beta", "3",
-                "--b", "40", "--beta-grid=0,0.3", "--workers", "1", "--out", str(out / method)]
-        assert modelavg.cli.main(argv) == 0
-        files.update({f"{method}/{p.name}": p.read_bytes() for p in (out / method).iterdir()})
+def test_benchmark_check_calls_a_one_estimator_pipeline_on_a_dataset():
+    # The api_resample check (perfbench/child.py, api_check_data) reads each
+    # full-dataset estimate as float(pipe(ds)) for a pipe from make_pipeline.
     design = modelavg.load_reference_design()
     tuning = modelavg.default_tuning(design.n)
     params = modelavg.model.TrueParams(alpha=1.0, beta=0.2, sigma=1.0)
     ds = modelavg.model.generate_response(design, params, np.random.default_rng(0))
     for name in ("ms", "bma_exact", "bma_bic", "ama"):
         pipe = modelavg.estimators.make_pipeline(name, 1.0, modelavg.PretestConfig(), tuning)
-        plan = modelavg.resampling.ResamplePlan(b=30, m=20)
-        for engine in (modelavg.resampling.paired_bootstrap,
-                       modelavg.resampling.subsample_distribution):
-            sample = engine(ds, pipe, plan, np.random.default_rng(1))
-            files[f"{engine.__name__}/{name}"] = sample.values.tobytes()
-    return files
-
-
-def test_outputs_unchanged_when_the_pipeline_factory_returns_plain_functions(
-    tmp_path, monkeypatch
-):
-    # With tracing on, the benchmark replaces make_multi_pipeline in these
-    # modules by a factory whose procedures are plain functions wrapping the
-    # pipeline. make_pipeline and figure2 must not build their pipelines
-    # through it, so their outputs must not change.
-    out = tmp_path / "out"  # resolved_config.txt records the path
-    expected = _benchmark_outputs(out)
-    shutil.rmtree(out)
-
-    for owner in (modelavg.estimators, modelavg.experiments):
-        factory = getattr(owner, "make_multi_pipeline", None)
-        if factory is None:  # the benchmark skips a name that is not there
-            continue
-
-        def wrapped_factory(*args, _factory=factory, **kwargs):
-            procedure = _factory(*args, **kwargs)
-
-            @functools.wraps(procedure)
-            def wrapper(*a, **k):
-                return procedure(*a, **k)
-
-            return wrapper
-
-        monkeypatch.setattr(owner, "make_multi_pipeline", wrapped_factory)
-    assert not isinstance(
-        modelavg.estimators.make_multi_pipeline(("u",), 1.0), modelavg.estimators.Pipeline
-    )
-    assert _benchmark_outputs(out) == expected
+        assert float(pipe(ds)) == pipe.fit(ds)[0][name]
+    with pytest.raises(ValueError):
+        modelavg.Pipeline(("r", "u"), 1.0)(ds)
 
 
 # Runs in a fresh interpreter, because the tracer replaces module globals of

@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import fields
 
 import pytest
 
@@ -16,6 +18,9 @@ from modelavg.config import (
     read_config_file,
 )
 from modelavg.errors import ConfigError
+from modelavg.estimators import ESTIMATOR_NAMES
+from modelavg.experiments import draw_dataset, make_scenario
+from modelavg.model import compute_design_stats, fit_unrestricted
 from modelavg.resampling import STREAM_VERSION
 
 
@@ -127,6 +132,14 @@ def test_validation_rejects_bad_combinations():
     ):
         with pytest.raises(ConfigError):
             parse_config("figure1a", overrides=overrides, env={})
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", [f.name for f in fields(RunConfig) if "float" in f.type])
+def test_non_finite_float_settings_are_refused(key, value):
+    # Every bound check compares with < or <=, which a nan passes.
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        parse_config("figure1a", overrides={key: value}, env={})
 
 
 # A value for every setting, each different from its default.
@@ -250,6 +263,31 @@ def test_riskbound_decay_single_smoke(tmp_path):
     sg_lines = (tmp_path / "sg" / "single.csv").read_text().splitlines()
     assert sg_lines[0].startswith("alpha_r,alpha_u,beta_u,ms,bma_exact,bma_bic,ama")
     assert len(sg_lines) == 2
+
+
+def test_single_row_is_the_pipeline_fit_of_one_dataset(tmp_path):
+    assert _run_cli(["single", "--out", str(tmp_path), "--seed", "5050"]) == 0
+    header, line = (tmp_path / "single.csv").read_text().splitlines()
+    row = dict(zip(header.split(","), line.split(",")))
+    # The defaults of every setting, as the single experiment resolves them.
+    scenario = make_scenario(n=50, seed=5050, reps=5000, alpha=1.0, beta=0.5, sigma=1.0)
+    dataset = draw_dataset(scenario)
+    est, p_r = scenario.pipeline(ESTIMATOR_NAMES).fit(dataset)
+    stats = compute_design_stats(dataset.design, 1.0)
+    expected = {
+        "alpha_r": est["r"],
+        "alpha_u": est["u"],
+        "beta_u": fit_unrestricted(dataset, stats).beta_u,
+        "ms": est["ms"],
+        "bma_exact": est["bma_exact"],
+        "bma_bic": est["bma_bic"],
+        "ama": est["ama"],
+        "w_posterior_r": p_r["bma_exact"],
+        "w_bic_r": p_r["bma_bic"],
+        "w_adaptive_r": p_r["ama"],
+    }
+    assert {key: float(row[key]) for key in expected} == expected
+    assert (row["n"], row["seed"]) == ("50", "5050")
 
 
 def test_runs_are_byte_identical(tmp_path):
@@ -387,15 +425,44 @@ def test_env_seed_through_cli(tmp_path, monkeypatch):
     assert "seed = 999" in (out / "resolved_config.txt").read_text()
 
 
+# Dash patterns as the SVG writes them; "" is a solid line.
+_SOLID, _BROKEN, _DOTTED, _DOTDASH = "", "9,5", "2,4", "11,4,2,4"
+_ESTIMATOR_LEGEND = [
+    ("BMA (BIC weights)", _SOLID), ("MS (pretest)", _BROKEN), ("AMA (adaptive)", _DOTTED)
+]
+_FIGURE2_FLAGS = ["--reps", "30", "--b", "10", "--datasets-per-beta", "2", "--beta-grid=0,0.3"]
+
+# Per figure: its argv at toy scale, its SVG, and its legend (label, dash pattern) in order.
+_FIGURES = [
+    (["figure1a", "--reps", "30", "--beta-grid=-1:1:4"], "mse_curve.svg",
+     _ESTIMATOR_LEGEND + [("U only", _DOTDASH)]),
+    (["figure1b", "--reps", "30", "--beta-grid=-1:1:3"], "ks_ratio.svg", _ESTIMATOR_LEGEND),
+    (["figure2", "--method", "bootstrap", *_FIGURE2_FLAGS], "resamp_error_bootstrap.svg",
+     _ESTIMATOR_LEGEND),
+    (["figure2", "--method", "subsample", *_FIGURE2_FLAGS], "resamp_error_subsample.svg",
+     _ESTIMATOR_LEGEND),
+    (["riskbound", "--reps", "30", "--n-grid", "25,50"], "risk_bound.svg",
+     [("n * risk", _SOLID)]),
+    (["decay", "--reps", "30", "--n-grid", "25,50"], "weight_decay.svg",
+     [("mean weight on R", _SOLID), ("sqrt(n) x mean weight", _BROKEN)]),
+]
+
+_DASH = r'(?: stroke-dasharray="([^"]*)")?'
+_LEGEND_ENTRY = re.compile(
+    r'<line [^>]*stroke-width="1.6"' + _DASH + r'/>\n<text [^>]*>([^<]*)</text>'
+)
+_POLYLINE = re.compile(r'<polyline [^>]*stroke-width="1.6"' + _DASH + r" points=")
+
+
 def test_svg_is_self_contained(tmp_path):
-    out = tmp_path / "svg"
-    assert _run_cli(["figure1a", "--reps", "30", "--beta-grid=-1:1:4", "--out", str(out)]) == 0
-    svg = (out / "mse_curve.svg").read_text()
-    assert svg.count("<polyline") == 4
-    assert "http" not in svg.replace("http://www.w3.org/2000/svg", "")
-    for label in ("BMA (BIC weights)", "MS (pretest)", "AMA (adaptive)", "U only"):
-        assert label in svg
-    assert svg.count("stroke-dasharray") >= 3  # broken, dotted, dot-dash + legend swatches
+    for i, (argv, name, legend) in enumerate(_FIGURES):
+        out = tmp_path / str(i)
+        assert _run_cli(argv + ["--workers", "1", "--out", str(out)]) == 0
+        svg = (out / name).read_text()
+        assert "http" not in svg.replace("http://www.w3.org/2000/svg", ""), name
+        assert [(label, dash) for dash, label in _LEGEND_ENTRY.findall(svg)] == legend, name
+        # One line per series, drawn in the legend's order and style.
+        assert _POLYLINE.findall(svg) == [dash for _, dash in legend], name
 
 
 def test_csv_floats_roundtrip(tmp_path):
@@ -468,6 +535,8 @@ def test_bad_flag_value_exits_2_with_config_message(tmp_path, capsys):
     assert "reps: expected int, got 'abc'" in capsys.readouterr().err
     assert _run_cli(["figure1a", "--beta-grid=a,b", "--out", str(tmp_path / "x")]) == 2
     assert "beta_grid: expected 'lo:hi:count'" in capsys.readouterr().err
+    assert _run_cli(["figure1a", "--sigma", "nan", "--out", str(tmp_path / "x")]) == 2
+    assert "sigma: values must be finite, got 'nan'" in capsys.readouterr().err
 
 
 def test_flag_spellings_parse_to_the_same_config(monkeypatch):

@@ -9,15 +9,20 @@ from modelavg.errors import CollinearDesign
 from modelavg.estimators import (
     ESTIMATOR_NAMES,
     MeanModelSample,
+    Pipeline,
     _convex,
-    estimate_all,
     estimate_arrays,
-    make_multi_pipeline,
     make_pipeline,
     mean_model_estimate,
 )
 from modelavg.experiments import draw_dataset, make_scenario
-from modelavg.model import Dataset, DesignMatrix, compute_design_stats
+from modelavg.model import (
+    Dataset,
+    DesignMatrix,
+    compute_design_stats,
+    fit_unrestricted,
+    response_stats,
+)
 from modelavg.weights import AdaptiveConfig, PretestConfig, default_tuning
 
 from conftest import ols_normal_equation_oracle, random_dataset
@@ -29,7 +34,14 @@ def _hand_dataset():
 
 
 def _ms(ds, pretest):
-    return make_pipeline("ms", 1.0, pretest)(ds)
+    return make_pipeline("ms", 1.0, pretest).fit(ds)[0]["ms"]
+
+
+def _fit_all(ds, pretest, adaptive, sigma):
+    """All six estimates and the weights behind them, plus beta_u from the direct fit."""
+    est, p_r = Pipeline(ESTIMATOR_NAMES, sigma, pretest, adaptive).fit(ds)
+    est["beta_u"] = fit_unrestricted(ds, compute_design_stats(ds.design, sigma)).beta_u
+    return est, p_r
 
 
 def test_post_model_selection_huge_threshold_keeps_r():
@@ -61,7 +73,7 @@ def test_collinear_design_propagates_through_pipeline():
         compute_design_stats(bad.design, 1.0)
     proc = make_pipeline("ms", 1.0, pretest_config=PretestConfig())
     with pytest.raises(CollinearDesign):
-        proc(bad)
+        proc.fit(bad)
 
 
 def test_model_average_endpoints_and_midpoint():
@@ -86,8 +98,7 @@ def test_estimate_all_noiseless_null_all_equal():
     # six estimates equal alpha bit-for-bit.
     design = DesignMatrix(np.ones(6), np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0]))
     ds = Dataset(design, 2.0 * design.x1)
-    stats = compute_design_stats(design, 0.0)
-    est, _ = estimate_all(ds, stats, PretestConfig(), default_tuning(6), sigma=0.0)
+    est, _ = _fit_all(ds, PretestConfig(), default_tuning(6), sigma=0.0)
     for name in ESTIMATOR_NAMES:
         assert est[name] == 2.0
     assert est["beta_u"] == 0.0
@@ -95,19 +106,17 @@ def test_estimate_all_noiseless_null_all_equal():
 
 def test_estimate_all_orthogonal_design_collapses_to_u(rng):
     design = DesignMatrix(np.array([1.0, 1.0, 1.0, 1.0]), np.array([-3.0, -1.0, 1.0, 3.0]))
-    stats = compute_design_stats(design, 1.0)
     for _ in range(10):
         ds = Dataset(design, rng.normal(size=4))
-        est, _ = estimate_all(ds, stats, PretestConfig(), default_tuning(4), sigma=1.0)
+        est, _ = _fit_all(ds, PretestConfig(), default_tuning(4), sigma=1.0)
         for name in ("r", "ms", "bma_exact", "bma_bic", "ama"):
             assert est[name] == pytest.approx(est["u"], rel=1e-13, abs=1e-13)
 
 
 def test_estimate_all_zero_slope_estimate_all_equal():
     design = DesignMatrix(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    stats = compute_design_stats(design, 1.0)
     ds = Dataset(design, np.array([0.37, 0.0]))  # beta_u = y2 = 0 exactly
-    est, p_r = estimate_all(ds, stats, PretestConfig(), AdaptiveConfig(16.0, 0.25), sigma=1.0)
+    est, p_r = _fit_all(ds, PretestConfig(), AdaptiveConfig(16.0, 0.25), sigma=1.0)
     assert est["beta_u"] == 0.0
     assert {est[name] for name in ESTIMATOR_NAMES} == {0.37}
     assert p_r["ama"] == 0.5
@@ -118,8 +127,7 @@ def test_estimate_all_hull_and_ms_membership(rng):
     adaptive = default_tuning(20)
     for _ in range(200):
         ds = random_dataset(rng)
-        stats = compute_design_stats(ds.design, 1.0)
-        est, _ = estimate_all(ds, stats, pretest, adaptive, sigma=1.0)
+        est, _ = _fit_all(ds, pretest, adaptive, sigma=1.0)
         lo = min(est["r"], est["u"])
         hi = max(est["r"], est["u"])
         for name in ("bma_exact", "bma_bic", "ama"):
@@ -136,10 +144,9 @@ def test_location_equivariance_ms_ama(rng):
     for _ in range(50):
         ds = random_dataset(rng)
         delta = float(rng.normal(0.0, 3.0))
-        stats = compute_design_stats(ds.design, 1.0)
         shifted = Dataset(ds.design, ds.y + delta * ds.design.x1)
-        e0, w0 = estimate_all(ds, stats, pretest, adaptive, sigma=1.0)
-        e1, w1 = estimate_all(shifted, stats, pretest, adaptive, sigma=1.0)
+        e0, w0 = _fit_all(ds, pretest, adaptive, sigma=1.0)
+        e1, w1 = _fit_all(shifted, pretest, adaptive, sigma=1.0)
         scale = 1.0 + abs(e0["ms"]) + abs(delta)
         assert abs(e1["ms"] - (e0["ms"] + delta)) < 1e-10 * scale
         assert abs(e1["ama"] - (e0["ama"] + delta)) < 1e-10 * scale
@@ -154,8 +161,7 @@ def test_golden_bundle_reference_design():
     # Frozen after the oracle suites passed; guards against regressions.
     scenario = make_scenario(n=50, seed=5050, reps=1, alpha=1.0, beta=0.5, sigma=1.0)
     ds = draw_dataset(scenario)
-    stats = compute_design_stats(ds.design, 1.0)
-    est, p_r = estimate_all(ds, stats, scenario.pretest, scenario.adaptive, 1.0)
+    est, p_r = _fit_all(ds, scenario.pretest, scenario.adaptive, 1.0)
     expected = {
         "r": 1.8507221732113366,
         "u": 0.9549287168969826,
@@ -196,10 +202,8 @@ def test_every_estimate_invariant_under_x2_sign_flip(seed, sigma):
     ds = random_dataset(rng, allow_badly_scaled=True)
     flipped = _scaled_x2(ds, -1.0)
     pretest, adaptive = PretestConfig(), default_tuning(ds.n)
-    e0, _ = estimate_all(ds, compute_design_stats(ds.design, sigma), pretest, adaptive, sigma)
-    e1, _ = estimate_all(
-        flipped, compute_design_stats(flipped.design, sigma), pretest, adaptive, sigma
-    )
+    e0, _ = _fit_all(ds, pretest, adaptive, sigma)
+    e1, _ = _fit_all(flipped, pretest, adaptive, sigma)
     for name in ESTIMATOR_NAMES:
         assert e1[name] == e0[name], name
     assert e1["beta_u"] == -e0["beta_u"]
@@ -270,16 +274,18 @@ def test_pipeline_matches_direct_computation(rng):
         name: make_pipeline(name, 1.0, pretest, adaptive)
         for name in ("r", "u", "ms", "bma_exact", "bma_bic", "ama")
     }
-    multi = make_multi_pipeline(
-        ("r", "u", "ms", "bma_exact", "bma_bic", "ama"), 1.0, pretest, adaptive
-    )
+    multi = Pipeline(("r", "u", "ms", "bma_exact", "bma_bic", "ama"), 1.0, pretest, adaptive)
     for _ in range(25):
         ds = random_dataset(rng)
         stats = compute_design_stats(ds.design, 1.0)
-        est, _ = estimate_all(ds, stats, pretest, adaptive, sigma=1.0)
-        got = multi(ds)
+        p1, p2, yy = response_stats(ds)
+        est, _ = estimate_arrays(
+            ds.n, stats.s11, stats.s22, stats.s12, p1, p2, ESTIMATOR_NAMES, 1.0,
+            pretest, adaptive, yy=yy,
+        )
+        got, _ = multi.fit(ds)
         for name in procs:
-            assert procs[name](ds) == got[name]
+            assert procs[name].fit(ds)[0][name] == got[name]
             assert got[name] == est[name]
 
 
@@ -287,7 +293,7 @@ def test_pipeline_validation():
     with pytest.raises(ValueError):
         make_pipeline("nope", 1.0)
     with pytest.raises(ValueError):
-        make_multi_pipeline(("ms",), 1.0, pretest_config=None)
+        Pipeline(("ms",), 1.0, pretest=None)
     with pytest.raises(ValueError):
-        make_multi_pipeline(("ama",), 1.0, adaptive_config=None)
+        Pipeline(("ama",), 1.0, adaptive=None)
 

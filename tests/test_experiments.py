@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import modelavg.experiments
 from modelavg.errors import CollinearDesign, ZeroColumn
-from modelavg.estimators import estimate_all, make_multi_pipeline
+from modelavg.estimators import Pipeline
 from modelavg.experiments import (
     Scenario,
     _ks_arrays,
@@ -157,9 +157,7 @@ def test_batch_matches_scalar_pipeline(rng):
         )
         from modelavg.model import Dataset
 
-        est, _ = estimate_all(
-            Dataset(scenario.design, y), stats, scenario.pretest, scenario.adaptive, 1.0
-        )
+        est, _ = scenario.pipeline(names).fit(Dataset(scenario.design, y))
         for name in names:
             assert batch[name][row] == pytest.approx(est[name], rel=1e-11), name
 
@@ -305,16 +303,16 @@ def _generic_engine(ds, pipeline, plan, seed, subsample):
     """Per-row reference for the resampling engine, one refit per replicate.
 
     Takes the ResampleIndices block of ``seed``, redraws singular rows in
-    ascending order, refits each row through ``pipeline(ds.rows(row))`` and
+    ascending order, refits each row through ``pipeline.fit(ds.rows(row))`` and
     returns sqrt(size) * (theta_star - theta_hat) per name.
     """
     indices = ResampleIndices(np.random.default_rng(seed), ds.n, plan, subsample)
-    originals = pipeline(ds)
+    originals, _ = pipeline.fit(ds)
     out = {name: [] for name in pipeline.names}
     for row in indices.block:
         while True:
             try:
-                star = pipeline(ds.rows(row))
+                star, _ = pipeline.fit(ds.rows(row))
                 break
             except (CollinearDesign, ZeroColumn):
                 row = indices.redraw()
@@ -330,9 +328,7 @@ def _engine(ds, pipeline, plan, seed, subsample):
 
 def _assert_engines_agree(ds, scenario, sigma, prior_scale=1.0, prior_p_r=0.5):
     names = ("r", "u", "ms", "bma_bic", "ama", "bma_exact")
-    pipeline = make_multi_pipeline(
-        names, sigma, scenario.pretest, scenario.adaptive, prior_scale, prior_p_r
-    )
+    pipeline = Pipeline(names, sigma, scenario.pretest, scenario.adaptive, prior_scale, prior_p_r)
     for subsample, m in ((False, None), (True, 5), (True, 12)):
         plan = ResamplePlan(b=40, m=m)
         loop = _generic_engine(ds, pipeline, plan, 17, subsample)
@@ -370,7 +366,7 @@ def test_fast_resampling_engine_matches_generic_engine():
     # Redraw parity on a tiny design where duplicated rows are collinear.
     tiny = _tiny_scenario()
     ds3 = draw_dataset(tiny)
-    pipeline3 = make_multi_pipeline(("u",), 1.0, tiny.pretest, tiny.adaptive)
+    pipeline3 = Pipeline(("u",), 1.0, tiny.pretest, tiny.adaptive)
     plan3 = ResamplePlan(b=60)
     np.testing.assert_allclose(
         _engine(ds3, pipeline3, plan3, 4, False)["u"],
@@ -386,7 +382,7 @@ def test_full_size_subsample_reproduces_dataset_in_both_engines():
     for n, sigma in ((12, 1.0), (50, 1.0), (9, 0.0)):
         scenario = _uniform_scenario(n=n, reps=10, seed=91, sigma=sigma)
         ds = draw_dataset(scenario)
-        pipeline = make_multi_pipeline(names, sigma, scenario.pretest, scenario.adaptive)
+        pipeline = Pipeline(names, sigma, scenario.pretest, scenario.adaptive)
         plan = ResamplePlan(b=30, m=n)
         loop = _generic_engine(ds, pipeline, plan, 1, True)
         fast = _engine(ds, pipeline, plan, 1, True)
@@ -401,7 +397,7 @@ def test_singular_redraw_leaves_other_rows_on_their_block_row():
     # its own block row.
     tiny = _tiny_scenario()
     ds = draw_dataset(tiny)
-    pipeline = make_multi_pipeline(("u",), 1.0, tiny.pretest, tiny.adaptive)
+    pipeline = Pipeline(("u",), 1.0, tiny.pretest, tiny.adaptive)
     plan = ResamplePlan(b=60)
     block = ResampleIndices(np.random.default_rng(4), 3, plan, False).block
     singular = np.array([len(set(row)) == 1 for row in block])
@@ -413,13 +409,13 @@ def test_singular_redraw_leaves_other_rows_on_their_block_row():
         while len(set(row)) == 1:
             row = redraw_rng.integers(0, 3, size=(1, 3))[0]
         expected_rows.append(row)
-    expected = np.array([pipeline(ds.rows(row))["u"] for row in expected_rows])
+    expected = np.array([pipeline.fit(ds.rows(row))[0]["u"] for row in expected_rows])
     assert not np.array_equal(np.array(expected_rows)[singular], block[singular])
 
     scale = np.sqrt(3.0)
     loop = _generic_engine(ds, pipeline, plan, 4, False)
     fast = resampled_estimates(ds, pipeline, plan, np.random.default_rng(4), False)
-    original = pipeline(ds)["u"]
+    original = pipeline.fit(ds)[0]["u"]
     assert np.array_equal(loop["u"], scale * (expected - original))
     np.testing.assert_allclose(fast["u"], expected, rtol=1e-12, atol=1e-12)
 

@@ -5,7 +5,7 @@ import pytest
 from scipy import stats as spstats
 
 from modelavg.errors import CollinearDesign, TooManySingularResamples
-from modelavg.estimators import make_multi_pipeline, make_pipeline
+from modelavg.estimators import Pipeline, make_pipeline
 from modelavg.model import Dataset, DesignMatrix
 from modelavg.resampling import (
     EmpiricalSample,
@@ -45,6 +45,8 @@ def test_plan_validation():
         ResamplePlan(b=0)
     with pytest.raises(ValueError):
         ResamplePlan(b=5, m=0)
+    with pytest.raises(ValueError, match="m=1"):
+        ResamplePlan(b=5, m=1)
     assert ResamplePlan(b=5).redraw_budget == 500
     assert ResamplePlan(b=5, max_redraws=3).redraw_budget == 3
 
@@ -118,7 +120,7 @@ def test_subsample_full_size_is_degenerate():
     assert np.all(sample.values == 0.0)
 
 
-@pytest.mark.parametrize("n,m", [(9, 1), (9, 4), (12, 12), (50, 20)])
+@pytest.mark.parametrize("n,m", [(9, 2), (9, 4), (12, 12), (50, 20)])
 def test_subsample_rows_are_sorted_sets_of_distinct_indices(n, m):
     block = ResampleIndices(np.random.default_rng(n + m), n, ResamplePlan(b=300, m=m), True).block
     assert block.shape == (300, m)
@@ -189,7 +191,7 @@ def test_callable_that_is_not_a_pipeline_is_refused():
         with pytest.raises(TypeError, match="make_pipeline"):
             engine(ds, lambda d: float(d.y[0]), plan, np.random.default_rng(0))
     with pytest.raises(ValueError, match="one estimator"):
-        paired_bootstrap(ds, make_multi_pipeline(("r", "u"), 1.0), plan, np.random.default_rng(0))
+        paired_bootstrap(ds, Pipeline(("r", "u"), 1.0), plan, np.random.default_rng(0))
 
 
 def test_original_collinearity_propagates():

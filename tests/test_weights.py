@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modelavg.estimators import estimate_arrays, make_multi_pipeline
+from modelavg.estimators import Pipeline, estimate_arrays
 from modelavg.model import (
     Dataset,
     DesignMatrix,
@@ -73,7 +73,7 @@ def test_pretest_matches_penalized_rss_comparison(rng):
         n = ds.n
         stats = compute_design_stats(ds.design, 1.0)
         cfg = PretestConfig(c=math.sqrt(math.log(n)))
-        est = make_multi_pipeline(("r", "u", "ms"), 1.0, cfg)(ds)
+        est, _ = Pipeline(("r", "u", "ms"), 1.0, cfg).fit(ds)
         assert est["r"] != est["u"]
         keeps_u = est["ms"] == est["u"]
         fit = fit_unrestricted(ds, stats)
