@@ -26,10 +26,8 @@ from .experiments import (
     Scenario,
     draw_dataset,
     ks_ratio_curve,
-    ks_two_sample,
     make_scenario,
     mc_estimator_draws,
-    mc_sampling_distribution,
     mse_curve,
     resampling_error_curve,
     risk_bound_sweep,
@@ -43,10 +41,7 @@ from .model import (
     DesignMatrix,
     DesignStats,
     TrueParams,
-    UnrestrictedFit,
     compute_design_stats,
-    fit_restricted,
-    fit_unrestricted,
     generate_response,
     load_reference_design,
     make_uniform_design,
@@ -66,7 +61,6 @@ from .weights import (
     PretestConfig,
     adaptive_weights,
     default_tuning,
-    exact_posterior_weights,
 )
 
 __version__ = "0.1.0"

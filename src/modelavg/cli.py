@@ -13,7 +13,13 @@ from . import experiments
 from .config import EXPERIMENTS, SETTINGS, RunConfig, echo_config, parse_config
 from .errors import ModelAvgError
 from .estimators import ESTIMATOR_NAMES
-from .model import TrueParams, compute_design_stats, fit_unrestricted, write_design_csv
+from .model import (
+    TrueParams,
+    compute_design_stats,
+    response_stats,
+    solve_normal_equations,
+    write_design_csv,
+)
 from .svgplot import write_line_plot
 
 
@@ -114,11 +120,14 @@ def _execute(config: RunConfig, target: Callable[[str], Path]) -> None:
     else:  # single
         dataset = experiments.draw_dataset(scenario)
         est, p_r = scenario.pipeline(ESTIMATOR_NAMES).fit(dataset)
-        stats = compute_design_stats(dataset.design, config.sigma)
+        stats = compute_design_stats(dataset.design)
+        p1, p2, _ = response_stats(dataset)
         rows = [{
             "alpha_r": est["r"],
             "alpha_u": est["u"],
-            "beta_u": fit_unrestricted(dataset, stats).beta_u,
+            "beta_u": solve_normal_equations(
+                stats.s11, stats.s22, stats.s12, stats.det, p1, p2
+            )[1],
             "ms": est["ms"],
             "bma_exact": est["bma_exact"],
             "bma_bic": est["bma_bic"],

@@ -128,9 +128,9 @@ class Pipeline:
 
     :meth:`fit` refits one dataset from scratch (design stats, fits, weights);
     the Monte Carlo harness and the resampling engine evaluate whole arrays of
-    datasets through :meth:`kernel`. Construction raises on unknown names or
-    missing configs; fitting a singular dataset raises CollinearDesign or
-    ZeroColumn.
+    datasets through :meth:`kernel`. Construction raises on unknown names,
+    missing configs or a sigma that is not >= 0 (nan included); fitting a
+    singular dataset raises CollinearDesign or ZeroColumn.
     """
 
     names: tuple[str, ...]
@@ -143,6 +143,8 @@ class Pipeline:
     def __post_init__(self):
         object.__setattr__(self, "names", tuple(self.names))
         _check_names(self.names, self.pretest, self.adaptive)
+        if not self.sigma >= 0.0:
+            raise ValueError("sigma must be >= 0")
 
     def kernel(self, n: int, s11, s22, s12, p1, p2, yy=None):
         """:func:`estimate_arrays` for ``names`` with this pipeline's settings."""
@@ -153,7 +155,7 @@ class Pipeline:
 
     def fit(self, dataset: Dataset) -> tuple[dict[str, float], dict[str, float]]:
         """The estimate of each name and each averaging rule's weight on R, as floats."""
-        stats = compute_design_stats(dataset.design, self.sigma)
+        stats = compute_design_stats(dataset.design)
         p1, p2, yy = response_stats(dataset)
         est, p_r = self.kernel(dataset.n, stats.s11, stats.s22, stats.s12, p1, p2, yy)
         return (

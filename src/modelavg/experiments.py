@@ -28,12 +28,7 @@ from .model import (
     make_uniform_design,
     responses_in_place,
 )
-from .resampling import (
-    EmpiricalSample,
-    ResamplePlan,
-    centered_replicates,
-    resampled_estimates,
-)
+from .resampling import ResamplePlan, centered_replicates, resampled_estimates
 from .weights import AdaptiveConfig, PretestConfig, default_tuning
 
 # Substream roles.
@@ -99,7 +94,7 @@ def mc_estimator_draws(
     scenario: Scenario, names: Sequence[str], grid_index: int = 0
 ) -> dict[str, np.ndarray]:
     """reps estimates per name from fresh responses on the frozen design."""
-    stats = compute_design_stats(scenario.design, scenario.params.sigma)
+    stats = compute_design_stats(scenario.design)
     z = stream(scenario.seed, _TAG_TRUTH, grid_index).standard_normal(
         (scenario.reps, scenario.design.n)
     )
@@ -113,11 +108,6 @@ def _centered_draws(
     draws = mc_estimator_draws(scenario, names, grid_index=grid_index)
     root_n = np.sqrt(scenario.design.n)
     return {k: root_n * (v - scenario.params.alpha) for k, v in draws.items()}
-
-
-def mc_sampling_distribution(scenario: Scenario, estimator_name: str) -> EmpiricalSample:
-    """Monte Carlo sample of sqrt(n) * (estimate - alpha) for one estimator."""
-    return EmpiricalSample(_centered_draws(scenario, (estimator_name,), 0)[estimator_name])
 
 
 def draw_dataset(scenario: Scenario, grid_index: int = 0, dataset_index: int = 0) -> Dataset:
@@ -144,11 +134,6 @@ def _ks_arrays(x: np.ndarray, y: np.ndarray) -> float:
         f_large = np.searchsorted(big, s, side=side) / big.size
         sup = max(sup, float(np.max(np.abs(f_small - f_large))))
     return sup
-
-
-def ks_two_sample(a: EmpiricalSample, b: EmpiricalSample) -> float:
-    """Exact sup-distance between two empirical CDFs (see :func:`_ks_arrays`)."""
-    return _ks_arrays(a.values, b.values)
 
 
 def _ks_ratio(ks_r: float, ks_u: float) -> float:
@@ -360,7 +345,7 @@ def risk_bound_sweep(
     )
 
     def row(n: int, design: DesignMatrix, z: np.ndarray) -> dict:
-        stats = compute_design_stats(design, params.sigma)
+        stats = compute_design_stats(design)
         draws = batch_estimates(design, stats, params, z, pipeline)["bma_exact"]
         sq = (draws - params.alpha) ** 2
         mc_se = float(n * np.std(sq, ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
@@ -383,7 +368,7 @@ def weight_decay_sweep(
     """
 
     def row(n: int, design: DesignMatrix, z: np.ndarray) -> dict:
-        stats = compute_design_stats(design, params.sigma)
+        stats = compute_design_stats(design)
         y = responses_in_place(design, params, z)
         pipeline = Pipeline(("ama",), params.sigma, adaptive=default_tuning(n))
         p_r = pipeline.kernel(

@@ -2,8 +2,8 @@
 
 The data model is y_t = alpha * x_t1 + beta * x_t2 + e_t with e_t iid N(0, sigma^2)
 and a fixed (non-random) design. Everything downstream (weights, estimators,
-resampling) is built on the five cached design inner products held in
-``DesignStats`` and the two closed-form least-squares fits below.
+resampling) is built on the cached design inner products held in
+``DesignStats`` and the closed-form normal-equation solve below.
 """
 
 from __future__ import annotations
@@ -66,10 +66,6 @@ class DesignMatrix:
     def n(self) -> int:
         return self.x1.size
 
-    def rows(self, idx: np.ndarray) -> "DesignMatrix":
-        """Design made of rows ``idx`` (used by resampling; may repeat rows)."""
-        return DesignMatrix(self.x1[idx], self.x2[idx])
-
 
 @dataclass(frozen=True)
 class TrueParams:
@@ -88,16 +84,13 @@ class TrueParams:
 class DesignStats:
     """Cached design inner products.
 
-    s11 = <x1, x1>, s22 = <x2, x2>, s12 = <x1, x2>,
-    det = s11 * s22 - s12**2, and sigma_beta = sigma * sqrt(s11 / det),
-    the exact standard deviation of the unrestricted slope estimate.
+    s11 = <x1, x1>, s22 = <x2, x2>, s12 = <x1, x2> and det = s11 * s22 - s12**2.
     """
 
     s11: float
     s22: float
     s12: float
     det: float
-    sigma_beta: float
 
     def __post_init__(self):
         if not self.s11 > 0.0:
@@ -123,38 +116,32 @@ class Dataset:
     def n(self) -> int:
         return self.design.n
 
-    def rows(self, idx: np.ndarray) -> "Dataset":
-        """Dataset made of (x, y) rows ``idx`` (paired resampling)."""
-        return Dataset(self.design.rows(idx), self.y[idx])
+
+def singular_design(s11, s22, s12):
+    """True where the Gram matrix [[s11, s12], [s12, s22]] is singular, elementwise.
+
+    That is, where ||x1||^2 vanishes or the determinant is zero up to
+    COLLINEARITY_RTOL * s11 * s22. The one rule for fixed and resampled designs.
+    """
+    return (s11 <= 0.0) | (s11 * s22 - s12 * s12 <= COLLINEARITY_RTOL * s11 * s22)
 
 
-@dataclass(frozen=True)
-class UnrestrictedFit:
-    """Least-squares estimates under the full two-regressor model."""
-
-    alpha_u: float
-    beta_u: float
-
-
-def compute_design_stats(design: DesignMatrix, sigma: float) -> DesignStats:
-    """Exact inner products and the sd of the unrestricted slope estimate.
+def compute_design_stats(design: DesignMatrix) -> DesignStats:
+    """Exact design inner products.
 
     Raises ZeroColumn when ||x1||^2 vanishes and CollinearDesign when the Gram
-    determinant is zero up to the scale-relative tolerance.
+    determinant is zero up to the scale-relative tolerance (see
+    :func:`singular_design`).
     """
-    if not sigma >= 0.0:
-        raise ValueError("sigma must be >= 0")
     s11 = _inner(design.x1, design.x1)
     s22 = _inner(design.x2, design.x2)
     s12 = _inner(design.x1, design.x2)
     if s11 <= 0.0:
         raise ZeroColumn("||x1||^2 is zero")
     det = s11 * s22 - s12 * s12
-    if det <= COLLINEARITY_RTOL * s11 * s22:
+    if singular_design(s11, s22, s12):
         raise CollinearDesign(f"design determinant {det!r} is zero up to tolerance")
-    return DesignStats(
-        s11=s11, s22=s22, s12=s12, det=det, sigma_beta=float(slope_sd(sigma, s11, det))
-    )
+    return DesignStats(s11=s11, s22=s22, s12=s12, det=det)
 
 
 def slope_sd(sigma, s11, det):
@@ -210,23 +197,6 @@ def generate_response(
     return Dataset(design, responses_in_place(design, params, rng.standard_normal(design.n)))
 
 
-def fit_unrestricted(dataset: Dataset, stats: DesignStats) -> UnrestrictedFit:
-    """Closed-form 2x2 normal-equation solve for (alpha_u, beta_u)."""
-    if not stats.det > 0.0:
-        raise CollinearDesign("unrestricted fit needs det > 0")
-    p1 = _inner(dataset.design.x1, dataset.y)
-    p2 = _inner(dataset.design.x2, dataset.y)
-    alpha_u, beta_u = solve_normal_equations(stats.s11, stats.s22, stats.s12, stats.det, p1, p2)
-    return UnrestrictedFit(alpha_u=alpha_u, beta_u=beta_u)
-
-
-def fit_restricted(dataset: Dataset, stats: DesignStats) -> float:
-    """Least-squares slope on x1 alone: <x1, y> / ||x1||^2."""
-    if not stats.s11 > 0.0:
-        raise ZeroColumn("restricted fit needs ||x1||^2 > 0")
-    return _inner(dataset.design.x1, dataset.y) / stats.s11
-
-
 def make_uniform_design(n: int, rng: np.random.Generator) -> DesignMatrix:
     """Intercept column plus n Uniform(0, 3) draws, frozen thereafter.
 
@@ -240,7 +210,7 @@ def make_uniform_design(n: int, rng: np.random.Generator) -> DesignMatrix:
         x2 = rng.uniform(0.0, 3.0, size=n)
         design = DesignMatrix(x1, x2)
         try:
-            compute_design_stats(design, 1.0)
+            compute_design_stats(design)
         except CollinearDesign:
             continue
         return design

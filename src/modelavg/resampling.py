@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import TooManySingularResamples
 from .estimators import MeanModelSample, Pipeline, mean_model_estimate
-from .model import COLLINEARITY_RTOL, Dataset, compute_design_stats
+from .model import Dataset, compute_design_stats, singular_design
 
 # Redraw budget for singular resampled designs, as a multiple of the number of
 # requested resamples.
@@ -57,11 +57,6 @@ class EmpiricalSample:
             s.setflags(write=False)
             self._sorted = s
         return self._sorted
-
-    def ecdf(self, t):
-        """Right-continuous empirical CDF with steps of size 1/len."""
-        idx = np.searchsorted(self.sorted_values, np.asarray(t, dtype=float), side="right")
-        return idx / self.values.size
 
     def quantile(self, q: float) -> float:
         """Order-statistic quantile: smallest value with ECDF >= q."""
@@ -163,7 +158,7 @@ def resampled_estimates(
         raise TypeError(
             f"resampling needs a Pipeline (see make_pipeline), not {type(pipeline).__name__}"
         )
-    compute_design_stats(dataset.design, pipeline.sigma)
+    compute_design_stats(dataset.design)
     x1_full, x2_full, y_full = dataset.design.x1, dataset.design.x2, dataset.y
     indices = ResampleIndices(rng, dataset.n, plan, subsample)
 
@@ -177,13 +172,9 @@ def resampled_estimates(
             np.sum(x1 * y, axis=-1), np.sum(x2 * y, axis=-1), np.sum(y * y, axis=-1),
         ])
 
-    def singular(sums):
-        s11, s22, s12 = sums[0], sums[1], sums[2]
-        return (s11 <= 0.0) | (s11 * s22 - s12 * s12 <= COLLINEARITY_RTOL * s11 * s22)
-
     sums = gather(indices.block)
-    for i in np.nonzero(singular(sums))[0]:
-        while singular(sums[:, i]):
+    for i in np.nonzero(singular_design(*sums[:3]))[0]:
+        while singular_design(*sums[:3, i]):
             sums[:, i] = gather(indices.redraw())
     estimates, _ = pipeline.kernel(indices.size, *sums)
     return estimates

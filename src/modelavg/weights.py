@@ -13,13 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    Dataset,
-    compute_design_stats,
-    response_stats,
-    rss_gap,
-    solve_normal_equations,
-)
+from .model import rss_gap, solve_normal_equations
 
 
 @dataclass(frozen=True)
@@ -208,23 +202,3 @@ def exact_posterior_p_r(
     beta_u = solve_normal_equations(s11, s22, s12, det, p1, p2)[1]
     return np.where(rss_gap(beta_u, s11, det) <= 1e-9 * (1.0 + yy), 1.0, 0.0)
 
-
-def exact_posterior_weights(
-    dataset: Dataset,
-    sigma: float,
-    prior_scale: float = 1.0,
-    prior_p_r: float = 0.5,
-) -> ModelWeights:
-    """Exact posterior model probability of the restricted model.
-
-    Defined for any design, collinear or not, since only marginal Gaussian
-    densities of y are compared; the sigma = 0 limit (see
-    :func:`exact_posterior_p_r`) raises CollinearDesign on a collinear design.
-    """
-    x1, x2 = dataset.design.x1, dataset.design.x2
-    if sigma == 0.0:
-        compute_design_stats(dataset.design, 0.0)
-    s11, s22, s12 = (float(np.sum(a * b)) for a, b in ((x1, x1), (x2, x2), (x1, x2)))
-    p1, p2, yy = response_stats(dataset)
-    p_r = exact_posterior_p_r(p1, p2, s11, s22, s12, sigma, prior_scale, prior_p_r, yy)
-    return ModelWeights(float(p_r))

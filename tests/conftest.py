@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,27 @@ def ols_normal_equation_oracle(dataset):
     x = np.column_stack([dataset.design.x1, dataset.design.x2])
     coef = np.linalg.solve(x.T @ x, x.T @ dataset.y)
     return float(coef[0]), float(coef[1])
+
+
+def dense_posterior_oracle(dataset, sigma, prior_scale=1.0, prior_p_r=0.5):
+    """Posterior weight of the restricted model from full n x n Gaussian marginal likelihoods."""
+    x1 = dataset.design.x1
+    x = np.column_stack([x1, dataset.design.x2])
+    n = dataset.n
+    t2 = prior_scale ** 2
+
+    def log_density(cov):
+        sign, logdet = np.linalg.slogdet(cov)
+        assert sign > 0
+        quad = float(dataset.y @ np.linalg.solve(cov, dataset.y))
+        return -0.5 * (n * math.log(2 * math.pi) + logdet + quad)
+
+    log_m_r = log_density(sigma ** 2 * np.eye(n) + t2 * np.outer(x1, x1))
+    log_m_u = log_density(sigma ** 2 * np.eye(n) + t2 * (x @ x.T))
+    log_r = math.log(prior_p_r) + log_m_r
+    log_u = math.log(1 - prior_p_r) + log_m_u
+    m = max(log_r, log_u)
+    return math.exp(log_r - m) / (math.exp(log_r - m) + math.exp(log_u - m))
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from modelavg.cli import main
-from modelavg.estimators import make_pipeline
+from modelavg.estimators import Pipeline, make_pipeline
 from modelavg.experiments import (
     Scenario,
     draw_dataset,
@@ -25,12 +25,17 @@ from modelavg.experiments import (
     risk_bound_sweep,
     weight_decay_sweep,
 )
-from modelavg.model import TrueParams, compute_design_stats, fit_restricted, fit_unrestricted, make_uniform_design
+from modelavg.model import (
+    TrueParams,
+    compute_design_stats,
+    make_uniform_design,
+    response_stats,
+    solve_normal_equations,
+)
 from modelavg.resampling import ResamplePlan, mean_model_bootstrap, paired_bootstrap
-from modelavg.weights import adaptive_p_r, exact_posterior_weights, stable_sigmoid
+from modelavg.weights import adaptive_p_r, stable_sigmoid
 
-from conftest import ols_normal_equation_oracle, random_dataset
-from test_weights import _dense_posterior_oracle
+from conftest import dense_posterior_oracle, ols_normal_equation_oracle, random_dataset
 
 ACCEPTANCE_SEED = 5050
 FULL_FIGURE2 = os.environ.get("MODELAVG_ACCEPTANCE_SMOKE") != "1"
@@ -52,12 +57,16 @@ def test_criterion_01_closed_form_identity():
     rng = np.random.default_rng(1001)
     start = time.monotonic()
     worst = 0.0
+    r_only = Pipeline(("r",), 1.0)
     for _ in range(10_000):
         ds = random_dataset(rng)
-        stats = compute_design_stats(ds.design, 1.0)
-        fit = fit_unrestricted(ds, stats)
-        alpha_r = fit_restricted(ds, stats)
-        rhs = fit.alpha_u + fit.beta_u * stats.s12 / stats.s11
+        stats = compute_design_stats(ds.design)
+        p1, p2, _ = response_stats(ds)
+        alpha_u, beta_u = solve_normal_equations(
+            stats.s11, stats.s22, stats.s12, stats.det, p1, p2
+        )
+        alpha_r = r_only.fit(ds)[0]["r"]
+        rhs = alpha_u + beta_u * stats.s12 / stats.s11
         worst = max(worst, abs(alpha_r - rhs) / (1.0 + abs(alpha_r)))
     elapsed = time.monotonic() - start
     _check(failures, "1 identity", worst < 1e-10, f"max rel dev {worst:.2e} over 10,000 datasets")
@@ -72,18 +81,21 @@ def test_criterion_02_oracle_equivalence():
     worst_ols = 0.0
     for _ in range(1000):
         ds = random_dataset(rng)
-        stats = compute_design_stats(ds.design, 1.0)
-        fit = fit_unrestricted(ds, stats)
+        stats = compute_design_stats(ds.design)
+        p1, p2, _ = response_stats(ds)
+        alpha_u, beta_u = solve_normal_equations(
+            stats.s11, stats.s22, stats.s12, stats.det, p1, p2
+        )
         a_or, b_or = ols_normal_equation_oracle(ds)
         scale = 1.0 + abs(a_or) + abs(b_or)
-        worst_ols = max(worst_ols, abs(fit.alpha_u - a_or) / scale, abs(fit.beta_u - b_or) / scale)
+        worst_ols = max(worst_ols, abs(alpha_u - a_or) / scale, abs(beta_u - b_or) / scale)
     worst_post = 0.0
     for _ in range(300):
         n = int(rng.integers(2, 21))
         ds = random_dataset(rng, n=n)
         sigma = float(rng.uniform(0.3, 2.0))
-        w = exact_posterior_weights(ds, sigma)
-        worst_post = max(worst_post, abs(w.p_r - _dense_posterior_oracle(ds, sigma)))
+        p_r = Pipeline(("bma_exact",), sigma).fit(ds)[1]["bma_exact"]
+        worst_post = max(worst_post, abs(p_r - dense_posterior_oracle(ds, sigma)))
     elapsed = time.monotonic() - start
     _check(failures, "2 OLS vs normal equations", worst_ols < 1e-8, f"max dev {worst_ols:.2e}")
     _check(failures, "2 low-rank vs dense marginal", worst_post < 1e-8, f"max dev {worst_post:.2e}")
@@ -250,7 +262,7 @@ def test_criterion_07_risk_bound_sweep():
 
     last = rows[-1]
     design = make_uniform_design(800, stream(ACCEPTANCE_SEED, 0, len(n_grid) - 1))
-    stats = compute_design_stats(design, 1.0)
+    stats = compute_design_stats(design)
     u_risk = 800 * stats.s22 / stats.det
     lo, hi = 0.1 * u_risk, 10.0 * u_risk
     ok = (max_risk - 3 * max(r["mc_se"] for r in rows) < hi) and (

@@ -20,7 +20,7 @@ from modelavg.config import (
 from modelavg.errors import ConfigError
 from modelavg.estimators import ESTIMATOR_NAMES
 from modelavg.experiments import draw_dataset, make_scenario
-from modelavg.model import compute_design_stats, fit_unrestricted
+from modelavg.model import compute_design_stats, response_stats, solve_normal_equations
 from modelavg.resampling import STREAM_VERSION
 
 
@@ -273,11 +273,12 @@ def test_single_row_is_the_pipeline_fit_of_one_dataset(tmp_path):
     scenario = make_scenario(n=50, seed=5050, reps=5000, alpha=1.0, beta=0.5, sigma=1.0)
     dataset = draw_dataset(scenario)
     est, p_r = scenario.pipeline(ESTIMATOR_NAMES).fit(dataset)
-    stats = compute_design_stats(dataset.design, 1.0)
+    stats = compute_design_stats(dataset.design)
+    p1, p2, _ = response_stats(dataset)
     expected = {
         "alpha_r": est["r"],
         "alpha_u": est["u"],
-        "beta_u": fit_unrestricted(dataset, stats).beta_u,
+        "beta_u": solve_normal_equations(stats.s11, stats.s22, stats.s12, stats.det, p1, p2)[1],
         "ms": est["ms"],
         "bma_exact": est["bma_exact"],
         "bma_bic": est["bma_bic"],

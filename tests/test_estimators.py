@@ -20,8 +20,9 @@ from modelavg.model import (
     Dataset,
     DesignMatrix,
     compute_design_stats,
-    fit_unrestricted,
     response_stats,
+    slope_sd,
+    solve_normal_equations,
 )
 from modelavg.weights import AdaptiveConfig, PretestConfig, default_tuning
 
@@ -38,9 +39,11 @@ def _ms(ds, pretest):
 
 
 def _fit_all(ds, pretest, adaptive, sigma):
-    """All six estimates and the weights behind them, plus beta_u from the direct fit."""
+    """All six estimates and the weights behind them, plus beta_u from the normal equations."""
     est, p_r = Pipeline(ESTIMATOR_NAMES, sigma, pretest, adaptive).fit(ds)
-    est["beta_u"] = fit_unrestricted(ds, compute_design_stats(ds.design, sigma)).beta_u
+    stats = compute_design_stats(ds.design)
+    p1, p2, _ = response_stats(ds)
+    est["beta_u"] = solve_normal_equations(stats.s11, stats.s22, stats.s12, stats.det, p1, p2)[1]
     return est, p_r
 
 
@@ -56,8 +59,8 @@ def test_post_model_selection_exact_tie_keeps_r():
     # Design with sigma_beta = 1 and beta_u = y2 - y1 exactly: putting the
     # statistic exactly on the threshold must keep the restricted model.
     design = DesignMatrix(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
-    stats = compute_design_stats(design, 1.0)
-    assert stats.sigma_beta == 1.0
+    stats = compute_design_stats(design)
+    assert slope_sd(1.0, stats.s11, stats.det) == 1.0
     c = 1.5
     ds = Dataset(design, np.array([0.25, c]))  # beta_u = y2 for this design
     assert _ms(ds, PretestConfig(c=c)) == 0.25
@@ -70,10 +73,20 @@ def test_collinear_design_propagates_through_pipeline():
         DesignMatrix(np.array([1.0, 2.0]), np.array([2.0, 4.0])), np.array([1.0, 2.0])
     )
     with pytest.raises(CollinearDesign):
-        compute_design_stats(bad.design, 1.0)
+        compute_design_stats(bad.design)
     proc = make_pipeline("ms", 1.0, pretest_config=PretestConfig())
     with pytest.raises(CollinearDesign):
         proc.fit(bad)
+
+
+@pytest.mark.parametrize("sigma", [-1.0, float("nan")])
+def test_pipeline_refuses_a_bad_sigma_when_built(sigma):
+    # A negative sigma used to pass construction and make the pretest
+    # threshold negative, so the kernel returned ms == u without a word.
+    with pytest.raises(ValueError, match="sigma"):
+        Pipeline(("ms", "u", "r"), sigma, PretestConfig())
+    with pytest.raises(ValueError, match="sigma"):
+        make_pipeline("ms", sigma, PretestConfig())
 
 
 def test_model_average_endpoints_and_midpoint():
@@ -277,7 +290,7 @@ def test_pipeline_matches_direct_computation(rng):
     multi = Pipeline(("r", "u", "ms", "bma_exact", "bma_bic", "ama"), 1.0, pretest, adaptive)
     for _ in range(25):
         ds = random_dataset(rng)
-        stats = compute_design_stats(ds.design, 1.0)
+        stats = compute_design_stats(ds.design)
         p1, p2, yy = response_stats(ds)
         est, _ = estimate_arrays(
             ds.n, stats.s11, stats.s22, stats.s12, p1, p2, ESTIMATOR_NAMES, 1.0,

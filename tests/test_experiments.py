@@ -17,10 +17,8 @@ from modelavg.experiments import (
     batch_estimates,
     draw_dataset,
     ks_ratio_curve,
-    ks_two_sample,
     make_scenario,
     mc_estimator_draws,
-    mc_sampling_distribution,
     mse_curve,
     resampling_error_curve,
     risk_bound_sweep,
@@ -28,12 +26,12 @@ from modelavg.experiments import (
     weight_decay_sweep,
 )
 from modelavg.model import (
+    Dataset,
     DesignMatrix,
     TrueParams,
     compute_design_stats,
 )
 from modelavg.resampling import (
-    EmpiricalSample,
     ResampleIndices,
     ResamplePlan,
     centered_replicates,
@@ -63,20 +61,16 @@ def _uniform_scenario(beta=0.0, sigma=1.0, n=50, reps=5000, seed=101, c=None):
 
 
 def test_ks_identical_samples():
-    s = EmpiricalSample([0.3, -1.0, 2.0])
-    assert ks_two_sample(s, s) == 0.0
+    s = np.array([0.3, -1.0, 2.0])
+    assert _ks_arrays(s, s) == 0.0
 
 
 def test_ks_disjoint_supports():
-    a = EmpiricalSample([0.0, 1.0])
-    b = EmpiricalSample([10.0, 11.0])
-    assert ks_two_sample(a, b) == 1.0
+    assert _ks_arrays(np.array([0.0, 1.0]), np.array([10.0, 11.0])) == 1.0
 
 
 def test_ks_interleaved_half():
-    a = EmpiricalSample([1.0, 2.0])
-    b = EmpiricalSample([1.5, 2.5])
-    assert ks_two_sample(a, b) == 0.5
+    assert _ks_arrays(np.array([1.0, 2.0]), np.array([1.5, 2.5])) == 0.5
 
 
 def _ks_brute_force(x, y):
@@ -95,11 +89,10 @@ def _ks_brute_force(x, y):
     y=st.lists(st.floats(-50, 50), min_size=1, max_size=40),
 )
 def test_ks_matches_brute_force_and_is_symmetric(x, y):
-    a = EmpiricalSample(x)
-    b = EmpiricalSample(y)
-    d = ks_two_sample(a, b)
+    a, b = np.array(x), np.array(y)
+    d = _ks_arrays(a, b)
     assert 0.0 <= d <= 1.0
-    assert d == ks_two_sample(b, a)
+    assert d == _ks_arrays(b, a)
     assert d == pytest.approx(_ks_brute_force(x, y), abs=1e-12)
 
 
@@ -134,7 +127,7 @@ def test_ks_brute_force_oracle_larger_samples(rng):
     for _ in range(10):
         x = rng.normal(size=int(rng.integers(5, 200)))
         y = rng.normal(0.3, 1.2, size=int(rng.integers(5, 200)))
-        d = ks_two_sample(EmpiricalSample(x), EmpiricalSample(y))
+        d = _ks_arrays(x, y)
         assert d == pytest.approx(_ks_brute_force(x, y), abs=1e-12)
 
 
@@ -144,7 +137,7 @@ def test_ks_brute_force_oracle_larger_samples(rng):
 
 def test_batch_matches_scalar_pipeline(rng):
     scenario = _uniform_scenario(beta=0.3, reps=1, n=20, seed=33)
-    stats = compute_design_stats(scenario.design, 1.0)
+    stats = compute_design_stats(scenario.design)
     names = ("r", "u", "ms", "bma_exact", "bma_bic", "ama")
     z = rng.standard_normal((25, 20))
     noise = z.copy()  # batch_estimates overwrites z with the responses
@@ -155,8 +148,6 @@ def test_batch_matches_scalar_pipeline(rng):
             + scenario.params.beta * scenario.design.x2
             + noise[row]
         )
-        from modelavg.model import Dataset
-
         est, _ = scenario.pipeline(names).fit(Dataset(scenario.design, y))
         for name in names:
             assert batch[name][row] == pytest.approx(est[name], rel=1e-11), name
@@ -164,25 +155,29 @@ def test_batch_matches_scalar_pipeline(rng):
 
 def test_mc_noiseless_null_draws_exactly_zero():
     scenario = _integer_scenario(beta=0.0, sigma=0.0)
-    for name in ("r", "u", "ms", "bma_exact", "bma_bic", "ama"):
-        sample = mc_sampling_distribution(scenario, name)
-        assert np.all(sample.values == 0.0), name
+    names = ("r", "u", "ms", "bma_exact", "bma_bic", "ama")
+    draws = mc_estimator_draws(scenario, names)
+    for name in names:
+        centered = np.sqrt(scenario.design.n) * (draws[name] - scenario.params.alpha)
+        assert np.all(centered == 0.0), name
 
 
 def test_mc_unrestricted_variance_matches_closed_form():
     scenario = _uniform_scenario(beta=0.4, reps=5000, seed=7)
-    stats = compute_design_stats(scenario.design, 1.0)
-    sample = mc_sampling_distribution(scenario, "u")
+    stats = compute_design_stats(scenario.design)
+    draws = mc_estimator_draws(scenario, ("u",))["u"]
+    centered = np.sqrt(scenario.design.n) * (draws - scenario.params.alpha)
     expected = scenario.design.n * stats.s22 / stats.det  # n * Var(alpha_u)
-    assert sample.values.var(ddof=1) == pytest.approx(expected, rel=0.05)
+    assert centered.var(ddof=1) == pytest.approx(expected, rel=0.05)
 
 
 def test_mc_restricted_unbiased_at_null():
     scenario = _uniform_scenario(beta=0.0, reps=5000, seed=8)
-    stats = compute_design_stats(scenario.design, 1.0)
-    sample = mc_sampling_distribution(scenario, "r")
+    stats = compute_design_stats(scenario.design)
+    draws = mc_estimator_draws(scenario, ("r",))["r"]
+    centered = np.sqrt(scenario.design.n) * (draws - scenario.params.alpha)
     se = np.sqrt(scenario.design.n / stats.s11 / scenario.reps)  # sd of the mean
-    assert abs(sample.values.mean()) < 3 * se * np.sqrt(scenario.design.n)
+    assert abs(centered.mean()) < 3 * se * np.sqrt(scenario.design.n)
 
 
 def test_mc_determinism_and_common_random_numbers():
@@ -221,7 +216,7 @@ def test_mse_curve_null_ranking_matches_variance_oracle():
     # At beta = 0 the restricted estimator's variance A = sigma^2/s11 is below
     # the unrestricted A + B; the Monte Carlo estimates must reproduce both.
     scenario = _uniform_scenario(beta=0.0, reps=5000, seed=14)
-    stats = compute_design_stats(scenario.design, 1.0)
+    stats = compute_design_stats(scenario.design)
     draws = mc_estimator_draws(scenario, ("r", "u"))
     var_r = np.var(draws["r"] - 1.0, ddof=1)
     var_u = np.var(draws["u"] - 1.0, ddof=1)
@@ -303,16 +298,17 @@ def _generic_engine(ds, pipeline, plan, seed, subsample):
     """Per-row reference for the resampling engine, one refit per replicate.
 
     Takes the ResampleIndices block of ``seed``, redraws singular rows in
-    ascending order, refits each row through ``pipeline.fit(ds.rows(row))`` and
-    returns sqrt(size) * (theta_star - theta_hat) per name.
+    ascending order, refits the dataset of each row's (x, y) rows through
+    ``pipeline.fit`` and returns sqrt(size) * (theta_star - theta_hat) per name.
     """
     indices = ResampleIndices(np.random.default_rng(seed), ds.n, plan, subsample)
     originals, _ = pipeline.fit(ds)
+    x1, x2, y = ds.design.x1, ds.design.x2, ds.y
     out = {name: [] for name in pipeline.names}
     for row in indices.block:
         while True:
             try:
-                star, _ = pipeline.fit(ds.rows(row))
+                star, _ = pipeline.fit(Dataset(DesignMatrix(x1[row], x2[row]), y[row]))
                 break
             except (CollinearDesign, ZeroColumn):
                 row = indices.redraw()
@@ -409,7 +405,11 @@ def test_singular_redraw_leaves_other_rows_on_their_block_row():
         while len(set(row)) == 1:
             row = redraw_rng.integers(0, 3, size=(1, 3))[0]
         expected_rows.append(row)
-    expected = np.array([pipeline.fit(ds.rows(row))[0]["u"] for row in expected_rows])
+    x1, x2, y = ds.design.x1, ds.design.x2, ds.y
+    expected = np.array([
+        pipeline.fit(Dataset(DesignMatrix(x1[row], x2[row]), y[row]))[0]["u"]
+        for row in expected_rows
+    ])
     assert not np.array_equal(np.array(expected_rows)[singular], block[singular])
 
     scale = np.sqrt(3.0)
@@ -564,7 +564,7 @@ def test_risk_bound_sweep_null_envelope():
         from modelavg.model import make_uniform_design
 
         design = make_uniform_design(row["n"], stream(31, 0, i))
-        stats = compute_design_stats(design, 1.0)
+        stats = compute_design_stats(design)
         upper = 1.5 * row["n"] * stats.s22 / stats.det
         assert row["n_risk"] - 3 * row["mc_se"] < upper
         assert row["n_risk"] + 3 * row["mc_se"] > 0.5

@@ -6,23 +6,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modelavg.errors import CollinearDesign, ZeroColumn
+from modelavg.estimators import Pipeline
 from modelavg.experiments import stream
 from modelavg.model import (
+    COLLINEARITY_RTOL,
     REFERENCE_DESIGN_SEED,
     Dataset,
     DesignMatrix,
     TrueParams,
     compute_design_stats,
-    fit_restricted,
-    fit_unrestricted,
     generate_response,
     load_reference_design,
     make_uniform_design,
     read_design_csv,
+    response_stats,
+    singular_design,
+    slope_sd,
+    solve_normal_equations,
     write_design_csv,
 )
 
 from conftest import ols_normal_equation_oracle, random_dataset
+
+# The restricted and unrestricted estimates of alpha, from the kernel.
+R_AND_U = Pipeline(("r", "u"), 1.0)
 
 
 def test_design_matrix_validation():
@@ -48,32 +55,62 @@ def test_dataset_validation():
 
 def test_design_stats_orthonormal_columns():
     design = DesignMatrix(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    stats = compute_design_stats(design, 1.0)
+    stats = compute_design_stats(design)
     assert stats.s11 == 1.0
     assert stats.s22 == 1.0
     assert stats.s12 == 0.0
     assert stats.det == 1.0
-    assert stats.sigma_beta == 1.0
+    assert slope_sd(1.0, stats.s11, stats.det) == 1.0
 
 
 def test_design_stats_collinear_raises():
     design = DesignMatrix(np.array([1.0, 2.0]), np.array([2.0, 4.0]))
     with pytest.raises(CollinearDesign):
-        compute_design_stats(design, 1.0)
+        compute_design_stats(design)
+
+
+def test_singular_design_is_true_exactly_where_design_stats_raise():
+    # x2 = x1 + eps * z with eps on a log grid through the collinearity
+    # tolerance (det / (s11 s22) ~ eps^2), plus an x1 whose squared norm
+    # underflows to zero (DesignMatrix refuses an identically zero column).
+    rng = np.random.default_rng(31)
+    x1, z = rng.normal(size=20), rng.normal(size=20)
+    designs = [DesignMatrix(x1, x1 + eps * z) for eps in np.logspace(-9, -3, 121)]
+    designs.append(DesignMatrix(np.full(20, 1e-170), rng.normal(size=20)))
+    flags = []
+    for design in designs:
+        s11, s22, s12 = (
+            float(np.sum(a * b))
+            for a, b in ((design.x1, design.x1), (design.x2, design.x2), (design.x1, design.x2))
+        )
+        flag = bool(singular_design(s11, s22, s12))
+        assert flag == (s11 <= 0.0 or s11 * s22 - s12 * s12 <= COLLINEARITY_RTOL * s11 * s22)
+        try:
+            compute_design_stats(design)
+            raised = None
+        except (ZeroColumn, CollinearDesign) as exc:
+            raised = type(exc)
+        assert raised == (None if not flag else ZeroColumn if s11 == 0.0 else CollinearDesign)
+        flags.append(flag)
+    assert flags[-1] and any(flags[:-1]) and not all(flags[:-1])
+    # The predicate is elementwise over arrays of inner products.
+    s = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
+    assert singular_design(s[0], s[1], s[2]).tolist() == [False, True, True]
 
 
 def test_design_stats_hand_example_matches_gram_oracle():
     design = DesignMatrix(np.array([1.0, 1.0, 1.0]), np.array([0.0, 1.0, 2.0]))
-    stats = compute_design_stats(design, 1.0)
+    stats = compute_design_stats(design)
     assert stats.s11 == 3.0
     assert stats.s22 == 5.0
     assert stats.s12 == 3.0
     assert stats.det == 6.0
-    assert stats.sigma_beta == pytest.approx(math.sqrt(3.0) / math.sqrt(6.0), rel=1e-14)
+    sigma_beta = slope_sd(1.0, stats.s11, stats.det)
+    assert sigma_beta == pytest.approx(math.sqrt(3.0) / math.sqrt(6.0), rel=1e-14)
     # Independent oracle: sigma_beta^2 is the (2,2) entry of sigma^2 (X'X)^{-1}.
     x = np.column_stack([design.x1, design.x2])
     gram_inv = np.linalg.inv(x.T @ x)
-    assert stats.sigma_beta == pytest.approx(math.sqrt(gram_inv[1, 1]), rel=1e-12)
+    assert sigma_beta == pytest.approx(math.sqrt(gram_inv[1, 1]), rel=1e-12)
     assert np.linalg.det(x.T @ x) == pytest.approx(stats.det, rel=1e-12)
 
 
@@ -81,9 +118,9 @@ def test_design_stats_consistency_invariant(rng):
     for _ in range(50):
         ds = random_dataset(rng)
         sigma = float(rng.uniform(0.1, 3.0))
-        stats = compute_design_stats(ds.design, sigma)
+        stats = compute_design_stats(ds.design)
         assert stats.det >= 0.0
-        assert stats.sigma_beta ** 2 * stats.det == pytest.approx(
+        assert slope_sd(sigma, stats.s11, stats.det) ** 2 * stats.det == pytest.approx(
             sigma ** 2 * stats.s11, rel=1e-12
         )
 
@@ -119,14 +156,15 @@ def test_generate_response_law_of_large_numbers():
 def test_fit_hand_example():
     design = DesignMatrix(np.array([1.0, 1.0, 1.0]), np.array([0.0, 1.0, 2.0]))
     ds = Dataset(design, np.array([1.0, 2.0, 3.0]))
-    stats = compute_design_stats(design, 1.0)
-    fit = fit_unrestricted(ds, stats)
-    assert fit.alpha_u == pytest.approx(1.0, abs=1e-12)
-    assert fit.beta_u == pytest.approx(1.0, abs=1e-12)
-    assert fit_restricted(ds, stats) == pytest.approx(2.0, abs=1e-12)
+    stats = compute_design_stats(design)
+    p1, p2, _ = response_stats(ds)
+    alpha_u, beta_u = solve_normal_equations(stats.s11, stats.s22, stats.s12, stats.det, p1, p2)
+    assert alpha_u == pytest.approx(1.0, abs=1e-12)
+    assert beta_u == pytest.approx(1.0, abs=1e-12)
+    assert R_AND_U.fit(ds)[0]["r"] == pytest.approx(2.0, abs=1e-12)
     a_or, b_or = ols_normal_equation_oracle(ds)
-    assert fit.alpha_u == pytest.approx(a_or, rel=1e-12)
-    assert fit.beta_u == pytest.approx(b_or, rel=1e-12)
+    assert alpha_u == pytest.approx(a_or, rel=1e-12)
+    assert beta_u == pytest.approx(b_or, rel=1e-12)
 
 
 def test_fit_noiseless_recovers_truth_exactly(rng):
@@ -135,41 +173,53 @@ def test_fit_noiseless_recovers_truth_exactly(rng):
         alpha, beta = float(rng.normal()), float(rng.normal())
         y = alpha * ds.design.x1 + beta * ds.design.x2
         noiseless = Dataset(ds.design, y)
-        stats = compute_design_stats(ds.design, 0.0)
-        fit = fit_unrestricted(noiseless, stats)
-        assert fit.alpha_u == pytest.approx(alpha, rel=1e-9, abs=1e-9)
-        assert fit.beta_u == pytest.approx(beta, rel=1e-9, abs=1e-9)
-        resid = y - fit.alpha_u * ds.design.x1 - fit.beta_u * ds.design.x2
+        stats = compute_design_stats(ds.design)
+        p1, p2, _ = response_stats(noiseless)
+        alpha_u, beta_u = solve_normal_equations(
+            stats.s11, stats.s22, stats.s12, stats.det, p1, p2
+        )
+        assert alpha_u == pytest.approx(alpha, rel=1e-9, abs=1e-9)
+        assert beta_u == pytest.approx(beta, rel=1e-9, abs=1e-9)
+        resid = y - alpha_u * ds.design.x1 - beta_u * ds.design.x2
         assert np.max(np.abs(resid)) < 1e-8 * (1.0 + np.max(np.abs(y)))
 
 
 def test_fit_refit_bit_identical(rng):
     ds = random_dataset(rng)
-    stats = compute_design_stats(ds.design, 1.0)
-    f1 = fit_unrestricted(ds, stats)
-    f2 = fit_unrestricted(ds, stats)
-    assert f1.alpha_u == f2.alpha_u and f1.beta_u == f2.beta_u
+    assert R_AND_U.fit(ds) == R_AND_U.fit(ds)
+    stats = compute_design_stats(ds.design)
+    fits = [
+        solve_normal_equations(stats.s11, stats.s22, stats.s12, stats.det, *response_stats(ds)[:2])
+        for _ in range(2)
+    ]
+    assert fits[0] == fits[1]
 
 
 def test_fits_match_normal_equation_oracle(rng):
     for _ in range(1000):
         ds = random_dataset(rng)
-        stats = compute_design_stats(ds.design, 1.0)
-        fit = fit_unrestricted(ds, stats)
+        stats = compute_design_stats(ds.design)
+        p1, p2, _ = response_stats(ds)
+        alpha_u, beta_u = solve_normal_equations(
+            stats.s11, stats.s22, stats.s12, stats.det, p1, p2
+        )
         a_or, b_or = ols_normal_equation_oracle(ds)
         scale = 1.0 + abs(a_or) + abs(b_or)
-        assert abs(fit.alpha_u - a_or) < 1e-10 * scale
-        assert abs(fit.beta_u - b_or) < 1e-10 * scale
+        assert abs(alpha_u - a_or) < 1e-10 * scale
+        assert abs(beta_u - b_or) < 1e-10 * scale
 
 
 def test_restricted_unrestricted_identity(rng):
     # alpha_r = alpha_u + beta_u * s12 / s11 for every non-collinear dataset.
     for _ in range(1000):
         ds = random_dataset(rng)
-        stats = compute_design_stats(ds.design, 1.0)
-        fit = fit_unrestricted(ds, stats)
-        alpha_r = fit_restricted(ds, stats)
-        rhs = fit.alpha_u + fit.beta_u * stats.s12 / stats.s11
+        stats = compute_design_stats(ds.design)
+        p1, p2, _ = response_stats(ds)
+        alpha_u, beta_u = solve_normal_equations(
+            stats.s11, stats.s22, stats.s12, stats.det, p1, p2
+        )
+        alpha_r = R_AND_U.fit(ds)[0]["r"]
+        rhs = alpha_u + beta_u * stats.s12 / stats.s11
         assert abs(alpha_r - rhs) < 1e-10 * (1.0 + abs(alpha_r))
 
 
@@ -178,10 +228,11 @@ def test_identity_holds_for_long_designs():
     n = 100_000
     design = DesignMatrix(rng.normal(1.0, 1.0, n), rng.normal(-0.5, 2.0, n))
     ds = Dataset(design, rng.normal(0.0, 1.0, n))
-    stats = compute_design_stats(design, 1.0)
-    fit = fit_unrestricted(ds, stats)
-    alpha_r = fit_restricted(ds, stats)
-    rhs = fit.alpha_u + fit.beta_u * stats.s12 / stats.s11
+    stats = compute_design_stats(design)
+    p1, p2, _ = response_stats(ds)
+    alpha_u, beta_u = solve_normal_equations(stats.s11, stats.s22, stats.s12, stats.det, p1, p2)
+    alpha_r = R_AND_U.fit(ds)[0]["r"]
+    rhs = alpha_u + beta_u * stats.s12 / stats.s11
     assert abs(alpha_r - rhs) < 1e-10 * (1.0 + abs(alpha_r))
 
 
@@ -189,12 +240,11 @@ def test_orthogonal_design_equal_fits(rng):
     x1 = np.array([1.0, 1.0, 1.0, 1.0])
     x2 = np.array([-3.0, -1.0, 1.0, 3.0])  # <x1, x2> = 0
     design = DesignMatrix(x1, x2)
-    stats = compute_design_stats(design, 1.0)
+    stats = compute_design_stats(design)
     assert stats.s12 == 0.0
     for _ in range(20):
-        ds = Dataset(design, rng.normal(size=4))
-        fit = fit_unrestricted(ds, stats)
-        assert fit_restricted(ds, stats) == pytest.approx(fit.alpha_u, rel=1e-14, abs=1e-14)
+        est, _ = R_AND_U.fit(Dataset(design, rng.normal(size=4)))
+        assert est["r"] == pytest.approx(est["u"], rel=1e-14, abs=1e-14)
 
 
 def test_latent_coordinates_reproduce_fits(rng):
@@ -206,7 +256,7 @@ def test_latent_coordinates_reproduce_fits(rng):
         params = TrueParams(alpha=float(rng.normal()), beta=float(rng.normal()), sigma=1.3)
         ds = generate_response(design, params, rng)
         e = ds.y - params.alpha * design.x1 - params.beta * design.x2
-        stats = compute_design_stats(design, params.sigma)
+        stats = compute_design_stats(design)
         norm_x1 = math.sqrt(stats.s11)
         root_det = math.sqrt(stats.det)
         v1 = float(design.x1 @ e) / (params.sigma * norm_x1)
@@ -215,8 +265,11 @@ def test_latent_coordinates_reproduce_fits(rng):
             * (float(design.x2 @ e) - stats.s12 * float(design.x1 @ e) / stats.s11)
             / (params.sigma * root_det)
         )
-        alpha_r = fit_restricted(ds, stats)
-        fit = fit_unrestricted(ds, stats)
+        alpha_r = R_AND_U.fit(ds)[0]["r"]
+        p1, p2, _ = response_stats(ds)
+        alpha_u, beta_u = solve_normal_equations(
+            stats.s11, stats.s22, stats.s12, stats.det, p1, p2
+        )
         pred_alpha_r = (
             params.alpha
             + params.beta * stats.s12 / stats.s11
@@ -228,10 +281,10 @@ def test_latent_coordinates_reproduce_fits(rng):
             - params.sigma * stats.s12 * v2 / (norm_x1 * root_det)
         )
         pred_beta_u = params.beta + params.sigma * norm_x1 * v2 / root_det
-        tol = 1e-10 * (1.0 + abs(alpha_r) + abs(fit.beta_u))
+        tol = 1e-10 * (1.0 + abs(alpha_r) + abs(beta_u))
         assert abs(alpha_r - pred_alpha_r) < tol
-        assert abs(fit.alpha_u - pred_alpha_u) < tol
-        assert abs(fit.beta_u - pred_beta_u) < tol
+        assert abs(alpha_u - pred_alpha_u) < tol
+        assert abs(beta_u - pred_beta_u) < tol
 
 
 @settings(max_examples=200, deadline=None)
@@ -252,27 +305,29 @@ def test_identity_property_hypothesis(data):
     y = np.array([row[2] for row in data])
     try:
         design = DesignMatrix(x1, x2)
-        stats = compute_design_stats(design, 1.0)
+        stats = compute_design_stats(design)
     except (ZeroColumn, CollinearDesign):
         return
     ds = Dataset(design, y)
-    fit = fit_unrestricted(ds, stats)
-    alpha_r = fit_restricted(ds, stats)
-    rhs = fit.alpha_u + fit.beta_u * stats.s12 / stats.s11
+    p1, p2, _ = response_stats(ds)
+    alpha_u, beta_u = solve_normal_equations(stats.s11, stats.s22, stats.s12, stats.det, p1, p2)
+    alpha_r = R_AND_U.fit(ds)[0]["r"]
+    rhs = alpha_u + beta_u * stats.s12 / stats.s11
     # Badly conditioned corners get a proportionally looser gate.
     cond = stats.s11 * stats.s22 / stats.det
-    assert abs(alpha_r - rhs) < 1e-10 * cond * (1.0 + abs(alpha_r) + abs(fit.alpha_u))
+    assert abs(alpha_r - rhs) < 1e-10 * cond * (1.0 + abs(alpha_r) + abs(alpha_u))
 
 
 def test_unrestricted_fit_with_tiny_x1_does_not_underflow():
     # y = -x1 + a * x2 exactly; s11 * <x2, y> = a**3 is below the smallest double.
     a = 2.3288848677721623e-141
     ds = Dataset(DesignMatrix(np.array([0.0, a]), np.array([1.0, 1.0])), np.array([a, 0.0]))
-    stats = compute_design_stats(ds.design, 1.0)
-    fit = fit_unrestricted(ds, stats)
-    assert fit.alpha_u == pytest.approx(-1.0, rel=1e-12)
-    assert fit.beta_u == pytest.approx(a, rel=1e-12, abs=0.0)
-    assert fit_restricted(ds, stats) == 0.0
+    stats = compute_design_stats(ds.design)
+    p1, p2, _ = response_stats(ds)
+    alpha_u, beta_u = solve_normal_equations(stats.s11, stats.s22, stats.s12, stats.det, p1, p2)
+    assert alpha_u == pytest.approx(-1.0, rel=1e-12)
+    assert beta_u == pytest.approx(a, rel=1e-12, abs=0.0)
+    assert R_AND_U.fit(ds)[0]["r"] == 0.0
 
 
 def test_make_uniform_design_properties():
@@ -282,7 +337,7 @@ def test_make_uniform_design_properties():
     assert np.all(design.x1 == 1.0)
     assert np.all((design.x2 > 0.0) & (design.x2 < 3.0))
     bigger = make_uniform_design(50, rng)
-    stats = compute_design_stats(bigger, 1.0)
+    stats = compute_design_stats(bigger)
     assert stats.det > 0.0
     with pytest.raises(ValueError):
         make_uniform_design(1, rng)

@@ -27,11 +27,6 @@ def test_empirical_sample_contract():
     s = EmpiricalSample([2.0, 1.0])
     assert len(s) == 2
     assert np.array_equal(s.sorted_values, [1.0, 2.0])
-    # Right-continuous ECDF with steps 1/n.
-    assert s.ecdf(0.999) == 0.0
-    assert s.ecdf(1.0) == 0.5
-    assert s.ecdf(1.5) == 0.5
-    assert s.ecdf(2.0) == 1.0
     assert s.quantile(0.5) == 1.0
     assert s.quantile(1.0) == 2.0
     with pytest.raises(ValueError):

@@ -10,9 +10,8 @@ from modelavg.model import (
     Dataset,
     DesignMatrix,
     compute_design_stats,
-    fit_restricted,
-    fit_unrestricted,
     response_stats,
+    solve_normal_equations,
 )
 from modelavg.weights import (
     AdaptiveConfig,
@@ -22,11 +21,11 @@ from modelavg.weights import (
     adaptive_weights,
     bic_p_r,
     default_tuning,
-    exact_posterior_weights,
+    exact_posterior_p_r,
     pretest_threshold,
 )
 
-from conftest import random_dataset
+from conftest import dense_posterior_oracle, random_dataset
 
 
 # ---------------------------------------------------------------------------
@@ -71,17 +70,15 @@ def test_pretest_matches_penalized_rss_comparison(rng):
     for _ in range(200):
         ds = random_dataset(rng)
         n = ds.n
-        stats = compute_design_stats(ds.design, 1.0)
+        stats = compute_design_stats(ds.design)
         cfg = PretestConfig(c=math.sqrt(math.log(n)))
         est, _ = Pipeline(("r", "u", "ms"), 1.0, cfg).fit(ds)
         assert est["r"] != est["u"]
         keeps_u = est["ms"] == est["u"]
-        fit = fit_unrestricted(ds, stats)
-        alpha_r = fit_restricted(ds, stats)
-        rss_r = float(np.sum((ds.y - alpha_r * ds.design.x1) ** 2))
-        rss_u = float(
-            np.sum((ds.y - fit.alpha_u * ds.design.x1 - fit.beta_u * ds.design.x2) ** 2)
-        )
+        p1, p2, _ = response_stats(ds)
+        beta_u = solve_normal_equations(stats.s11, stats.s22, stats.s12, stats.det, p1, p2)[1]
+        rss_r = float(np.sum((ds.y - est["r"] * ds.design.x1) ** 2))
+        rss_u = float(np.sum((ds.y - est["u"] * ds.design.x1 - beta_u * ds.design.x2) ** 2))
         assert keeps_u == (rss_r + math.log(n) > rss_u + 2 * math.log(n))
 
 
@@ -98,43 +95,26 @@ def test_pretest_scaled_form_needs_n():
 # exact posterior weights
 
 
-def _dense_posterior_oracle(dataset, sigma, prior_scale=1.0, prior_p_r=0.5):
-    """Full n x n Gaussian marginal likelihood evaluation."""
-    x1 = dataset.design.x1
-    x = np.column_stack([x1, dataset.design.x2])
-    n = dataset.n
-    t2 = prior_scale ** 2
-
-    def log_density(cov):
-        sign, logdet = np.linalg.slogdet(cov)
-        assert sign > 0
-        quad = float(dataset.y @ np.linalg.solve(cov, dataset.y))
-        return -0.5 * (n * math.log(2 * math.pi) + logdet + quad)
-
-    log_m_r = log_density(sigma ** 2 * np.eye(n) + t2 * np.outer(x1, x1))
-    log_m_u = log_density(sigma ** 2 * np.eye(n) + t2 * (x @ x.T))
-    log_r = math.log(prior_p_r) + log_m_r
-    log_u = math.log(1 - prior_p_r) + log_m_u
-    m = max(log_r, log_u)
-    return math.exp(log_r - m) / (math.exp(log_r - m) + math.exp(log_u - m))
+def _bma_exact_p_r(ds, sigma, prior_scale=1.0, prior_p_r=0.5):
+    """The weight on R behind a bma_exact pipeline's fit of ``ds``."""
+    pipeline = Pipeline(("bma_exact",), sigma, prior_scale=prior_scale, prior_p_r=prior_p_r)
+    return pipeline.fit(ds)[1]["bma_exact"]
 
 
 def test_posterior_worked_example():
     design = DesignMatrix(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     ds = Dataset(design, np.array([0.0, 0.0]))
-    w = exact_posterior_weights(ds, 1.0)
+    p_r = _bma_exact_p_r(ds, 1.0)
     expected = (2.0 ** -0.5) / (2.0 ** -0.5 + 0.5)
-    assert w.p_r == pytest.approx(expected, rel=1e-12)
-    assert w.p_r == pytest.approx(0.585786, abs=1e-6)
+    assert p_r == pytest.approx(expected, rel=1e-12)
+    assert p_r == pytest.approx(0.585786, abs=1e-6)
 
 
 def test_posterior_even_in_y(rng):
     for _ in range(25):
         ds = random_dataset(rng)
         flipped = Dataset(ds.design, -ds.y)
-        w1 = exact_posterior_weights(ds, 1.0)
-        w2 = exact_posterior_weights(flipped, 1.0)
-        assert w1.p_r == pytest.approx(w2.p_r, rel=1e-13)
+        assert _bma_exact_p_r(ds, 1.0) == pytest.approx(_bma_exact_p_r(flipped, 1.0), rel=1e-13)
 
 
 def test_posterior_matches_dense_oracle(rng):
@@ -142,9 +122,8 @@ def test_posterior_matches_dense_oracle(rng):
         n = int(rng.integers(2, 21))
         ds = random_dataset(rng, n=n)
         sigma = float(rng.uniform(0.3, 2.5))
-        w = exact_posterior_weights(ds, sigma)
-        oracle = _dense_posterior_oracle(ds, sigma)
-        assert abs(w.p_r - oracle) < 1e-8
+        oracle = dense_posterior_oracle(ds, sigma)
+        assert abs(_bma_exact_p_r(ds, sigma) - oracle) < 1e-8
 
 
 def test_posterior_matches_dense_oracle_nondefault_priors(rng):
@@ -153,36 +132,37 @@ def test_posterior_matches_dense_oracle_nondefault_priors(rng):
         ds = random_dataset(rng, n=n)
         prior_scale = float(rng.uniform(0.5, 3.0))
         prior_p_r = float(rng.uniform(0.1, 0.9))
-        w = exact_posterior_weights(ds, 1.0, prior_scale=prior_scale, prior_p_r=prior_p_r)
-        oracle = _dense_posterior_oracle(ds, 1.0, prior_scale, prior_p_r)
-        assert abs(w.p_r - oracle) < 1e-8
+        p_r = _bma_exact_p_r(ds, 1.0, prior_scale=prior_scale, prior_p_r=prior_p_r)
+        oracle = dense_posterior_oracle(ds, 1.0, prior_scale, prior_p_r)
+        assert abs(p_r - oracle) < 1e-8
 
 
 def test_posterior_defined_for_collinear_design():
     design = DesignMatrix(np.array([1.0, 2.0]), np.array([2.0, 4.0]))
     ds = Dataset(design, np.array([0.5, -0.25]))
-    w = exact_posterior_weights(ds, 1.0)
-    assert 0.0 <= w.p_r <= 1.0
-    oracle = _dense_posterior_oracle(ds, 1.0)
-    assert abs(w.p_r - oracle) < 1e-8
+    x1, x2, y = design.x1, design.x2, ds.y
+    p_r = float(exact_posterior_p_r(x1 @ y, x2 @ y, x1 @ x1, x2 @ x2, x1 @ x2, 1.0))
+    assert 0.0 <= p_r <= 1.0
+    oracle = dense_posterior_oracle(ds, 1.0)
+    assert abs(p_r - oracle) < 1e-8
 
 
 def test_posterior_sigma_zero_limit():
     design = DesignMatrix(np.ones(4), np.array([0.0, 1.0, 2.0, 3.0]))
     # Both models interpolate: weight collapses on the smaller model.
     ds_null = Dataset(design, 2.0 * design.x1)
-    assert exact_posterior_weights(ds_null, 0.0).p_r == 1.0
+    assert _bma_exact_p_r(ds_null, 0.0) == 1.0
     # Only the unrestricted model interpolates.
     ds_slope = Dataset(design, 2.0 * design.x1 + design.x2)
-    assert exact_posterior_weights(ds_slope, 0.0).p_r == 0.0
+    assert _bma_exact_p_r(ds_slope, 0.0) == 0.0
 
 
 def test_posterior_extreme_responses_stay_in_unit_interval(rng):
     ds = random_dataset(rng, n=10)
     huge = Dataset(ds.design, 1e150 * ds.y)
-    w = exact_posterior_weights(huge, 1.0)
-    assert 0.0 <= w.p_r <= 1.0
-    assert math.isfinite(w.p_r)
+    p_r = _bma_exact_p_r(huge, 1.0)
+    assert 0.0 <= p_r <= 1.0
+    assert math.isfinite(p_r)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +171,7 @@ def test_posterior_extreme_responses_stay_in_unit_interval(rng):
 
 def _bic_weight(ds):
     """The kernel's bma_bic weight on R, from the inner products the pipeline uses."""
-    stats = compute_design_stats(ds.design, 1.0)
+    stats = compute_design_stats(ds.design)
     p1, p2, _ = response_stats(ds)
     _, p_r = estimate_arrays(ds.n, stats.s11, stats.s22, stats.s12, p1, p2, ("bma_bic",), 1.0)
     return ModelWeights(float(p_r["bma_bic"]))
@@ -323,11 +303,16 @@ def test_every_rule_valid_for_rough_inputs(rng):
     cfg_a = default_tuning(50)
     for _ in range(100):
         ds = random_dataset(rng, allow_badly_scaled=True)
-        stats = compute_design_stats(ds.design, 1.0)
+        stats = compute_design_stats(ds.design)
         for w in (
             _bic_weight(ds),
-            exact_posterior_weights(ds, 1.0),
-            adaptive_weights(fit_unrestricted(ds, stats).beta_u, cfg_a),
+            ModelWeights(_bma_exact_p_r(ds, 1.0)),
+            adaptive_weights(
+                solve_normal_equations(
+                    stats.s11, stats.s22, stats.s12, stats.det, *response_stats(ds)[:2]
+                )[1],
+                cfg_a,
+            ),
         ):
             assert 0.0 <= w.p_r <= 1.0
             assert w.p_r + w.p_u == 1.0
@@ -341,7 +326,7 @@ def test_bic_posterior_direction_agreement_reported(rng):
     for _ in range(total):
         ds = random_dataset(rng, n=50)
         q = _bic_weight(ds).p_r
-        pi = exact_posterior_weights(ds, 1.0).p_r
+        pi = _bma_exact_p_r(ds, 1.0)
         if (q - 0.5) * (pi - 0.5) >= 0:
             agree += 1
     rate = agree / total
