@@ -20,6 +20,7 @@ from .model import (
     solve_normal_equations,
     write_design_csv,
 )
+from .resampling import ResamplePlan
 from .svgplot import write_line_plot
 
 
@@ -90,15 +91,10 @@ def _execute(config: RunConfig, target: Callable[[str], Path]) -> None:
         )
     elif experiment in ("figure2-bootstrap", "figure2-subsample"):
         method = experiment.split("-", 1)[1]
+        plan = ResamplePlan(b=config.b, m=config.m if method == "subsample" else None)
         rows = experiments.resampling_error_curve(
-            config.beta_grid,
-            scenario,
-            method=method,
-            datasets_per_beta=config.datasets_per_beta,
-            b=config.b,
-            m=config.m if method == "subsample" else None,
-            mode=config.ks_mode,
-            workers=workers,
+            config.beta_grid, scenario, plan, config.datasets_per_beta,
+            mode=config.ks_mode, workers=workers,
         )
         stem, plot = f"resamp_error_{method}", (
             "err_", f"{method} approximation error (100 x mean KS distance)",

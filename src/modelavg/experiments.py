@@ -28,7 +28,7 @@ from .model import (
     make_uniform_design,
     responses_in_place,
 )
-from .resampling import ResamplePlan, centered_replicates, resampled_estimates
+from .resampling import ResamplePlan, resampled_estimates
 from .weights import AdaptiveConfig, PretestConfig, default_tuning
 
 # Substream roles.
@@ -254,39 +254,30 @@ def ks_ratio_curve(
 def resampling_error_curve(
     beta_grid: Sequence[float],
     scenario: Scenario,
-    method: str,
+    plan: ResamplePlan,
     datasets_per_beta: int,
-    b: int,
-    m: int | None = None,
     mode: str = "per_dataset",
     workers: int = 1,
-    max_redraws: int | None = None,
 ) -> list[dict]:
     """Accuracy of bootstrap/subsampling approximations along a beta grid.
 
-    Per grid point: a Monte Carlo truth sample of sqrt(n) * (estimate - alpha)
-    per estimator, then ``datasets_per_beta`` independent datasets, each
-    resampled ``b`` times. ``mode="per_dataset"`` reports 100 x the mean KS
-    distance between truth and each dataset's resampling distribution;
-    ``mode="pooled"`` pools all resample replicates per grid point before one
-    KS evaluation. Datasets whose resampling exhausts the redraw budget are
-    excluded and counted.
+    ``plan`` names the scheme (bootstrap without ``m``, subsampling with it);
+    an ``m`` above n is refused before any truth sample. Per grid point: a
+    Monte Carlo truth sample of sqrt(n) * (estimate - alpha) per estimator,
+    then ``datasets_per_beta`` datasets, each turned into ``plan.b`` centred
+    replicates by :func:`resampled_estimates`. ``mode="per_dataset"`` reports
+    100 x the mean KS distance between truth and each dataset's replicates;
+    ``mode="pooled"`` pools all replicates per grid point before one KS
+    evaluation. Datasets whose resampling exhausts the plan's redraw budget
+    are excluded and counted.
     """
-    if method not in ("bootstrap", "subsample"):
-        raise ValueError(f"method must be 'bootstrap' or 'subsample', got {method!r}")
     if mode not in ("per_dataset", "pooled"):
         raise ValueError(f"mode must be 'per_dataset' or 'pooled', got {mode!r}")
     if datasets_per_beta < 1:
         raise ValueError("datasets_per_beta must be >= 1")
-    subsample = method == "subsample"
-    if subsample:
-        if m is None:
-            raise ValueError("subsampling needs a subsample size m")
-        if m > scenario.design.n:
-            raise ValueError(f"m={m} must lie in [2, n={scenario.design.n}]")
+    plan.size(scenario.design.n)
     names = ("ms", "bma_bic", "ama")
     pipeline = scenario.pipeline(names)
-    plan = ResamplePlan(b=b, m=m if subsample else None, max_redraws=max_redraws)
 
     def row(i: int, cell: Scenario) -> dict:
         truth = _centered_draws(cell, names, i)
@@ -296,13 +287,12 @@ def resampling_error_curve(
         for d in range(datasets_per_beta):
             ds = draw_dataset(cell, i, d)
             try:
-                star = resampled_estimates(
-                    ds, pipeline, plan, stream(scenario.seed, _TAG_RESAMPLE, i, d), subsample
+                samples = resampled_estimates(
+                    ds, pipeline, plan, stream(scenario.seed, _TAG_RESAMPLE, i, d)
                 )
             except TooManySingularResamples:
                 excluded += 1
                 continue
-            samples = centered_replicates(ds, pipeline, star, plan, subsample)
             for k in names:
                 if mode == "per_dataset":
                     per_dataset[k].append(_ks_arrays(truth[k], samples[k]))
@@ -320,7 +310,7 @@ def resampling_error_curve(
             else:
                 err = _ks_arrays(truth[k], np.concatenate(pooled[k]))
             errors[f"err_{k}"] = 100.0 * err
-        return {**errors, "datasets": included, "b": b, "excluded": excluded}
+        return {**errors, "datasets": included, "b": plan.b, "excluded": excluded}
 
     return _along_beta(beta_grid, scenario, workers, row)
 

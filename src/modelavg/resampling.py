@@ -1,14 +1,15 @@
 """Paired bootstrap, subsampling, and the mean-model bootstrap.
 
-One engine, :func:`resampled_estimates`, serves the bootstrap and
-subsampling, for the library calls and for figure2 alike. A dataset's
-resample indices come from :class:`ResampleIndices`: one (b, size) block
-drawn from the caller's generator, plus redraws for singular rows from one
-generator spawned from it. Each resample is reduced to its sufficient
+A :class:`ResamplePlan` names the scheme: without ``m`` it is the paired
+bootstrap, with ``m`` subsampling. One engine, :func:`resampled_estimates`,
+serves both, for the library calls and for figure2 alike, and returns a
+dataset's centred replicates sqrt(size) * (theta_star - theta_hat). A
+dataset's resample indices come from :class:`ResampleIndices`: one (b, size)
+block drawn from the caller's generator, plus redraws for singular rows from
+one generator spawned from it. Each resample is reduced to its sufficient
 statistics and a :class:`~modelavg.estimators.Pipeline`'s kernel evaluates
-them all at once; :func:`centered_replicates` turns the estimates into
-sqrt(size) * (theta_star - theta_hat). The output is a bit-reproducible
-function of the caller's generator.
+them all at once. The output is a bit-reproducible function of the caller's
+generator.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import TooManySingularResamples
 from .estimators import MeanModelSample, Pipeline, mean_model_estimate
-from .model import Dataset, compute_design_stats, singular_design
+from .model import Dataset, singular_design
 
 # Redraw budget for singular resampled designs, as a multiple of the number of
 # requested resamples.
@@ -59,20 +60,23 @@ class EmpiricalSample:
         return self._sorted
 
     def quantile(self, q: float) -> float:
-        """Order-statistic quantile: smallest value with ECDF >= q."""
+        """Order-statistic quantile: the k-th smallest value, k the smallest with k / len >= q."""
         if not 0.0 < q <= 1.0:
             raise ValueError("q must lie in (0, 1]")
-        k = int(np.ceil(q * len(self))) - 1
-        return float(self.sorted_values[max(k, 0)])
+        # k / len >= q is tested as written: q * len can round up past an
+        # integer (0.07 * 100 is 7.000000000000001).
+        n = len(self)
+        return float(self.sorted_values[np.searchsorted(np.arange(1, n + 1) / n, q)])
 
 
 @dataclass(frozen=True)
 class ResamplePlan:
-    """How many resamples to draw, and of what size.
+    """The resampling scheme: how many resamples to draw, and how.
 
-    ``m`` is the subsample size for subsampling plans (None for the paired
-    bootstrap). ``max_redraws`` caps redraws after singular resampled designs
-    and defaults to MAX_REDRAW_FACTOR * b.
+    ``m`` None is the paired bootstrap, n rows with replacement; an integer
+    ``m`` is subsampling, m rows without replacement. ``max_redraws`` caps
+    redraws after singular resampled designs and defaults to
+    MAX_REDRAW_FACTOR * b.
     """
 
     b: int
@@ -91,13 +95,13 @@ class ResamplePlan:
     def redraw_budget(self) -> int:
         return self.max_redraws if self.max_redraws is not None else MAX_REDRAW_FACTOR * self.b
 
-
-def _resample_size(n: int, plan: ResamplePlan, subsample: bool) -> int:
-    """Rows per resample: n for the bootstrap, ``plan.m`` (default n) for subsampling."""
-    size = plan.m if subsample and plan.m is not None else n
-    if size > n:
-        raise ValueError(f"subsample size m={size} must lie in [2, n={n}]")
-    return size
+    def size(self, n: int) -> int:
+        """Rows per resample of an n-row dataset: n for the bootstrap, m for subsampling."""
+        if self.m is None:
+            return n
+        if self.m > n:
+            raise ValueError(f"subsample size m={self.m} must lie in [2, n={n}]")
+        return self.m
 
 
 class ResampleIndices:
@@ -113,10 +117,10 @@ class ResampleIndices:
     replicate.
     """
 
-    def __init__(self, rng: np.random.Generator, n: int, plan: ResamplePlan, subsample: bool):
+    def __init__(self, rng: np.random.Generator, n: int, plan: ResamplePlan):
         self.n = n
-        self.size = _resample_size(n, plan, subsample)
-        self.subsample = subsample
+        self.size = plan.size(n)
+        self.subsample = plan.m is not None
         self.budget = plan.redraw_budget
         self.redraws = 0
         self.block = self._draw(rng, plan.b)
@@ -138,29 +142,33 @@ class ResampleIndices:
         return self._draw(self._redraw_rng, 1)[0]
 
 
+def _require_pipeline(pipeline) -> None:
+    if not isinstance(pipeline, Pipeline):
+        raise TypeError(
+            f"resampling needs a Pipeline (see make_pipeline), not {type(pipeline).__name__}"
+        )
+
+
 def resampled_estimates(
     dataset: Dataset,
     pipeline: Pipeline,
     plan: ResamplePlan,
     rng: np.random.Generator,
-    subsample: bool,
 ) -> dict[str, np.ndarray]:
-    """The pipeline's estimates on each of the ``plan.b`` resamples of ``dataset``.
+    """sqrt(size) * (theta_star - theta_hat) per name, for each of ``plan.b`` resamples.
 
-    Indices come from :class:`ResampleIndices`. Each resample is reduced to
-    its sufficient statistics (the design inner products, <x1,y>, <x2,y> and
-    <y,y>), and one call of the pipeline's kernel evaluates all of them.
+    theta_hat is the pipeline's fit of the full dataset, which comes first, so
+    a singular dataset raises before any draw. Indices come from
+    :class:`ResampleIndices`. Each resample is reduced to its sufficient
+    statistics (the design inner products, <x1,y>, <x2,y> and <y,y>), and one
+    call of the pipeline's kernel evaluates all of them for theta_star.
     Singular rows are redrawn in ascending row order until the plan's budget
-    is spent, then TooManySingularResamples is raised. A singular dataset
-    raises at once.
+    is spent, then TooManySingularResamples is raised.
     """
-    if not isinstance(pipeline, Pipeline):
-        raise TypeError(
-            f"resampling needs a Pipeline (see make_pipeline), not {type(pipeline).__name__}"
-        )
-    compute_design_stats(dataset.design)
+    _require_pipeline(pipeline)
+    originals, _ = pipeline.fit(dataset)
     x1_full, x2_full, y_full = dataset.design.x1, dataset.design.x2, dataset.y
-    indices = ResampleIndices(rng, dataset.n, plan, subsample)
+    indices = ResampleIndices(rng, dataset.n, plan)
 
     def gather(index):
         x1 = x1_full[index]
@@ -177,32 +185,15 @@ def resampled_estimates(
         while singular_design(*sums[:3, i]):
             sums[:, i] = gather(indices.redraw())
     estimates, _ = pipeline.kernel(indices.size, *sums)
-    return estimates
-
-
-def centered_replicates(
-    dataset: Dataset,
-    pipeline: Pipeline,
-    estimates: dict[str, np.ndarray],
-    plan: ResamplePlan,
-    subsample: bool,
-) -> dict[str, np.ndarray]:
-    """sqrt(size) * (theta_star - theta_hat) per name.
-
-    ``estimates`` are the theta_star from :func:`resampled_estimates`, theta_hat
-    is the pipeline's fit of the full dataset, and size is the resample size.
-    """
-    scale = float(np.sqrt(_resample_size(dataset.n, plan, subsample)))
-    originals, _ = pipeline.fit(dataset)
+    scale = float(np.sqrt(indices.size))
     return {name: scale * (estimates[name] - originals[name]) for name in pipeline.names}
 
 
-def _distribution(dataset, pipeline, plan, rng, subsample) -> EmpiricalSample:
-    estimates = resampled_estimates(dataset, pipeline, plan, rng, subsample)
+def _distribution(dataset, pipeline, plan, rng) -> EmpiricalSample:
     if len(pipeline.names) != 1:
         raise ValueError("needs the pipeline of one estimator, from make_pipeline")
-    values = centered_replicates(dataset, pipeline, estimates, plan, subsample)
-    return EmpiricalSample(values[pipeline.names[0]])
+    (values,) = resampled_estimates(dataset, pipeline, plan, rng).values()
+    return EmpiricalSample(values)
 
 
 def paired_bootstrap(
@@ -214,9 +205,13 @@ def paired_bootstrap(
     """Simple random sampling of (x, y) pairs with replacement, b times.
 
     The returned sample holds sqrt(n) * (theta_star - theta_hat) for the one
-    estimator of ``pipeline`` (from :func:`make_pipeline`).
+    estimator of ``pipeline`` (from :func:`make_pipeline`). ``plan`` must be
+    a bootstrap plan, without ``m``.
     """
-    return _distribution(dataset, pipeline, plan, rng, subsample=False)
+    _require_pipeline(pipeline)
+    if plan.m is not None:
+        raise ValueError(f"the paired bootstrap takes a plan without m, got m={plan.m}")
+    return _distribution(dataset, pipeline, plan, rng)
 
 
 def subsample_distribution(
@@ -225,8 +220,14 @@ def subsample_distribution(
     plan: ResamplePlan,
     rng: np.random.Generator,
 ) -> EmpiricalSample:
-    """b random size-m subsets without replacement; sqrt(m) * (theta_m - theta_n)."""
-    return _distribution(dataset, pipeline, plan, rng, subsample=True)
+    """b random size-m subsets without replacement; sqrt(m) * (theta_m - theta_n).
+
+    ``plan`` must be a subsampling plan, with ``m``.
+    """
+    _require_pipeline(pipeline)
+    if plan.m is None:
+        raise ValueError("subsampling takes a plan with a subsample size m")
+    return _distribution(dataset, pipeline, plan, rng)
 
 
 def mean_model_bootstrap(

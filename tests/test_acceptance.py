@@ -222,7 +222,7 @@ def test_criterion_06_figure2_shape():
         datasets, b = 20, 200
         grid = [round(v, 10) for v in np.arange(-0.3, 0.31, 0.05) if 0.1 - 1e-9 <= abs(v)]
     boot = resampling_error_curve(
-        grid, scenario, "bootstrap", datasets_per_beta=datasets, b=b, workers=4
+        grid, scenario, ResamplePlan(b=b), datasets_per_beta=datasets, workers=4
     )
     band = [r for r in boot if 0.1 - 1e-9 <= abs(r["beta"]) <= 0.3 + 1e-9]
     for row in band:
@@ -234,8 +234,7 @@ def test_criterion_06_figure2_shape():
             )
     if FULL_FIGURE2:
         sub = resampling_error_curve(
-            grid, scenario, "subsample", datasets_per_beta=datasets, b=b,
-            m=20, workers=4,
+            grid, scenario, ResamplePlan(b=b, m=20), datasets_per_beta=datasets, workers=4
         )
         for name in ("ms", "bma_bic", "ama"):
             diffs = [abs(rb[f"err_{name}"] - rs[f"err_{name}"]) for rb, rs in zip(boot, sub)]

@@ -119,11 +119,13 @@ def _grid(values):
 
 
 def test_cli_runs_under_the_benchmark_tracer(tmp_path):
-    # perfbench's --trace 1 wraps module-global names of modelavg, and reads
+    # perfbench's --trace 1 wraps module-global names of modelavg. It reads
     # the noise block's row count from experiments.batch_estimates' fourth
-    # positional argument (or "z"). A signature change there would crash every
-    # traced unit, and a helper that calls a wrapped name through a reference
-    # it captured, not through the module global, would silently drop spans.
+    # positional argument (or "z"), and the replicate count from the ``b`` of
+    # experiments.resampled_estimates' third (or "plan"). A signature change
+    # there would crash every traced unit, and a helper that calls a wrapped
+    # name through a reference it captured, not through the module global,
+    # would silently drop spans.
     common = ["--reps", str(_REPS), "--workers", "1"]
     runs = {
         "figure1a": ["figure1a", f"--beta-grid={_grid(_BETA_GRID)}"],
@@ -151,6 +153,10 @@ def test_cli_runs_under_the_benchmark_tracer(tmp_path):
     batch = [span for span in spans if span[1] == "experiments.batch_estimates"]
     assert batch
     assert all(span[7] == {"rows": _REPS} for span in batch)
+    # The tracer reads the replicate count from the engine's third argument, the plan.
+    engine = [span for span in spans if span[1] == "experiments.resampled_estimates"]
+    assert engine
+    assert all(span[7] == {"replicates": _B} for span in engine)
 
     # figure1a, figure1b and figure2 each freeze one design; the two sweeps one per n.
     designs = 3 + 2 * len(_N_GRID)

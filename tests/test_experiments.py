@@ -31,12 +31,7 @@ from modelavg.model import (
     TrueParams,
     compute_design_stats,
 )
-from modelavg.resampling import (
-    ResampleIndices,
-    ResamplePlan,
-    centered_replicates,
-    resampled_estimates,
-)
+from modelavg.resampling import ResampleIndices, ResamplePlan, resampled_estimates
 from modelavg.weights import PretestConfig, default_tuning
 
 
@@ -265,9 +260,7 @@ def test_ks_ratio_far_beta_near_100():
 
 def test_resampling_error_noiseless_zero():
     scenario = _integer_scenario(beta=0.0, sigma=0.0, reps=30)
-    rows = resampling_error_curve(
-        [0.0], scenario, method="bootstrap", datasets_per_beta=3, b=20
-    )
+    rows = resampling_error_curve([0.0], scenario, ResamplePlan(b=20), datasets_per_beta=3)
     assert rows[0]["err_ms"] == 0.0
     assert rows[0]["err_bma_bic"] == 0.0
     assert rows[0]["err_ama"] == 0.0
@@ -278,30 +271,24 @@ def test_resampling_error_noiseless_zero():
 
 def test_resampling_error_subsample_and_pooled_modes():
     scenario = _uniform_scenario(reps=300, seed=44, n=20)
-    rows_b = resampling_error_curve(
-        [0.0], scenario, method="subsample", datasets_per_beta=2, b=30, m=8
-    )
+    rows_b = resampling_error_curve([0.0], scenario, ResamplePlan(b=30, m=8), datasets_per_beta=2)
     assert rows_b[0]["err_ama"] > 0.0
     rows_p = resampling_error_curve(
-        [0.0], scenario, method="bootstrap", datasets_per_beta=2, b=30, mode="pooled"
+        [0.0], scenario, ResamplePlan(b=30), datasets_per_beta=2, mode="pooled"
     )
     assert np.isfinite(rows_p[0]["err_ms"])
     with pytest.raises(ValueError):
-        resampling_error_curve([0.0], scenario, method="jackknife", datasets_per_beta=1, b=5)
-    with pytest.raises(ValueError):
-        resampling_error_curve(
-            [0.0], scenario, method="subsample", datasets_per_beta=1, b=5, m=99
-        )
+        resampling_error_curve([0.0], scenario, ResamplePlan(b=5, m=99), datasets_per_beta=1)
 
 
-def _generic_engine(ds, pipeline, plan, seed, subsample):
+def _generic_engine(ds, pipeline, plan, seed):
     """Per-row reference for the resampling engine, one refit per replicate.
 
     Takes the ResampleIndices block of ``seed``, redraws singular rows in
     ascending order, refits the dataset of each row's (x, y) rows through
     ``pipeline.fit`` and returns sqrt(size) * (theta_star - theta_hat) per name.
     """
-    indices = ResampleIndices(np.random.default_rng(seed), ds.n, plan, subsample)
+    indices = ResampleIndices(np.random.default_rng(seed), ds.n, plan)
     originals, _ = pipeline.fit(ds)
     x1, x2, y = ds.design.x1, ds.design.x2, ds.y
     out = {name: [] for name in pipeline.names}
@@ -317,22 +304,20 @@ def _generic_engine(ds, pipeline, plan, seed, subsample):
     return {name: np.array(values) for name, values in out.items()}
 
 
-def _engine(ds, pipeline, plan, seed, subsample):
-    star = resampled_estimates(ds, pipeline, plan, np.random.default_rng(seed), subsample)
-    return centered_replicates(ds, pipeline, star, plan, subsample)
+def _engine(ds, pipeline, plan, seed):
+    return resampled_estimates(ds, pipeline, plan, np.random.default_rng(seed))
 
 
 def _assert_engines_agree(ds, scenario, sigma, prior_scale=1.0, prior_p_r=0.5):
     names = ("r", "u", "ms", "bma_bic", "ama", "bma_exact")
     pipeline = Pipeline(names, sigma, scenario.pretest, scenario.adaptive, prior_scale, prior_p_r)
-    for subsample, m in ((False, None), (True, 5), (True, 12)):
+    for m in (None, 5, 12):
         plan = ResamplePlan(b=40, m=m)
-        loop = _generic_engine(ds, pipeline, plan, 17, subsample)
-        fast = _engine(ds, pipeline, plan, 17, subsample)
+        loop = _generic_engine(ds, pipeline, plan, 17)
+        fast = _engine(ds, pipeline, plan, 17)
         for name in names:
             np.testing.assert_allclose(
-                fast[name], loop[name], rtol=1e-9, atol=1e-9,
-                err_msg=f"{name} subsample={subsample}",
+                fast[name], loop[name], rtol=1e-9, atol=1e-9, err_msg=f"{name} m={m}",
             )
 
 
@@ -365,8 +350,8 @@ def test_fast_resampling_engine_matches_generic_engine():
     pipeline3 = Pipeline(("u",), 1.0, tiny.pretest, tiny.adaptive)
     plan3 = ResamplePlan(b=60)
     np.testing.assert_allclose(
-        _engine(ds3, pipeline3, plan3, 4, False)["u"],
-        _generic_engine(ds3, pipeline3, plan3, 4, False)["u"],
+        _engine(ds3, pipeline3, plan3, 4)["u"],
+        _generic_engine(ds3, pipeline3, plan3, 4)["u"],
         rtol=1e-9, atol=1e-9,
     )
 
@@ -380,8 +365,8 @@ def test_full_size_subsample_reproduces_dataset_in_both_engines():
         ds = draw_dataset(scenario)
         pipeline = Pipeline(names, sigma, scenario.pretest, scenario.adaptive)
         plan = ResamplePlan(b=30, m=n)
-        loop = _generic_engine(ds, pipeline, plan, 1, True)
-        fast = _engine(ds, pipeline, plan, 1, True)
+        loop = _generic_engine(ds, pipeline, plan, 1)
+        fast = _engine(ds, pipeline, plan, 1)
         for name in names:
             assert np.all(loop[name] == 0.0), name
             assert np.all(fast[name] == 0.0), name
@@ -395,7 +380,7 @@ def test_singular_redraw_leaves_other_rows_on_their_block_row():
     ds = draw_dataset(tiny)
     pipeline = Pipeline(("u",), 1.0, tiny.pretest, tiny.adaptive)
     plan = ResamplePlan(b=60)
-    block = ResampleIndices(np.random.default_rng(4), 3, plan, False).block
+    block = ResampleIndices(np.random.default_rng(4), 3, plan).block
     singular = np.array([len(set(row)) == 1 for row in block])
     assert 0 < singular.sum() < plan.b
 
@@ -413,11 +398,11 @@ def test_singular_redraw_leaves_other_rows_on_their_block_row():
     assert not np.array_equal(np.array(expected_rows)[singular], block[singular])
 
     scale = np.sqrt(3.0)
-    loop = _generic_engine(ds, pipeline, plan, 4, False)
-    fast = resampled_estimates(ds, pipeline, plan, np.random.default_rng(4), False)
+    loop = _generic_engine(ds, pipeline, plan, 4)
+    fast = _engine(ds, pipeline, plan, 4)
     original = pipeline.fit(ds)[0]["u"]
     assert np.array_equal(loop["u"], scale * (expected - original))
-    np.testing.assert_allclose(fast["u"], expected, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(fast["u"], scale * (expected - original), rtol=1e-12, atol=1e-12)
 
 
 def test_fast_resampling_engine_matches_generic_engine_at_sigma_zero():
@@ -441,7 +426,7 @@ def test_resampling_error_counts_excluded_datasets():
         seed=2,
     )
     rows = resampling_error_curve(
-        [0.0], scenario, method="bootstrap", datasets_per_beta=12, b=1, max_redraws=0
+        [0.0], scenario, ResamplePlan(b=1, max_redraws=0), datasets_per_beta=12
     )
     row = rows[0]
     assert row["excluded"] > 0
@@ -455,8 +440,8 @@ def test_curves_deterministic_across_workers():
     base = mse_curve(grid, scenario, workers=1)
     par = mse_curve(grid, scenario, workers=4)
     assert base == par
-    r1 = resampling_error_curve(grid, scenario, "bootstrap", datasets_per_beta=2, b=10)
-    r2 = resampling_error_curve(grid, scenario, "bootstrap", datasets_per_beta=2, b=10, workers=3)
+    r1 = resampling_error_curve(grid, scenario, ResamplePlan(b=10), datasets_per_beta=2)
+    r2 = resampling_error_curve(grid, scenario, ResamplePlan(b=10), datasets_per_beta=2, workers=3)
     assert r1 == r2
     # The n sweeps hand the pool their largest n first; rows keep the given order.
     params = TrueParams(alpha=1.0, beta=0.2, sigma=1.0)
@@ -605,8 +590,7 @@ def test_empty_grids_rejected():
     calls = (
         lambda: mse_curve([], scenario),
         lambda: ks_ratio_curve([], scenario),
-        lambda: resampling_error_curve([], scenario, method="bootstrap",
-                                       datasets_per_beta=1, b=5),
+        lambda: resampling_error_curve([], scenario, ResamplePlan(b=5), datasets_per_beta=1),
         lambda: risk_bound_sweep(TrueParams(1.0, 0.0, 1.0), [], reps=10, seed=0),
         lambda: weight_decay_sweep(params, [], reps=10, seed=0),
         # reps = 0 would average over no replicates and report nan.
@@ -619,15 +603,18 @@ def test_empty_grids_rejected():
 
 
 def test_subsample_size_one_is_refused_before_any_truth_sample(monkeypatch):
-    # Every one-row subsample is singular, so m = 1 must fail up front rather
-    # than after the grid points' truth samples were drawn.
+    # Every one-row subsample is singular, and a subsample cannot hold more
+    # than n rows, so m = 1 and m = n + 1 must fail up front rather than after
+    # the grid points' truth samples were drawn. m = 1 fails when the plan is
+    # built.
     def no_truth_sample(*args, **kwargs):
         raise AssertionError("truth sample drawn before m was checked")
 
     monkeypatch.setattr(modelavg.experiments, "mc_estimator_draws", no_truth_sample)
     scenario = _uniform_scenario(reps=10, n=20)
-    with pytest.raises(ValueError, match="m=1"):
-        resampling_error_curve(
-            [0.0, 0.3, 0.6], scenario, method="subsample", datasets_per_beta=1, b=5, m=1,
-            workers=3,
-        )
+    for m in (1, 21):
+        with pytest.raises(ValueError, match=f"m={m} "):
+            resampling_error_curve(
+                [0.0, 0.3, 0.6], scenario, ResamplePlan(b=5, m=m), datasets_per_beta=1,
+                workers=3,
+            )

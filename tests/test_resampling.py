@@ -29,6 +29,7 @@ def test_empirical_sample_contract():
     assert np.array_equal(s.sorted_values, [1.0, 2.0])
     assert s.quantile(0.5) == 1.0
     assert s.quantile(1.0) == 2.0
+    assert EmpiricalSample(np.arange(100.0, 0.0, -1.0)).quantile(0.07) == 7.0
     with pytest.raises(ValueError):
         EmpiricalSample([])
     with pytest.raises(ValueError):
@@ -44,6 +45,19 @@ def test_plan_validation():
         ResamplePlan(b=5, m=1)
     assert ResamplePlan(b=5).redraw_budget == 500
     assert ResamplePlan(b=5, max_redraws=3).redraw_budget == 3
+    assert ResamplePlan(b=5).size(7) == 7
+    assert ResamplePlan(b=5, m=3).size(7) == 3
+    with pytest.raises(ValueError, match="m=8"):
+        ResamplePlan(b=5, m=8).size(7)
+
+
+def test_quantile_of_k_over_n_is_the_kth_smallest_value():
+    # "Smallest value with ECDF >= q": q = k / N picks the k-th order
+    # statistic, also where q * N rounds up past k (0.07 * 100).
+    for n in range(1, 201):
+        sample = EmpiricalSample(np.arange(n, 0, -1))
+        for k in range(1, n + 1):
+            assert sample.quantile(k / n) == k, (n, k)
 
 
 def test_bootstrap_size_contract():
@@ -89,7 +103,7 @@ def test_bootstrap_first_index_marginal_uniform():
     # chi-square GOF at significance 1e-6.
     n = 10
     draws = 100_000
-    block = ResampleIndices(np.random.default_rng(3), n, ResamplePlan(b=draws), False).block
+    block = ResampleIndices(np.random.default_rng(3), n, ResamplePlan(b=draws)).block
     counts = np.bincount(block[:, 0], minlength=n)
     assert counts.sum() == draws
     expected = draws / n
@@ -117,7 +131,7 @@ def test_subsample_full_size_is_degenerate():
 
 @pytest.mark.parametrize("n,m", [(9, 2), (9, 4), (12, 12), (50, 20)])
 def test_subsample_rows_are_sorted_sets_of_distinct_indices(n, m):
-    block = ResampleIndices(np.random.default_rng(n + m), n, ResamplePlan(b=300, m=m), True).block
+    block = ResampleIndices(np.random.default_rng(n + m), n, ResamplePlan(b=300, m=m)).block
     assert block.shape == (300, m)
     assert block.min() >= 0 and block.max() < n
     assert np.all(np.diff(block, axis=1) > 0)  # strictly increasing: sorted and distinct
@@ -127,9 +141,9 @@ def test_subsample_rows_are_sorted_sets_of_distinct_indices(n, m):
 
 def test_index_block_is_one_draw_from_the_callers_generator():
     # Stream layout 2: a change here moves every resampling output.
-    boot = ResampleIndices(np.random.default_rng(3), 7, ResamplePlan(b=40), False).block
+    boot = ResampleIndices(np.random.default_rng(3), 7, ResamplePlan(b=40)).block
     assert np.array_equal(boot, np.random.default_rng(3).integers(0, 7, size=(40, 7)))
-    sub = ResampleIndices(np.random.default_rng(3), 7, ResamplePlan(b=40, m=3), True).block
+    sub = ResampleIndices(np.random.default_rng(3), 7, ResamplePlan(b=40, m=3)).block
     perm = np.argsort(np.random.default_rng(3).random((40, 7)), axis=1)
     assert np.array_equal(sub, np.sort(perm[:, :3], axis=1))
 
@@ -187,6 +201,35 @@ def test_callable_that_is_not_a_pipeline_is_refused():
             engine(ds, lambda d: float(d.y[0]), plan, np.random.default_rng(0))
     with pytest.raises(ValueError, match="one estimator"):
         paired_bootstrap(ds, Pipeline(("r", "u"), 1.0), plan, np.random.default_rng(0))
+
+
+# A plan names its scheme by m; neither resampler drops or invents one.
+def test_bootstrap_refuses_a_subsampling_plan():
+    with pytest.raises(ValueError, match="without m"):
+        paired_bootstrap(
+            _integer_dataset(), make_pipeline("u", 1.0), ResamplePlan(b=3, m=4),
+            np.random.default_rng(0),
+        )
+
+
+def test_subsampling_refuses_a_plan_without_m():
+    with pytest.raises(ValueError, match="with a subsample size m"):
+        subsample_distribution(
+            _integer_dataset(), make_pipeline("u", 1.0), ResamplePlan(b=3),
+            np.random.default_rng(0),
+        )
+
+
+def test_several_estimators_are_refused_before_any_draw():
+    ds = _integer_dataset()
+    both = Pipeline(("r", "u"), 1.0)
+    for engine, plan in ((paired_bootstrap, ResamplePlan(b=3)),
+                         (subsample_distribution, ResamplePlan(b=3, m=4))):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="one estimator"):
+            engine(ds, both, plan, rng)
+        assert rng.bit_generator.state == state
 
 
 def test_original_collinearity_propagates():
