@@ -129,8 +129,9 @@ class Pipeline:
     :meth:`fit` refits one dataset from scratch (design stats, fits, weights);
     the Monte Carlo harness and the resampling engine evaluate whole arrays of
     datasets through :meth:`kernel`. Construction raises on unknown names,
-    missing configs or a sigma that is not >= 0 (nan included); fitting a
-    singular dataset raises CollinearDesign or ZeroColumn.
+    missing configs, a sigma that is not >= 0 (nan included), a prior_scale
+    that is not > 0 or a prior_p_r outside (0, 1); fitting a singular dataset
+    raises CollinearDesign or ZeroColumn.
     """
 
     names: tuple[str, ...]
@@ -145,6 +146,10 @@ class Pipeline:
         _check_names(self.names, self.pretest, self.adaptive)
         if not self.sigma >= 0.0:
             raise ValueError("sigma must be >= 0")
+        if not self.prior_scale > 0.0:
+            raise ValueError("prior_scale must be > 0")
+        if not 0.0 < self.prior_p_r < 1.0:
+            raise ValueError("prior_p_r must lie in (0, 1)")
 
     def kernel(self, n: int, s11, s22, s12, p1, p2, yy=None):
         """:func:`estimate_arrays` for ``names`` with this pipeline's settings."""

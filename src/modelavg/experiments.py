@@ -10,7 +10,7 @@ reflect the estimators rather than the noise.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -74,26 +74,29 @@ def batch_estimates(
     params: TrueParams,
     z: np.ndarray,
     pipeline: Pipeline,
-) -> dict[str, np.ndarray]:
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
     """Vectorized estimates over a (reps, n) block of standard-normal noise.
 
-    Row r of ``z`` yields the response alpha*x1 + beta*x2 + sigma*z[r]; the
-    returned arrays hold one estimate per row. ``z`` is overwritten with
-    those responses. Matches the scalar pipeline to floating round-off.
+    Row r of ``z`` yields the response alpha*x1 + beta*x2 + sigma*z[r]. Returns
+    the kernel's pair: one estimate per row for each name, and one weight on R
+    per row for each averaging rule among them. ``z`` is overwritten with the
+    responses. Matches the scalar pipeline to floating round-off.
     """
     y = responses_in_place(design, params, z)
     # <y,y> is read only by the sigma = 0 limit of bma_exact.
     yy = np.einsum("ij,ij->i", y, y) if params.sigma == 0.0 else None
-    estimates, _ = pipeline.kernel(
+    return pipeline.kernel(
         design.n, stats.s11, stats.s22, stats.s12, y @ design.x1, y @ design.x2, yy
     )
-    return estimates
 
 
 def mc_estimator_draws(
     scenario: Scenario, names: Sequence[str], grid_index: int = 0
-) -> dict[str, np.ndarray]:
-    """reps estimates per name from fresh responses on the frozen design."""
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """The kernel's pair over reps fresh responses on the frozen design.
+
+    Returns reps estimates per name and reps weights on R per averaging rule.
+    """
     stats = compute_design_stats(scenario.design)
     z = stream(scenario.seed, _TAG_TRUTH, grid_index).standard_normal(
         (scenario.reps, scenario.design.n)
@@ -105,7 +108,7 @@ def _centered_draws(
     scenario: Scenario, names: Sequence[str], grid_index: int
 ) -> dict[str, np.ndarray]:
     """sqrt(n) * (estimate - alpha) per name, from :func:`mc_estimator_draws`."""
-    draws = mc_estimator_draws(scenario, names, grid_index=grid_index)
+    draws = mc_estimator_draws(scenario, names, grid_index=grid_index)[0]
     root_n = np.sqrt(scenario.design.n)
     return {k: root_n * (v - scenario.params.alpha) for k, v in draws.items()}
 
@@ -144,74 +147,60 @@ def _ks_ratio(ks_r: float, ks_u: float) -> float:
     return 100.0 * (ks_r / total)
 
 
-def _map_ordered(
-    fn: Callable[[int], dict],
-    count: int,
-    workers: int,
-    cost: Sequence[float] | None = None,
-) -> list[dict]:
-    """``[fn(0), ..., fn(count - 1)]``, computed on ``workers`` threads.
-
-    Given a per-item ``cost``, the pool receives the items costliest first
-    (ties in index order), so the largest item does not start last and run
-    alone. Results come back in index order either way.
-    """
-    if workers > 1:
-        order = range(count) if cost is None else sorted(range(count), key=lambda i: -cost[i])
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {i: pool.submit(fn, i) for i in order}
-            return [futures[i].result() for i in range(count)]
-    return [fn(i) for i in range(count)]
-
-
-def _along_beta(
-    beta_grid: Sequence[float],
-    scenario: Scenario,
+def _grid(
+    cells: Sequence[tuple[dict, Scenario]],
     workers: int,
     row: Callable[[int, Scenario], dict],
 ) -> list[dict]:
-    """One CSV row per beta: ``beta``, the columns ``row(i, cell)`` returns, ``seed``.
+    """One CSV row per cell ``(lead, scenario)``: the ``lead`` columns, the
+    columns ``row(i, scenario)`` returns, then ``seed``; ``i`` keys cell i's substreams.
 
-    ``cell`` is ``scenario`` with beta set to ``beta_grid[i]``; ``i`` keys the
-    grid point's substreams.
+    On ``workers`` threads the pool gets the largest designs first (ties in
+    grid order), so the largest does not start last and run alone, and the
+    first failure or an interrupt cancels every cell not yet started.
     """
-    beta_grid = list(beta_grid)
-    if not beta_grid:
-        raise ValueError("beta grid must be non-empty")
+    if not cells:
+        raise ValueError("grid must be non-empty")
 
     def one(i: int) -> dict:
-        cell = replace(scenario, params=replace(scenario.params, beta=beta_grid[i]))
-        return {"beta": beta_grid[i], **row(i, cell), "seed": scenario.seed}
+        lead, cell = cells[i]
+        return {**lead, **row(i, cell), "seed": cell.seed}
 
-    return _map_ordered(one, len(beta_grid), workers)
+    if workers <= 1:
+        return [one(i) for i in range(len(cells))]
+    order = sorted(range(len(cells)), key=lambda i: -cells[i][1].design.n)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = {i: pool.submit(one, i) for i in order}
+        try:
+            for future in as_completed(futures.values()):
+                future.result()  # the first failure ends the loop
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+    return [futures[i].result() for i in range(len(cells))]
 
 
-def _along_n(
-    n_grid: Sequence[int],
-    reps: int,
-    seed: int,
-    workers: int,
-    row: Callable[[int, DesignMatrix, np.ndarray], dict],
-) -> list[dict]:
-    """One CSV row per n: ``n``, the columns ``row(n, design, z)`` returns, ``reps``, ``seed``.
+def _beta_cells(beta_grid: Sequence[float], scenario: Scenario) -> list[tuple[dict, Scenario]]:
+    """``scenario`` with beta set to each grid value, led by a ``beta`` column."""
+    return [
+        ({"beta": beta}, replace(scenario, params=replace(scenario.params, beta=beta)))
+        for beta in beta_grid
+    ]
 
-    Each n gets a freshly frozen intercept-plus-Uniform(0,3) design and a
-    (reps, n) block ``z`` of standard-normal noise, both from grid point i's
-    substreams. The pool starts the largest n first.
-    """
-    n_grid = list(n_grid)
-    if not n_grid:
-        raise ValueError("n grid must be non-empty")
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
 
-    def one(i: int) -> dict:
-        n = n_grid[i]
-        design = make_uniform_design(n, stream(seed, _TAG_DESIGN, i))
-        z = stream(seed, _TAG_TRUTH, i).standard_normal((reps, n))
-        return {"n": n, **row(n, design, z), "reps": reps, "seed": seed}
-
-    return _map_ordered(one, len(n_grid), workers, cost=n_grid)
+def _n_cells(
+    params: TrueParams, n_grid: Sequence[int], reps: int, seed: int,
+    prior_scale: float = 1.0, prior_p_r: float = 0.5,
+) -> list[tuple[dict, Scenario]]:
+    """One cell per n, led by an ``n`` column: a design freshly frozen from grid
+    point i's substream, the default pretest and :func:`default_tuning` at n."""
+    return [
+        ({"n": n}, Scenario(
+            make_uniform_design(n, stream(seed, _TAG_DESIGN, i)), params, PretestConfig(),
+            default_tuning(n), reps, seed, prior_scale, prior_p_r,
+        ))
+        for i, n in enumerate(n_grid)
+    ]
 
 
 def mse_curve(
@@ -221,11 +210,11 @@ def mse_curve(
     names = ("ms", "bma_bic", "ama", "u")
 
     def row(i: int, cell: Scenario) -> dict:
-        draws = mc_estimator_draws(cell, names, grid_index=i)
+        draws = mc_estimator_draws(cell, names, grid_index=i)[0]
         mse = {f"mse_{k}": float(np.mean((draws[k] - cell.params.alpha) ** 2)) for k in names}
         return {**mse, "reps": cell.reps}
 
-    return _along_beta(beta_grid, scenario, workers, row)
+    return _grid(_beta_cells(beta_grid, scenario), workers, row)
 
 
 def ks_ratio_curve(
@@ -248,7 +237,7 @@ def ks_ratio_curve(
             distances[f"ks_{col}_r"], distances[f"ks_{col}_u"] = ks_r, ks_u
         return {**ratios, **distances, "reps": cell.reps}
 
-    return _along_beta(beta_grid, scenario, workers, row)
+    return _grid(_beta_cells(beta_grid, scenario), workers, row)
 
 
 def resampling_error_curve(
@@ -277,10 +266,10 @@ def resampling_error_curve(
         raise ValueError("datasets_per_beta must be >= 1")
     plan.size(scenario.design.n)
     names = ("ms", "bma_bic", "ama")
-    pipeline = scenario.pipeline(names)
 
     def row(i: int, cell: Scenario) -> dict:
         truth = _centered_draws(cell, names, i)
+        pipeline = cell.pipeline(names)
         per_dataset = {k: [] for k in names}
         pooled = {k: [] for k in names}
         excluded = 0
@@ -288,7 +277,7 @@ def resampling_error_curve(
             ds = draw_dataset(cell, i, d)
             try:
                 samples = resampled_estimates(
-                    ds, pipeline, plan, stream(scenario.seed, _TAG_RESAMPLE, i, d)
+                    ds, pipeline, plan, stream(cell.seed, _TAG_RESAMPLE, i, d)
                 )
             except TooManySingularResamples:
                 excluded += 1
@@ -312,7 +301,7 @@ def resampling_error_curve(
             errors[f"err_{k}"] = 100.0 * err
         return {**errors, "datasets": included, "b": plan.b, "excluded": excluded}
 
-    return _along_beta(beta_grid, scenario, workers, row)
+    return _grid(_beta_cells(beta_grid, scenario), workers, row)
 
 
 def risk_bound_sweep(
@@ -330,18 +319,15 @@ def risk_bound_sweep(
     non-vanishing x1'x2/n correlation that makes the problem non-trivial holds
     by construction. The Monte Carlo standard error of each point is reported.
     """
-    pipeline = Pipeline(
-        ("bma_exact",), params.sigma, prior_scale=prior_scale, prior_p_r=prior_p_r
-    )
 
-    def row(n: int, design: DesignMatrix, z: np.ndarray) -> dict:
-        stats = compute_design_stats(design)
-        draws = batch_estimates(design, stats, params, z, pipeline)["bma_exact"]
-        sq = (draws - params.alpha) ** 2
+    def row(i: int, cell: Scenario) -> dict:
+        n, reps = cell.design.n, cell.reps
+        draws = mc_estimator_draws(cell, ("bma_exact",), i)[0]["bma_exact"]
+        sq = (draws - cell.params.alpha) ** 2
         mc_se = float(n * np.std(sq, ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
-        return {"n_risk": float(n * np.mean(sq)), "mc_se": mc_se}
+        return {"n_risk": float(n * np.mean(sq)), "mc_se": mc_se, "reps": reps}
 
-    return _along_n(n_grid, reps, seed, workers, row)
+    return _grid(_n_cells(params, n_grid, reps, seed, prior_scale, prior_p_r), workers, row)
 
 
 def weight_decay_sweep(
@@ -357,17 +343,12 @@ def weight_decay_sweep(
     exactly as in :func:`risk_bound_sweep`.
     """
 
-    def row(n: int, design: DesignMatrix, z: np.ndarray) -> dict:
-        stats = compute_design_stats(design)
-        y = responses_in_place(design, params, z)
-        pipeline = Pipeline(("ama",), params.sigma, adaptive=default_tuning(n))
-        p_r = pipeline.kernel(
-            n, stats.s11, stats.s22, stats.s12, y @ design.x1, y @ design.x2
-        )[1]["ama"]
-        mean_p = float(np.mean(p_r))
-        return {"mean_p_r": mean_p, "mean_sqrtn_p_r": float(np.sqrt(n) * mean_p)}
+    def row(i: int, cell: Scenario) -> dict:
+        mean_p = float(np.mean(mc_estimator_draws(cell, ("ama",), i)[1]["ama"]))
+        root_n = np.sqrt(cell.design.n)
+        return {"mean_p_r": mean_p, "mean_sqrtn_p_r": float(root_n * mean_p), "reps": cell.reps}
 
-    return _along_n(n_grid, reps, seed, workers, row)
+    return _grid(_n_cells(params, n_grid, reps, seed), workers, row)
 
 
 def make_scenario(

@@ -227,7 +227,7 @@ def write_design_csv(design: DesignMatrix, path) -> None:
 
 
 def read_design_csv(path) -> DesignMatrix:
-    """Load a design written by :func:`write_design_csv`."""
+    """Load a design written by :func:`write_design_csv`; blank rows are skipped."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -235,6 +235,10 @@ def read_design_csv(path) -> DesignMatrix:
             raise ValueError(f"unexpected design CSV header: {header}")
         x1, x2 = [], []
         for row in reader:
+            if not row:
+                continue
+            if len(row) != 3:
+                raise ValueError(f"{path}, line {reader.line_num}: expected 3 fields, got {row}")
             x1.append(float(row[1]))
             x2.append(float(row[2]))
     return DesignMatrix(np.asarray(x1), np.asarray(x2))

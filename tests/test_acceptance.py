@@ -140,7 +140,7 @@ def _mse_se(scenario, grid, beta, name):
         reps=scenario.reps,
         seed=scenario.seed,
     )
-    draws = mc_estimator_draws(cell, (name,), grid_index=idx)[name]
+    draws = mc_estimator_draws(cell, (name,), grid_index=idx)[0][name]
     sq = (draws - 1.0) ** 2
     return float(np.std(sq, ddof=1) / np.sqrt(sq.size))
 
@@ -296,7 +296,7 @@ def test_criterion_08_weight_decay_and_bootstrap_trend():
             scenario = make_scenario(
                 n=n, seed=ACCEPTANCE_SEED, reps=5000, alpha=1.0, beta=beta, sigma=1.0
             )
-            truth = mc_estimator_draws(scenario, ("ama",))["ama"]
+            truth = mc_estimator_draws(scenario, ("ama",))[0]["ama"]
             truth = np.sqrt(n) * (truth - 1.0)
             pipeline = make_pipeline("ama", 1.0, scenario.pretest, scenario.adaptive)
             plan = ResamplePlan(b=400)

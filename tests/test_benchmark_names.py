@@ -168,8 +168,8 @@ def test_cli_runs_under_the_benchmark_tracer(tmp_path):
         "config.parse_config": len(runs),
         # resolved config, CSV and SVG per run, and each frozen beta-grid design
         "cli.write": 3 * len(runs) + 3,
-        "experiments.mc_estimator_draws": mc_draws,
-        "experiments.batch_estimates": mc_draws + len(_N_GRID),  # riskbound's rows too
+        "experiments.mc_estimator_draws": mc_draws + sweep_rows,
+        "experiments.batch_estimates": mc_draws + sweep_rows,
         # figure1b: each estimator against R and U; figure2: against the truth
         "experiments.ks": 2 * estimators * len(_BETA_GRID) + estimators * datasets,
         "experiments.resampled_estimates": datasets,

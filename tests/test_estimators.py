@@ -89,6 +89,23 @@ def test_pipeline_refuses_a_bad_sigma_when_built(sigma):
         make_pipeline("ms", sigma, PretestConfig())
 
 
+@pytest.mark.parametrize(
+    "prior, match",
+    [
+        ({"prior_scale": 0.0}, "prior_scale"),
+        ({"prior_scale": float("nan")}, "prior_scale"),
+        ({"prior_p_r": 0.0}, "prior_p_r"),
+        ({"prior_p_r": 1.0}, "prior_p_r"),
+    ],
+)
+def test_pipeline_refuses_a_bad_prior_when_built(prior, match):
+    # A bad prior used to pass construction and fail only when bma_exact was fitted.
+    with pytest.raises(ValueError, match=match):
+        Pipeline(("bma_exact",), 1.0, **prior)
+    with pytest.raises(ValueError, match=match):
+        make_pipeline("u", 1.0, **prior)
+
+
 def test_model_average_endpoints_and_midpoint():
     assert _convex(2.0, 1.0, 0.0) == 1.0
     assert _convex(2.0, 1.0, 1.0) == 2.0

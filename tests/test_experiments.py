@@ -13,7 +13,7 @@ from modelavg.estimators import Pipeline
 from modelavg.experiments import (
     Scenario,
     _ks_arrays,
-    _map_ordered,
+    _grid,
     batch_estimates,
     draw_dataset,
     ks_ratio_curve,
@@ -136,7 +136,8 @@ def test_batch_matches_scalar_pipeline(rng):
     names = ("r", "u", "ms", "bma_exact", "bma_bic", "ama")
     z = rng.standard_normal((25, 20))
     noise = z.copy()  # batch_estimates overwrites z with the responses
-    batch = batch_estimates(scenario.design, stats, scenario.params, z, scenario.pipeline(names))
+    pipeline = scenario.pipeline(names)
+    batch = batch_estimates(scenario.design, stats, scenario.params, z, pipeline)[0]
     for row in range(25):
         y = (
             scenario.params.alpha * scenario.design.x1
@@ -151,7 +152,7 @@ def test_batch_matches_scalar_pipeline(rng):
 def test_mc_noiseless_null_draws_exactly_zero():
     scenario = _integer_scenario(beta=0.0, sigma=0.0)
     names = ("r", "u", "ms", "bma_exact", "bma_bic", "ama")
-    draws = mc_estimator_draws(scenario, names)
+    draws = mc_estimator_draws(scenario, names)[0]
     for name in names:
         centered = np.sqrt(scenario.design.n) * (draws[name] - scenario.params.alpha)
         assert np.all(centered == 0.0), name
@@ -160,7 +161,7 @@ def test_mc_noiseless_null_draws_exactly_zero():
 def test_mc_unrestricted_variance_matches_closed_form():
     scenario = _uniform_scenario(beta=0.4, reps=5000, seed=7)
     stats = compute_design_stats(scenario.design)
-    draws = mc_estimator_draws(scenario, ("u",))["u"]
+    draws = mc_estimator_draws(scenario, ("u",))[0]["u"]
     centered = np.sqrt(scenario.design.n) * (draws - scenario.params.alpha)
     expected = scenario.design.n * stats.s22 / stats.det  # n * Var(alpha_u)
     assert centered.var(ddof=1) == pytest.approx(expected, rel=0.05)
@@ -169,7 +170,7 @@ def test_mc_unrestricted_variance_matches_closed_form():
 def test_mc_restricted_unbiased_at_null():
     scenario = _uniform_scenario(beta=0.0, reps=5000, seed=8)
     stats = compute_design_stats(scenario.design)
-    draws = mc_estimator_draws(scenario, ("r",))["r"]
+    draws = mc_estimator_draws(scenario, ("r",))[0]["r"]
     centered = np.sqrt(scenario.design.n) * (draws - scenario.params.alpha)
     se = np.sqrt(scenario.design.n / stats.s11 / scenario.reps)  # sd of the mean
     assert abs(centered.mean()) < 3 * se * np.sqrt(scenario.design.n)
@@ -177,8 +178,8 @@ def test_mc_restricted_unbiased_at_null():
 
 def test_mc_determinism_and_common_random_numbers():
     scenario = _uniform_scenario(beta=0.2, reps=200, seed=9)
-    d1 = mc_estimator_draws(scenario, ("u", "ms"))
-    d2 = mc_estimator_draws(scenario, ("u", "ms"))
+    d1 = mc_estimator_draws(scenario, ("u", "ms"))[0]
+    d2 = mc_estimator_draws(scenario, ("u", "ms"))[0]
     assert np.array_equal(d1["u"], d2["u"])
     assert np.array_equal(d1["ms"], d2["ms"])
     # Same replications underlie every estimator: where selection picks U,
@@ -212,7 +213,7 @@ def test_mse_curve_null_ranking_matches_variance_oracle():
     # the unrestricted A + B; the Monte Carlo estimates must reproduce both.
     scenario = _uniform_scenario(beta=0.0, reps=5000, seed=14)
     stats = compute_design_stats(scenario.design)
-    draws = mc_estimator_draws(scenario, ("r", "u"))
+    draws = mc_estimator_draws(scenario, ("r", "u"))[0]
     var_r = np.var(draws["r"] - 1.0, ddof=1)
     var_u = np.var(draws["u"] - 1.0, ddof=1)
     a = 1.0 / stats.s11
@@ -452,18 +453,47 @@ def test_curves_deterministic_across_workers():
         assert [row["n"] for row in rows] == list(n_grid)
 
 
+def _cells(n_values):
+    return [({"k": k}, _uniform_scenario(n=n, reps=1)) for k, n in enumerate(n_values)]
+
+
 def test_pool_starts_the_costliest_items_first():
     started, lock = [], threading.Lock()
 
-    def fn(i):
+    def row(i, cell):
         with lock:
             started.append(i)
         time.sleep(0.05)  # both workers are busy before a third item is taken
         return {"i": i}
 
-    rows = _map_ordered(fn, 4, workers=2, cost=[1, 5, 2, 8])
-    assert rows == [{"i": i} for i in range(4)]
+    rows = _grid(_cells([25, 100, 50, 200]), workers=2, row=row)
+    assert rows == [{"k": i, "i": i, "seed": 101} for i in range(4)]
     assert set(started[:2]) == {3, 1}
+
+
+def test_a_failed_row_cancels_the_rows_not_yet_started():
+    # Row 0 fails while the others block on an event that is set only later.
+    # The worker that ran row 0 may take one queued row before the failure is
+    # seen; no row after that may start.
+    started, lock, release = [], threading.Lock(), threading.Event()
+
+    def row(i, cell):
+        with lock:
+            started.append(i)
+        if i == 0:
+            raise RuntimeError("row 0 failed")
+        release.wait(timeout=10)
+        return {}
+
+    timer = threading.Timer(0.5, release.set)
+    timer.start()
+    try:
+        with pytest.raises(RuntimeError, match="row 0 failed"):
+            _grid(_cells([50] * 12), workers=2, row=row)
+    finally:
+        timer.cancel()
+        release.set()
+    assert {0, 1} <= set(started) <= {0, 1, 2}
 
 
 def _peak_blocks(fn, reps, n):
@@ -523,7 +553,7 @@ def test_mse_curve_even_for_symmetrized_design():
             ),
             (name,),
             grid_index=cell_index,
-        )[name]
+        )[0][name]
         sq = (draws - 1.0) ** 2
         return float(np.std(sq, ddof=1) / np.sqrt(sq.size))
 
@@ -573,6 +603,20 @@ def test_weight_decay_sweep_directions():
     # beta != 0: sqrt(n) * p collapses.
     assert rows_alt[1]["mean_sqrtn_p_r"] < 0.5 * rows_alt[0]["mean_sqrtn_p_r"]
     assert list(rows_alt[0].keys()) == ["n", "mean_p_r", "mean_sqrtn_p_r", "reps", "seed"]
+
+
+def test_sweeps_draw_like_the_beta_curves():
+    # Grid point 0 of an n sweep is the make_scenario cell of that n: the same
+    # design, truth noise and settings, so the same draws to the last bit.
+    params = TrueParams(alpha=1.0, beta=0.3, sigma=1.0)
+    reps, seed = 300, 17
+    scenario = make_scenario(n=50, seed=seed, reps=reps, beta=params.beta)
+    risk = risk_bound_sweep(params, [50], reps, seed)[0]
+    draws = mc_estimator_draws(scenario, ("bma_exact",))[0]["bma_exact"]
+    assert risk["n_risk"] == float(50 * np.mean((draws - params.alpha) ** 2))
+    decay = weight_decay_sweep(params, [50], reps, seed)[0]
+    p_r = mc_estimator_draws(scenario, ("ama",))[1]["ama"]
+    assert decay["mean_p_r"] == float(np.mean(p_r))
 
 
 def test_draw_dataset_deterministic():

@@ -360,3 +360,18 @@ def test_design_csv_roundtrip(tmp_path, rng):
     assert np.array_equal(design.x2, back.x2)
     header = path.read_text().splitlines()[0]
     assert header == "i,x1,x2"
+
+
+def test_design_csv_skips_blank_rows_and_refuses_short_ones(tmp_path, rng):
+    design = make_uniform_design(5, rng)
+    path = tmp_path / "design.csv"
+    write_design_csv(design, path)
+    text = path.read_text()
+    path.write_text(text.replace("\n", "\n\n", 1) + "\n")  # blank line 2 and a trailing one
+    back = read_design_csv(path)
+    assert np.array_equal(design.x1, back.x1)
+    assert np.array_equal(design.x2, back.x2)
+    for bad in ("51,1.0", "51,1.0,2.0,3.0"):
+        path.write_text(text + bad + "\n")
+        with pytest.raises(ValueError, match="design.csv, line 7: expected 3 fields"):
+            read_design_csv(path)
