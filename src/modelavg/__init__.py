@@ -16,11 +16,8 @@ from .errors import (
 )
 from .estimators import (
     ESTIMATOR_NAMES,
-    MeanModelSample,
     Pipeline,
-    estimate_arrays,
     make_pipeline,
-    mean_model_estimate,
 )
 from .experiments import (
     Scenario,

@@ -13,13 +13,7 @@ from . import experiments
 from .config import EXPERIMENTS, SETTINGS, RunConfig, echo_config, parse_config
 from .errors import ModelAvgError
 from .estimators import ESTIMATOR_NAMES
-from .model import (
-    TrueParams,
-    compute_design_stats,
-    response_stats,
-    solve_normal_equations,
-    write_design_csv,
-)
+from .model import compute_design_stats, response_stats, solve_normal_equations, write_design_csv
 from .resampling import ResamplePlan
 from .svgplot import write_line_plot
 
@@ -40,13 +34,13 @@ def write_rows_csv(path, rows: list[dict]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _scenario_from_config(config: RunConfig, beta: float = 0.0) -> experiments.Scenario:
+def _scenario_from_config(config: RunConfig) -> experiments.Scenario:
     return experiments.make_scenario(
         n=config.n,
         seed=config.seed,
         reps=config.reps,
         alpha=config.alpha,
-        beta=beta,
+        beta=config.beta,
         sigma=config.sigma,
         c=config.c,
         a_n=config.a_n,
@@ -74,9 +68,8 @@ def _execute(config: RunConfig, target: Callable[[str], Path]) -> None:
     echo_config(config, target("resolved_config.txt"))
     workers = config.resolved_workers()
     experiment = config.experiment
-    params = TrueParams(alpha=config.alpha, beta=config.beta, sigma=config.sigma)
+    scenario = _scenario_from_config(config)
     if experiment not in ("riskbound", "decay"):
-        scenario = _scenario_from_config(config, beta=config.beta)
         write_design_csv(scenario.design, target(f"design_n{config.n}.csv"))
 
     # Each experiment yields its rows, the stem of its output files, and the
@@ -101,17 +94,12 @@ def _execute(config: RunConfig, target: Callable[[str], Path]) -> None:
             "100 * KS(truth, resampling)",
         )
     elif experiment == "riskbound":
-        rows = experiments.risk_bound_sweep(
-            params, config.n_grid, config.reps, config.seed,
-            prior_scale=config.prior_scale, prior_p_r=config.prior_p_r, workers=workers,
-        )
+        rows = experiments.risk_bound_sweep(config.n_grid, scenario, workers=workers)
         stem, plot = "risk_bound", (
             "", "Normalized risk of the exact-posterior model average", "n * MSE"
         )
     elif experiment == "decay":
-        rows = experiments.weight_decay_sweep(
-            params, config.n_grid, config.reps, config.seed, workers=workers
-        )
+        rows = experiments.weight_decay_sweep(config.n_grid, scenario, workers=workers)
         stem, plot = "weight_decay", ("", "Adaptive weight decay", "weight")
     else:  # single
         dataset = experiments.draw_dataset(scenario)
@@ -163,7 +151,6 @@ def run(config: RunConfig) -> int:
     """
     outdir = Path(config.out)
     created = [d for d in (outdir, *outdir.parents) if not d.exists()]  # deepest first
-    outdir.mkdir(parents=True, exist_ok=True)
     staged: dict[Path, Path] = {}  # temporary name -> final name
 
     def target(name: str) -> Path:
@@ -172,6 +159,7 @@ def run(config: RunConfig) -> int:
         return temporary
 
     try:
+        outdir.mkdir(parents=True, exist_ok=True)  # raises if out names a file
         _execute(config, target)
         for temporary, final in staged.items():
             os.replace(temporary, final)

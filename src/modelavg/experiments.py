@@ -188,16 +188,13 @@ def _beta_cells(beta_grid: Sequence[float], scenario: Scenario) -> list[tuple[di
     ]
 
 
-def _n_cells(
-    params: TrueParams, n_grid: Sequence[int], reps: int, seed: int,
-    prior_scale: float = 1.0, prior_p_r: float = 0.5,
-) -> list[tuple[dict, Scenario]]:
-    """One cell per n, led by an ``n`` column: a design freshly frozen from grid
-    point i's substream, the default pretest and :func:`default_tuning` at n."""
+def _n_cells(n_grid: Sequence[int], scenario: Scenario) -> list[tuple[dict, Scenario]]:
+    """``scenario`` at each n, led by an ``n`` column: a design freshly frozen from
+    grid point i's substream, the default pretest and :func:`default_tuning` at n."""
     return [
-        ({"n": n}, Scenario(
-            make_uniform_design(n, stream(seed, _TAG_DESIGN, i)), params, PretestConfig(),
-            default_tuning(n), reps, seed, prior_scale, prior_p_r,
+        ({"n": n}, replace(
+            scenario, design=make_uniform_design(n, stream(scenario.seed, _TAG_DESIGN, i)),
+            pretest=PretestConfig(), adaptive=default_tuning(n),
         ))
         for i, n in enumerate(n_grid)
     ]
@@ -305,19 +302,14 @@ def resampling_error_curve(
 
 
 def risk_bound_sweep(
-    params: TrueParams,
-    n_grid: Sequence[int],
-    reps: int,
-    seed: int,
-    prior_scale: float = 1.0,
-    prior_p_r: float = 0.5,
-    workers: int = 1,
+    n_grid: Sequence[int], scenario: Scenario, workers: int = 1
 ) -> list[dict]:
     """Normalized risk n * E(estimate - alpha)^2 of the exact-posterior average.
 
-    Each n gets a freshly frozen intercept-plus-Uniform(0,3) design, so the
-    non-vanishing x1'x2/n correlation that makes the problem non-trivial holds
-    by construction. The Monte Carlo standard error of each point is reported.
+    Each n runs ``scenario``'s params, reps, seed and prior on a freshly frozen
+    intercept-plus-Uniform(0,3) design, so the non-vanishing x1'x2/n
+    correlation that makes the problem non-trivial holds by construction. The
+    Monte Carlo standard error of each point is reported.
     """
 
     def row(i: int, cell: Scenario) -> dict:
@@ -327,15 +319,11 @@ def risk_bound_sweep(
         mc_se = float(n * np.std(sq, ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
         return {"n_risk": float(n * np.mean(sq)), "mc_se": mc_se, "reps": reps}
 
-    return _grid(_n_cells(params, n_grid, reps, seed, prior_scale, prior_p_r), workers, row)
+    return _grid(_n_cells(n_grid, scenario), workers, row)
 
 
 def weight_decay_sweep(
-    params: TrueParams,
-    n_grid: Sequence[int],
-    reps: int,
-    seed: int,
-    workers: int = 1,
+    n_grid: Sequence[int], scenario: Scenario, workers: int = 1
 ) -> list[dict]:
     """Monte Carlo means of the adaptive weight and its sqrt(n)-scaled version.
 
@@ -348,7 +336,7 @@ def weight_decay_sweep(
         root_n = np.sqrt(cell.design.n)
         return {"mean_p_r": mean_p, "mean_sqrtn_p_r": float(root_n * mean_p), "reps": cell.reps}
 
-    return _grid(_n_cells(params, n_grid, reps, seed), workers, row)
+    return _grid(_n_cells(n_grid, scenario), workers, row)
 
 
 def make_scenario(

@@ -20,6 +20,7 @@ from .errors import CollinearDesign, ZeroColumn
 # A design is treated as collinear when det <= COLLINEARITY_RTOL * s11 * s22.
 # Scale-relative so that resampled designs are judged on their own magnitude.
 COLLINEARITY_RTOL = 1e-12
+_TINY = np.finfo(float).tiny
 
 # Seed used to generate the shipped n=50 reference design (data/design_n50.csv).
 REFERENCE_DESIGN_SEED = 5050
@@ -122,8 +123,12 @@ def singular_design(s11, s22, s12):
 
     That is, where ||x1||^2 vanishes or the determinant is zero up to
     COLLINEARITY_RTOL * s11 * s22. The one rule for fixed and resampled designs.
+    When that product underflows (a subnormal x2), det / s11, the squared norm
+    of x2's residual on x1 that the slope divides by, must still be a normal
+    double.
     """
-    return (s11 <= 0.0) | (s11 * s22 - s12 * s12 <= COLLINEARITY_RTOL * s11 * s22)
+    det = s11 * s22 - s12 * s12
+    return (s11 <= 0.0) | (det <= COLLINEARITY_RTOL * s11 * s22) | (det < _TINY * s11)
 
 
 def compute_design_stats(design: DesignMatrix) -> DesignStats:
@@ -230,17 +235,24 @@ def read_design_csv(path) -> DesignMatrix:
     """Load a design written by :func:`write_design_csv`; blank rows are skipped."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file, expected the header i,x1,x2")
         if header != ["i", "x1", "x2"]:
-            raise ValueError(f"unexpected design CSV header: {header}")
+            raise ValueError(f"{path}: unexpected design CSV header: {header}")
         x1, x2 = [], []
         for row in reader:
             if not row:
                 continue
             if len(row) != 3:
                 raise ValueError(f"{path}, line {reader.line_num}: expected 3 fields, got {row}")
-            x1.append(float(row[1]))
-            x2.append(float(row[2]))
+            try:
+                x1.append(float(row[1]))
+                x2.append(float(row[2]))
+            except ValueError:
+                raise ValueError(
+                    f"{path}, line {reader.line_num}: non-numeric field in {row}"
+                ) from None
     return DesignMatrix(np.asarray(x1), np.asarray(x2))
 
 

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import TooManySingularResamples
-from .estimators import MeanModelSample, Pipeline, mean_model_estimate
+from .estimators import Pipeline
 from .model import Dataset, singular_design
 
 # Redraw budget for singular resampled designs, as a multiple of the number of
@@ -238,19 +238,23 @@ def mean_model_bootstrap(
 ) -> EmpiricalSample:
     """Bootstrap of the shrunken mean with null-reflecting centering.
 
-    The weight argument is centered at the resampled mean shift,
-    mu_star = W(sqrt(n) * (ybar_star - ybar)) * ybar_star, and the returned
-    replicates are sqrt(n) * (mu_star - mu_hat). Centering inside W mirrors the
-    rule that resampling should reflect the no-effect model rather than the
-    observed mean.
+    ``y`` holds observations of the one-parameter mean model (iid N(mu, 1)),
+    and the estimate is the shrunken mean mu_hat = W(sqrt(n) * ybar) * ybar
+    for a weight function W into [0, 1]. The weight argument is centered at
+    the resampled mean shift, mu_star = W(sqrt(n) * (ybar_star - ybar)) *
+    ybar_star, and the returned replicates are sqrt(n) * (mu_star - mu_hat).
+    Centering inside W mirrors the rule that resampling should reflect the
+    no-effect model rather than the observed mean.
     """
-    sample = MeanModelSample(y)
+    y = np.array(y, dtype=float)
+    if y.ndim != 1 or y.size < 1:
+        raise ValueError("y must be a non-empty vector")
     if b < 1:
         raise ValueError("b must be >= 1")
-    y, n = sample.y, sample.n
+    n = y.size
     root_n = float(np.sqrt(n))
     ybar = float(np.mean(y))
-    mu_hat = mean_model_estimate(sample, weight_rule)
+    mu_hat = float(weight_rule(root_n * ybar)) * ybar
     idx = rng.integers(0, n, size=(b, n))
     ybar_star = y[idx].mean(axis=1)
     values = np.empty(b)

@@ -252,9 +252,8 @@ def test_criterion_06_figure2_shape():
 
 def test_criterion_07_risk_bound_sweep():
     failures = []
-    params = TrueParams(alpha=1.0, beta=0.5, sigma=1.0)
     n_grid = [25, 50, 100, 200, 400, 800]
-    rows = risk_bound_sweep(params, n_grid, reps=5000, seed=ACCEPTANCE_SEED)
+    rows = risk_bound_sweep(n_grid, make_scenario(n=50, seed=ACCEPTANCE_SEED, reps=5000, beta=0.5))
     max_risk = max(r["n_risk"] for r in rows)
     _check(failures, "7 finite", bool(np.isfinite(max_risk)), f"max n*risk {max_risk:.3f}")
     from modelavg.experiments import stream
@@ -277,7 +276,7 @@ def test_criterion_07_risk_bound_sweep():
 def test_criterion_08_weight_decay_and_bootstrap_trend():
     failures = []
     rows_alt = weight_decay_sweep(
-        TrueParams(1.0, 0.5, 1.0), [50, 800], reps=5000, seed=ACCEPTANCE_SEED
+        [50, 800], make_scenario(n=50, seed=ACCEPTANCE_SEED, reps=5000, beta=0.5)
     )
     halved = rows_alt[1]["mean_sqrtn_p_r"] < 0.5 * rows_alt[0]["mean_sqrtn_p_r"]
     _check(
@@ -285,7 +284,7 @@ def test_criterion_08_weight_decay_and_bootstrap_trend():
         f"n=50: {rows_alt[0]['mean_sqrtn_p_r']:.4f}, n=800: {rows_alt[1]['mean_sqrtn_p_r']:.4f}",
     )
     rows_null = weight_decay_sweep(
-        TrueParams(1.0, 0.0, 1.0), [800], reps=5000, seed=ACCEPTANCE_SEED
+        [800], make_scenario(n=50, seed=ACCEPTANCE_SEED, reps=5000, beta=0.0)
     )
     mean_p = rows_null[0]["mean_p_r"]
     _check(failures, "8 null weight near 1/2 at n=800", 0.45 <= mean_p <= 0.55, f"mean p_r {mean_p:.4f}")

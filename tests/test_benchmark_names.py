@@ -158,8 +158,8 @@ def test_cli_runs_under_the_benchmark_tracer(tmp_path):
     assert engine
     assert all(span[7] == {"replicates": _B} for span in engine)
 
-    # figure1a, figure1b and figure2 each freeze one design; the two sweeps one per n.
-    designs = 3 + 2 * len(_N_GRID)
+    # Every run freezes the run's design; the two sweeps freeze one more per n.
+    designs = len(runs) + 2 * len(_N_GRID)
     mc_draws = 2 * len(_BETA_GRID) + len(_FIGURE2_GRID)  # one truth sample per beta
     sweep_rows = 2 * len(_N_GRID)
     datasets = len(_FIGURE2_GRID) * _DATASETS

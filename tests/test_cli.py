@@ -342,6 +342,18 @@ def test_failed_run_into_a_new_out_leaves_no_directory(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_out_naming_a_file_fails_cleanly(tmp_path, capsys):
+    # An --out that is a file, or lies under one, is reported like any failed
+    # run: status 1, an error line, and the file left as it was.
+    taken = tmp_path / "taken"
+    taken.write_bytes(b"keep\n")
+    for out in (taken, taken / "sub"):
+        assert _run_cli(["single", "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert taken.read_bytes() == b"keep\n"
+    assert list(tmp_path.iterdir()) == [taken]
+
+
 def test_outputs_appear_only_when_the_run_succeeds(tmp_path, monkeypatch):
     # The CSV is complete when the plot fails; it still never reaches its
     # final name, and during the run only temporaries exist in --out.
@@ -472,11 +484,37 @@ def test_csv_floats_roundtrip(tmp_path):
     lines = (out / "weight_decay.csv").read_text().splitlines()
     rows = [line.split(",") for line in lines[1:]]
     recomputed = modelavg.experiments.weight_decay_sweep(
-        __import__("modelavg").TrueParams(1.0, 0.5, 1.0), [25, 50], reps=35, seed=DEFAULT_SEED
+        [25, 50], modelavg.experiments.make_scenario(n=50, seed=DEFAULT_SEED, reps=35, beta=0.5)
     )
     for cells, row in zip(rows, recomputed):
         assert float(cells[1]) == row["mean_p_r"]
         assert float(cells[2]) == row["mean_sqrtn_p_r"]
+
+
+def test_run_settings_reach_the_sweep_cells(tmp_path):
+    # Each n cell takes the run's sigma, prior, reps and seed: the CSV equals the
+    # library sweep on make_scenario with the same settings, and differs from
+    # the sweep without the setting under test (the prior, then sigma).
+    prior = {"prior_scale": 2.0, "prior_p_r": 0.3}
+    sweeps = modelavg.experiments.risk_bound_sweep, modelavg.experiments.weight_decay_sweep
+    for command, sweep, stem, settings, baseline in (
+        ("riskbound", sweeps[0], "risk_bound", {"sigma": 1.5, **prior}, {"sigma": 1.5}),
+        ("decay", sweeps[1], "weight_decay", {"sigma": 1.5}, {}),
+    ):
+        flags = [f"--{key.replace('_', '-')}={value}" for key, value in settings.items()]
+        out = tmp_path / command
+        argv = [command, *flags, "--reps", "200", "--n-grid", "25,50", "--seed", "7"]
+        assert _run_cli(argv + ["--workers", "1", "--out", str(out)]) == 0
+        written = (out / f"{stem}.csv").read_text()
+
+        def expected(**kwargs):
+            path = tmp_path / f"{command}_expected.csv"
+            scenario = make_scenario(n=50, seed=7, reps=200, beta=0.5, **kwargs)
+            modelavg.cli.write_rows_csv(path, sweep((25, 50), scenario))
+            return path.read_text()
+
+        assert written == expected(**settings)
+        assert written != expected(**baseline)
 
 
 def _resolved_rerun(tmp_path, command, flags):

@@ -8,12 +8,9 @@ from hypothesis import strategies as st
 from modelavg.errors import CollinearDesign
 from modelavg.estimators import (
     ESTIMATOR_NAMES,
-    MeanModelSample,
     Pipeline,
     _convex,
-    estimate_arrays,
     make_pipeline,
-    mean_model_estimate,
 )
 from modelavg.experiments import draw_dataset, make_scenario
 from modelavg.model import (
@@ -218,8 +215,8 @@ def _scaled_x2(ds, c):
 
 def _kernel(ds, names, sigma, pretest=None, adaptive=None):
     x1, x2, y = ds.design.x1, ds.design.x2, ds.y
-    return estimate_arrays(
-        ds.n, x1 @ x1, x2 @ x2, x1 @ x2, x1 @ y, x2 @ y, names, sigma, pretest, adaptive
+    return Pipeline(names, sigma, pretest, adaptive).kernel(
+        ds.n, x1 @ x1, x2 @ x2, x1 @ x2, x1 @ y, x2 @ y
     )
 
 
@@ -282,21 +279,6 @@ def test_bic_weight_uses_rss_not_rss_over_sigma_squared():
     assert abs(weights[4.0] - known_sigma_form) > 0.5
 
 
-def test_mean_model_estimate_constant_rules():
-    sample = MeanModelSample(np.array([1.0, 3.0]))
-    assert mean_model_estimate(sample, lambda t: 1.0) == 2.0
-    assert mean_model_estimate(sample, lambda t: 0.0) == 0.0
-
-
-def test_mean_model_estimate_worked_logistic():
-    sample = MeanModelSample(np.array([1.0, 1.0, 1.0, 1.0]))
-    w = lambda t: 1.0 / (1.0 + math.exp(t * t / 4.0))
-    # sqrt(n) * ybar = 2, W = logistic(-1) ~ 0.26894, mu_hat = W * 1.
-    est = mean_model_estimate(sample, w)
-    assert est == pytest.approx(1.0 / (1.0 + math.e), rel=1e-12)
-    assert est == pytest.approx(0.26894, abs=1e-5)
-
-
 def test_pipeline_matches_direct_computation(rng):
     pretest = PretestConfig()
     adaptive = default_tuning(20)
@@ -309,9 +291,8 @@ def test_pipeline_matches_direct_computation(rng):
         ds = random_dataset(rng)
         stats = compute_design_stats(ds.design)
         p1, p2, yy = response_stats(ds)
-        est, _ = estimate_arrays(
-            ds.n, stats.s11, stats.s22, stats.s12, p1, p2, ESTIMATOR_NAMES, 1.0,
-            pretest, adaptive, yy=yy,
+        est, _ = Pipeline(ESTIMATOR_NAMES, 1.0, pretest, adaptive).kernel(
+            ds.n, stats.s11, stats.s22, stats.s12, p1, p2, yy=yy
         )
         got, _ = multi.fit(ds)
         for name in procs:

@@ -1,6 +1,7 @@
 import threading
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -445,11 +446,11 @@ def test_curves_deterministic_across_workers():
     r2 = resampling_error_curve(grid, scenario, ResamplePlan(b=10), datasets_per_beta=2, workers=3)
     assert r1 == r2
     # The n sweeps hand the pool their largest n first; rows keep the given order.
-    params = TrueParams(alpha=1.0, beta=0.2, sigma=1.0)
+    n_scenario = make_scenario(n=50, seed=77, reps=200, beta=0.2)
     n_grid = (100, 25, 200, 50)
     for sweep in (risk_bound_sweep, weight_decay_sweep):
-        rows = sweep(params, n_grid, reps=200, seed=77, workers=1)
-        assert sweep(params, n_grid, reps=200, seed=77, workers=3) == rows
+        rows = sweep(n_grid, n_scenario, workers=1)
+        assert sweep(n_grid, n_scenario, workers=3) == rows
         assert [row["n"] for row in rows] == list(n_grid)
 
 
@@ -512,13 +513,13 @@ def test_monte_carlo_paths_hold_one_noise_block(path):
     # The responses are formed in the noise block's own buffer, so each grid
     # point needs one (reps, n) array and nothing else of that size.
     reps, n = 2000, 400
-    params = TrueParams(alpha=1.0, beta=0.3, sigma=1.0)
     scenario = _uniform_scenario(beta=0.3, n=n, reps=reps, seed=12)
+    n_scenario = make_scenario(n=n, seed=12, reps=reps, beta=0.3)
     names = ("r", "u", "ms", "bma_exact", "bma_bic", "ama")
     run = {
         "mc_estimator_draws": lambda: mc_estimator_draws(scenario, names),
-        "risk_bound_sweep": lambda: risk_bound_sweep(params, [n], reps, seed=12, workers=1),
-        "weight_decay_sweep": lambda: weight_decay_sweep(params, [n], reps, seed=12, workers=1),
+        "risk_bound_sweep": lambda: risk_bound_sweep([n], n_scenario, workers=1),
+        "weight_decay_sweep": lambda: weight_decay_sweep([n], n_scenario, workers=1),
     }[path]
     assert _peak_blocks(run, reps, n) <= 1.25
 
@@ -572,9 +573,8 @@ def test_risk_bound_sweep_null_envelope():
     # At beta = 0 the posterior weight drifts to R, whose normalized risk is
     # sigma^2 * n / s11 = 1 for intercept designs; every point must stay inside
     # a generous [R-risk, U-risk] envelope net of 3 MC standard errors.
-    params = TrueParams(alpha=1.0, beta=0.0, sigma=1.0)
     n_grid = [25, 50, 100, 200]
-    rows = risk_bound_sweep(params, n_grid, reps=3000, seed=31)
+    rows = risk_bound_sweep(n_grid, make_scenario(n=50, seed=31, reps=3000, beta=0.0))
     for i, row in enumerate(rows):
         from modelavg.model import make_uniform_design
 
@@ -589,17 +589,17 @@ def test_risk_bound_sweep_null_envelope():
 
 
 def test_risk_bound_sweep_rows_shape():
-    rows = risk_bound_sweep(TrueParams(1.0, 0.5, 1.0), [25, 50], reps=500, seed=1)
+    rows = risk_bound_sweep([25, 50], make_scenario(n=50, seed=1, reps=500, beta=0.5))
     assert [r["n"] for r in rows] == [25, 50]
     assert list(rows[0].keys()) == ["n", "n_risk", "mc_se", "reps", "seed"]
 
 
 def test_weight_decay_sweep_directions():
-    rows_null = weight_decay_sweep(TrueParams(1.0, 0.0, 1.0), [50, 800], reps=3000, seed=21)
+    rows_null = weight_decay_sweep([50, 800], make_scenario(n=50, seed=21, reps=3000, beta=0.0))
     # beta = 0: the weight hovers near 1/2 and sqrt(n) * p grows with n.
     assert 0.40 < rows_null[1]["mean_p_r"] <= 0.5
     assert rows_null[1]["mean_sqrtn_p_r"] > 2.0 * rows_null[0]["mean_sqrtn_p_r"]
-    rows_alt = weight_decay_sweep(TrueParams(1.0, 0.5, 1.0), [50, 800], reps=3000, seed=21)
+    rows_alt = weight_decay_sweep([50, 800], make_scenario(n=50, seed=21, reps=3000, beta=0.5))
     # beta != 0: sqrt(n) * p collapses.
     assert rows_alt[1]["mean_sqrtn_p_r"] < 0.5 * rows_alt[0]["mean_sqrtn_p_r"]
     assert list(rows_alt[0].keys()) == ["n", "mean_p_r", "mean_sqrtn_p_r", "reps", "seed"]
@@ -608,13 +608,11 @@ def test_weight_decay_sweep_directions():
 def test_sweeps_draw_like_the_beta_curves():
     # Grid point 0 of an n sweep is the make_scenario cell of that n: the same
     # design, truth noise and settings, so the same draws to the last bit.
-    params = TrueParams(alpha=1.0, beta=0.3, sigma=1.0)
-    reps, seed = 300, 17
-    scenario = make_scenario(n=50, seed=seed, reps=reps, beta=params.beta)
-    risk = risk_bound_sweep(params, [50], reps, seed)[0]
+    scenario = make_scenario(n=50, seed=17, reps=300, beta=0.3)
+    risk = risk_bound_sweep([50], scenario)[0]
     draws = mc_estimator_draws(scenario, ("bma_exact",))[0]["bma_exact"]
-    assert risk["n_risk"] == float(50 * np.mean((draws - params.alpha) ** 2))
-    decay = weight_decay_sweep(params, [50], reps, seed)[0]
+    assert risk["n_risk"] == float(50 * np.mean((draws - scenario.params.alpha) ** 2))
+    decay = weight_decay_sweep([50], scenario)[0]
     p_r = mc_estimator_draws(scenario, ("ama",))[1]["ama"]
     assert decay["mean_p_r"] == float(np.mean(p_r))
 
@@ -630,16 +628,15 @@ def test_draw_dataset_deterministic():
 
 def test_empty_grids_rejected():
     scenario = _uniform_scenario(reps=10)
-    params = TrueParams(1.0, 0.5, 1.0)
     calls = (
         lambda: mse_curve([], scenario),
         lambda: ks_ratio_curve([], scenario),
         lambda: resampling_error_curve([], scenario, ResamplePlan(b=5), datasets_per_beta=1),
-        lambda: risk_bound_sweep(TrueParams(1.0, 0.0, 1.0), [], reps=10, seed=0),
-        lambda: weight_decay_sweep(params, [], reps=10, seed=0),
+        lambda: risk_bound_sweep([], scenario),
+        lambda: weight_decay_sweep([], scenario),
         # reps = 0 would average over no replicates and report nan.
-        lambda: risk_bound_sweep(params, [25], reps=0, seed=1),
-        lambda: weight_decay_sweep(params, [25], reps=0, seed=1),
+        lambda: risk_bound_sweep([25], replace(scenario, reps=0)),
+        lambda: weight_decay_sweep([25], replace(scenario, reps=0)),
     )
     for call in calls:
         with pytest.raises(ValueError):

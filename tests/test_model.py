@@ -318,6 +318,14 @@ def test_identity_property_hypothesis(data):
     assert abs(alpha_r - rhs) < 1e-10 * cond * (1.0 + abs(alpha_r) + abs(alpha_u))
 
 
+def test_design_with_a_subnormal_residual_is_collinear():
+    # s11 * s22 underflows, so the relative test alone passes det = 5e-324, and
+    # the slope's divisor det / s11 would be 0.
+    design = DesignMatrix(np.array([0.0, 8.0]), np.array([0.0, 9.371365988562309e-159]))
+    with pytest.raises(CollinearDesign):
+        compute_design_stats(design)
+
+
 def test_unrestricted_fit_with_tiny_x1_does_not_underflow():
     # y = -x1 + a * x2 exactly; s11 * <x2, y> = a**3 is below the smallest double.
     a = 2.3288848677721623e-141
@@ -375,3 +383,12 @@ def test_design_csv_skips_blank_rows_and_refuses_short_ones(tmp_path, rng):
         path.write_text(text + bad + "\n")
         with pytest.raises(ValueError, match="design.csv, line 7: expected 3 fields"):
             read_design_csv(path)
+    path.write_text(text + "51,1.0,abc\n")
+    with pytest.raises(ValueError, match="design.csv, line 7: non-numeric field"):
+        read_design_csv(path)
+    path.write_text("")
+    with pytest.raises(ValueError, match="design.csv: empty file"):
+        read_design_csv(path)
+    path.write_text(text.replace("i,x1,x2", "i,x2,x1", 1))
+    with pytest.raises(ValueError, match="design.csv: unexpected design CSV header"):
+        read_design_csv(path)

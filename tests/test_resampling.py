@@ -248,6 +248,27 @@ def test_mean_model_bootstrap_constant_data_point_mass():
     assert sample.values[0] == pytest.approx(expected, rel=1e-12)
 
 
+def test_mean_model_bootstrap_shrinks_by_constant_rules():
+    # W = 1 leaves mu_hat = ybar = 2, so each replicate is sqrt(2) * (ybar* - 2);
+    # W = 0 gives mu_hat = mu* = 0, so each replicate is 0.
+    y = np.array([1.0, 3.0])
+    ybar_star = y[np.random.default_rng(3).integers(0, 2, size=(40, 2))].mean(axis=1)
+    s1 = mean_model_bootstrap(y, lambda t: 1.0, 40, np.random.default_rng(3))
+    assert np.array_equal(s1.values, math.sqrt(2) * (ybar_star - 2.0))
+    s0 = mean_model_bootstrap(y, lambda t: 0.0, 40, np.random.default_rng(3))
+    assert np.array_equal(s0.values, np.zeros(40))
+
+
+def test_mean_model_bootstrap_worked_logistic():
+    # Constant data: ybar* = 1, so every replicate is sqrt(n) * (W(0) * 1 - mu_hat),
+    # with sqrt(n) * ybar = 2, W(2) = logistic(-1) ~ 0.26894 and mu_hat = W(2) * 1.
+    w = lambda t: 1.0 / (1.0 + math.exp(t * t / 4.0))
+    sample = mean_model_bootstrap(np.ones(4), w, 30, np.random.default_rng(0))
+    mu_hat = w(0.0) - sample.values / 2.0
+    assert mu_hat == pytest.approx(np.full(30, 1.0 / (1.0 + math.e)), rel=1e-12)
+    assert mu_hat == pytest.approx(np.full(30, 0.26894), abs=1e-5)
+
+
 def test_mean_model_bootstrap_w1_reduces_to_mean_bootstrap():
     rng = np.random.default_rng(17)
     y = rng.normal(size=25)
@@ -286,7 +307,8 @@ def test_mean_model_bootstrap_formula_enumerated_two_points():
 
 
 def test_mean_model_bootstrap_validation():
-    with pytest.raises(ValueError):
-        mean_model_bootstrap(np.array([]), lambda t: 1.0, 5, np.random.default_rng(0))
+    for y in (np.array([]), np.ones((2, 2))):
+        with pytest.raises(ValueError, match="non-empty vector"):
+            mean_model_bootstrap(y, lambda t: 1.0, 5, np.random.default_rng(0))
     with pytest.raises(ValueError):
         mean_model_bootstrap(np.array([1.0]), lambda t: 1.0, 0, np.random.default_rng(0))

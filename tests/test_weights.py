@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modelavg.estimators import Pipeline, estimate_arrays
+from modelavg.estimators import Pipeline
 from modelavg.model import (
     Dataset,
     DesignMatrix,
@@ -40,7 +40,7 @@ def _pretest_keeps_r(beta_u, sigma_beta, cfg):
     alpha_u = p1 - beta_u differ, so ms shows which model the pretest kept.
     """
     p1 = 0.25
-    est, _ = estimate_arrays(2, 1.0, 2.0, 1.0, p1, p1 + beta_u, ("r", "u", "ms"), sigma_beta, cfg)
+    est, _ = Pipeline(("r", "u", "ms"), sigma_beta, cfg).kernel(2, 1.0, 2.0, 1.0, p1, p1 + beta_u)
     assert est["r"] != est["u"]
     return est["ms"] == est["r"]
 
@@ -173,7 +173,7 @@ def _bic_weight(ds):
     """The kernel's bma_bic weight on R, from the inner products the pipeline uses."""
     stats = compute_design_stats(ds.design)
     p1, p2, _ = response_stats(ds)
-    _, p_r = estimate_arrays(ds.n, stats.s11, stats.s22, stats.s12, p1, p2, ("bma_bic",), 1.0)
+    _, p_r = Pipeline(("bma_bic",), 1.0).kernel(ds.n, stats.s11, stats.s22, stats.s12, p1, p2)
     return ModelWeights(float(p_r["bma_bic"]))
 
 
