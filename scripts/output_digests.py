@@ -1,12 +1,19 @@
 #!/usr/bin/env python3
-"""sha256 of every output file of the seven CLI experiments at one seed.
+"""sha256 of every CLI output file and library replicate array at one seed.
 
 Runs each experiment of ``modelavg.config.EXPERIMENTS`` at reference scale into
 a temporary directory and prints one ``<sha256>  <experiment>/<file>`` line per
 output. The ``out = ...`` line of ``resolved_config.txt`` is left out of its
-digest, since it names the temporary directory. Two checkouts that print the
-same lines at the same ``--seed`` and ``--workers`` write byte-identical
-outputs; run each with its own ``src`` on ``PYTHONPATH`` and diff the output.
+digest, since it names the temporary directory. Then it prints one
+``<sha256>  library/...`` line per replicate array of the library's
+resamplers: ``paired_bootstrap`` and ``subsample_distribution`` (m = 20) for
+four estimators on the shipped design at sigma = 1 and sigma = 0, and
+``mean_model_bootstrap`` with the adaptive weight rule, over three datasets
+each with b = 500. Every generator derives from ``--seed``.
+
+Two checkouts that print the same lines at the same ``--seed`` and
+``--workers`` write byte-identical outputs and replicates; run each with its
+own ``src`` on ``PYTHONPATH`` and diff the output.
 """
 
 import argparse
@@ -15,8 +22,25 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
+from modelavg import PretestConfig, default_tuning, load_reference_design
 from modelavg.cli import main
 from modelavg.config import EXPERIMENTS
+from modelavg.estimators import make_pipeline
+from modelavg.model import TrueParams, generate_response
+from modelavg.resampling import (
+    ResamplePlan,
+    mean_model_bootstrap,
+    paired_bootstrap,
+    subsample_distribution,
+)
+from modelavg.weights import adaptive_weights
+
+LIBRARY_NAMES = ("ms", "bma_exact", "bma_bic", "ama")
+LIBRARY_BETAS = (0.0, 0.2, 1.0)  # one dataset each; also the mean-model mu
+LIBRARY_B = 500
+LIBRARY_M = 20
 
 
 def digest(path: Path) -> str:
@@ -25,6 +49,37 @@ def digest(path: Path) -> str:
         lines = data.splitlines(keepends=True)
         data = b"".join(line for line in lines if not line.startswith(b"out = "))
     return hashlib.sha256(data).hexdigest()
+
+
+def library_samples(seed: int):
+    """(label, replicates) for each library resampler call, all drawn from ``seed``."""
+    design = load_reference_design()
+    tuning = default_tuning(design.n)
+    for s, sigma in enumerate((1.0, 0.0)):
+        pipes = [make_pipeline(name, sigma, PretestConfig(), tuning) for name in LIBRARY_NAMES]
+        for d, beta in enumerate(LIBRARY_BETAS):
+            params = TrueParams(alpha=1.0, beta=beta, sigma=sigma)
+            ds = generate_response(design, params, np.random.default_rng([seed, s, d]))
+            prefix = f"sigma={sigma:g}/dataset{d}"
+            for k, (name, pipe) in enumerate(zip(LIBRARY_NAMES, pipes)):
+                yield f"{prefix}/bootstrap/{name}", paired_bootstrap(
+                    ds, pipe, ResamplePlan(b=LIBRARY_B), np.random.default_rng([seed, s, d, 1, k])
+                )
+                yield f"{prefix}/subsample/{name}", subsample_distribution(
+                    ds, pipe, ResamplePlan(b=LIBRARY_B, m=LIBRARY_M),
+                    np.random.default_rng([seed, s, d, 2, k]),
+                )
+    # The benchmark's mean-model rule: p_u of the adaptive weight at t / sqrt(n).
+    root_n = float(np.sqrt(design.n))
+
+    def weight_u(t):
+        return adaptive_weights(t / root_n, tuning).p_u
+
+    for d, mu in enumerate(LIBRARY_BETAS):
+        y = np.random.default_rng([seed, 2, d]).normal(mu, 1.0, design.n)
+        yield f"mean_model/dataset{d}", mean_model_bootstrap(
+            y, weight_u, LIBRARY_B, np.random.default_rng([seed, 2, d, 3])
+        )
 
 
 if __name__ == "__main__":
@@ -46,4 +101,6 @@ if __name__ == "__main__":
                 continue
             for path in sorted(out.iterdir()):
                 print(f"{digest(path)}  {experiment}/{path.name}")
+    for label, sample in library_samples(int(args.seed)):
+        print(f"{hashlib.sha256(sample.values.tobytes()).hexdigest()}  library/{label}")
     sys.exit(rc)

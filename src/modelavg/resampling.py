@@ -2,14 +2,14 @@
 
 A :class:`ResamplePlan` names the scheme: without ``m`` it is the paired
 bootstrap, with ``m`` subsampling. One engine, :func:`resampled_estimates`,
-serves both, for the library calls and for figure2 alike, and returns a
-dataset's centred replicates sqrt(size) * (theta_star - theta_hat). A
-dataset's resample indices come from :class:`ResampleIndices`: one (b, size)
-block drawn from the caller's generator, plus redraws for singular rows from
-one generator spawned from it. Each resample is reduced to its sufficient
-statistics and a :class:`~modelavg.estimators.Pipeline`'s kernel evaluates
-them all at once. The output is a bit-reproducible function of the caller's
-generator.
+serves both, library calls and figure2 alike, and returns a dataset's centred
+replicates sqrt(size) * (theta_star - theta_hat). A dataset's resample indices
+come from :class:`ResampleIndices`: one (b, size) block drawn from the
+caller's generator, plus redraws for singular rows from one generator spawned
+from it. Each resample is reduced to its sufficient statistics, which a
+:class:`~modelavg.estimators.Pipeline`'s kernel evaluates all at once, just as
+:func:`mean_model_bootstrap` calls its weight rule once on all b resampled
+means. The output is a bit-reproducible function of the caller's generator.
 """
 
 from __future__ import annotations
@@ -232,7 +232,7 @@ def subsample_distribution(
 
 def mean_model_bootstrap(
     y,
-    weight_rule: Callable[[float], float],
+    weight_rule: Callable[[np.ndarray], np.ndarray],
     b: int,
     rng: np.random.Generator,
 ) -> EmpiricalSample:
@@ -240,11 +240,12 @@ def mean_model_bootstrap(
 
     ``y`` holds observations of the one-parameter mean model (iid N(mu, 1)),
     and the estimate is the shrunken mean mu_hat = W(sqrt(n) * ybar) * ybar
-    for a weight function W into [0, 1]. The weight argument is centered at
-    the resampled mean shift, mu_star = W(sqrt(n) * (ybar_star - ybar)) *
-    ybar_star, and the returned replicates are sqrt(n) * (mu_star - mu_hat).
-    Centering inside W mirrors the rule that resampling should reflect the
-    no-effect model rather than the observed mean.
+    for an elementwise weight function W into [0, 1], like every rule in
+    :mod:`modelavg.weights`. The weight argument is centered at the resampled
+    mean shift, mu_star = W(sqrt(n) * (ybar_star - ybar)) * ybar_star, and the
+    returned replicates are sqrt(n) * (mu_star - mu_hat); W is called once on
+    the (b,) array of shifts. Centering inside W mirrors the rule that
+    resampling should reflect the no-effect model rather than the observed mean.
     """
     y = np.array(y, dtype=float)
     if y.ndim != 1 or y.size < 1:
@@ -257,8 +258,5 @@ def mean_model_bootstrap(
     mu_hat = float(weight_rule(root_n * ybar)) * ybar
     idx = rng.integers(0, n, size=(b, n))
     ybar_star = y[idx].mean(axis=1)
-    values = np.empty(b)
-    for i, yb in enumerate(ybar_star):
-        mu_star = float(weight_rule(root_n * (yb - ybar))) * yb
-        values[i] = root_n * (mu_star - mu_hat)
-    return EmpiricalSample(values)
+    mu_star = weight_rule(root_n * (ybar_star - ybar)) * ybar_star
+    return EmpiricalSample(root_n * (mu_star - mu_hat))

@@ -18,16 +18,16 @@ from .model import rss_gap, solve_normal_equations
 
 @dataclass(frozen=True)
 class ModelWeights:
-    """Weight pair on the restricted/unrestricted models; p_u is derived as 1 - p_r."""
+    """Weight pair on the restricted/unrestricted models, elementwise; p_u = 1 - p_r."""
 
-    p_r: float
+    p_r: float | np.ndarray
 
     def __post_init__(self):
-        if not (0.0 <= self.p_r <= 1.0):
+        if not np.all((0.0 <= self.p_r) & (self.p_r <= 1.0)):
             raise ValueError(f"p_r must lie in [0, 1], got {self.p_r!r}")
 
     @property
-    def p_u(self) -> float:
+    def p_u(self) -> float | np.ndarray:
         return 1.0 - self.p_r
 
 
@@ -109,9 +109,9 @@ def adaptive_p_r(beta_u, a_n: float, k_n: float):
     return 0.5 * xi1 + 0.5 * xi2
 
 
-def adaptive_weights(beta_u: float, config: AdaptiveConfig) -> ModelWeights:
-    """Smooth data-adaptive weight on the restricted model."""
-    return ModelWeights(float(adaptive_p_r(beta_u, config.a_n, config.k_n)))
+def adaptive_weights(beta_u, config: AdaptiveConfig) -> ModelWeights:
+    """Smooth data-adaptive weight on the restricted model, elementwise in beta_u."""
+    return ModelWeights(adaptive_p_r(beta_u, config.a_n, config.k_n))
 
 
 def default_tuning(n: int) -> AdaptiveConfig:

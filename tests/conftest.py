@@ -2,8 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from modelavg.model import Dataset, DesignMatrix
+
+# Every @given test draws the same examples on each run and in each checkout:
+# a seed derived from the test itself, and no database of earlier failures to
+# replay. A test's own @settings still sets its example count.
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 
 def random_dataset(rng, n=None, allow_badly_scaled=False):
@@ -52,6 +59,21 @@ def dense_posterior_oracle(dataset, sigma, prior_scale=1.0, prior_p_r=0.5):
     log_u = math.log(1 - prior_p_r) + log_m_u
     m = max(log_r, log_u)
     return math.exp(log_r - m) / (math.exp(log_r - m) + math.exp(log_u - m))
+
+
+def mean_model_reference(y, rule, b, rng):
+    """The mean-model bootstrap one replicate at a time, calling ``rule`` on scalars only."""
+    y = np.asarray(y, dtype=float)
+    n = y.size
+    root_n = float(np.sqrt(n))
+    ybar = float(np.mean(y))
+    mu_hat = float(rule(root_n * ybar)) * ybar
+    ybar_star = y[rng.integers(0, n, size=(b, n))].mean(axis=1)
+    values = np.empty(b)
+    for i, yb in enumerate(ybar_star):
+        mu_star = float(rule(root_n * (yb - ybar))) * yb
+        values[i] = root_n * (mu_star - mu_hat)
+    return values
 
 
 @pytest.fixture

@@ -336,9 +336,9 @@ def test_criterion_09_mean_model():
     # Null-reflecting centering with a logistic weight, hand-checked on n = 1
     # (the resample is forced) and on an enumerated two-point sample.
     y1 = 0.8
-    w = lambda t: float(stable_sigmoid(t))
+    w = stable_sigmoid
     sample = mean_model_bootstrap(np.array([y1]), w, 4, np.random.default_rng(1))
-    expected = w(0.0) * y1 - w(y1) * y1
+    expected = float(w(0.0) * y1 - w(y1) * y1)
     ok_n1 = bool(np.allclose(sample.values, expected, rtol=1e-12))
     _check(failures, "9 formula (n=1 forced resample)", ok_n1)
 
@@ -346,7 +346,7 @@ def test_criterion_09_mean_model():
     ybar = 1.5
     mu_hat = w(math.sqrt(2) * ybar) * ybar
     possible = {
-        round(math.sqrt(2) * (w(math.sqrt(2) * (m - ybar)) * m - mu_hat), 12)
+        round(float(math.sqrt(2) * (w(math.sqrt(2) * (m - ybar)) * m - mu_hat)), 12)
         for m in (0.0, 1.5, 3.0)
     }
     got = {

@@ -18,6 +18,8 @@ import pytest
 import modelavg
 import modelavg.cli  # noqa: F401  (the CLI workloads call modelavg.cli.main)
 
+from conftest import mean_model_reference
+
 # Attribute chains from the modelavg package, as perfbench/child.py spells them.
 BENCHMARK_NAMES = (
     "config.parse_config",
@@ -55,6 +57,15 @@ def test_benchmark_calls_run_as_spelled():
     pipe = modelavg.estimators.make_pipeline("ama", 1.0, modelavg.PretestConfig(), tuning)
     params = modelavg.model.TrueParams(alpha=1.0, beta=0.2, sigma=1.0)
     ds = modelavg.model.generate_response(design, params, np.random.default_rng(0))
+    y_mm = np.random.default_rng(3).normal(0.0, 1.0, design.n)
+    root_n = float(np.sqrt(design.n))
+
+    def weight_u(t):
+        return modelavg.weights.adaptive_weights(t / root_n, tuning).p_u
+
+    mean_model = modelavg.resampling.mean_model_bootstrap(
+        y_mm, weight_u, 5, np.random.default_rng(4)
+    )
     for sample in (
         modelavg.resampling.paired_bootstrap(
             ds, pipe, modelavg.resampling.ResamplePlan(b=5), np.random.default_rng(1)
@@ -62,15 +73,13 @@ def test_benchmark_calls_run_as_spelled():
         modelavg.resampling.subsample_distribution(
             ds, pipe, modelavg.resampling.ResamplePlan(b=5, m=20), np.random.default_rng(2)
         ),
-        modelavg.resampling.mean_model_bootstrap(
-            np.random.default_rng(3).normal(0.0, 1.0, design.n),
-            lambda t: modelavg.weights.adaptive_weights(t / np.sqrt(design.n), tuning).p_u,
-            5,
-            np.random.default_rng(4),
-        ),
+        mean_model,
     ):
         assert np.asarray(sample.values).size == 5
         assert np.isfinite(sample.quantile(0.5))
+    # The rule, called once on all replicates, gives the replicates of one call each.
+    expected = mean_model_reference(y_mm, weight_u, 5, np.random.default_rng(4))
+    assert np.array_equal(mean_model.values, expected)
 
 
 def test_benchmark_check_calls_a_one_estimator_pipeline_on_a_dataset():

@@ -15,7 +15,9 @@ from modelavg.resampling import (
     paired_bootstrap,
     subsample_distribution,
 )
-from modelavg.weights import PretestConfig, default_tuning
+from modelavg.weights import PretestConfig, adaptive_weights, default_tuning
+
+from conftest import mean_model_reference
 
 
 def _integer_dataset(n=8, alpha=2.0):
@@ -240,7 +242,7 @@ def test_original_collinearity_propagates():
 
 
 def test_mean_model_bootstrap_constant_data_point_mass():
-    w = lambda t: 1.0 / (1.0 + math.exp(-t))
+    w = lambda t: 1.0 / (1.0 + np.exp(-t))
     sample = mean_model_bootstrap(np.full(7, 4.0), w, 60, np.random.default_rng(0))
     mu_hat = w(math.sqrt(7) * 4.0) * 4.0
     expected = math.sqrt(7) * (w(0.0) * 4.0 - mu_hat)
@@ -262,7 +264,7 @@ def test_mean_model_bootstrap_shrinks_by_constant_rules():
 def test_mean_model_bootstrap_worked_logistic():
     # Constant data: ybar* = 1, so every replicate is sqrt(n) * (W(0) * 1 - mu_hat),
     # with sqrt(n) * ybar = 2, W(2) = logistic(-1) ~ 0.26894 and mu_hat = W(2) * 1.
-    w = lambda t: 1.0 / (1.0 + math.exp(t * t / 4.0))
+    w = lambda t: 1.0 / (1.0 + np.exp(t * t / 4.0))
     sample = mean_model_bootstrap(np.ones(4), w, 30, np.random.default_rng(0))
     mu_hat = w(0.0) - sample.values / 2.0
     assert mu_hat == pytest.approx(np.full(30, 1.0 / (1.0 + math.e)), rel=1e-12)
@@ -283,7 +285,7 @@ def test_mean_model_bootstrap_formula_single_observation():
     # n = 1: the only resample is the sample itself, so the replicate is
     # sqrt(1) * (W(0) * y1 - W(y1) * y1), hand-computable.
     y1 = 0.8
-    w = lambda t: 1.0 / (1.0 + math.exp(-t))
+    w = lambda t: 1.0 / (1.0 + np.exp(-t))
     sample = mean_model_bootstrap(np.array([y1]), w, 5, np.random.default_rng(0))
     expected = w(0.0) * y1 - w(y1) * y1
     assert np.allclose(sample.values, expected, rtol=1e-12)
@@ -293,7 +295,7 @@ def test_mean_model_bootstrap_formula_enumerated_two_points():
     # n = 2, y = (0, 3): ybar* is 0, 1.5, or 3; every replicate must equal the
     # null-reflecting formula for one of those three means.
     y = np.array([0.0, 3.0])
-    w = lambda t: 1.0 / (1.0 + math.exp(-(t * t) / 8.0))
+    w = lambda t: 1.0 / (1.0 + np.exp(-(t * t) / 8.0))
     ybar = 1.5
     mu_hat = w(math.sqrt(2) * ybar) * ybar
     possible = {
@@ -304,6 +306,33 @@ def test_mean_model_bootstrap_formula_enumerated_two_points():
     got = {round(v, 12) for v in sample.values}
     assert got <= possible
     assert len(got) == 3  # all three resample patterns appear in 100 draws
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.05, 0.2, 1.0, -3.0])
+def test_mean_model_bootstrap_matches_per_replicate_reference(mu):
+    # One rule call on all b shifts gives the replicates of one call per shift,
+    # bit for bit, for the benchmark's rule (p_u of the adaptive weight at
+    # t / sqrt(n)) and for W = 1.
+    n = 50
+    tuning = default_tuning(n)
+    adaptive_p_u = lambda t: adaptive_weights(t / math.sqrt(n), tuning).p_u
+    for seed in range(5):
+        y = np.random.default_rng([seed, 1]).normal(mu, 1.0, n)
+        for rule in (adaptive_p_u, lambda t: 1.0):
+            got = mean_model_bootstrap(y, rule, 500, np.random.default_rng([seed, 2]))
+            expected = mean_model_reference(y, rule, 500, np.random.default_rng([seed, 2]))
+            assert np.array_equal(got.values, expected)
+
+
+def test_mean_model_bootstrap_calls_its_rule_on_a_scalar_then_all_replicates():
+    shapes = []
+
+    def rule(t):
+        shapes.append(np.shape(t))
+        return 1.0 / (1.0 + np.exp(-t))
+
+    mean_model_bootstrap(np.arange(6.0), rule, 40, np.random.default_rng(0))
+    assert shapes == [(), (40,)]
 
 
 def test_mean_model_bootstrap_validation():

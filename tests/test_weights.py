@@ -259,6 +259,11 @@ def test_adaptive_huge_inputs_no_overflow():
         assert math.isfinite(w.p_r)
         assert 0.0 <= w.p_r <= 0.5
         assert w.p_r + w.p_u == 1.0
+    # Elementwise, like adaptive_p_r: an array of slopes gives an array of weights.
+    beta_u = np.array([1e300, -1e300, 1e-300, 0.0, -0.3, 0.02])
+    w = adaptive_weights(beta_u, cfg)
+    assert np.array_equal(w.p_r, adaptive_p_r(beta_u, cfg.a_n, cfg.k_n))
+    assert np.array_equal(w.p_u, 1.0 - w.p_r)
 
 
 def test_adaptive_monotone_on_grid():
@@ -297,6 +302,11 @@ def test_weights_reject_out_of_range():
         ModelWeights(-0.1)
     with pytest.raises(ValueError):
         ModelWeights(float("nan"))
+    # An array of weights is checked entry by entry.
+    with pytest.raises(ValueError):
+        ModelWeights(np.array([0.2, 1.5]))
+    with pytest.raises(ValueError):
+        ModelWeights(np.array([0.2, float("nan")]))
 
 
 def test_every_rule_valid_for_rough_inputs(rng):
