@@ -62,6 +62,10 @@ class RunConfig:
     def resolved_workers(self) -> int:
         if self.workers > 0:
             return self.workers
+        # The CPUs this process may run on, which taskset or a container can
+        # narrow below the machine's count.
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
 
 

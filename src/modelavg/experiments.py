@@ -119,24 +119,51 @@ def draw_dataset(scenario: Scenario, grid_index: int = 0, dataset_index: int = 0
     return generate_response(scenario.design, scenario.params, rng)
 
 
-def _ks_arrays(x: np.ndarray, y: np.ndarray) -> float:
-    """Exact two-sample KS distance sup_t |F_x(t) - F_y(t)|.
+def _own_counts(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """At each value of the sorted rows ``s``: how many values of its row are
+    <= it and < it, the index past its run of ties and the index where it starts."""
+    n = s.shape[-1]
+    idx = np.arange(n)
+    tie = s[..., 1:] == s[..., :-1]
+    edge = np.zeros(s.shape[:-1] + (1,), bool)
+    starts = np.where(np.concatenate([edge, tie], axis=-1), 0, idx)
+    ends = np.where(np.concatenate([tie, edge], axis=-1), n, idx + 1)
+    return (np.minimum.accumulate(ends[..., ::-1], axis=-1)[..., ::-1],
+            np.maximum.accumulate(starts, axis=-1))
 
-    Between consecutive points of the smaller sample its ECDF is constant and
-    the larger one's only rises, so the distance peaks at a point of the
-    smaller sample: at the right values there or at the left limits. Counting
-    into the larger sorted sample at those points alone gives the same counts,
-    and so the same floats, as evaluating both ECDFs on the merged samples.
+
+def _ks_arrays(x: np.ndarray, rows: np.ndarray) -> float | np.ndarray:
+    """Exact two-sample KS distance sup_t |F_x(t) - F_row(t)| for each row of ``rows``.
+
+    A 1-D ``rows`` is one sample and gives a float; a 2-D block gives one
+    float per row. Between consecutive points of the smaller sample its ECDF
+    is constant and the larger one's only rises, so the distance peaks at a
+    point of the smaller sample (``x`` when sizes are equal): at the right
+    values there or at the left limits. Counting into the larger sorted sample
+    at those points alone gives the same counts, and so the same floats, as
+    evaluating both ECDFs on the merged samples. Samples must be finite.
     """
-    small, large = (x, y) if x.size <= y.size else (y, x)
-    s = np.sort(small)
-    big = np.sort(large)
-    sup = 0.0
-    for side in ("right", "left"):
-        f_small = np.searchsorted(s, s, side=side) / s.size
-        f_large = np.searchsorted(big, s, side=side) / big.size
-        sup = max(sup, float(np.max(np.abs(f_small - f_large))))
-    return sup
+    rows = np.asarray(rows)
+    s = np.sort(rows.reshape(-1, rows.shape[-1]), axis=1)
+    t = np.sort(x)
+    k, size = s.shape
+    if t.size <= size:
+        # A row's values at or below (below) point j of x are those whose
+        # left (right) insertion point into x is at most j.
+        width = t.size + 1
+        base = np.arange(k)[:, None] * width
+
+        def below(side):
+            at = np.bincount((np.searchsorted(t, s, side) + base).ravel(), minlength=k * width)
+            return at.reshape(k, width).cumsum(axis=1)[:, :-1] / size
+
+        own = [c / t.size for c in _own_counts(t)]
+        other = [below("left"), below("right")]
+    else:
+        own = [c / size for c in _own_counts(s)]
+        other = [np.searchsorted(t, s, side) / t.size for side in ("right", "left")]
+    sup = np.max([np.max(np.abs(a - b), axis=-1) for a, b in zip(own, other)], axis=0)
+    return float(sup[0]) if rows.ndim == 1 else sup
 
 
 def _ks_ratio(ks_r: float, ks_u: float) -> float:
@@ -252,7 +279,8 @@ def resampling_error_curve(
     Monte Carlo truth sample of sqrt(n) * (estimate - alpha) per estimator,
     then ``datasets_per_beta`` datasets, each turned into ``plan.b`` centred
     replicates by :func:`resampled_estimates`. ``mode="per_dataset"`` reports
-    100 x the mean KS distance between truth and each dataset's replicates;
+    100 x the mean KS distance between truth and each dataset's replicates,
+    scored max(1, reps // b) included datasets to a KS call;
     ``mode="pooled"`` pools all replicates per grid point before one KS
     evaluation. Datasets whose resampling exhausts the plan's redraw budget
     are excluded and counted.
@@ -267,9 +295,17 @@ def resampling_error_curve(
     def row(i: int, cell: Scenario) -> dict:
         truth = _centered_draws(cell, names, i)
         pipeline = cell.pipeline(names)
-        per_dataset = {k: [] for k in names}
-        pooled = {k: [] for k in names}
+        # A chunk holds no more replicates per estimator than max(reps, b).
+        chunk = max(1, cell.reps // plan.b)
+        held = {k: [] for k in names}
+        distances = {k: [] for k in names}
         excluded = 0
+
+        def score():
+            for k in names:
+                distances[k].append(_ks_arrays(truth[k], np.stack(held[k])))
+                held[k].clear()
+
         for d in range(datasets_per_beta):
             ds = draw_dataset(cell, i, d)
             try:
@@ -280,21 +316,22 @@ def resampling_error_curve(
                 excluded += 1
                 continue
             for k in names:
-                if mode == "per_dataset":
-                    per_dataset[k].append(_ks_arrays(truth[k], samples[k]))
-                else:
-                    pooled[k].append(samples[k])
+                held[k].append(samples[k])
+            if mode == "per_dataset" and len(held[names[0]]) == chunk:
+                score()
         included = datasets_per_beta - excluded
         if included == 0:
             raise TooManySingularResamples(
                 f"all {datasets_per_beta} datasets at beta={cell.params.beta} were excluded"
             )
+        if mode == "per_dataset" and held[names[0]]:
+            score()
         errors = {}
         for k in names:
             if mode == "per_dataset":
-                err = float(np.mean(per_dataset[k]))
+                err = float(np.mean(np.concatenate(distances[k])))
             else:
-                err = _ks_arrays(truth[k], np.concatenate(pooled[k]))
+                err = _ks_arrays(truth[k], np.concatenate(held[k]))
             errors[f"err_{k}"] = 100.0 * err
         return {**errors, "datasets": included, "b": plan.b, "excluded": excluded}
 

@@ -112,9 +112,9 @@ class ResampleIndices:
     first ``size`` entries of a random permutation per row, sorted. Sorted
     rows make a subsample a row set, so size = n reproduces the dataset
     bit-for-bit. :meth:`redraw` replaces a singular row from one generator
-    spawned from ``rng``. Engines redraw singular rows in ascending row order,
-    so two engines that agree on which designs are singular agree on every
-    replicate.
+    spawned from ``rng``. :func:`resampled_estimates` redraws singular rows in
+    ascending row order, so any refit of the same rows that redraws in that
+    order, and agrees on which designs are singular, gets every replicate.
     """
 
     def __init__(self, rng: np.random.Generator, n: int, plan: ResamplePlan):
@@ -167,18 +167,15 @@ def resampled_estimates(
     """
     _require_pipeline(pipeline)
     originals, _ = pipeline.fit(dataset)
-    x1_full, x2_full, y_full = dataset.design.x1, dataset.design.x2, dataset.y
+    x1, x2, y = dataset.design.x1, dataset.design.x2, dataset.y
+    # Rows: the products behind s11, s22, s12, <x1,y>, <x2,y> and <y,y>.
+    products = np.stack([x1 * x1, x2 * x2, x1 * x2, x1 * y, x2 * y, y * y])
     indices = ResampleIndices(rng, dataset.n, plan)
 
     def gather(index):
-        x1 = x1_full[index]
-        x2 = x2_full[index]
-        y = y_full[index]
-        # Rows: s11, s22, s12, <x1,y>, <x2,y>, <y,y>.
-        return np.stack([
-            np.sum(x1 * x1, axis=-1), np.sum(x2 * x2, axis=-1), np.sum(x1 * x2, axis=-1),
-            np.sum(x1 * y, axis=-1), np.sum(x2 * y, axis=-1), np.sum(y * y, axis=-1),
-        ])
+        # One sum per replicate along its contiguous last axis, as the full
+        # fit sums its products, so an m = n subsample refits the dataset exactly.
+        return np.take(products, index, axis=1).sum(axis=-1)
 
     sums = gather(indices.block)
     for i in np.nonzero(singular_design(*sums[:3]))[0]:

@@ -71,12 +71,8 @@ class AdaptiveConfig:
 def stable_sigmoid(t):
     """Overflow-safe logistic 1 / (1 + exp(-t)), elementwise."""
     t = np.asarray(t, dtype=float)
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def pretest_threshold(sigma_beta, config: PretestConfig):

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from modelavg.model import Dataset, DesignMatrix
+from modelavg.errors import TooManySingularResamples
+from modelavg.experiments import _TAG_RESAMPLE, _centered_draws, draw_dataset, stream
+from modelavg.model import Dataset, DesignMatrix, singular_design
+from modelavg.resampling import ResampleIndices, resampled_estimates
 
 # Every @given test draws the same examples on each run and in each checkout:
 # a seed derived from the test itself, and no database of earlier failures to
@@ -74,6 +77,77 @@ def mean_model_reference(y, rule, b, rng):
         mu_star = float(rule(root_n * (yb - ybar))) * yb
         values[i] = root_n * (mu_star - mu_hat)
     return values
+
+
+def stable_sigmoid_reference(t):
+    """The logistic by two masked assignments, one per sign of t."""
+    t = np.asarray(t, dtype=float)
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def ks_oracle(x, y):
+    """Two-sample KS distance of two 1-D samples, counted at the smaller one's points."""
+    small, large = (x, y) if x.size <= y.size else (y, x)
+    s = np.sort(small)
+    big = np.sort(large)
+    sup = 0.0
+    for side in ("right", "left"):
+        f_small = np.searchsorted(s, s, side=side) / s.size
+        f_large = np.searchsorted(big, s, side=side) / big.size
+        sup = max(sup, float(np.max(np.abs(f_small - f_large))))
+    return sup
+
+
+def stacked_sums_engine(dataset, pipeline, plan, rng):
+    """The resampling engine with each statistic gathered and summed on its own:
+    three fancy-indexes, six products and six sums per resample block."""
+    originals, _ = pipeline.fit(dataset)
+    x1_full, x2_full, y_full = dataset.design.x1, dataset.design.x2, dataset.y
+    indices = ResampleIndices(rng, dataset.n, plan)
+
+    def gather(index):
+        x1 = x1_full[index]
+        x2 = x2_full[index]
+        y = y_full[index]
+        return np.stack([
+            np.sum(x1 * x1, axis=-1), np.sum(x2 * x2, axis=-1), np.sum(x1 * x2, axis=-1),
+            np.sum(x1 * y, axis=-1), np.sum(x2 * y, axis=-1), np.sum(y * y, axis=-1),
+        ])
+
+    sums = gather(indices.block)
+    for i in np.nonzero(singular_design(*sums[:3]))[0]:
+        while singular_design(*sums[:3, i]):
+            sums[:, i] = gather(indices.redraw())
+    estimates, _ = pipeline.kernel(indices.size, *sums)
+    scale = float(np.sqrt(indices.size))
+    return {name: scale * (estimates[name] - originals[name]) for name in pipeline.names}
+
+
+def per_dataset_error_row(cell, grid_index, plan, datasets_per_beta):
+    """A per_dataset resampling-error row scored one dataset at a time with
+    :func:`ks_oracle`."""
+    names = ("ms", "bma_bic", "ama")
+    truth = _centered_draws(cell, names, grid_index)
+    pipeline = cell.pipeline(names)
+    distances = {k: [] for k in names}
+    excluded = 0
+    for d in range(datasets_per_beta):
+        ds = draw_dataset(cell, grid_index, d)
+        rng = stream(cell.seed, _TAG_RESAMPLE, grid_index, d)
+        try:
+            samples = resampled_estimates(ds, pipeline, plan, rng)
+        except TooManySingularResamples:
+            excluded += 1
+            continue
+        for k in names:
+            distances[k].append(ks_oracle(truth[k], samples[k]))
+    errors = {f"err_{k}": 100.0 * float(np.mean(distances[k])) for k in names}
+    return {**errors, "datasets": datasets_per_beta - excluded, "b": plan.b, "excluded": excluded}
 
 
 @pytest.fixture

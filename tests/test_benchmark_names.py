@@ -172,6 +172,7 @@ def test_cli_runs_under_the_benchmark_tracer(tmp_path):
     mc_draws = 2 * len(_BETA_GRID) + len(_FIGURE2_GRID)  # one truth sample per beta
     sweep_rows = 2 * len(_N_GRID)
     datasets = len(_FIGURE2_GRID) * _DATASETS
+    chunks = len(_FIGURE2_GRID) * -(-_DATASETS // max(1, _REPS // _B))
     estimators = 3  # ms, bma_bic, ama
     assert Counter(span[1] for span in spans) == {
         "config.parse_config": len(runs),
@@ -179,8 +180,9 @@ def test_cli_runs_under_the_benchmark_tracer(tmp_path):
         "cli.write": 3 * len(runs) + 3,
         "experiments.mc_estimator_draws": mc_draws + sweep_rows,
         "experiments.batch_estimates": mc_draws + sweep_rows,
-        # figure1b: each estimator against R and U; figure2: against the truth
-        "experiments.ks": 2 * estimators * len(_BETA_GRID) + estimators * datasets,
+        # figure1b: each estimator against R and U; figure2: against the truth,
+        # once per chunk of max(1, reps // b) datasets at each grid point
+        "experiments.ks": 2 * estimators * len(_BETA_GRID) + estimators * chunks,
         "experiments.resampled_estimates": datasets,
         "model.generate_response": datasets,
         "experiments.sweep": 2,

@@ -5,6 +5,7 @@ from dataclasses import fields
 import pytest
 
 import modelavg.cli
+import modelavg.config
 import modelavg.experiments
 from modelavg.cli import main, run
 from modelavg.config import (
@@ -42,6 +43,18 @@ def test_defaults_reproduce_reference_scale():
     assert len(cfg.beta_grid) == 41
     assert cfg.beta_grid[0] == -1.0 and cfg.beta_grid[-1] == 1.0
     assert cfg.a_n is None  # resolved to (log n)^2 downstream
+
+
+def test_all_workers_means_the_cpus_this_process_may_use(monkeypatch):
+    # --workers 0 counts the CPUs of the process's affinity mask, not the machine's.
+    monkeypatch.setattr(modelavg.config.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(modelavg.config.os, "cpu_count", lambda: 8)
+    cfg = parse_config("figure1a", overrides={"workers": "0"}, env={})
+    assert cfg.resolved_workers() == 1
+    assert parse_config("figure1a", overrides={"workers": "3"}, env={}).resolved_workers() == 3
+    # Where the platform has no affinity mask, the machine's count stands.
+    monkeypatch.delattr(modelavg.config.os, "sched_getaffinity")
+    assert cfg.resolved_workers() == 8
 
 
 def test_figure2_default_grid_is_restricted():

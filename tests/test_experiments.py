@@ -35,6 +35,8 @@ from modelavg.model import (
 from modelavg.resampling import ResampleIndices, ResamplePlan, resampled_estimates
 from modelavg.weights import PretestConfig, default_tuning
 
+from conftest import ks_oracle, per_dataset_error_row, stacked_sums_engine
+
 
 def _integer_scenario(beta=0.0, sigma=0.0, n=8, reps=40, seed=5):
     design = DesignMatrix(np.ones(n), np.arange(float(n)))
@@ -125,6 +127,33 @@ def test_ks_brute_force_oracle_larger_samples(rng):
         y = rng.normal(0.3, 1.2, size=int(rng.integers(5, 200)))
         d = _ks_arrays(x, y)
         assert d == pytest.approx(_ks_brute_force(x, y), abs=1e-12)
+
+
+def test_ks_rows_equal_the_one_sample_oracle_row_by_row(rng):
+    # A 2-D block gives one float per row, each the very float of the 1-D
+    # oracle, in every orientation; a 1-D sample still gives a float.
+    def normal(size):
+        return rng.normal(0.2, 1.1, size=size)
+
+    def tied(size):
+        return np.round(rng.normal(size=size), 1)
+
+    cases = [
+        (normal(300), normal((7, 40))),  # x larger
+        (normal(25), normal((6, 90))),  # x smaller
+        (normal(50), normal((5, 50))),  # equal sizes
+        (tied(60), tied((8, 30))),
+        (tied(30), tied((8, 60))),
+        (tied(40), tied((8, 40))),
+        (normal(80), normal((1, 20))),  # a single row
+        (normal(20), normal((1, 80))),
+    ]
+    for x, rows in cases:
+        expected = [ks_oracle(x, row) for row in rows]
+        assert np.array_equal(_ks_arrays(x, rows), expected)
+        for row, value in zip(rows, expected):
+            one = _ks_arrays(x, row)
+            assert type(one) is float and one == value
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +442,67 @@ def test_fast_resampling_engine_matches_generic_engine_at_sigma_zero():
     _assert_engines_agree(draw_dataset(noisy), noisy, 0.0)
     null = _uniform_scenario(n=12, reps=10, seed=92, sigma=0.0)
     _assert_engines_agree(draw_dataset(null), null, 0.0)
+
+
+def test_engine_replicates_equal_the_stacked_sums_engine():
+    # One take of the products table and one sum per replicate add each
+    # replicate's products in the order the six separate sums did: equal
+    # floats for the bootstrap, subsamples, m = n and redrawn rows.
+    names = ("r", "u", "ms", "bma_bic", "ama", "bma_exact")
+    for sigma in (1.0, 0.0):
+        scenario = _uniform_scenario(n=12, reps=10, seed=91, sigma=sigma)
+        ds = draw_dataset(scenario)
+        pipeline = Pipeline(names, sigma, scenario.pretest, scenario.adaptive)
+        for m in (None, 5, 12):
+            plan = ResamplePlan(b=40, m=m)
+            expected = stacked_sums_engine(ds, pipeline, plan, np.random.default_rng(17))
+            got = _engine(ds, pipeline, plan, 17)
+            for name in names:
+                assert np.array_equal(got[name], expected[name]), (sigma, m, name)
+    tiny = _tiny_scenario()
+    ds3 = draw_dataset(tiny)
+    pipeline3 = Pipeline(names, 1.0, tiny.pretest, tiny.adaptive)
+    for m in (None, 3):
+        plan = ResamplePlan(b=60, m=m)
+        indices = ResampleIndices(np.random.default_rng(4), 3, plan)
+        assert (m is None) == bool(np.any([len(set(row)) == 1 for row in indices.block]))
+        expected = stacked_sums_engine(ds3, pipeline3, plan, np.random.default_rng(4))
+        got = _engine(ds3, pipeline3, plan, 4)
+        for name in names:
+            assert np.array_equal(got[name], expected[name]), (m, name)
+
+
+def test_chunked_error_rows_equal_rows_scored_one_dataset_at_a_time(monkeypatch):
+    # figure2 scores max(1, reps // b) included datasets per KS call. Its rows
+    # must be the very floats of scoring each dataset alone: here 7 datasets
+    # in chunks of 3, 3 and 1, and on the n = 3 design with no redraws,
+    # chunks that skip the excluded datasets.
+    blocks = []
+    real = modelavg.experiments._ks_arrays
+
+    def recording(x, rows):
+        blocks.append(np.shape(rows))
+        return real(x, rows)
+
+    monkeypatch.setattr(modelavg.experiments, "_ks_arrays", recording)
+
+    def check(scenario, grid, plan, datasets):
+        blocks.clear()
+        rows = resampling_error_curve(grid, scenario, plan, datasets_per_beta=datasets)
+        for i, (beta, row) in enumerate(zip(grid, rows)):
+            cell = replace(scenario, params=replace(scenario.params, beta=beta))
+            expected = per_dataset_error_row(cell, i, plan, datasets)
+            assert row == {"beta": beta, **expected, "seed": scenario.seed}
+        return rows
+
+    scenario = _uniform_scenario(n=12, reps=30, seed=8)
+    for m in (None, 6):
+        check(scenario, [0.0, 0.3], ResamplePlan(b=10, m=m), 7)
+        assert blocks == 2 * (6 * [(3, 10)] + 3 * [(1, 10)])  # 3 estimators per chunk
+    tiny = replace(_tiny_scenario(), reps=30)
+    (row,) = check(tiny, [0.3], ResamplePlan(b=10, max_redraws=0), 20)
+    assert row["excluded"] > 0 and row["datasets"] == 6
+    assert blocks == 6 * [(3, 10)]
 
 
 def test_resampling_error_counts_excluded_datasets():

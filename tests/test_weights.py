@@ -23,9 +23,10 @@ from modelavg.weights import (
     default_tuning,
     exact_posterior_p_r,
     pretest_threshold,
+    stable_sigmoid,
 )
 
-from conftest import dense_posterior_oracle, random_dataset
+from conftest import dense_posterior_oracle, random_dataset, stable_sigmoid_reference
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +265,17 @@ def test_adaptive_huge_inputs_no_overflow():
     w = adaptive_weights(beta_u, cfg)
     assert np.array_equal(w.p_r, adaptive_p_r(beta_u, cfg.a_n, cfg.k_n))
     assert np.array_equal(w.p_u, 1.0 - w.p_r)
+
+
+def test_stable_sigmoid_equals_the_masked_reference(rng):
+    # One exp of -|t| and one where give the floats of the two masked
+    # assignments, on the edge values and on arrays of any shape.
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 710.0, -710.0, 1e308, -1e308])
+    inputs = [edges, rng.normal(0.0, 30.0, 500), rng.normal(size=(4, 7)), np.float64(-2.5), 3.0, -0.0]
+    for t in inputs:
+        got, expected = stable_sigmoid(t), stable_sigmoid_reference(t)
+        assert np.shape(got) == np.shape(expected)
+        assert np.array_equal(got, expected, equal_nan=True)
 
 
 def test_adaptive_monotone_on_grid():
