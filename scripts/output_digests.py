@@ -4,7 +4,10 @@
 Runs each experiment of ``modelavg.config.EXPERIMENTS`` at reference scale into
 a temporary directory and prints one ``<sha256>  <experiment>/<file>`` line per
 output. The ``out = ...`` line of ``resolved_config.txt`` is left out of its
-digest, since it names the temporary directory. Then it prints one
+digest, since it names the temporary directory. A few more runs with
+non-default flags (``EXTRA_RUNS``) reach the kernel's other branches: the
+sigma = 0 limits, the scaled pretest and a non-default prior. Their lines read
+``<experiment>[<flags>]/<file>``. Then it prints one
 ``<sha256>  library/...`` line per replicate array of the library's
 resamplers: ``paired_bootstrap`` and ``subsample_distribution`` (m = 20) for
 four estimators on the shipped design at sigma = 1 and sigma = 0, and
@@ -37,6 +40,15 @@ from modelavg.resampling import (
 )
 from modelavg.weights import adaptive_weights
 
+# (experiment, extra flags): the sigma = 0 limit with <y,y> on the Monte Carlo
+# path and on the one-dataset path, a scaled pretest with a small c, and a
+# non-default prior for bma_exact.
+EXTRA_RUNS = (
+    ("riskbound", ("--sigma", "0")),
+    ("single", ("--sigma", "0")),
+    ("figure1a", ("--pretest-form", "scaled", "--c", "0.3")),
+    ("single", ("--prior-scale", "2", "--prior-p-r", "0.3")),
+)
 LIBRARY_NAMES = ("ms", "bma_exact", "bma_bic", "ama")
 LIBRARY_BETAS = (0.0, 0.2, 1.0)  # one dataset each; also the mean-model mu
 LIBRARY_B = 500
@@ -87,20 +99,22 @@ if __name__ == "__main__":
     parser.add_argument("--seed", default="5050")
     parser.add_argument("--workers", default="1")
     args = parser.parse_args()
+    runs = [(experiment, ()) for experiment in EXPERIMENTS] + list(EXTRA_RUNS)
     rc = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for experiment in EXPERIMENTS:
+        for k, (experiment, flags) in enumerate(runs):
             name, _, method = experiment.partition("-")
-            out = Path(tmp) / experiment
+            label = f"{experiment}[{' '.join(flags)}]" if flags else experiment
+            out = Path(tmp) / f"{k}-{experiment}"
             code = main([
-                name, *(["--method", method] if method else []),
+                name, *(["--method", method] if method else []), *flags,
                 "--seed", args.seed, "--workers", args.workers, "--out", str(out),
             ])
             rc |= code
             if code:  # a failed run leaves no files
                 continue
             for path in sorted(out.iterdir()):
-                print(f"{digest(path)}  {experiment}/{path.name}")
+                print(f"{digest(path)}  {label}/{path.name}")
     for label, sample in library_samples(int(args.seed)):
         print(f"{hashlib.sha256(sample.values.tobytes()).hexdigest()}  library/{label}")
     sys.exit(rc)

@@ -8,6 +8,7 @@ and the adaptive model average, all evaluated by one kernel,
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,25 @@ from .weights import (
     pretest_threshold,
 )
 
-ESTIMATOR_NAMES = ("r", "u", "ms", "bma_exact", "bma_bic", "ama")
+# Every estimator is alpha_u + p_R * (alpha_r - alpha_u). P_R_RULES maps each name
+# to its rule for p_R, the weight on the restricted model, from the Pipeline and
+# the kernel's KernelStats: the sufficient statistics of n observations (scalars
+# or arrays of datasets) plus det and the unrestricted slope beta_u.
+KernelStats = namedtuple("KernelStats", "n s11 s22 s12 p1 p2 yy det beta_u")
+P_R_RULES = {
+    "r": lambda s, pipe: True,
+    "u": lambda s, pipe: False,
+    # ~(>) keeps R on ties and for a nan slope.
+    "ms": lambda s, pipe: ~(
+        np.abs(s.beta_u) > pretest_threshold(slope_sd(pipe.sigma, s.s11, s.det), pipe.pretest)
+    ),
+    "bma_exact": lambda s, pipe: exact_posterior_p_r(
+        s, pipe.sigma, pipe.prior_scale, pipe.prior_p_r
+    ),
+    "bma_bic": lambda s, pipe: bic_p_r(rss_gap(s.beta_u, s.s11, s.det), s.n),
+    "ama": lambda s, pipe: adaptive_p_r(s.beta_u, pipe.adaptive.a_n, pipe.adaptive.k_n),
+}
+ESTIMATOR_NAMES = tuple(P_R_RULES)
 
 
 def _convex(alpha_r, alpha_u, p_r):
@@ -40,16 +59,23 @@ def _convex(alpha_r, alpha_u, p_r):
     return np.minimum(np.maximum(value, lo), hi)
 
 
+def _combine(alpha_r, alpha_u, p_r):
+    """A boolean p_r selects exactly (_convex(., ., 1.0) can miss alpha_r by an ulp)."""
+    if np.result_type(p_r) == bool:
+        return np.where(p_r, alpha_r, alpha_u)
+    return _convex(alpha_r, alpha_u, p_r)
+
+
 @dataclass(frozen=True)
 class Pipeline:
     """The estimators ``names`` and the kernel settings they run with.
 
     :meth:`fit` refits one dataset from scratch (design stats, fits, weights);
     the Monte Carlo harness and the resampling engine evaluate whole arrays of
-    datasets through :meth:`kernel`. Construction raises on unknown names,
-    missing configs, a sigma that is not >= 0 (nan included), a prior_scale
-    that is not > 0 or a prior_p_r outside (0, 1); fitting a singular dataset
-    raises CollinearDesign or ZeroColumn.
+    datasets through :meth:`kernel`. Construction raises on names missing from
+    :data:`P_R_RULES`, missing configs, a sigma that is not finite and >= 0, a
+    prior_scale that is not finite and > 0 (nan fails both) or a prior_p_r
+    outside (0, 1); fitting a singular dataset raises CollinearDesign or ZeroColumn.
     """
 
     names: tuple[str, ...]
@@ -61,17 +87,17 @@ class Pipeline:
 
     def __post_init__(self):
         object.__setattr__(self, "names", tuple(self.names))
-        unknown = set(self.names) - set(ESTIMATOR_NAMES)
+        unknown = set(self.names) - set(P_R_RULES)
         if unknown:
             raise ValueError(f"unknown estimator names: {sorted(unknown)}")
         if "ms" in self.names and self.pretest is None:
             raise ValueError("'ms' needs a pretest config")
         if "ama" in self.names and self.adaptive is None:
             raise ValueError("'ama' needs an adaptive config")
-        if not self.sigma >= 0.0:
-            raise ValueError("sigma must be >= 0")
-        if not self.prior_scale > 0.0:
-            raise ValueError("prior_scale must be > 0")
+        if not 0.0 <= self.sigma < np.inf:
+            raise ValueError("sigma must be finite and >= 0")
+        if not 0.0 < self.prior_scale < np.inf:
+            raise ValueError("prior_scale must be finite and > 0")
         if not 0.0 < self.prior_p_r < 1.0:
             raise ValueError("prior_p_r must lie in (0, 1)")
 
@@ -82,39 +108,21 @@ class Pipeline:
 
         ``s11``, ``s22``, ``s12`` are the design inner products and ``p1``,
         ``p2`` the products <x1,y>, <x2,y> of n observations; each may be a
-        scalar or an array of datasets. Returns the estimates for ``names`` and
-        the weight on the restricted model of each averaging rule among them
-        (``bma_exact``, ``bma_bic``, ``ama``). ``yy`` = <y,y> is needed only for
+        scalar or an array of datasets. ``yy`` = <y,y> is needed only for
         ``bma_exact`` at sigma = 0. The design must be non-singular (det > 0).
+        Each name's rule in :data:`P_R_RULES` gives its weight p_R on R; a
+        boolean p_R selects alpha_r or alpha_u exactly, a float one averages
+        them. Returns the estimates and p_R per name (True for r, False for u).
         """
-        names = self.names
         det = s11 * s22 - s12 * s12
         alpha_r = p1 / s11
         alpha_u, beta_u = solve_normal_equations(s11, s22, s12, det, p1, p2)
-        p_r = {}
-        if "bma_exact" in names:
-            p_r["bma_exact"] = exact_posterior_p_r(
-                p1, p2, s11, s22, s12, self.sigma, self.prior_scale, self.prior_p_r, yy
-            )
-        if "bma_bic" in names:
-            p_r["bma_bic"] = bic_p_r(rss_gap(beta_u, s11, det), 0.0, n)
-        if "ama" in names:
-            p_r["ama"] = adaptive_p_r(beta_u, self.adaptive.a_n, self.adaptive.k_n)
-        estimates = {}
-        for name in names:
-            if name == "r":
-                estimates[name] = alpha_r
-            elif name == "u":
-                estimates[name] = alpha_u
-            elif name == "ms":
-                threshold = pretest_threshold(slope_sd(self.sigma, s11, det), self.pretest)
-                estimates[name] = np.where(np.abs(beta_u) > threshold, alpha_u, alpha_r)
-            else:
-                estimates[name] = _convex(alpha_r, alpha_u, p_r[name])
-        return estimates, p_r
+        stats = KernelStats(n, s11, s22, s12, p1, p2, yy, det, beta_u)
+        p_r = {name: P_R_RULES[name](stats, self) for name in self.names}
+        return {name: _combine(alpha_r, alpha_u, p) for name, p in p_r.items()}, p_r
 
     def fit(self, dataset: Dataset) -> tuple[dict[str, float], dict[str, float]]:
-        """The estimate of each name and each averaging rule's weight on R, as floats."""
+        """The estimate and the weight on R of each name, as floats (1.0 for r, 0.0 for u)."""
         stats = compute_design_stats(dataset.design)
         p1, p2, yy = response_stats(dataset)
         est, p_r = self.kernel(dataset.n, stats.s11, stats.s22, stats.s12, p1, p2, yy)

@@ -78,9 +78,9 @@ def batch_estimates(
     """Vectorized estimates over a (reps, n) block of standard-normal noise.
 
     Row r of ``z`` yields the response alpha*x1 + beta*x2 + sigma*z[r]. Returns
-    the kernel's pair: one estimate per row for each name, and one weight on R
-    per row for each averaging rule among them. ``z`` is overwritten with the
-    responses. Matches the scalar pipeline to floating round-off.
+    the kernel's pair: one estimate per row for each name, and each name's
+    weight on R (one per row; True for r, False for u). ``z`` is overwritten
+    with the responses. Matches the scalar pipeline to floating round-off.
     """
     y = responses_in_place(design, params, z)
     # <y,y> is read only by the sigma = 0 limit of bma_exact.
@@ -95,7 +95,7 @@ def mc_estimator_draws(
 ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
     """The kernel's pair over reps fresh responses on the frozen design.
 
-    Returns reps estimates per name and reps weights on R per averaging rule.
+    Returns reps estimates and the weight on R of each name, as batch_estimates.
     """
     stats = compute_design_stats(scenario.design)
     z = stream(scenario.seed, _TAG_TRUTH, grid_index).standard_normal(

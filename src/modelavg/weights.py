@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import rss_gap, solve_normal_equations
+from .model import rss_gap
 
 
 @dataclass(frozen=True)
@@ -62,10 +62,10 @@ class AdaptiveConfig:
     k_n: float
 
     def __post_init__(self):
-        if not self.a_n > 0.0:
-            raise ValueError("a_n must be > 0")
-        if not self.k_n > 0.0:
-            raise ValueError("k_n must be > 0")
+        if not 0.0 < self.a_n < math.inf:
+            raise ValueError("a_n must be finite and > 0")
+        if not 0.0 < self.k_n < math.inf:
+            raise ValueError("k_n must be finite and > 0")
 
 
 def stable_sigmoid(t):
@@ -117,17 +117,15 @@ def default_tuning(n: int) -> AdaptiveConfig:
     return AdaptiveConfig(a_n=math.log(n) ** 2, k_n=math.sqrt(math.log(n) / n))
 
 
-def bic_p_r(rss_r, rss_u, n: int):
+def bic_p_r(gap, n: int):
     """Vectorized BIC weight exp(-BIC_R/2) / (exp(-BIC_R/2) + exp(-BIC_U/2)).
 
-    BIC_R = RSS_R + log n and BIC_U = RSS_U + 2 log n; the ratio is evaluated
-    as a logistic of (BIC_U - BIC_R)/2 which never exponentiates a large
-    positive number. Only RSS_R - RSS_U matters, so ``(rss_gap, 0)`` may stand
-    in for the pair.
+    BIC_R = RSS_R + log n and BIC_U = RSS_U + 2 log n, so only the gap
+    RSS_R - RSS_U enters. The ratio is evaluated as the logistic of
+    (BIC_U - BIC_R)/2 = (log n - gap)/2, which never exponentiates a large
+    positive number.
     """
-    rss_r = np.asarray(rss_r, dtype=float)
-    rss_u = np.asarray(rss_u, dtype=float)
-    return stable_sigmoid(((rss_u - rss_r) + math.log(n)) / 2.0)
+    return stable_sigmoid((math.log(n) - np.asarray(gap, dtype=float)) / 2.0)
 
 
 def posterior_log_odds(
@@ -174,27 +172,21 @@ def posterior_log_odds(
     return prior_odds + 0.5 * logdet_diff + 0.5 * quad_diff
 
 
-def exact_posterior_p_r(
-    p1, p2, s11, s22, s12, sigma: float, prior_scale=1.0, prior_p_r=0.5, yy=None
-):
+def exact_posterior_p_r(stats, sigma: float, prior_scale=1.0, prior_p_r=0.5):
     """Exact posterior weight of the restricted model, elementwise.
 
-    For sigma = 0 the sigma -> 0 limit is returned: all weight on R when both
-    models interpolate y equally well (RSS_R - RSS_U within 1e-9 (1 + <y,y>)),
-    otherwise all weight on U. Only that limit needs ``yy`` = <y,y>, and it
-    needs a non-collinear design.
+    ``stats`` is the kernel's :class:`~modelavg.estimators.KernelStats`; for
+    sigma > 0 only its Gram entries, p1 and p2 enter. For sigma = 0 the
+    sigma -> 0 limit is returned: all weight on R when both models interpolate
+    y equally well (RSS_R - RSS_U within 1e-9 (1 + <y,y>)), otherwise all
+    weight on U. Only that limit reads ``det``, ``beta_u`` and ``yy``, and it
+    needs a non-collinear design. The priors are checked where a Pipeline is built.
     """
-    if not 0.0 < prior_p_r < 1.0:
-        raise ValueError("prior_p_r must lie in (0, 1)")
-    if not prior_scale > 0.0:
-        raise ValueError("prior_scale must be > 0")
     if sigma != 0.0:
-        return stable_sigmoid(
-            posterior_log_odds(p1, p2, s11, s22, s12, sigma, prior_scale, prior_p_r)
-        )
-    if yy is None:
+        return stable_sigmoid(posterior_log_odds(
+            stats.p1, stats.p2, stats.s11, stats.s22, stats.s12, sigma, prior_scale, prior_p_r
+        ))
+    if stats.yy is None:
         raise ValueError("the sigma = 0 limit of the posterior weight needs <y,y>")
-    det = s11 * s22 - s12 * s12
-    beta_u = solve_normal_equations(s11, s22, s12, det, p1, p2)[1]
-    return np.where(rss_gap(beta_u, s11, det) <= 1e-9 * (1.0 + yy), 1.0, 0.0)
-
+    gap = rss_gap(stats.beta_u, stats.s11, stats.det)
+    return np.where(gap <= 1e-9 * (1.0 + stats.yy), 1.0, 0.0)

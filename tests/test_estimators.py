@@ -8,16 +8,18 @@ from hypothesis import strategies as st
 from modelavg.errors import CollinearDesign
 from modelavg.estimators import (
     ESTIMATOR_NAMES,
+    P_R_RULES,
     Pipeline,
     _convex,
     make_pipeline,
 )
-from modelavg.experiments import draw_dataset, make_scenario
+from modelavg.experiments import _TAG_TRUTH, draw_dataset, make_scenario, mc_estimator_draws, stream
 from modelavg.model import (
     Dataset,
     DesignMatrix,
     compute_design_stats,
     response_stats,
+    responses_in_place,
     slope_sd,
     solve_normal_equations,
 )
@@ -76,10 +78,11 @@ def test_collinear_design_propagates_through_pipeline():
         proc.fit(bad)
 
 
-@pytest.mark.parametrize("sigma", [-1.0, float("nan")])
+@pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf")])
 def test_pipeline_refuses_a_bad_sigma_when_built(sigma):
     # A negative sigma used to pass construction and make the pretest
-    # threshold negative, so the kernel returned ms == u without a word.
+    # threshold negative, so the kernel returned ms == u without a word; an
+    # infinite one gave bma_exact = nan.
     with pytest.raises(ValueError, match="sigma"):
         Pipeline(("ms", "u", "r"), sigma, PretestConfig())
     with pytest.raises(ValueError, match="sigma"):
@@ -93,6 +96,7 @@ def test_pipeline_refuses_a_bad_sigma_when_built(sigma):
         ({"prior_scale": float("nan")}, "prior_scale"),
         ({"prior_p_r": 0.0}, "prior_p_r"),
         ({"prior_p_r": 1.0}, "prior_p_r"),
+        ({"prior_scale": float("inf")}, "prior_scale"),
     ],
 )
 def test_pipeline_refuses_a_bad_prior_when_built(prior, match):
@@ -308,3 +312,77 @@ def test_pipeline_validation():
     with pytest.raises(ValueError):
         Pipeline(("ama",), 1.0, adaptive=None)
 
+
+# ---------------------------------------------------------------------------
+# the rule table: every estimate is alpha_u + p_R * (alpha_r - alpha_u)
+
+
+def test_estimator_names_are_the_rule_table():
+    assert ESTIMATOR_NAMES == tuple(P_R_RULES)
+    assert ESTIMATOR_NAMES == ("r", "u", "ms", "bma_exact", "bma_bic", "ama")
+
+
+def _assert_combined(est, p_r, alpha_r, alpha_u):
+    """A boolean p_R gave alpha_r or alpha_u bit for bit; a float one gave _convex."""
+    assert set(p_r) == set(est) == set(ESTIMATOR_NAMES)
+    for name, p in p_r.items():
+        if np.result_type(p) == bool:
+            keep_r = np.broadcast_to(p, np.shape(alpha_r))
+            assert np.array_equal(est[name][keep_r], alpha_r[keep_r]), name
+            assert np.array_equal(est[name][~keep_r], alpha_u[~keep_r]), name
+        else:
+            assert np.array_equal(est[name], _convex(alpha_r, alpha_u, p)), name
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.0])
+def test_array_kernel_weights_every_name_and_combines_by_type(rng, sigma):
+    datasets = [random_dataset(rng, n=20) for _ in range(200)]
+    sums = np.array([
+        (x1 @ x1, x2 @ x2, x1 @ x2, x1 @ y, x2 @ y, y @ y)
+        for x1, x2, y in ((d.design.x1, d.design.x2, d.y) for d in datasets)
+    ]).T
+    s11, s22, s12, p1, p2, _ = sums
+    alpha_r = p1 / s11
+    alpha_u = solve_normal_equations(s11, s22, s12, s11 * s22 - s12 * s12, p1, p2)[0]
+    pipeline = Pipeline(ESTIMATOR_NAMES, sigma, PretestConfig(), default_tuning(20))
+    est, p_r = pipeline.kernel(20, *sums)
+    assert p_r["r"] is True and p_r["u"] is False
+    assert np.result_type(p_r["ms"]) == bool
+    # At sigma = 0 the threshold is 0, so ms keeps U for every nonzero slope.
+    assert 0 < np.count_nonzero(p_r["ms"]) < len(datasets) if sigma else not p_r["ms"].any()
+    for name in ("bma_exact", "bma_bic", "ama"):
+        assert np.result_type(p_r[name]) == np.float64
+    _assert_combined(est, p_r, alpha_r, alpha_u)
+
+
+def test_fit_weights_every_name(rng):
+    pipeline = Pipeline(ESTIMATOR_NAMES, 1.0, PretestConfig(), default_tuning(20))
+    for _ in range(50):
+        ds = random_dataset(rng, n=20)
+        est, p_r = pipeline.fit(ds)
+        assert set(p_r) == set(est) == set(ESTIMATOR_NAMES)
+        assert all(type(v) is float for v in (*est.values(), *p_r.values()))
+        assert (p_r["r"], p_r["u"]) == (1.0, 0.0)
+        assert p_r["ms"] in (0.0, 1.0)
+        assert est["ms"] == (est["r"] if p_r["ms"] == 1.0 else est["u"])
+        for name in ("bma_exact", "bma_bic", "ama"):
+            assert est[name] == float(_convex(est["r"], est["u"], p_r[name])), name
+
+
+def test_selection_is_exact_where_the_average_at_one_misses_alpha_r():
+    # On the seed-5050 Monte Carlo draws at beta = 0, alpha_u + 1.0 * (alpha_r
+    # - alpha_u) rounds away from alpha_r in a few rows (7 of 5000). Selection
+    # must still return alpha_r and alpha_u themselves there.
+    scenario = make_scenario(50, 5050, 5000)
+    design, stats = scenario.design, compute_design_stats(scenario.design)
+    z = stream(5050, _TAG_TRUTH, 0).standard_normal((5000, 50))
+    y = responses_in_place(design, scenario.params, z)
+    p1, p2 = y @ design.x1, y @ design.x2
+    alpha_r = p1 / stats.s11
+    alpha_u = solve_normal_equations(stats.s11, stats.s22, stats.s12, stats.det, p1, p2)[0]
+    rows = _convex(alpha_r, alpha_u, 1.0) != alpha_r
+    assert rows.any()
+    est, p_r = mc_estimator_draws(scenario, ESTIMATOR_NAMES)
+    assert np.array_equal(est["r"][rows], alpha_r[rows])
+    assert np.array_equal(est["u"][rows], alpha_u[rows])
+    _assert_combined(est, p_r, alpha_r, alpha_u)

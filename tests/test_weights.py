@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modelavg.estimators import Pipeline
+from modelavg.estimators import KernelStats, Pipeline
 from modelavg.model import (
     Dataset,
     DesignMatrix,
@@ -142,7 +142,10 @@ def test_posterior_defined_for_collinear_design():
     design = DesignMatrix(np.array([1.0, 2.0]), np.array([2.0, 4.0]))
     ds = Dataset(design, np.array([0.5, -0.25]))
     x1, x2, y = design.x1, design.x2, ds.y
-    p_r = float(exact_posterior_p_r(x1 @ y, x2 @ y, x1 @ x1, x2 @ x2, x1 @ x2, 1.0))
+    s11, s22, s12 = x1 @ x1, x2 @ x2, x1 @ x2
+    # det = 0 and beta_u is undefined; at sigma > 0 the weight reads neither.
+    stats = KernelStats(ds.n, s11, s22, s12, x1 @ y, x2 @ y, y @ y, s11 * s22 - s12 * s12, math.nan)
+    p_r = float(exact_posterior_p_r(stats, 1.0))
     assert 0.0 <= p_r <= 1.0
     oracle = dense_posterior_oracle(ds, 1.0)
     assert abs(p_r - oracle) < 1e-8
@@ -197,21 +200,21 @@ def test_bic_equal_exponents_give_half():
     assert w.p_r == pytest.approx(0.5, abs=1e-12)
 
 
-def test_bic_kernel_shift_invariance(rng):
-    rss_r = rng.uniform(0.0, 10.0, 20)
-    rss_u = rng.uniform(0.0, 10.0, 20)
-    base = bic_p_r(rss_r, rss_u, 50)
-    shifted = bic_p_r(rss_r + 123.25, rss_u + 123.25, 50)
-    np.testing.assert_allclose(shifted, base, rtol=1e-12)
-
-
 def test_bic_weights_overflow_safe():
-    assert float(bic_p_r(1e6, 0.0, 50)) == 0.0
-    assert float(bic_p_r(0.0, 1e6, 50)) == 1.0
+    assert float(bic_p_r(1e6, 50)) == 0.0
+    assert float(bic_p_r(-1e6, 50)) == 1.0
 
 
 # ---------------------------------------------------------------------------
 # adaptive weights
+
+
+@pytest.mark.parametrize("key", ["a_n", "k_n"])
+@pytest.mark.parametrize("value", [0.0, float("nan"), float("inf")])
+def test_adaptive_config_refuses_tuning_that_is_not_finite_and_positive(key, value):
+    # a_n = inf used to pass and give the ama weight nan at beta_u = 0.
+    with pytest.raises(ValueError, match=key):
+        AdaptiveConfig(**{"a_n": 16.0, "k_n": 0.25, key: value})
 
 
 def test_adaptive_zero_slope_is_exactly_half():
