@@ -40,7 +40,7 @@ P_R_RULES = {
     "u": lambda s, pipe: False,
     # ~(>) keeps R on ties and for a nan slope.
     "ms": lambda s, pipe: ~(
-        np.abs(s.beta_u) > pretest_threshold(slope_sd(pipe.sigma, s.s11, s.det), pipe.pretest)
+        np.abs(s.beta_u) > pretest_threshold(slope_sd(pipe.sigma, s.s11, s.det), pipe.pretest, s.n)
     ),
     "bma_exact": lambda s, pipe: exact_posterior_p_r(
         s, pipe.sigma, pipe.prior_scale, pipe.prior_p_r

@@ -136,32 +136,20 @@ def _ks_arrays(x: np.ndarray, rows: np.ndarray) -> float | np.ndarray:
     """Exact two-sample KS distance sup_t |F_x(t) - F_row(t)| for each row of ``rows``.
 
     A 1-D ``rows`` is one sample and gives a float; a 2-D block gives one
-    float per row. Between consecutive points of the smaller sample its ECDF
-    is constant and the larger one's only rises, so the distance peaks at a
-    point of the smaller sample (``x`` when sizes are equal): at the right
-    values there or at the left limits. Counting into the larger sorted sample
-    at those points alone gives the same counts, and so the same floats, as
-    evaluating both ECDFs on the merged samples. Samples must be finite.
+    float per row. Between consecutive points of a row F_row is constant and
+    F_x only rises, so |F_x - F_row| peaks at the right value of the lower
+    point or the left limit at the upper one (before the first point F_row is
+    0, after the last 1). So every plateau of the merged samples is bounded by
+    one at a point of the row, with the same row count and an ``x`` count no
+    closer; rounding i/n and subtracting are monotone, so counting into sorted
+    ``x`` at the row's own points gives the floats of the merged-sample ECDFs,
+    whichever sample is larger. Samples must be finite.
     """
     rows = np.asarray(rows)
     s = np.sort(rows.reshape(-1, rows.shape[-1]), axis=1)
     t = np.sort(x)
-    k, size = s.shape
-    if t.size <= size:
-        # A row's values at or below (below) point j of x are those whose
-        # left (right) insertion point into x is at most j.
-        width = t.size + 1
-        base = np.arange(k)[:, None] * width
-
-        def below(side):
-            at = np.bincount((np.searchsorted(t, s, side) + base).ravel(), minlength=k * width)
-            return at.reshape(k, width).cumsum(axis=1)[:, :-1] / size
-
-        own = [c / t.size for c in _own_counts(t)]
-        other = [below("left"), below("right")]
-    else:
-        own = [c / size for c in _own_counts(s)]
-        other = [np.searchsorted(t, s, side) / t.size for side in ("right", "left")]
+    own = [c / s.shape[1] for c in _own_counts(s)]
+    other = [np.searchsorted(t, s, side) / t.size for side in ("right", "left")]
     sup = np.max([np.max(np.abs(a - b), axis=-1) for a, b in zip(own, other)], axis=0)
     return float(sup[0]) if rows.ndim == 1 else sup
 
@@ -295,15 +283,19 @@ def resampling_error_curve(
     def row(i: int, cell: Scenario) -> dict:
         truth = _centered_draws(cell, names, i)
         pipeline = cell.pipeline(names)
-        # A chunk holds no more replicates per estimator than max(reps, b).
-        chunk = max(1, cell.reps // plan.b)
+        if mode == "per_dataset":
+            # One row per dataset; a chunk holds no more replicates per
+            # estimator than max(reps, b).
+            chunk, shape = max(1, cell.reps // plan.b), (-1, plan.b)
+        else:
+            chunk, shape = datasets_per_beta, (1, -1)  # one row of every replicate
         held = {k: [] for k in names}
         distances = {k: [] for k in names}
         excluded = 0
 
         def score():
             for k in names:
-                distances[k].append(_ks_arrays(truth[k], np.stack(held[k])))
+                distances[k].append(_ks_arrays(truth[k], np.concatenate(held[k]).reshape(shape)))
                 held[k].clear()
 
         for d in range(datasets_per_beta):
@@ -317,22 +309,18 @@ def resampling_error_curve(
                 continue
             for k in names:
                 held[k].append(samples[k])
-            if mode == "per_dataset" and len(held[names[0]]) == chunk:
+            if len(held[names[0]]) == chunk:
                 score()
         included = datasets_per_beta - excluded
         if included == 0:
             raise TooManySingularResamples(
                 f"all {datasets_per_beta} datasets at beta={cell.params.beta} were excluded"
             )
-        if mode == "per_dataset" and held[names[0]]:
+        if held[names[0]]:
             score()
-        errors = {}
-        for k in names:
-            if mode == "per_dataset":
-                err = float(np.mean(np.concatenate(distances[k])))
-            else:
-                err = _ks_arrays(truth[k], np.concatenate(held[k]))
-            errors[f"err_{k}"] = 100.0 * err
+        errors = {
+            f"err_{k}": 100.0 * float(np.mean(np.concatenate(distances[k]))) for k in names
+        }
         return {**errors, "datasets": included, "b": plan.b, "excluded": excluded}
 
     return _grid(_beta_cells(beta_grid, scenario), workers, row)
@@ -398,11 +386,7 @@ def make_scenario(
             a_n=a_n if a_n is not None else tuning.a_n,
             k_n=k_n if k_n is not None else tuning.k_n,
         )
-    pretest = PretestConfig(
-        c=c if c is not None else PretestConfig().c,
-        form=pretest_form,
-        n=n if pretest_form == "scaled" else None,
-    )
+    pretest = PretestConfig(c=c if c is not None else PretestConfig().c, form=pretest_form)
     return Scenario(
         design=design,
         params=TrueParams(alpha=alpha, beta=beta, sigma=sigma),

@@ -37,21 +37,18 @@ class PretestConfig:
 
     ``form="t"`` compares |beta_u / sigma_beta| to c (the reading under which
     c = sqrt(2) mimics AIC and c = sqrt(log n) mimics BIC). ``form="scaled"``
-    additionally divides the statistic by sqrt(n) and then needs ``n``.
-    c = 0 makes the rule select U whenever beta_u != 0.
+    additionally divides the statistic by sqrt(n), n the rows of the fit (m
+    on a subsample). c = 0 makes the rule select U whenever beta_u != 0.
     """
 
     c: float = math.sqrt(2.0)
     form: str = "t"
-    n: int | None = None
 
     def __post_init__(self):
         if not self.c >= 0.0:
             raise ValueError("c must be >= 0")
         if self.form not in ("t", "scaled"):
             raise ValueError(f"unknown pretest form {self.form!r}")
-        if self.form == "scaled" and self.n is None:
-            raise ValueError("form='scaled' requires n")
 
 
 @dataclass(frozen=True)
@@ -75,15 +72,16 @@ def stable_sigmoid(t):
     return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def pretest_threshold(sigma_beta, config: PretestConfig):
-    """The pretest keeps U where |beta_u| exceeds c * sigma_beta (times sqrt(n) if scaled).
+def pretest_threshold(sigma_beta, config: PretestConfig, n: int):
+    """The pretest keeps U where |beta_u| exceeds c * sigma_beta (times sqrt(n) if
+    scaled), n the rows of the fit.
 
     Comparing |beta_u| against c * sigma_beta avoids a 0/0 when sigma_beta = 0
     (noiseless data); the rule then reduces to beta_u != 0.
     """
     threshold = config.c * sigma_beta
     if config.form == "scaled":
-        threshold = threshold * math.sqrt(config.n)
+        threshold = threshold * math.sqrt(n)
     return threshold
 
 

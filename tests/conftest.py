@@ -91,7 +91,13 @@ def stable_sigmoid_reference(t):
 
 
 def ks_oracle(x, y):
-    """Two-sample KS distance of two 1-D samples, counted at the smaller one's points."""
+    """Two-sample KS distance of two 1-D samples, one searchsorted pair at a time.
+
+    It counts at the points of whichever sample is smaller, where
+    ``experiments._ks_arrays`` always counts at its rows' own points, so on
+    samples of unequal size the two reach the same floats from different
+    points (``test_ks_equals_merged_grid_oracle_exactly``).
+    """
     small, large = (x, y) if x.size <= y.size else (y, x)
     s = np.sort(small)
     big = np.sort(large)
@@ -128,13 +134,14 @@ def stacked_sums_engine(dataset, pipeline, plan, rng):
     return {name: scale * (estimates[name] - originals[name]) for name in pipeline.names}
 
 
-def per_dataset_error_row(cell, grid_index, plan, datasets_per_beta):
-    """A per_dataset resampling-error row scored one dataset at a time with
-    :func:`ks_oracle`."""
+def error_row_reference(cell, grid_index, plan, datasets_per_beta, mode="per_dataset"):
+    """A resampling-error row scored with :func:`ks_oracle`: per dataset, one
+    call on each dataset's replicates alone; pooled, one call on the
+    concatenation of every included dataset's replicates."""
     names = ("ms", "bma_bic", "ama")
     truth = _centered_draws(cell, names, grid_index)
     pipeline = cell.pipeline(names)
-    distances = {k: [] for k in names}
+    held = {k: [] for k in names}
     excluded = 0
     for d in range(datasets_per_beta):
         ds = draw_dataset(cell, grid_index, d)
@@ -145,8 +152,14 @@ def per_dataset_error_row(cell, grid_index, plan, datasets_per_beta):
             excluded += 1
             continue
         for k in names:
-            distances[k].append(ks_oracle(truth[k], samples[k]))
-    errors = {f"err_{k}": 100.0 * float(np.mean(distances[k])) for k in names}
+            held[k].append(samples[k])
+    if mode == "per_dataset":
+        errors = {
+            f"err_{k}": 100.0 * float(np.mean([ks_oracle(truth[k], v) for v in held[k]]))
+            for k in names
+        }
+    else:
+        errors = {f"err_{k}": 100.0 * ks_oracle(truth[k], np.concatenate(held[k])) for k in names}
     return {**errors, "datasets": datasets_per_beta - excluded, "b": plan.b, "excluded": excluded}
 
 

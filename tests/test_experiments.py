@@ -35,7 +35,7 @@ from modelavg.model import (
 from modelavg.resampling import ResampleIndices, ResamplePlan, resampled_estimates
 from modelavg.weights import PretestConfig, default_tuning
 
-from conftest import ks_oracle, per_dataset_error_row, stacked_sums_engine
+from conftest import error_row_reference, ks_oracle, stacked_sums_engine
 
 
 def _integer_scenario(beta=0.0, sigma=0.0, n=8, reps=40, seed=5):
@@ -113,8 +113,9 @@ _spread = st.floats(-50, 50)
     y=st.one_of(st.lists(_tied, min_size=1, max_size=7), st.lists(_spread, min_size=1, max_size=300)),
 )
 def test_ks_equals_merged_grid_oracle_exactly(x, y):
-    # Evaluating only at the smaller sample's points must give the very same
-    # float as the merged grid, for either argument order and with ties.
+    # Evaluating only at the rows' own points must give the very same float
+    # as the merged grid, for either argument order (so whichever sample is
+    # larger) and with ties.
     x, y = np.array(x), np.array(y)
     expected = _ks_merged_grid(x, y)
     assert _ks_arrays(x, y) == expected
@@ -307,7 +308,8 @@ def test_resampling_error_subsample_and_pooled_modes():
     rows_p = resampling_error_curve(
         [0.0], scenario, ResamplePlan(b=30), datasets_per_beta=2, mode="pooled"
     )
-    assert np.isfinite(rows_p[0]["err_ms"])
+    expected = error_row_reference(scenario, 0, ResamplePlan(b=30), 2, mode="pooled")
+    assert rows_p == [{"beta": 0.0, **expected, "seed": scenario.seed}]
     with pytest.raises(ValueError):
         resampling_error_curve([0.0], scenario, ResamplePlan(b=5, m=99), datasets_per_beta=1)
 
@@ -472,37 +474,60 @@ def test_engine_replicates_equal_the_stacked_sums_engine():
             assert np.array_equal(got[name], expected[name]), (m, name)
 
 
+def _checked_error_rows(monkeypatch, scenario, grid, plan, datasets, mode="per_dataset"):
+    """resampling_error_curve's rows, each asserted equal to error_row_reference's,
+    and the shape of every block it passed to _ks_arrays, in call order."""
+    blocks = []
+
+    def recording(x, rows):
+        blocks.append(np.shape(rows))
+        return _ks_arrays(x, rows)
+
+    monkeypatch.setattr(modelavg.experiments, "_ks_arrays", recording)
+    rows = resampling_error_curve(grid, scenario, plan, datasets, mode=mode)
+    for i, (beta, row) in enumerate(zip(grid, rows)):
+        cell = replace(scenario, params=replace(scenario.params, beta=beta))
+        expected = error_row_reference(cell, i, plan, datasets, mode)
+        assert row == {"beta": beta, **expected, "seed": scenario.seed}
+    return rows, blocks
+
+
 def test_chunked_error_rows_equal_rows_scored_one_dataset_at_a_time(monkeypatch):
     # figure2 scores max(1, reps // b) included datasets per KS call. Its rows
     # must be the very floats of scoring each dataset alone: here 7 datasets
     # in chunks of 3, 3 and 1, and on the n = 3 design with no redraws,
     # chunks that skip the excluded datasets.
-    blocks = []
-    real = modelavg.experiments._ks_arrays
-
-    def recording(x, rows):
-        blocks.append(np.shape(rows))
-        return real(x, rows)
-
-    monkeypatch.setattr(modelavg.experiments, "_ks_arrays", recording)
-
-    def check(scenario, grid, plan, datasets):
-        blocks.clear()
-        rows = resampling_error_curve(grid, scenario, plan, datasets_per_beta=datasets)
-        for i, (beta, row) in enumerate(zip(grid, rows)):
-            cell = replace(scenario, params=replace(scenario.params, beta=beta))
-            expected = per_dataset_error_row(cell, i, plan, datasets)
-            assert row == {"beta": beta, **expected, "seed": scenario.seed}
-        return rows
-
     scenario = _uniform_scenario(n=12, reps=30, seed=8)
     for m in (None, 6):
-        check(scenario, [0.0, 0.3], ResamplePlan(b=10, m=m), 7)
+        _, blocks = _checked_error_rows(
+            monkeypatch, scenario, [0.0, 0.3], ResamplePlan(b=10, m=m), 7
+        )
         assert blocks == 2 * (6 * [(3, 10)] + 3 * [(1, 10)])  # 3 estimators per chunk
     tiny = replace(_tiny_scenario(), reps=30)
-    (row,) = check(tiny, [0.3], ResamplePlan(b=10, max_redraws=0), 20)
+    (row,), blocks = _checked_error_rows(
+        monkeypatch, tiny, [0.3], ResamplePlan(b=10, max_redraws=0), 20
+    )
     assert row["excluded"] > 0 and row["datasets"] == 6
     assert blocks == 6 * [(3, 10)]
+
+
+def test_pooled_error_rows_are_one_ks_call_on_all_included_replicates(monkeypatch):
+    # Pooled mode scores one row of every included dataset's replicates: one
+    # KS call per estimator per grid point, with more replicates than truth
+    # draws, on subsamples and, on the n = 3 design with no redraws, with
+    # datasets excluded.
+    cases = [
+        (_uniform_scenario(n=12, reps=30, seed=8), ResamplePlan(b=10, m=6), 7),
+        (replace(_tiny_scenario(), reps=30), ResamplePlan(b=10, max_redraws=0), 20),
+    ]
+    for scenario, plan, datasets in cases:
+        rows, blocks = _checked_error_rows(
+            monkeypatch, scenario, [0.0, 0.3], plan, datasets, mode="pooled"
+        )
+        widths = [row["datasets"] * plan.b for row in rows]
+        assert blocks == [(1, w) for w in widths for _ in range(3)]
+        assert min(widths) > scenario.reps
+    assert rows[1]["excluded"] > 0
 
 
 def test_resampling_error_counts_excluded_datasets():

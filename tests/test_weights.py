@@ -33,15 +33,16 @@ from conftest import dense_posterior_oracle, random_dataset, stable_sigmoid_refe
 # pretest
 
 
-def _pretest_keeps_r(beta_u, sigma_beta, cfg):
-    """Whether the kernel's ms estimate is alpha_r for this slope and slope sd.
+def _pretest_keeps_r(beta_u, sigma_beta, cfg, n=2):
+    """Whether the kernel's ms estimate is alpha_r for this slope and slope sd,
+    on n rows.
 
     With s11 = 1, s22 = 2, s12 = 1 (so det = 1), sigma_beta equals sigma and
     beta_u = p2 - p1 exactly for these inputs; alpha_r = p1 and
     alpha_u = p1 - beta_u differ, so ms shows which model the pretest kept.
     """
     p1 = 0.25
-    est, _ = Pipeline(("r", "u", "ms"), sigma_beta, cfg).kernel(2, 1.0, 2.0, 1.0, p1, p1 + beta_u)
+    est, _ = Pipeline(("r", "u", "ms"), sigma_beta, cfg).kernel(n, 1.0, 2.0, 1.0, p1, p1 + beta_u)
     assert est["r"] != est["u"]
     return est["ms"] == est["r"]
 
@@ -49,7 +50,8 @@ def _pretest_keeps_r(beta_u, sigma_beta, cfg):
 def test_pretest_zero_slope_selects_r():
     # The kernel keeps U only where |beta_u| exceeds the threshold; |0| never does.
     for c in (1e-9, 1.0, 1e6):
-        assert not abs(0.0) > pretest_threshold(1.0, PretestConfig(c=c))
+        for form in ("t", "scaled"):
+            assert not abs(0.0) > pretest_threshold(1.0, PretestConfig(c=c, form=form), 50)
 
 
 def test_pretest_worked_ratio():
@@ -84,12 +86,25 @@ def test_pretest_matches_penalized_rss_comparison(rng):
 
 
 def test_pretest_scaled_form_needs_n():
-    with pytest.raises(ValueError):
-        PretestConfig(c=1.0, form="scaled")
-    cfg = PretestConfig(c=1.0, form="scaled", n=100)
-    # Statistic |beta_u| / (sigma_beta * sqrt(n)): far harder to exceed.
-    assert _pretest_keeps_r(5.0, 1.0, cfg)
-    assert not _pretest_keeps_r(11.0, 1.0, cfg)
+    # Statistic |beta_u| / (sigma_beta * sqrt(n)), n the rows of the fit the
+    # kernel is given: far harder to exceed at n = 100.
+    cfg = PretestConfig(c=1.0, form="scaled")
+    assert _pretest_keeps_r(5.0, 1.0, cfg, n=100)
+    assert not _pretest_keeps_r(11.0, 1.0, cfg, n=100)
+    assert pretest_threshold(2.0, cfg, 100) == 20.0
+    assert pretest_threshold(2.0, PretestConfig(c=1.0), 100) == 2.0
+
+
+def test_scaled_pretest_reads_the_kernels_own_n():
+    # beta_u = 6 and sigma_beta = 1: a size-20 fit (a subsample of m = 20)
+    # is judged against sqrt(20) = 4.47 and takes U, a size-50 fit against
+    # sqrt(50) = 7.07 and keeps R, from one config.
+    pipeline = Pipeline(("ms", "r", "u"), 1.0, PretestConfig(c=1, form="scaled"))
+    for n, keeps_r in ((20, False), (50, True)):
+        est, p_r = pipeline.kernel(n, 1.0, 2.0, 1.0, 0.25, 6.25)
+        assert est["r"] != est["u"]
+        assert est["ms"] == (est["r"] if keeps_r else est["u"])
+        assert bool(p_r["ms"]) is keeps_r
 
 
 # ---------------------------------------------------------------------------
