@@ -8,7 +8,8 @@ digest, since it names the temporary directory. A few more runs with
 non-default flags (``EXTRA_RUNS``) reach the kernel's other branches and
 figure2's other scoring: the sigma = 0 limits, the scaled pretest, a
 non-default prior, pooled KS scoring with more replicates than truth draws,
-and the scaled pretest on size-m subsamples. Their lines read
+the scaled pretest on size-m subsamples, and bootstrap engine calls on a
+ragged last chunk of datasets. Their lines read
 ``<experiment>[<flags>]/<file>``. Then it prints one
 ``<sha256>  library/...`` line per replicate array of the library's
 resamplers: ``paired_bootstrap`` and ``subsample_distribution`` (m = 20) for
@@ -44,9 +45,10 @@ from modelavg.weights import adaptive_weights
 
 # (experiment, extra flags): the sigma = 0 limit with <y,y> on the Monte Carlo
 # path and on the one-dataset path, a scaled pretest with a small c, a
-# non-default prior for bma_exact, and two small figure2-subsample runs: pooled
+# non-default prior for bma_exact, two small figure2-subsample runs (pooled
 # scoring of 10 * 50 replicates against 200 truth draws, and the scaled
-# pretest judged at the subsample's m.
+# pretest judged at the subsample's m), and a small figure2-bootstrap run
+# whose 7 datasets per beta go to the engine in chunks of 3, 3 and 1.
 _SMALL_FIGURE2 = ("--beta-grid", "0,0.3")
 EXTRA_RUNS = (
     ("riskbound", ("--sigma", "0")),
@@ -57,6 +59,8 @@ EXTRA_RUNS = (
                            "--datasets-per-beta", "10", *_SMALL_FIGURE2)),
     ("figure2-subsample", ("--pretest-form", "scaled", "--c", "0.3", "--reps", "500",
                            "--b", "100", "--datasets-per-beta", "5", *_SMALL_FIGURE2)),
+    ("figure2-bootstrap", ("--reps", "300", "--b", "100", "--datasets-per-beta", "7",
+                           *_SMALL_FIGURE2)),
 )
 LIBRARY_NAMES = ("ms", "bma_exact", "bma_bic", "ama")
 LIBRARY_BETAS = (0.0, 0.2, 1.0)  # one dataset each; also the mean-model mu

@@ -149,7 +149,13 @@ def _ks_arrays(x: np.ndarray, rows: np.ndarray) -> float | np.ndarray:
     s = np.sort(rows.reshape(-1, rows.shape[-1]), axis=1)
     t = np.sort(x)
     own = [c / s.shape[1] for c in _own_counts(s)]
-    other = [np.searchsorted(t, s, side) / t.size for side in ("right", "left")]
+    # Counts of ``x`` <= and < each point: a second search only where it ties
+    # t[right - 1], the largest value <= it (at right = 0 t's last, above it).
+    right = np.searchsorted(t, s, "right")
+    left = right.copy()
+    tied = t[right - 1] == s
+    left[tied] = np.searchsorted(t, s[tied], "left")
+    other = [right / t.size, left / t.size]
     sup = np.max([np.max(np.abs(a - b), axis=-1) for a, b in zip(own, other)], axis=0)
     return float(sup[0]) if rows.ndim == 1 else sup
 
@@ -266,12 +272,12 @@ def resampling_error_curve(
     an ``m`` above n is refused before any truth sample. Per grid point: a
     Monte Carlo truth sample of sqrt(n) * (estimate - alpha) per estimator,
     then ``datasets_per_beta`` datasets, each turned into ``plan.b`` centred
-    replicates by :func:`resampled_estimates`. ``mode="per_dataset"`` reports
-    100 x the mean KS distance between truth and each dataset's replicates,
-    scored max(1, reps // b) included datasets to a KS call;
-    ``mode="pooled"`` pools all replicates per grid point before one KS
-    evaluation. Datasets whose resampling exhausts the plan's redraw budget
-    are excluded and counted.
+    replicates by :func:`resampled_estimates`, max(1, reps // b) datasets to a
+    call. ``mode="per_dataset"`` reports 100 x the mean KS distance between
+    truth and each dataset's replicates, scored max(1, reps // b) included
+    datasets to a KS call; ``mode="pooled"`` pools all replicates per grid
+    point before one KS evaluation. Datasets whose resampling exhausts the
+    plan's redraw budget are excluded and counted.
     """
     if mode not in ("per_dataset", "pooled"):
         raise ValueError(f"mode must be 'per_dataset' or 'pooled', got {mode!r}")
@@ -283,12 +289,11 @@ def resampling_error_curve(
     def row(i: int, cell: Scenario) -> dict:
         truth = _centered_draws(cell, names, i)
         pipeline = cell.pipeline(names)
-        if mode == "per_dataset":
-            # One row per dataset; a chunk holds no more replicates per
-            # estimator than max(reps, b).
-            chunk, shape = max(1, cell.reps // plan.b), (-1, plan.b)
-        else:
-            chunk, shape = datasets_per_beta, (1, -1)  # one row of every replicate
+        # An engine call, and a per-dataset KS block (a row per dataset), holds
+        # at most max(reps, b) replicates per estimator; pooled, one row of all.
+        batch = max(1, cell.reps // plan.b)
+        chunk = batch if mode == "per_dataset" else datasets_per_beta
+        shape = (-1, plan.b) if mode == "per_dataset" else (1, -1)
         held = {k: [] for k in names}
         distances = {k: [] for k in names}
         excluded = 0
@@ -298,19 +303,19 @@ def resampling_error_curve(
                 distances[k].append(_ks_arrays(truth[k], np.concatenate(held[k]).reshape(shape)))
                 held[k].clear()
 
-        for d in range(datasets_per_beta):
-            ds = draw_dataset(cell, i, d)
-            try:
-                samples = resampled_estimates(
-                    ds, pipeline, plan, stream(cell.seed, _TAG_RESAMPLE, i, d)
-                )
-            except TooManySingularResamples:
-                excluded += 1
-                continue
-            for k in names:
-                held[k].append(samples[k])
-            if len(held[names[0]]) == chunk:
-                score()
+        for start in range(0, datasets_per_beta, batch):
+            ids = range(start, min(start + batch, datasets_per_beta))
+            for samples in resampled_estimates(
+                [draw_dataset(cell, i, d) for d in ids], pipeline, plan,
+                [stream(cell.seed, _TAG_RESAMPLE, i, d) for d in ids],
+            ):
+                if samples is None:
+                    excluded += 1
+                    continue
+                for k in names:
+                    held[k].append(samples[k])
+                if len(held[names[0]]) == chunk:
+                    score()
         included = datasets_per_beta - excluded
         if included == 0:
             raise TooManySingularResamples(

@@ -2,26 +2,26 @@
 
 A :class:`ResamplePlan` names the scheme: without ``m`` it is the paired
 bootstrap, with ``m`` subsampling. One engine, :func:`resampled_estimates`,
-serves both, library calls and figure2 alike, and returns a dataset's centred
-replicates sqrt(size) * (theta_star - theta_hat). A dataset's resample indices
-come from :class:`ResampleIndices`: one (b, size) block drawn from the
-caller's generator, plus redraws for singular rows from one generator spawned
-from it. Each resample is reduced to its sufficient statistics, which a
-:class:`~modelavg.estimators.Pipeline`'s kernel evaluates all at once, just as
+serves both, on one dataset (library calls) or a chunk of them (figure2), and
+returns each dataset's centred replicates sqrt(size) * (theta_star - theta_hat).
+A dataset's indices come from :class:`ResampleIndices`: one (b, size) block
+drawn from its own generator, plus singular-row redraws from one generator
+spawned from it. One call of a :class:`~modelavg.estimators.Pipeline`'s kernel
+evaluates a chunk's resamples from their sufficient statistics, as
 :func:`mean_model_bootstrap` calls its weight rule once on all b resampled
-means. The output is a bit-reproducible function of the caller's generator.
+means. Each dataset's output is a bit-reproducible function of its generator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import TooManySingularResamples
 from .estimators import Pipeline
-from .model import Dataset, singular_design
+from .model import Dataset, compute_design_stats, singular_design
 
 # Redraw budget for singular resampled designs, as a multiple of the number of
 # requested resamples.
@@ -136,9 +136,7 @@ class ResampleIndices:
         """A fresh index row; raises once the redraw budget is spent."""
         self.redraws += 1
         if self.redraws > self.budget:
-            raise TooManySingularResamples(
-                f"exceeded {self.budget} redraws after singular resampled designs"
-            )
+            raise TooManySingularResamples(f"exceeded {self.budget} singular redraws")
         return self._draw(self._redraw_rng, 1)[0]
 
 
@@ -150,47 +148,64 @@ def _require_pipeline(pipeline) -> None:
 
 
 def resampled_estimates(
-    dataset: Dataset,
+    datasets: Sequence[Dataset],
     pipeline: Pipeline,
     plan: ResamplePlan,
-    rng: np.random.Generator,
-) -> dict[str, np.ndarray]:
-    """sqrt(size) * (theta_star - theta_hat) per name, for each of ``plan.b`` resamples.
+    rngs: Sequence[np.random.Generator],
+) -> list[dict[str, np.ndarray] | None]:
+    """sqrt(size) * (theta_star - theta_hat) per name for ``plan.b`` resamples of each
+    dataset, or None for a dataset that spent the plan's redraw budget.
 
-    theta_hat is the pipeline's fit of the full dataset, which comes first, so
-    a singular dataset raises before any draw. Indices come from
-    :class:`ResampleIndices`. Each resample is reduced to its sufficient
-    statistics (the design inner products, <x1,y>, <x2,y> and <y,y>), and one
-    call of the pipeline's kernel evaluates all of them for theta_star.
-    Singular rows are redrawn in ascending row order until the plan's budget
-    is spent, then TooManySingularResamples is raised.
+    Dataset d (all share n) draws its :class:`ResampleIndices` from ``rngs[d]``.
+    A resample's sufficient statistics are one take of its dataset's row of a
+    products table and one sum; theta_hat sums the whole row, so a singular
+    dataset raises before any draw. Singular rows are redrawn per dataset in
+    ascending order. One kernel call fits every dataset, one every kept resample.
     """
     _require_pipeline(pipeline)
-    originals, _ = pipeline.fit(dataset)
-    x1, x2, y = dataset.design.x1, dataset.design.x2, dataset.y
-    # Rows: the products behind s11, s22, s12, <x1,y>, <x2,y> and <y,y>.
-    products = np.stack([x1 * x1, x2 * x2, x1 * x2, x1 * y, x2 * y, y * y])
-    indices = ResampleIndices(rng, dataset.n, plan)
+    if len(datasets) != len(rngs):
+        raise ValueError(f"{len(datasets)} datasets but {len(rngs)} generators")
+    n, b = datasets[0].n, plan.b
+    cols = np.stack([(ds.design.x1, ds.design.x2, ds.y) for ds in datasets], axis=1)
+    # x1*x1, x2*x2, x1*x2, x1*y, x2*y and y*y, a row per dataset, each summed along
+    # its contiguous last axis as model._inner sums (Pipeline.fit's floats).
+    products = cols[[0, 1, 0, 0, 1, 2]] * cols[[0, 1, 1, 2, 2, 2]]
+    full = products.sum(axis=-1)
+    for d in np.flatnonzero(singular_design(*full[:3]))[:1]:  # the first singular dataset
+        compute_design_stats(datasets[d].design)  # raises, as Pipeline.fit does
+    originals, _ = pipeline.kernel(n, *full)
 
-    def gather(index):
-        # One sum per replicate along its contiguous last axis, as the full
-        # fit sums its products, so an m = n subsample refits the dataset exactly.
-        return np.take(products, index, axis=1).sum(axis=-1)
+    def gather(d, index, out):
+        np.take(products[:, d], index, axis=1).sum(axis=-1, out=out)
 
-    sums = gather(indices.block)
-    for i in np.nonzero(singular_design(*sums[:3]))[0]:
-        while singular_design(*sums[:3, i]):
-            sums[:, i] = gather(indices.redraw())
-    estimates, _ = pipeline.kernel(indices.size, *sums)
-    scale = float(np.sqrt(indices.size))
-    return {name: scale * (estimates[name] - originals[name]) for name in pipeline.names}
+    sums, draws = np.empty((6, len(datasets), b)), []
+    for d, rng in enumerate(rngs):
+        draws.append(ResampleIndices(rng, n, plan))
+        gather(d, draws[d].block, sums[:, d])
+        draws[d].block = None  # one index block alive at a time
+    kept = np.ones(len(datasets), bool)
+    for d, i in zip(*np.nonzero(singular_design(*sums[:3]))):
+        try:
+            while kept[d] and singular_design(*sums[:3, d, i]):
+                gather(d, draws[d].redraw(), sums[:, d, i])
+        except TooManySingularResamples:
+            kept[d] = False
+    estimates, _ = pipeline.kernel(plan.size(n), *sums[:, kept].reshape(6, -1))
+    # Per name a (kept datasets, b) block, handed out one row per kept dataset.
+    rows = zip(*(
+        np.sqrt(plan.size(n)) * (estimates[name].reshape(-1, b) - originals[name][kept, None])
+        for name in pipeline.names
+    ))
+    return [dict(zip(pipeline.names, next(rows))) if k else None for k in kept]
 
 
 def _distribution(dataset, pipeline, plan, rng) -> EmpiricalSample:
     if len(pipeline.names) != 1:
         raise ValueError("needs the pipeline of one estimator, from make_pipeline")
-    (values,) = resampled_estimates(dataset, pipeline, plan, rng).values()
-    return EmpiricalSample(values)
+    (samples,) = resampled_estimates([dataset], pipeline, plan, [rng])
+    if samples is None:
+        raise TooManySingularResamples(f"exceeded {plan.redraw_budget} singular redraws")
+    return EmpiricalSample(*samples.values())
 
 
 def paired_bootstrap(

@@ -109,9 +109,14 @@ def ks_oracle(x, y):
     return sup
 
 
-def stacked_sums_engine(dataset, pipeline, plan, rng):
-    """The resampling engine with each statistic gathered and summed on its own:
-    three fancy-indexes, six products and six sums per resample block."""
+def stacked_sums_engine(datasets, pipeline, plan, rngs):
+    """The resampling engine one dataset at a time, with each statistic gathered
+    and summed on its own: three fancy-indexes, six products and six sums per
+    resample block. None for a dataset that spent its redraw budget."""
+    return [_stacked_sums_one(ds, pipeline, plan, rng) for ds, rng in zip(datasets, rngs)]
+
+
+def _stacked_sums_one(dataset, pipeline, plan, rng):
     originals, _ = pipeline.fit(dataset)
     x1_full, x2_full, y_full = dataset.design.x1, dataset.design.x2, dataset.y
     indices = ResampleIndices(rng, dataset.n, plan)
@@ -126,9 +131,12 @@ def stacked_sums_engine(dataset, pipeline, plan, rng):
         ])
 
     sums = gather(indices.block)
-    for i in np.nonzero(singular_design(*sums[:3]))[0]:
-        while singular_design(*sums[:3, i]):
-            sums[:, i] = gather(indices.redraw())
+    try:
+        for i in np.nonzero(singular_design(*sums[:3]))[0]:
+            while singular_design(*sums[:3, i]):
+                sums[:, i] = gather(indices.redraw())
+    except TooManySingularResamples:
+        return None
     estimates, _ = pipeline.kernel(indices.size, *sums)
     scale = float(np.sqrt(indices.size))
     return {name: scale * (estimates[name] - originals[name]) for name in pipeline.names}
@@ -146,9 +154,8 @@ def error_row_reference(cell, grid_index, plan, datasets_per_beta, mode="per_dat
     for d in range(datasets_per_beta):
         ds = draw_dataset(cell, grid_index, d)
         rng = stream(cell.seed, _TAG_RESAMPLE, grid_index, d)
-        try:
-            samples = resampled_estimates(ds, pipeline, plan, rng)
-        except TooManySingularResamples:
+        (samples,) = resampled_estimates([ds], pipeline, plan, [rng])
+        if samples is None:
             excluded += 1
             continue
         for k in names:

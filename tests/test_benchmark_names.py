@@ -183,11 +183,12 @@ def test_cli_runs_under_the_benchmark_tracer(tmp_path):
         # figure1b: each estimator against R and U; figure2: against the truth,
         # once per chunk of max(1, reps // b) datasets at each grid point
         "experiments.ks": 2 * estimators * len(_BETA_GRID) + estimators * chunks,
-        "experiments.resampled_estimates": datasets,
+        "experiments.resampled_estimates": chunks,
         "model.generate_response": datasets,
         "experiments.sweep": 2,
         # a design, noise and dataset/resample stream per unit of work
         "experiments.stream": designs + mc_draws + sweep_rows + 2 * datasets,
-        # each design once when drawn, then once per truth sample, sweep row and dataset fit
-        "model.compute_design_stats": designs + mc_draws + sweep_rows + datasets,
+        # each design once when drawn, then once per truth sample and sweep
+        # row; the engine takes its datasets' full fits from its products table
+        "model.compute_design_stats": designs + mc_draws + sweep_rows,
     }

@@ -390,25 +390,25 @@ def test_outputs_appear_only_when_the_run_succeeds(tmp_path, monkeypatch):
 
 
 def test_interrupted_run_removes_partial_files_and_propagates(tmp_path, monkeypatch):
-    # Ctrl-C while figure2 resamples its third dataset: the interrupt reaches
-    # the caller, and the --out directory the run created is gone with the
-    # files it had begun.
+    # Ctrl-C while figure2 resamples its second chunk of datasets (3 and 1 at
+    # reps // b = 3): the interrupt reaches the caller, and the --out
+    # directory the run created is gone with the files it had begun.
     out = tmp_path / "interrupted"
     real = modelavg.experiments.resampled_estimates
     calls = {"count": 0}
 
-    def interrupt_on_third(*args, **kwargs):
+    def interrupt_on_second(*args, **kwargs):
         calls["count"] += 1
-        if calls["count"] == 3:
+        if calls["count"] == 2:
             raise KeyboardInterrupt
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(modelavg.experiments, "resampled_estimates", interrupt_on_third)
+    monkeypatch.setattr(modelavg.experiments, "resampled_estimates", interrupt_on_second)
     args = ["figure2", "--reps", "30", "--datasets-per-beta", "4", "--b", "10",
             "--beta-grid=0", "--workers", "1", "--out", str(out)]
     with pytest.raises(KeyboardInterrupt):
         _run_cli(args)
-    assert calls["count"] == 3
+    assert calls["count"] == 2
     assert not out.exists()
 
 

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import modelavg.experiments
-from modelavg.errors import CollinearDesign, ZeroColumn
-from modelavg.estimators import Pipeline
+from modelavg.errors import CollinearDesign, TooManySingularResamples, ZeroColumn
+from modelavg.estimators import Pipeline, make_pipeline
 from modelavg.experiments import (
     Scenario,
     _ks_arrays,
@@ -32,7 +32,13 @@ from modelavg.model import (
     TrueParams,
     compute_design_stats,
 )
-from modelavg.resampling import ResampleIndices, ResamplePlan, resampled_estimates
+from modelavg.resampling import (
+    ResampleIndices,
+    ResamplePlan,
+    paired_bootstrap,
+    resampled_estimates,
+    subsample_distribution,
+)
 from modelavg.weights import PretestConfig, default_tuning
 
 from conftest import error_row_reference, ks_oracle, stacked_sums_engine
@@ -120,6 +126,24 @@ def test_ks_equals_merged_grid_oracle_exactly(x, y):
     expected = _ks_merged_grid(x, y)
     assert _ks_arrays(x, y) == expected
     assert _ks_arrays(y, x) == expected
+
+
+def test_ks_rows_on_the_truth_points_equal_the_merged_grid_oracle(rng):
+    # Every row point ties a value of x, often several times over, so the
+    # count of x below it comes from the second search on tied points: rows
+    # drawn from x, rows of values repeated five times, and x's extremes
+    # beside points just outside its range. Each row must give the merged
+    # grid's float, with x of distinct values and with x tied itself.
+    for x in (rng.normal(size=200), np.round(rng.normal(size=200), 1)):
+        lo, hi = x.min(), x.max()
+        block = np.vstack([
+            rng.choice(x, size=(6, 40)),
+            np.repeat(rng.choice(x, size=(6, 8)), 5, axis=1),
+            np.repeat([[lo - 1.0, lo, hi, hi + 1.0], [lo, lo, hi, hi]], 10, axis=1),
+        ])
+        expected = [_ks_merged_grid(x, row) for row in block]
+        assert np.array_equal(_ks_arrays(x, block), expected)
+        assert expected == [ks_oracle(x, row) for row in block]
 
 
 def test_ks_brute_force_oracle_larger_samples(rng):
@@ -338,7 +362,8 @@ def _generic_engine(ds, pipeline, plan, seed):
 
 
 def _engine(ds, pipeline, plan, seed):
-    return resampled_estimates(ds, pipeline, plan, np.random.default_rng(seed))
+    (samples,) = resampled_estimates([ds], pipeline, plan, [np.random.default_rng(seed)])
+    return samples
 
 
 def _assert_engines_agree(ds, scenario, sigma, prior_scale=1.0, prior_p_r=0.5):
@@ -457,7 +482,7 @@ def test_engine_replicates_equal_the_stacked_sums_engine():
         pipeline = Pipeline(names, sigma, scenario.pretest, scenario.adaptive)
         for m in (None, 5, 12):
             plan = ResamplePlan(b=40, m=m)
-            expected = stacked_sums_engine(ds, pipeline, plan, np.random.default_rng(17))
+            (expected,) = stacked_sums_engine([ds], pipeline, plan, [np.random.default_rng(17)])
             got = _engine(ds, pipeline, plan, 17)
             for name in names:
                 assert np.array_equal(got[name], expected[name]), (sigma, m, name)
@@ -468,10 +493,84 @@ def test_engine_replicates_equal_the_stacked_sums_engine():
         plan = ResamplePlan(b=60, m=m)
         indices = ResampleIndices(np.random.default_rng(4), 3, plan)
         assert (m is None) == bool(np.any([len(set(row)) == 1 for row in indices.block]))
-        expected = stacked_sums_engine(ds3, pipeline3, plan, np.random.default_rng(4))
+        (expected,) = stacked_sums_engine([ds3], pipeline3, plan, [np.random.default_rng(4)])
         got = _engine(ds3, pipeline3, plan, 4)
         for name in names:
             assert np.array_equal(got[name], expected[name]), (m, name)
+
+
+_ALL_NAMES = ("r", "u", "ms", "bma_bic", "ama", "bma_exact")
+
+
+def _fresh_rngs(count, seed):
+    return [np.random.default_rng([seed, d]) for d in range(count)]
+
+
+def test_a_chunk_equals_one_dataset_calls_bit_for_bit():
+    # One engine call on 7 datasets gives each dataset the floats of a call
+    # on it alone with a fresh copy of its generator: the bootstrap and
+    # subsamples on n = 12, and on the n = 3 design, where several datasets
+    # redraw singular rows, each from its own generator, and, with no
+    # redraws, some datasets mid-chunk spend their budget. Each None sits
+    # where the library call on that dataset raises TooManySingularResamples.
+    cases = [
+        (_uniform_scenario(n=12, reps=10, seed=91), ResamplePlan(b=10)),
+        (_uniform_scenario(n=12, reps=10, seed=91), ResamplePlan(b=10, m=6)),
+        (_tiny_scenario(), ResamplePlan(b=10)),
+        (_tiny_scenario(), ResamplePlan(b=10, max_redraws=0)),
+    ]
+    nones = 0
+    for scenario, plan in cases:
+        pipeline = scenario.pipeline(_ALL_NAMES)
+        datasets = [draw_dataset(scenario, 0, d) for d in range(7)]
+        chunk = resampled_estimates(datasets, pipeline, plan, _fresh_rngs(7, 3))
+        assert len(chunk) == 7
+        resampler = paired_bootstrap if plan.m is None else subsample_distribution
+        lib = make_pipeline("ama", scenario.params.sigma, adaptive_config=scenario.adaptive)
+        for ds, rng, got, lib_rng in zip(datasets, _fresh_rngs(7, 3), chunk, _fresh_rngs(7, 3)):
+            (alone,) = resampled_estimates([ds], pipeline, plan, [rng])
+            if got is None:
+                nones += 1
+                assert alone is None
+                with pytest.raises(TooManySingularResamples):
+                    resampler(ds, lib, plan, lib_rng)
+                continue
+            for name in _ALL_NAMES:
+                assert np.array_equal(got[name], alone[name]), (plan, name)
+            assert np.array_equal(resampler(ds, lib, plan, lib_rng).values, got["ama"])
+    assert 0 < nones < 7
+
+
+def test_a_singular_dataset_fails_its_chunk_before_any_draw():
+    scenario = _uniform_scenario(n=12, reps=10, seed=91)
+    x1 = scenario.design.x1
+    singular = Dataset(DesignMatrix(x1, 2.0 * x1), draw_dataset(scenario).y)
+    datasets = [draw_dataset(scenario, 0, d) for d in range(3)]
+    datasets.insert(2, singular)
+    rngs = _fresh_rngs(4, 3)
+    states = [rng.bit_generator.state for rng in rngs]
+    with pytest.raises(CollinearDesign):
+        resampled_estimates(datasets, scenario.pipeline(_ALL_NAMES), ResamplePlan(b=10), rngs)
+    assert [rng.bit_generator.state for rng in rngs] == states
+    assert all(rng.bit_generator.seed_seq.n_children_spawned == 0 for rng in rngs)
+
+
+def test_engine_calls_hold_at_most_reps_over_b_datasets(monkeypatch):
+    # figure2 hands the engine max(1, reps // b) datasets to a call in both
+    # scoring modes, so pooling every replicate does not grow an engine call.
+    real = modelavg.experiments.resampled_estimates
+    sizes = []
+
+    def spy(datasets, *args):
+        sizes.append(len(datasets))
+        return real(datasets, *args)
+
+    monkeypatch.setattr(modelavg.experiments, "resampled_estimates", spy)
+    scenario = _uniform_scenario(n=12, reps=30, seed=8)
+    for mode in ("per_dataset", "pooled"):
+        sizes.clear()
+        resampling_error_curve([0.0, 0.3], scenario, ResamplePlan(b=10), 7, mode=mode)
+        assert sizes == 2 * [3, 3, 1], mode
 
 
 def _checked_error_rows(monkeypatch, scenario, grid, plan, datasets, mode="per_dataset"):
