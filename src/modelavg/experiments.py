@@ -271,12 +271,13 @@ def resampling_error_curve(
     ``plan`` names the scheme (bootstrap without ``m``, subsampling with it);
     an ``m`` above n is refused before any truth sample. Per grid point: a
     Monte Carlo truth sample of sqrt(n) * (estimate - alpha) per estimator,
-    then ``datasets_per_beta`` datasets, each turned into ``plan.b`` centred
-    replicates by :func:`resampled_estimates`, max(1, reps // b) datasets to a
-    call. ``mode="per_dataset"`` reports 100 x the mean KS distance between
-    truth and each dataset's replicates, scored max(1, reps // b) included
-    datasets to a KS call; ``mode="pooled"`` pools all replicates per grid
-    point before one KS evaluation. Datasets whose resampling exhausts the
+    then ``datasets_per_beta`` datasets, max(1, reps // b) to a call of
+    :func:`resampled_estimates`, which returns a (kept datasets, b) block of
+    centred replicates per estimator. ``mode="per_dataset"`` reports 100 x
+    the mean KS distance between truth and each kept dataset's replicates,
+    one KS call per estimator on each call's block as returned;
+    ``mode="pooled"`` concatenates every block into one row per estimator
+    for one KS call per grid point. Datasets whose resampling exhausts the
     plan's redraw budget are excluded and counted.
     """
     if mode not in ("per_dataset", "pooled"):
@@ -284,48 +285,33 @@ def resampling_error_curve(
     if datasets_per_beta < 1:
         raise ValueError("datasets_per_beta must be >= 1")
     plan.size(scenario.design.n)
-    names = ("ms", "bma_bic", "ama")
+    names, pooled = ("ms", "bma_bic", "ama"), mode == "pooled"
 
     def row(i: int, cell: Scenario) -> dict:
         truth = _centered_draws(cell, names, i)
         pipeline = cell.pipeline(names)
-        # An engine call, and a per-dataset KS block (a row per dataset), holds
-        # at most max(reps, b) replicates per estimator; pooled, one row of all.
+        # An engine call, and so a per-dataset KS block, holds at most
+        # max(reps, b) replicates per estimator.
         batch = max(1, cell.reps // plan.b)
-        chunk = batch if mode == "per_dataset" else datasets_per_beta
-        shape = (-1, plan.b) if mode == "per_dataset" else (1, -1)
-        held = {k: [] for k in names}
-        distances = {k: [] for k in names}
-        excluded = 0
-
-        def score():
-            for k in names:
-                distances[k].append(_ks_arrays(truth[k], np.concatenate(held[k]).reshape(shape)))
-                held[k].clear()
-
+        scored, included = {k: [] for k in names}, 0  # distances, or pooled blocks
         for start in range(0, datasets_per_beta, batch):
             ids = range(start, min(start + batch, datasets_per_beta))
-            for samples in resampled_estimates(
+            kept, blocks = resampled_estimates(
                 [draw_dataset(cell, i, d) for d in ids], pipeline, plan,
                 [stream(cell.seed, _TAG_RESAMPLE, i, d) for d in ids],
-            ):
-                if samples is None:
-                    excluded += 1
-                    continue
-                for k in names:
-                    held[k].append(samples[k])
-                if len(held[names[0]]) == chunk:
-                    score()
-        included = datasets_per_beta - excluded
+            )
+            included += int(kept.sum())
+            for k in names:
+                scored[k].append(blocks[k] if pooled else _ks_arrays(truth[k], blocks[k]))
         if included == 0:
             raise TooManySingularResamples(
                 f"all {datasets_per_beta} datasets at beta={cell.params.beta} were excluded"
             )
-        if held[names[0]]:
-            score()
-        errors = {
-            f"err_{k}": 100.0 * float(np.mean(np.concatenate(distances[k]))) for k in names
-        }
+        if pooled:
+            scored = {k: [_ks_arrays(truth[k], np.concatenate(v).reshape(1, -1))]
+                      for k, v in scored.items()}
+        errors = {f"err_{k}": 100.0 * float(np.mean(np.concatenate(v))) for k, v in scored.items()}
+        excluded = datasets_per_beta - included
         return {**errors, "datasets": included, "b": plan.b, "excluded": excluded}
 
     return _grid(_beta_cells(beta_grid, scenario), workers, row)

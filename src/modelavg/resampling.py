@@ -3,13 +3,15 @@
 A :class:`ResamplePlan` names the scheme: without ``m`` it is the paired
 bootstrap, with ``m`` subsampling. One engine, :func:`resampled_estimates`,
 serves both, on one dataset (library calls) or a chunk of them (figure2), and
-returns each dataset's centred replicates sqrt(size) * (theta_star - theta_hat).
+returns per estimator one block of centred replicates sqrt(size) *
+(theta_star - theta_hat), a row per dataset that kept its redraw budget.
 A dataset's indices come from :class:`ResampleIndices`: one (b, size) block
 drawn from its own generator, plus singular-row redraws from one generator
-spawned from it. One call of a :class:`~modelavg.estimators.Pipeline`'s kernel
-evaluates a chunk's resamples from their sufficient statistics, as
-:func:`mean_model_bootstrap` calls its weight rule once on all b resampled
-means. Each dataset's output is a bit-reproducible function of its generator.
+spawned from it at the first redraw. One call of a
+:class:`~modelavg.estimators.Pipeline`'s kernel evaluates a chunk's resamples
+from their sufficient statistics, as :func:`mean_model_bootstrap` calls its
+weight rule once on all b resampled means. Each dataset's row is a
+bit-reproducible function of its generator.
 """
 
 from __future__ import annotations
@@ -112,9 +114,11 @@ class ResampleIndices:
     first ``size`` entries of a random permutation per row, sorted. Sorted
     rows make a subsample a row set, so size = n reproduces the dataset
     bit-for-bit. :meth:`redraw` replaces a singular row from one generator
-    spawned from ``rng``. :func:`resampled_estimates` redraws singular rows in
-    ascending row order, so any refit of the same rows that redraws in that
-    order, and agrees on which designs are singular, gets every replicate.
+    that the first redraw spawns from ``rng``, so a reused ``rng``'s spawn
+    counter advances only on calls that redraw. :func:`resampled_estimates`
+    redraws singular rows in ascending row order, so any refit of the same
+    rows that redraws in that order, and agrees on which designs are
+    singular, gets every replicate.
     """
 
     def __init__(self, rng: np.random.Generator, n: int, plan: ResamplePlan):
@@ -124,7 +128,7 @@ class ResampleIndices:
         self.budget = plan.redraw_budget
         self.redraws = 0
         self.block = self._draw(rng, plan.b)
-        self._redraw_rng = rng.spawn(1)[0]
+        self._rng = rng
 
     def _draw(self, rng: np.random.Generator, rows: int) -> np.ndarray:
         if self.subsample:
@@ -137,7 +141,9 @@ class ResampleIndices:
         self.redraws += 1
         if self.redraws > self.budget:
             raise TooManySingularResamples(f"exceeded {self.budget} singular redraws")
-        return self._draw(self._redraw_rng, 1)[0]
+        if self.redraws == 1:
+            self._rng = self._rng.spawn(1)[0]
+        return self._draw(self._rng, 1)[0]
 
 
 def _require_pipeline(pipeline) -> None:
@@ -152,20 +158,26 @@ def resampled_estimates(
     pipeline: Pipeline,
     plan: ResamplePlan,
     rngs: Sequence[np.random.Generator],
-) -> list[dict[str, np.ndarray] | None]:
-    """sqrt(size) * (theta_star - theta_hat) per name for ``plan.b`` resamples of each
-    dataset, or None for a dataset that spent the plan's redraw budget.
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """``(kept, blocks)`` for ``plan.b`` resamples of each dataset: ``kept`` is the
+    (D,) mask of datasets that kept the plan's redraw budget, and ``blocks[name]``
+    the (kept.sum(), b) array of sqrt(size) * (theta_star - theta_hat), a row
+    per kept dataset in dataset order.
 
-    Dataset d (all share n) draws its :class:`ResampleIndices` from ``rngs[d]``.
-    A resample's sufficient statistics are one take of its dataset's row of a
-    products table and one sum; theta_hat sums the whole row, so a singular
-    dataset raises before any draw. Singular rows are redrawn per dataset in
-    ascending order. One kernel call fits every dataset, one every kept resample.
+    Dataset d (at least one, all of one n) draws its :class:`ResampleIndices`
+    from ``rngs[d]``. A resample's sufficient statistics are one take of its
+    dataset's row of a products table and one sum; theta_hat sums the whole
+    row, so a singular dataset raises before any draw. Singular rows are
+    redrawn per dataset in ascending order. One kernel call fits every
+    dataset, one every kept resample.
     """
     _require_pipeline(pipeline)
     if len(datasets) != len(rngs):
         raise ValueError(f"{len(datasets)} datasets but {len(rngs)} generators")
-    n, b = datasets[0].n, plan.b
+    ns = sorted({ds.n for ds in datasets})
+    if len(ns) != 1:
+        raise ValueError(f"needs datasets of one n, got {len(datasets)} with n in {ns}")
+    n, b = ns[0], plan.b
     cols = np.stack([(ds.design.x1, ds.design.x2, ds.y) for ds in datasets], axis=1)
     # x1*x1, x2*x2, x1*x2, x1*y, x2*y and y*y, a row per dataset, each summed along
     # its contiguous last axis as model._inner sums (Pipeline.fit's floats).
@@ -190,22 +202,22 @@ def resampled_estimates(
                 gather(d, draws[d].redraw(), sums[:, d, i])
         except TooManySingularResamples:
             kept[d] = False
-    estimates, _ = pipeline.kernel(plan.size(n), *sums[:, kept].reshape(6, -1))
-    # Per name a (kept datasets, b) block, handed out one row per kept dataset.
-    rows = zip(*(
-        np.sqrt(plan.size(n)) * (estimates[name].reshape(-1, b) - originals[name][kept, None])
+    size = plan.size(n)
+    estimates, _ = pipeline.kernel(size, *sums[:, kept].reshape(6, -1))
+    return kept, {
+        name: np.sqrt(size) * (estimates[name].reshape(-1, b) - originals[name][kept, None])
         for name in pipeline.names
-    ))
-    return [dict(zip(pipeline.names, next(rows))) if k else None for k in kept]
+    }
 
 
 def _distribution(dataset, pipeline, plan, rng) -> EmpiricalSample:
     if len(pipeline.names) != 1:
         raise ValueError("needs the pipeline of one estimator, from make_pipeline")
-    (samples,) = resampled_estimates([dataset], pipeline, plan, [rng])
-    if samples is None:
+    (kept,), blocks = resampled_estimates([dataset], pipeline, plan, [rng])
+    if not kept:
         raise TooManySingularResamples(f"exceeded {plan.redraw_budget} singular redraws")
-    return EmpiricalSample(*samples.values())
+    (block,) = blocks.values()
+    return EmpiricalSample(block[0])
 
 
 def paired_bootstrap(

@@ -112,8 +112,15 @@ def ks_oracle(x, y):
 def stacked_sums_engine(datasets, pipeline, plan, rngs):
     """The resampling engine one dataset at a time, with each statistic gathered
     and summed on its own: three fancy-indexes, six products and six sums per
-    resample block. None for a dataset that spent its redraw budget."""
-    return [_stacked_sums_one(ds, pipeline, plan, rng) for ds, rng in zip(datasets, rngs)]
+    resample block. Returns the engine's ``(kept, blocks)``: the mask of
+    datasets that kept their redraw budget and, per name, a row per kept one."""
+    rows = [_stacked_sums_one(ds, pipeline, plan, rng) for ds, rng in zip(datasets, rngs)]
+    kept = np.array([row is not None for row in rows])
+    blocks = {
+        name: np.array([row[name] for row in rows if row is not None]).reshape(-1, plan.b)
+        for name in pipeline.names
+    }
+    return kept, blocks
 
 
 def _stacked_sums_one(dataset, pipeline, plan, rng):
@@ -154,12 +161,12 @@ def error_row_reference(cell, grid_index, plan, datasets_per_beta, mode="per_dat
     for d in range(datasets_per_beta):
         ds = draw_dataset(cell, grid_index, d)
         rng = stream(cell.seed, _TAG_RESAMPLE, grid_index, d)
-        (samples,) = resampled_estimates([ds], pipeline, plan, [rng])
-        if samples is None:
+        (kept,), blocks = resampled_estimates([ds], pipeline, plan, [rng])
+        if not kept:
             excluded += 1
             continue
         for k in names:
-            held[k].append(samples[k])
+            held[k].append(blocks[k][0])
     if mode == "per_dataset":
         errors = {
             f"err_{k}": 100.0 * float(np.mean([ks_oracle(truth[k], v) for v in held[k]]))

@@ -179,6 +179,9 @@ def test_ks_rows_equal_the_one_sample_oracle_row_by_row(rng):
         for row, value in zip(rows, expected):
             one = _ks_arrays(x, row)
             assert type(one) is float and one == value
+    # An engine call that keeps no dataset gives a (0, b) block: no distances.
+    none = _ks_arrays(normal(30), np.empty((0, 40)))
+    assert isinstance(none, np.ndarray) and none.shape == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +365,10 @@ def _generic_engine(ds, pipeline, plan, seed):
 
 
 def _engine(ds, pipeline, plan, seed):
-    (samples,) = resampled_estimates([ds], pipeline, plan, [np.random.default_rng(seed)])
-    return samples
+    """The engine's one row per name for ``ds`` alone, which must keep its budget."""
+    (kept,), blocks = resampled_estimates([ds], pipeline, plan, [np.random.default_rng(seed)])
+    assert kept
+    return {name: block[0] for name, block in blocks.items()}
 
 
 def _assert_engines_agree(ds, scenario, sigma, prior_scale=1.0, prior_p_r=0.5):
@@ -482,10 +487,10 @@ def test_engine_replicates_equal_the_stacked_sums_engine():
         pipeline = Pipeline(names, sigma, scenario.pretest, scenario.adaptive)
         for m in (None, 5, 12):
             plan = ResamplePlan(b=40, m=m)
-            (expected,) = stacked_sums_engine([ds], pipeline, plan, [np.random.default_rng(17)])
+            _, expected = stacked_sums_engine([ds], pipeline, plan, [np.random.default_rng(17)])
             got = _engine(ds, pipeline, plan, 17)
             for name in names:
-                assert np.array_equal(got[name], expected[name]), (sigma, m, name)
+                assert np.array_equal(got[name], expected[name][0]), (sigma, m, name)
     tiny = _tiny_scenario()
     ds3 = draw_dataset(tiny)
     pipeline3 = Pipeline(names, 1.0, tiny.pretest, tiny.adaptive)
@@ -493,10 +498,10 @@ def test_engine_replicates_equal_the_stacked_sums_engine():
         plan = ResamplePlan(b=60, m=m)
         indices = ResampleIndices(np.random.default_rng(4), 3, plan)
         assert (m is None) == bool(np.any([len(set(row)) == 1 for row in indices.block]))
-        (expected,) = stacked_sums_engine([ds3], pipeline3, plan, [np.random.default_rng(4)])
+        _, expected = stacked_sums_engine([ds3], pipeline3, plan, [np.random.default_rng(4)])
         got = _engine(ds3, pipeline3, plan, 4)
         for name in names:
-            assert np.array_equal(got[name], expected[name]), (m, name)
+            assert np.array_equal(got[name], expected[name][0]), (m, name)
 
 
 _ALL_NAMES = ("r", "u", "ms", "bma_bic", "ama", "bma_exact")
@@ -507,38 +512,43 @@ def _fresh_rngs(count, seed):
 
 
 def test_a_chunk_equals_one_dataset_calls_bit_for_bit():
-    # One engine call on 7 datasets gives each dataset the floats of a call
-    # on it alone with a fresh copy of its generator: the bootstrap and
-    # subsamples on n = 12, and on the n = 3 design, where several datasets
-    # redraw singular rows, each from its own generator, and, with no
-    # redraws, some datasets mid-chunk spend their budget. Each None sits
-    # where the library call on that dataset raises TooManySingularResamples.
+    # One engine call on 7 datasets gives each kept dataset, as its row of
+    # every block, the floats of a call on it alone with a fresh copy of its
+    # generator: the bootstrap and subsamples on n = 12, and on the n = 3
+    # design, where several datasets redraw singular rows, each from its own
+    # generator, and, with no redraws, some datasets mid-chunk spend their
+    # budget. Each dropped dataset is one whose library call raises
+    # TooManySingularResamples.
     cases = [
         (_uniform_scenario(n=12, reps=10, seed=91), ResamplePlan(b=10)),
         (_uniform_scenario(n=12, reps=10, seed=91), ResamplePlan(b=10, m=6)),
         (_tiny_scenario(), ResamplePlan(b=10)),
         (_tiny_scenario(), ResamplePlan(b=10, max_redraws=0)),
     ]
-    nones = 0
+    dropped = 0
     for scenario, plan in cases:
         pipeline = scenario.pipeline(_ALL_NAMES)
         datasets = [draw_dataset(scenario, 0, d) for d in range(7)]
-        chunk = resampled_estimates(datasets, pipeline, plan, _fresh_rngs(7, 3))
-        assert len(chunk) == 7
+        kept, blocks = resampled_estimates(datasets, pipeline, plan, _fresh_rngs(7, 3))
+        assert kept.shape == (7,) and kept.dtype == bool
+        assert [blocks[name].shape for name in _ALL_NAMES] == 6 * [(kept.sum(), plan.b)]
         resampler = paired_bootstrap if plan.m is None else subsample_distribution
         lib = make_pipeline("ama", scenario.params.sigma, adaptive_config=scenario.adaptive)
-        for ds, rng, got, lib_rng in zip(datasets, _fresh_rngs(7, 3), chunk, _fresh_rngs(7, 3)):
-            (alone,) = resampled_estimates([ds], pipeline, plan, [rng])
-            if got is None:
-                nones += 1
-                assert alone is None
+        rows = iter(range(kept.sum()))
+        for ds, rng, k, lib_rng in zip(datasets, _fresh_rngs(7, 3), kept, _fresh_rngs(7, 3)):
+            (alone_kept,), alone = resampled_estimates([ds], pipeline, plan, [rng])
+            assert alone_kept == k
+            if not k:
+                dropped += 1
+                assert all(block.shape == (0, plan.b) for block in alone.values())
                 with pytest.raises(TooManySingularResamples):
                     resampler(ds, lib, plan, lib_rng)
                 continue
+            r = next(rows)
             for name in _ALL_NAMES:
-                assert np.array_equal(got[name], alone[name]), (plan, name)
-            assert np.array_equal(resampler(ds, lib, plan, lib_rng).values, got["ama"])
-    assert 0 < nones < 7
+                assert np.array_equal(blocks[name][r], alone[name][0]), (plan, name)
+            assert np.array_equal(resampler(ds, lib, plan, lib_rng).values, blocks["ama"][r])
+    assert 0 < dropped < 7
 
 
 def test_a_singular_dataset_fails_its_chunk_before_any_draw():
@@ -553,6 +563,40 @@ def test_a_singular_dataset_fails_its_chunk_before_any_draw():
         resampled_estimates(datasets, scenario.pipeline(_ALL_NAMES), ResamplePlan(b=10), rngs)
     assert [rng.bit_generator.state for rng in rngs] == states
     assert all(rng.bit_generator.seed_seq.n_children_spawned == 0 for rng in rngs)
+
+
+def test_engine_refuses_no_datasets_and_mixed_n_before_any_draw():
+    scenario = _uniform_scenario(n=12, reps=10, seed=91)
+    pipeline, plan = scenario.pipeline(_ALL_NAMES), ResamplePlan(b=10)
+    with pytest.raises(ValueError, match="got 0 with n in"):
+        resampled_estimates([], pipeline, plan, [])
+    other = draw_dataset(_uniform_scenario(n=13, reps=10, seed=91))
+    datasets = [draw_dataset(scenario), other]
+    rngs = _fresh_rngs(2, 3)
+    states = [rng.bit_generator.state for rng in rngs]
+    with pytest.raises(ValueError, match=r"one n, got 2 with n in \[12, 13\]"):
+        resampled_estimates(datasets, pipeline, plan, rngs)
+    assert [rng.bit_generator.state for rng in rngs] == states
+
+
+def test_engine_spawns_a_redraw_generator_only_for_a_dataset_that_redraws():
+    # No singular resample at n = 12: the callers' generators spawn nothing.
+    # On the n = 3 design a dataset that redraws spawns exactly one child
+    # (the stream test_singular_redraw_leaves_other_rows_on_their_block_row
+    # pins), and with no redraw budget a dataset that drops spawns none.
+    scenario = _uniform_scenario(n=12, reps=10, seed=91)
+    rngs, pipeline = _fresh_rngs(3, 3), scenario.pipeline(_ALL_NAMES)
+    datasets = [draw_dataset(scenario, 0, d) for d in range(3)]
+    kept, _ = resampled_estimates(datasets, pipeline, ResamplePlan(b=40), rngs)
+    assert kept.all()
+    assert [rng.bit_generator.seed_seq.n_children_spawned for rng in rngs] == [0, 0, 0]
+    tiny = _tiny_scenario()
+    for budget, spawned in ((None, 1), (0, 0)):
+        rng = np.random.default_rng(4)
+        plan = ResamplePlan(b=60, max_redraws=budget)
+        kept, _ = resampled_estimates([draw_dataset(tiny)], tiny.pipeline(("u",)), plan, [rng])
+        assert kept[0] == (budget is None)
+        assert rng.bit_generator.seed_seq.n_children_spawned == spawned
 
 
 def test_engine_calls_hold_at_most_reps_over_b_datasets(monkeypatch):
@@ -592,10 +636,12 @@ def _checked_error_rows(monkeypatch, scenario, grid, plan, datasets, mode="per_d
 
 
 def test_chunked_error_rows_equal_rows_scored_one_dataset_at_a_time(monkeypatch):
-    # figure2 scores max(1, reps // b) included datasets per KS call. Its rows
-    # must be the very floats of scoring each dataset alone: here 7 datasets
-    # in chunks of 3, 3 and 1, and on the n = 3 design with no redraws,
-    # chunks that skip the excluded datasets.
+    # figure2 scores each engine call's block, a row per kept dataset of a
+    # chunk of max(1, reps // b), in one KS call per estimator. Its rows must
+    # be the very floats of scoring each dataset alone: here 7 datasets in
+    # chunks of 3, 3 and 1, and on the n = 3 design with no redraws, 20
+    # datasets in 7 chunks whose blocks lose the excluded datasets, two of
+    # them every dataset.
     scenario = _uniform_scenario(n=12, reps=30, seed=8)
     for m in (None, 6):
         _, blocks = _checked_error_rows(
@@ -607,7 +653,7 @@ def test_chunked_error_rows_equal_rows_scored_one_dataset_at_a_time(monkeypatch)
         monkeypatch, tiny, [0.3], ResamplePlan(b=10, max_redraws=0), 20
     )
     assert row["excluded"] > 0 and row["datasets"] == 6
-    assert blocks == 6 * [(3, 10)]
+    assert blocks == [(kept, 10) for kept in (1, 1, 0, 1, 2, 1, 0) for _ in range(3)]
 
 
 def test_pooled_error_rows_are_one_ks_call_on_all_included_replicates(monkeypatch):
