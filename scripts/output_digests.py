@@ -17,6 +17,13 @@ four estimators on the shipped design at sigma = 1 and sigma = 0, and
 ``mean_model_bootstrap`` with the adaptive weight rule, over three datasets
 each with b = 500. Every generator derives from ``--seed``.
 
+All runs share one process, so most Monte Carlo cells are read from the
+memo of :func:`modelavg.experiments.mc_estimator_draws` after their first
+draw: figure1b reads figure1a's cells, decay riskbound's, the two figure2
+methods each other's truth cells, and the scaled-pretest figure1a run
+figure1a's. Equal lines from two checkouts thus also show that a cached
+cell gives the floats of a fresh draw.
+
 Two checkouts that print the same lines at the same ``--seed`` and
 ``--workers`` write byte-identical outputs and replicates; run each with its
 own ``src`` on ``PYTHONPATH`` and diff the output.

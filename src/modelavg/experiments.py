@@ -5,11 +5,15 @@ Replication noise is drawn from substreams keyed by (seed, role, grid index),
 so every output is a deterministic function of its configuration and is
 independent of worker scheduling. Within one grid point all estimators share
 the same simulated responses (common random numbers), so curve differences
-reflect the estimators rather than the noise.
+reflect the estimators rather than the noise. A bounded memo keeps each drawn
+cell's response products, so the experiments of one process that read the
+same cell draw it once.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -68,6 +72,12 @@ class Scenario:
         )
 
 
+def response_products(design: DesignMatrix, y: np.ndarray, sigma: float) -> tuple:
+    """Per row of the responses ``y``: <x1,y>, <x2,y>, and <y,y> at sigma = 0 (else None)."""
+    yy = np.einsum("ij,ij->i", y, y) if sigma == 0.0 else None
+    return y @ design.x1, y @ design.x2, yy
+
+
 def batch_estimates(
     design: DesignMatrix,
     stats: DesignStats,
@@ -83,11 +93,24 @@ def batch_estimates(
     with the responses. Matches the scalar pipeline to floating round-off.
     """
     y = responses_in_place(design, params, z)
-    # <y,y> is read only by the sigma = 0 limit of bma_exact.
-    yy = np.einsum("ij,ij->i", y, y) if params.sigma == 0.0 else None
-    return pipeline.kernel(
-        design.n, stats.s11, stats.s22, stats.s12, y @ design.x1, y @ design.x2, yy
-    )
+    products = response_products(design, y, params.sigma)
+    return pipeline.kernel(design.n, stats.s11, stats.s22, stats.s12, *products)
+
+
+# Each Monte Carlo cell drawn in this process: key -> (its read-only response
+# products, their bytes), least recently used first, evicted past _MEMO_BYTES.
+_MEMO_BYTES = 32 << 20
+_memo: OrderedDict = OrderedDict()
+_memo_used = 0
+_memo_lock = threading.Lock()
+
+
+def clear_memo() -> None:
+    """Forget every cached Monte Carlo cell."""
+    global _memo_used
+    with _memo_lock:
+        _memo.clear()
+        _memo_used = 0
 
 
 def mc_estimator_draws(
@@ -96,12 +119,37 @@ def mc_estimator_draws(
     """The kernel's pair over reps fresh responses on the frozen design.
 
     Returns reps estimates and the weight on R of each name, as batch_estimates.
+    A cell drawn before in this process (the same seed, grid index, reps,
+    design and params, bit for bit) reruns only the kernel on its products.
     """
-    stats = compute_design_stats(scenario.design)
-    z = stream(scenario.seed, _TAG_TRUTH, grid_index).standard_normal(
-        (scenario.reps, scenario.design.n)
-    )
-    return batch_estimates(scenario.design, stats, scenario.params, z, scenario.pipeline(names))
+    global _memo_used
+    design, params = scenario.design, scenario.params
+    stats = compute_design_stats(design)
+    pipeline = scenario.pipeline(names)
+    key = (scenario.seed, grid_index, scenario.reps, design.x1.tobytes(), design.x2.tobytes(),
+           np.array([params.alpha, params.beta, params.sigma], float).tobytes())
+    with _memo_lock:
+        entry = _memo.get(key)
+        if entry is not None:
+            _memo.move_to_end(key)
+    if entry is not None:
+        return pipeline.kernel(design.n, stats.s11, stats.s22, stats.s12, *entry[0])
+    z = stream(scenario.seed, _TAG_TRUTH, grid_index).standard_normal((scenario.reps, design.n))
+    result = batch_estimates(design, stats, params, z, pipeline)
+    # batch_estimates left the responses in z: one helper, so the same floats.
+    products = response_products(design, z, params.sigma)
+    arrays = [a for a in products if a is not None]
+    for a in arrays:
+        a.flags.writeable = False
+    size = sum(a.nbytes for a in arrays)
+    with _memo_lock:
+        if size <= _MEMO_BYTES and key not in _memo:  # another thread may have drawn it
+            _memo[key] = (products, size)
+            _memo_used += size
+        while _memo_used > _MEMO_BYTES:
+            _, (_, evicted) = _memo.popitem(last=False)
+            _memo_used -= evicted
+    return result
 
 
 def _centered_draws(

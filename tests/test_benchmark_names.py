@@ -171,6 +171,13 @@ def test_cli_runs_under_the_benchmark_tracer(tmp_path):
     designs = len(runs) + 2 * len(_N_GRID)
     mc_draws = 2 * len(_BETA_GRID) + len(_FIGURE2_GRID)  # one truth sample per beta
     sweep_rows = 2 * len(_N_GRID)
+    # The runs share one process, which draws each Monte Carlo cell once:
+    # figure1b reads figure1a's cells, decay reads riskbound's, and figure2's
+    # one cell is figure1a's cell 0 (same seed, design, grid index, reps and
+    # params). A cell read again runs the kernel alone, with no noise stream
+    # and no batch_estimates span.
+    assert _FIGURE2_GRID == _BETA_GRID[:1]
+    drawn = len(_BETA_GRID) + len(_N_GRID)
     datasets = len(_FIGURE2_GRID) * _DATASETS
     chunks = len(_FIGURE2_GRID) * -(-_DATASETS // max(1, _REPS // _B))
     estimators = 3  # ms, bma_bic, ama
@@ -179,7 +186,7 @@ def test_cli_runs_under_the_benchmark_tracer(tmp_path):
         # resolved config, CSV and SVG per run, and each frozen beta-grid design
         "cli.write": 3 * len(runs) + 3,
         "experiments.mc_estimator_draws": mc_draws + sweep_rows,
-        "experiments.batch_estimates": mc_draws + sweep_rows,
+        "experiments.batch_estimates": drawn,
         # figure1b: each estimator against R and U; figure2: against the truth,
         # once per chunk of max(1, reps // b) datasets at each grid point
         "experiments.ks": 2 * estimators * len(_BETA_GRID) + estimators * chunks,
@@ -187,7 +194,7 @@ def test_cli_runs_under_the_benchmark_tracer(tmp_path):
         "model.generate_response": datasets,
         "experiments.sweep": 2,
         # a design, noise and dataset/resample stream per unit of work
-        "experiments.stream": designs + mc_draws + sweep_rows + 2 * datasets,
+        "experiments.stream": designs + drawn + 2 * datasets,
         # each design once when drawn, then once per truth sample and sweep
         # row; the engine takes its datasets' full fits from its products table
         "model.compute_design_stats": designs + mc_draws + sweep_rows,

@@ -1,6 +1,8 @@
+import sys
 import threading
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import modelavg.experiments
+from modelavg.cli import main
 from modelavg.errors import CollinearDesign, TooManySingularResamples, ZeroColumn
 from modelavg.estimators import Pipeline, make_pipeline
 from modelavg.experiments import (
@@ -16,6 +19,7 @@ from modelavg.experiments import (
     _ks_arrays,
     _grid,
     batch_estimates,
+    clear_memo,
     draw_dataset,
     ks_ratio_curve,
     make_scenario,
@@ -39,7 +43,7 @@ from modelavg.resampling import (
     resampled_estimates,
     subsample_distribution,
 )
-from modelavg.weights import PretestConfig, default_tuning
+from modelavg.weights import AdaptiveConfig, PretestConfig, default_tuning
 
 from conftest import error_row_reference, ks_oracle, stacked_sums_engine
 
@@ -244,6 +248,174 @@ def test_mc_determinism_and_common_random_numbers():
     # the MS draw equals the U draw bitwise.
     agree = d1["ms"] == d1["u"]
     assert agree.any()
+
+
+# ---------------------------------------------------------------------------
+# the memo of Monte Carlo cells
+
+
+# Pairs of commands that read the same Monte Carlo cells.
+_SHARED_SAMPLE_PAIRS = (
+    (["figure1a"], ["figure1b"]),
+    (["riskbound"], ["decay"]),
+    (["figure2", "--method", "subsample"], ["figure2", "--method", "bootstrap"]),
+)
+
+
+def _output_bytes(out):
+    """Each output file's bytes, without the path-dependent ``out =`` line."""
+    return {
+        path.name: b"".join(
+            line for line in path.read_bytes().splitlines(True) if not line.startswith(b"out =")
+        )
+        for path in sorted(out.iterdir())
+    }
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("first, second", _SHARED_SAMPLE_PAIRS)
+def test_outputs_do_not_depend_on_cells_an_earlier_command_cached(
+    tmp_path, monkeypatch, first, second, workers
+):
+    flags = ["--reps=200", "--beta-grid=0.0,0.3", "--n-grid=50,25", "--datasets-per-beta=3",
+             "--b=20", "--seed=11", f"--workers={workers}"]
+    cold = {}
+    for k, argv in enumerate((first, second)):
+        clear_memo()
+        assert main([*argv, *flags, f"--out={tmp_path / 'cold' / str(k)}"]) == 0
+        cold[k] = _output_bytes(tmp_path / "cold" / str(k))
+    draws = []
+    real = modelavg.experiments.batch_estimates
+    monkeypatch.setattr(modelavg.experiments, "batch_estimates",
+                        lambda *args: draws.append(1) or real(*args))
+    clear_memo()
+    for k, argv in enumerate((first, second)):
+        del draws[:]
+        assert main([*argv, *flags, f"--out={tmp_path / 'warm' / str(k)}"]) == 0
+        assert _output_bytes(tmp_path / "warm" / str(k)) == cold[k]
+    assert draws == []  # the second command read every cell from the memo
+
+
+def _memo_keys_after(*calls):
+    """How many cells the memo holds after the ``(scenario, names, grid_index)`` draws,
+    each checked against the same draw on an empty memo."""
+    cold = []
+    for scenario, names, i in calls:
+        clear_memo()
+        cold.append(mc_estimator_draws(scenario, names, i))
+    clear_memo()
+    for (scenario, names, i), expected in zip(calls, cold):
+        got = mc_estimator_draws(scenario, names, i)
+        for a, b in zip(got, expected):
+            assert a.keys() == b.keys()
+            assert all(np.array_equal(a[k], b[k]) for k in a)
+    return len(modelavg.experiments._memo)
+
+
+def test_memo_key_holds_every_input_of_the_draw_and_nothing_else():
+    base = _uniform_scenario(beta=0.0, reps=50, n=20, seed=3)
+    names = ("ms", "ama", "bma_exact")
+    params = base.params
+    x1, x2 = base.design.x1, base.design.x2
+    differing = {
+        "design": replace(base, design=DesignMatrix(x1, x2[::-1].copy())),
+        "-0.0": replace(base, params=replace(params, beta=-0.0)),
+        "reps": replace(base, reps=51),
+        "sigma": replace(base, params=replace(params, sigma=2.0)),
+        "alpha": replace(base, params=replace(params, alpha=1.5)),
+        "seed": replace(base, seed=4),
+    }
+    for label, other in differing.items():
+        assert _memo_keys_after((base, names, 0), (other, names, 0)) == 2, label
+    assert _memo_keys_after((base, names, 0), (base, names, 1)) == 2
+    sharing = {
+        "names": (base, ("r", "u", "bma_bic")),
+        "pretest": (replace(base, pretest=PretestConfig(c=0.5, form="scaled")), names),
+        "tuning": (replace(base, adaptive=AdaptiveConfig(a_n=2.0, k_n=3.0)), names),
+        "prior": (replace(base, prior_scale=3.0, prior_p_r=0.2), names),
+    }
+    for label, (other, other_names) in sharing.items():
+        assert _memo_keys_after((base, names, 0), (other, other_names, 0)) == 1, label
+
+
+def test_memo_stays_within_its_byte_budget(monkeypatch):
+    scenario = _uniform_scenario(beta=0.2, reps=100, n=20, seed=13)
+    names = ("ms", "ama")
+    big = replace(scenario, reps=1000)
+    cold = []
+    for cell, i in [(scenario, i) for i in range(6)] + [(big, 0)]:
+        clear_memo()
+        cold.append(mc_estimator_draws(cell, names, i)[0])
+    entry = 2 * scenario.reps * 8  # p1 and p2; no yy at sigma = 1
+    budget = 2 * entry + 1
+    monkeypatch.setattr(modelavg.experiments, "_MEMO_BYTES", budget)
+    clear_memo()
+    memo, held = modelavg.experiments._memo, []
+    for i in (0, 1, 0, 2, 3, 4, 5, 4):
+        draws = mc_estimator_draws(scenario, names, i)[0]
+        assert draws.keys() == cold[i].keys()
+        assert all(np.array_equal(v, cold[i][k]) for k, v in draws.items())
+        assert modelavg.experiments._memo_used == sum(size for _, size in memo.values())
+        assert modelavg.experiments._memo_used <= budget
+        held.append([key[1] for key in memo])  # grid indices, least recent first
+    # Least recently used goes first: reading cell 0 again keeps it over cell 1.
+    assert held == [[0], [0, 1], [1, 0], [0, 2], [2, 3], [3, 4], [4, 5], [5, 4]]
+    # An entry above the whole budget is not stored, and evicts nothing.
+    draws = mc_estimator_draws(big, names, 0)[0]
+    assert all(np.array_equal(v, cold[-1][k]) for k, v in draws.items())
+    assert [key[1] for key in memo] == [5, 4]
+
+
+def test_memo_entries_are_read_only_and_carry_yy_at_sigma_zero():
+    clear_memo()
+    noisy = _uniform_scenario(beta=0.1, reps=30, n=20, seed=19)
+    exact = _integer_scenario(beta=0.5, sigma=0.0)
+    names = ("bma_exact", "ama")
+    mc_estimator_draws(noisy, names)
+    mc_estimator_draws(exact, names)
+    (noisy_products, _), (exact_products, _) = modelavg.experiments._memo.values()
+    assert noisy_products[2] is None
+    p1, p2, yy = exact_products
+    y = exact.params.alpha * exact.design.x1 + exact.params.beta * exact.design.x2
+    assert np.array_equal(yy, np.full(exact.reps, y @ y))
+    assert np.array_equal(p1, np.full(exact.reps, exact.design.x1 @ y))
+    for a in (*noisy_products[:2], p1, p2, yy):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    # A read of the cached sigma = 0 cell takes bma_exact's <y,y> from it.
+    hit = mc_estimator_draws(exact, names)[0]["bma_exact"]
+    clear_memo()
+    assert np.array_equal(hit, mc_estimator_draws(exact, names)[0]["bma_exact"])
+
+
+def test_memo_keeps_its_byte_count_under_threads(monkeypatch):
+    # More threads than cores read and draw overlapping cells under a budget
+    # of three cells, switching often: a lost update of the byte count, or a
+    # cell stored or evicted twice, breaks the totals.
+    scenario = _uniform_scenario(beta=0.1, reps=20, n=10, seed=23)
+    names = ("ms", "ama")
+    cold = {}
+    for i in range(5):
+        clear_memo()
+        cold[i] = mc_estimator_draws(scenario, names, i)[0]
+    budget = 3 * 2 * scenario.reps * 8
+    monkeypatch.setattr(modelavg.experiments, "_MEMO_BYTES", budget)
+    clear_memo()
+    cells = [i % 5 for i in range(200)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(
+                lambda i: mc_estimator_draws(scenario, names, i)[0], cells, timeout=60
+            ))
+    finally:
+        sys.setswitchinterval(interval)
+    for i, draws in zip(cells, results):
+        assert all(np.array_equal(v, cold[i][k]) for k, v in draws.items())
+    memo = modelavg.experiments._memo
+    assert modelavg.experiments._memo_used == sum(size for _, size in memo.values())
+    assert 0 < len(memo) <= 3
 
 
 # ---------------------------------------------------------------------------
@@ -773,6 +945,7 @@ def test_monte_carlo_paths_hold_one_noise_block(path):
     # The responses are formed in the noise block's own buffer, so each grid
     # point needs one (reps, n) array and nothing else of that size.
     reps, n = 2000, 400
+    clear_memo()  # a cached cell would need no noise block at all
     scenario = _uniform_scenario(beta=0.3, n=n, reps=reps, seed=12)
     n_scenario = make_scenario(n=n, seed=12, reps=reps, beta=0.3)
     names = ("r", "u", "ms", "bma_exact", "bma_bic", "ama")
