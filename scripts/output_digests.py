@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """sha256 of every CLI output file and library replicate array at one seed.
 
-Runs each experiment of ``modelavg.config.EXPERIMENTS`` at reference scale into
-a temporary directory and prints one ``<sha256>  <experiment>/<file>`` line per
-output. The ``out = ...`` line of ``resolved_config.txt`` is left out of its
-digest, since it names the temporary directory. A few more runs with
-non-default flags (``EXTRA_RUNS``) reach the kernel's other branches and
-figure2's other scoring: the sigma = 0 limits, the scaled pretest, a
-non-default prior, pooled KS scoring with more replicates than truth draws,
-the scaled pretest on size-m subsamples, and bootstrap engine calls on a
-ragged last chunk of datasets. Their lines read
+Runs each entry of the experiment table ``modelavg.experiments.EXPERIMENTS``,
+in the table's order, at reference scale into a temporary directory and prints
+one ``<sha256>  <experiment>/<file>`` line per output. The ``out = ...`` line
+of ``resolved_config.txt`` is left out of its digest, since it names the
+temporary directory. A few more runs with non-default flags (``EXTRA_RUNS``)
+reach the kernel's other branches and figure2's other scoring: the sigma = 0
+limits, the scaled pretest, a non-default prior, pooled KS scoring with more
+replicates than truth draws, the scaled pretest on size-m subsamples, and
+bootstrap engine calls on a ragged last chunk of datasets. Their lines read
 ``<experiment>[<flags>]/<file>``. Then it prints one
 ``<sha256>  library/...`` line per replicate array of the library's
 resamplers: ``paired_bootstrap`` and ``subsample_distribution`` (m = 20) for
@@ -39,8 +39,8 @@ import numpy as np
 
 from modelavg import PretestConfig, default_tuning, load_reference_design
 from modelavg.cli import main
-from modelavg.config import EXPERIMENTS
 from modelavg.estimators import make_pipeline
+from modelavg.experiments import EXPERIMENTS
 from modelavg.model import TrueParams, generate_response
 from modelavg.resampling import (
     ResamplePlan,

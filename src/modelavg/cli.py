@@ -12,9 +12,7 @@ from typing import Callable
 from . import experiments
 from .config import EXPERIMENTS, SETTINGS, RunConfig, echo_config, parse_config
 from .errors import ModelAvgError
-from .estimators import ESTIMATOR_NAMES
-from .model import compute_design_stats, response_stats, solve_normal_equations, write_design_csv
-from .resampling import ResamplePlan
+from .model import write_design_csv
 from .svgplot import write_line_plot
 
 
@@ -66,67 +64,14 @@ _LEGEND = {
 
 def _execute(config: RunConfig, target: Callable[[str], Path]) -> None:
     echo_config(config, target("resolved_config.txt"))
-    workers = config.resolved_workers()
-    experiment = config.experiment
     scenario = _scenario_from_config(config)
-    if experiment not in ("riskbound", "decay"):
+    entry = EXPERIMENTS[config.experiment]
+    if entry.design:
         write_design_csv(scenario.design, target(f"design_n{config.n}.csv"))
-
-    # Each experiment yields its rows, the stem of its output files, and the
-    # (column prefix, title, y label) of its plot, or None for no plot.
-    if experiment == "figure1a":
-        rows = experiments.mse_curve(config.beta_grid, scenario, workers=workers)
-        stem, plot = "mse_curve", ("mse_", "Mean squared error by estimator", "MSE")
-    elif experiment == "figure1b":
-        rows = experiments.ks_ratio_curve(config.beta_grid, scenario, workers=workers)
-        stem, plot = "ks_ratio", (
-            "ratio_", "KS location ratio between R and U references", "100 * KS_R / (KS_R + KS_U)"
-        )
-    elif experiment in ("figure2-bootstrap", "figure2-subsample"):
-        method = experiment.split("-", 1)[1]
-        plan = ResamplePlan(b=config.b, m=config.m if method == "subsample" else None)
-        rows = experiments.resampling_error_curve(
-            config.beta_grid, scenario, plan, config.datasets_per_beta,
-            mode=config.ks_mode, workers=workers,
-        )
-        stem, plot = f"resamp_error_{method}", (
-            "err_", f"{method} approximation error (100 x mean KS distance)",
-            "100 * KS(truth, resampling)",
-        )
-    elif experiment == "riskbound":
-        rows = experiments.risk_bound_sweep(config.n_grid, scenario, workers=workers)
-        stem, plot = "risk_bound", (
-            "", "Normalized risk of the exact-posterior model average", "n * MSE"
-        )
-    elif experiment == "decay":
-        rows = experiments.weight_decay_sweep(config.n_grid, scenario, workers=workers)
-        stem, plot = "weight_decay", ("", "Adaptive weight decay", "weight")
-    else:  # single
-        dataset = experiments.draw_dataset(scenario)
-        est, p_r = scenario.pipeline(ESTIMATOR_NAMES).fit(dataset)
-        stats = compute_design_stats(dataset.design)
-        p1, p2, _ = response_stats(dataset)
-        rows = [{
-            "alpha_r": est["r"],
-            "alpha_u": est["u"],
-            "beta_u": solve_normal_equations(
-                stats.s11, stats.s22, stats.s12, stats.det, p1, p2
-            )[1],
-            "ms": est["ms"],
-            "bma_exact": est["bma_exact"],
-            "bma_bic": est["bma_bic"],
-            "ama": est["ama"],
-            "w_posterior_r": p_r["bma_exact"],
-            "w_bic_r": p_r["bma_bic"],
-            "w_adaptive_r": p_r["ama"],
-            "n": config.n,
-            "seed": config.seed,
-        }]
-        stem, plot = "single", None
-
-    write_rows_csv(target(f"{stem}.csv"), rows)
-    if plot is not None:
-        prefix, title, y_label = plot
+    rows = entry.rows(config, scenario, config.resolved_workers())
+    write_rows_csv(target(f"{entry.stem}.csv"), rows)
+    if entry.plot is not None:
+        prefix, title, y_label = entry.plot
         x_label = next(iter(rows[0]))
         series = [
             (label, [r[prefix + key] for r in rows], style)
@@ -134,7 +79,7 @@ def _execute(config: RunConfig, target: Callable[[str], Path]) -> None:
             if prefix + key in rows[0]
         ]
         write_line_plot(
-            target(f"{stem}.svg"), title=title, x_label=x_label, y_label=y_label,
+            target(f"{entry.stem}.svg"), title=title, x_label=x_label, y_label=y_label,
             x=[r[x_label] for r in rows], series=series,
         )
 
@@ -182,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Model-averaging simulation laboratory for the two-regressor linear model.",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-    # "figure2-bootstrap" is the subcommand "figure2" with "--method bootstrap".
+    # The experiment "a-b" is the subcommand "a" with "--method b".
     for name in dict.fromkeys(e.partition("-")[0] for e in EXPERIMENTS):
         choices = [e.partition("-")[2] for e in EXPERIMENTS if e.startswith(name + "-")]
         p = sub.add_parser(name, help=f"run the {name} experiment")
@@ -190,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
         if choices:
             p.add_argument(
                 "--method", choices=choices, default=choices[0],
-                help=f"resampling engine (default: {choices[0]})",
+                help=f"resampling scheme (default: {choices[0]})",
             )
         for key in SETTINGS:
             p.add_argument("--" + key.replace("_", "-"), dest=key, default=None)

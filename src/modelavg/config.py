@@ -17,17 +17,8 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConfigError
+from .experiments import EXPERIMENTS
 from .resampling import STREAM_VERSION
-
-EXPERIMENTS = (
-    "figure1a",
-    "figure1b",
-    "figure2-bootstrap",
-    "figure2-subsample",
-    "riskbound",
-    "decay",
-    "single",
-)
 
 SEED_ENV_VAR = "MODELAVG_SEED"
 DEFAULT_SEED = 1729
@@ -67,14 +58,6 @@ class RunConfig:
         if hasattr(os, "sched_getaffinity"):
             return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
-
-
-def default_beta_grid(experiment: str) -> tuple[float, ...]:
-    # Full grid spans [-1, 1]; the resampling-accuracy figures are restricted
-    # to |beta| <= 0.4, where the methods actually differ.
-    if experiment.startswith("figure2"):
-        return tuple(float(v) for v in np.linspace(-0.4, 0.4, 17))
-    return tuple(float(v) for v in np.linspace(-1.0, 1.0, 41))
 
 
 def _parse_float_grid(text: str, key: str) -> tuple[float, ...]:
@@ -201,8 +184,6 @@ def read_config_file(path, experiment: str | None = None) -> dict:
 
 
 def _validate(config: RunConfig) -> None:
-    if config.experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {config.experiment!r}")
     if config.n < 2:
         raise ConfigError(f"n = {config.n} must be >= 2")
     if config.reps < 1:
@@ -247,6 +228,8 @@ def parse_config(
     env: Mapping[str, str] | None = None,
 ) -> RunConfig:
     """Merge defaults, environment seed, config file, and flag overrides."""
+    if experiment not in EXPERIMENTS:
+        raise ConfigError(f"unknown experiment {experiment!r}")
     env = os.environ if env is None else env
     values: dict = {"experiment": experiment}
     if SEED_ENV_VAR in env:
@@ -260,8 +243,7 @@ def parse_config(
         values.update(read_config_file(config_file, experiment))
     for key, raw in (overrides or {}).items():
         values[key] = _convert(key, str(raw))
-    if "beta_grid" not in values:
-        values["beta_grid"] = default_beta_grid(experiment)
+    values.setdefault("beta_grid", EXPERIMENTS[experiment].beta_grid)
     if "m" not in values:
         # Reference scale ties the subsample size to the sample size (0.4 n),
         # but never below the two rows a fit needs.

@@ -7,7 +7,7 @@ independent of worker scheduling. Within one grid point all estimators share
 the same simulated responses (common random numbers), so curve differences
 reflect the estimators rather than the noise. A bounded memo keeps each drawn
 cell's response products, so the experiments of one process that read the
-same cell draw it once.
+same cell draw it once. ``EXPERIMENTS`` is the table of CLI experiments.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import TooManySingularResamples
-from .estimators import Pipeline
+from .estimators import ESTIMATOR_NAMES, Pipeline
 from .model import (
     Dataset,
     DesignMatrix,
@@ -30,7 +30,9 @@ from .model import (
     compute_design_stats,
     generate_response,
     make_uniform_design,
+    response_stats,
     responses_in_place,
+    solve_normal_equations,
 )
 from .resampling import ResamplePlan, resampled_estimates
 from .weights import AdaptiveConfig, PretestConfig, default_tuning
@@ -436,3 +438,73 @@ def make_scenario(
         prior_scale=prior_scale,
         prior_p_r=prior_p_r,
     )
+
+
+def single_fit(scenario: Scenario) -> list[dict]:
+    """One dataset's row: every estimate, the slope beta_u and each average's weight on R."""
+    dataset = draw_dataset(scenario)
+    est, p_r = scenario.pipeline(ESTIMATOR_NAMES).fit(dataset)
+    stats = compute_design_stats(dataset.design)
+    p1, p2, _ = response_stats(dataset)
+    beta_u = solve_normal_equations(stats.s11, stats.s22, stats.s12, stats.det, p1, p2)[1]
+    return [{
+        "alpha_r": est["r"], "alpha_u": est["u"], "beta_u": beta_u, "ms": est["ms"],
+        "bma_exact": est["bma_exact"], "bma_bic": est["bma_bic"], "ama": est["ama"],
+        "w_posterior_r": p_r["bma_exact"], "w_bic_r": p_r["bma_bic"], "w_adaptive_r": p_r["ama"],
+        "n": scenario.design.n, "seed": scenario.seed,
+    }]
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One CLI experiment: ``rows(config, scenario, workers)`` gives the rows of
+    ``<stem>.csv``; ``plot`` is the (column prefix, title, y label) of
+    ``<stem>.svg``, or None for no plot; ``design`` says whether the run writes
+    its frozen design; ``beta_grid`` is the default beta grid.
+
+    ``rows`` looks its curve up among this module's globals when called, so a
+    name rebound after import (as perfbench's tracer does) is the one called.
+    """
+
+    rows: Callable[..., list[dict]]
+    stem: str
+    plot: tuple[str, str, str] | None = None
+    design: bool = True
+    beta_grid: tuple[float, ...] = tuple(float(v) for v in np.linspace(-1.0, 1.0, 41))
+
+
+def _figure2(method: str) -> Experiment:
+    def rows(config, scenario: Scenario, workers: int) -> list[dict]:
+        plan = ResamplePlan(b=config.b, m=config.m if method == "subsample" else None)
+        return resampling_error_curve(config.beta_grid, scenario, plan, config.datasets_per_beta,
+                                      mode=config.ks_mode, workers=workers)
+
+    title = f"{method} approximation error (100 x mean KS distance)"
+    return Experiment(  # the grid keeps to |beta| <= 0.4, where the methods actually differ
+        rows, f"resamp_error_{method}", ("err_", title, "100 * KS(truth, resampling)"),
+        beta_grid=tuple(float(v) for v in np.linspace(-0.4, 0.4, 17)),
+    )
+
+
+# Every CLI experiment by name, in subcommand order; "a-b" is subcommand a with --method b.
+EXPERIMENTS = {
+    "figure1a": Experiment(
+        lambda c, s, w: mse_curve(c.beta_grid, s, workers=w),
+        "mse_curve", ("mse_", "Mean squared error by estimator", "MSE"),
+    ),
+    "figure1b": Experiment(
+        lambda c, s, w: ks_ratio_curve(c.beta_grid, s, workers=w), "ks_ratio",
+        ("ratio_", "KS location ratio between R and U references", "100 * KS_R / (KS_R + KS_U)"),
+    ),
+    "figure2-bootstrap": _figure2("bootstrap"),
+    "figure2-subsample": _figure2("subsample"),
+    "riskbound": Experiment(
+        lambda c, s, w: risk_bound_sweep(c.n_grid, s, workers=w), "risk_bound",
+        ("", "Normalized risk of the exact-posterior model average", "n * MSE"), design=False,
+    ),
+    "decay": Experiment(
+        lambda c, s, w: weight_decay_sweep(c.n_grid, s, workers=w), "weight_decay",
+        ("", "Adaptive weight decay", "weight"), design=False,
+    ),
+    "single": Experiment(lambda c, s, w: single_fit(s), "single"),
+}

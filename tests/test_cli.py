@@ -1,6 +1,8 @@
+import argparse
 import math
 import re
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +15,6 @@ from modelavg.config import (
     EXPERIMENTS,
     SETTINGS,
     RunConfig,
-    default_beta_grid,
     echo_config,
     parse_config,
     read_config_file,
@@ -58,9 +59,18 @@ def test_all_workers_means_the_cpus_this_process_may_use(monkeypatch):
 
 
 def test_figure2_default_grid_is_restricted():
-    grid = default_beta_grid("figure2-bootstrap")
-    assert len(grid) == 17
-    assert grid[0] == -0.4 and grid[-1] == 0.4
+    for method in ("bootstrap", "subsample"):
+        grid = parse_config(f"figure2-{method}", env={}).beta_grid
+        assert len(grid) == 17
+        assert grid[0] == -0.4 and grid[-1] == 0.4
+
+
+def test_unknown_experiment_is_a_config_error():
+    # Refused before the table is asked for its default grid, and so with or
+    # without a grid of its own.
+    for overrides in ({}, {"beta_grid": "0,1"}):
+        with pytest.raises(ConfigError, match="unknown experiment 'figure3'"):
+            parse_config("figure3", overrides=overrides, env={})
 
 
 def test_flags_override_file(tmp_path):
@@ -436,12 +446,69 @@ def test_subcommands_follow_the_experiment_list(monkeypatch):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-    # A new entry of the list is a new subcommand or --method choice.
-    monkeypatch.setattr(modelavg.cli, "EXPERIMENTS", (*EXPERIMENTS, "figure2-jackknife", "local"))
+    # A new entry of the table is a new subcommand or --method choice.
+    monkeypatch.setitem(EXPERIMENTS, "figure2-jackknife", EXPERIMENTS["figure2-bootstrap"])
     parser = modelavg.cli.build_parser()
     assert parser.parse_args(["figure2", "--method", "jackknife"]).method == "jackknife"
     assert parser.parse_args(["figure2"]).method == "bootstrap"
-    assert parser.parse_args(["local"]).experiment == "local"
+
+
+_README = Path(__file__).resolve().parents[1] / "README.md"
+_TINY_FLAGS = ["--reps", "20", "--beta-grid", "0", "--n-grid", "25", "--b", "10",
+               "--datasets-per-beta", "2", "--workers", "1"]
+
+
+def _readme_csv_name(experiment: str) -> str:
+    # The figure2 methods share one README row, resamp_error_<method>.csv.
+    method = experiment.partition("-")[2]
+    name = f"{EXPERIMENTS[experiment].stem}.csv"
+    return name.replace(method, "<method>") if method else name
+
+
+def _readme_schemas() -> dict:
+    """README's CSV schema table: file name -> header."""
+    return dict(re.findall(r"^\| `([^`]+\.csv)` \| `([^`]+)` \|$", _README.read_text(), re.M))
+
+
+@pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+def test_csv_header_is_the_readme_schema(tmp_path, experiment):
+    name, _, method = experiment.partition("-")
+    argv = [name, *(["--method", method] if method else []), *_TINY_FLAGS, "--out", str(tmp_path)]
+    assert main(argv) == 0
+    header = (tmp_path / f"{EXPERIMENTS[experiment].stem}.csv").read_text().splitlines()[0]
+    assert header == _readme_schemas()[_readme_csv_name(experiment)]
+
+
+def test_readme_names_exactly_the_table():
+    usage = re.search(r"^modelavg (\S+) \[--config FILE\]", _README.read_text(), re.M)
+    parser = modelavg.cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert usage.group(1).split("|") == list(sub.choices)
+    assert set(_readme_schemas()) == {_readme_csv_name(e) for e in EXPERIMENTS}
+
+
+@pytest.mark.parametrize("plot", [None, ("y_", "Toy title", "toy y")])
+def test_a_table_entry_is_a_whole_experiment(tmp_path, monkeypatch, plot):
+    # One entry gives the subcommand, its default grid, its rows and its files.
+    calls = []
+
+    def rows(config, scenario, workers):
+        calls.append((config.beta_grid, scenario.design.n, workers))
+        return [{"x": float(k), "y_ms": 2.0 * k, "seed": config.seed} for k in range(3)]
+
+    design = plot is not None  # each flag on in one case, off in the other
+    toy = modelavg.experiments.Experiment(rows, "toy", plot, design=design, beta_grid=(0.25,))
+    monkeypatch.setitem(EXPERIMENTS, "toy", toy)
+    out = tmp_path / "toy"
+    assert main(["toy", "--n", "7", "--workers", "1", "--seed", "3", "--out", str(out)]) == 0
+    assert calls == [((0.25,), 7, 1)]
+    files = {"resolved_config.txt", "toy.csv"} | ({"toy.svg", "design_n7.csv"} if design else set())
+    assert {p.name for p in out.iterdir()} == files
+    assert (out / "toy.csv").read_text() == "x,y_ms,seed\n0.0,0.0,3\n1.0,2.0,3\n2.0,4.0,3\n"
+    assert "experiment = toy\n" in (out / "resolved_config.txt").read_text()
+    if plot:
+        svg = (out / "toy.svg").read_text()
+        assert "Toy title" in svg and "toy y" in svg and "MS (pretest)" in svg
 
 
 def test_env_seed_through_cli(tmp_path, monkeypatch):
