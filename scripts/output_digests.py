@@ -25,12 +25,20 @@ figure1a's. Equal lines from two checkouts thus also show that a cached
 cell gives the floats of a fresh draw.
 
 Two checkouts that print the same lines at the same ``--seed`` and
-``--workers`` write byte-identical outputs and replicates; run each with its
-own ``src`` on ``PYTHONPATH`` and diff the output.
+``--workers`` write byte-identical outputs and replicates. ``--against REV``
+makes that comparison: it extracts REV's ``src`` into a temporary directory
+(``git archive REV src | tar -x``), reruns this script with that ``src`` on
+``PYTHONPATH`` at the same ``--seed`` and ``--workers``, and prints only the
+lines that differ (``-`` REV's, ``+`` this tree's), exiting 1 if any do::
+
+    PYTHONPATH=src python scripts/output_digests.py --seed 5050 --against HEAD~1
 """
 
 import argparse
+import difflib
 import hashlib
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -114,11 +122,9 @@ def library_samples(seed: int):
         )
 
 
-if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", default="5050")
-    parser.add_argument("--workers", default="1")
-    args = parser.parse_args()
+def emit_digests(seed: str, workers: str, emit) -> int:
+    """Pass every digest line at ``seed`` and ``workers`` to ``emit``; return the
+    CLI runs' exit statuses or-ed together."""
     runs = [(experiment, ()) for experiment in EXPERIMENTS] + list(EXTRA_RUNS)
     rc = 0
     with tempfile.TemporaryDirectory() as tmp:
@@ -128,13 +134,51 @@ if __name__ == "__main__":
             out = Path(tmp) / f"{k}-{experiment}"
             code = main([
                 name, *(["--method", method] if method else []), *flags,
-                "--seed", args.seed, "--workers", args.workers, "--out", str(out),
+                "--seed", seed, "--workers", workers, "--out", str(out),
             ])
             rc |= code
             if code:  # a failed run leaves no files
                 continue
             for path in sorted(out.iterdir()):
-                print(f"{digest(path)}  {label}/{path.name}")
-    for label, sample in library_samples(int(args.seed)):
-        print(f"{hashlib.sha256(sample.values.tobytes()).hexdigest()}  library/{label}")
-    sys.exit(rc)
+                emit(f"{digest(path)}  {label}/{path.name}")
+    for label, sample in library_samples(int(seed)):
+        emit(f"{hashlib.sha256(sample.values.tobytes()).hexdigest()}  library/{label}")
+    return rc
+
+
+def lines_at(rev: str, seed: str, workers: str) -> list[str]:
+    """This script's lines on ``rev``'s ``src``, extracted into a temporary directory."""
+    repo = Path(__file__).resolve().parents[1]
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(
+            ["git", "-C", str(repo), "archive", rev, "src"], stdout=subprocess.PIPE, check=True
+        ).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        path = os.pathsep.join(filter(None, [str(Path(tmp) / "src"), os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, __file__, "--seed", seed, "--workers", workers],
+            env={**os.environ, "PYTHONPATH": path}, stdout=subprocess.PIPE, text=True,
+        )
+    if done.returncode:
+        sys.exit(f"output_digests.py on {rev}'s src exited with status {done.returncode}")
+    return done.stdout.splitlines()
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", default="5050")
+    parser.add_argument("--workers", default="1")
+    parser.add_argument("--against", metavar="REV", default=None,
+                        help="compare with the lines of REV's src; print only the differences")
+    args = parser.parse_args()
+    if args.against is None:
+        sys.exit(emit_digests(args.seed, args.workers, print))
+    ours: list[str] = []
+    rc = emit_digests(args.seed, args.workers, ours.append)
+    theirs = lines_at(args.against, args.seed, args.workers)
+    diff = [line for line in difflib.ndiff(theirs, ours) if line[:1] in "-+"]
+    for line in diff:
+        print(line)
+    print(f"{len(diff)} differing lines against {args.against} "
+          f"({len(ours)} lines here, {len(theirs)} there)", file=sys.stderr)
+    sys.exit(rc or (1 if diff else 0))

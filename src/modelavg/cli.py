@@ -32,23 +32,6 @@ def write_rows_csv(path, rows: list[dict]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _scenario_from_config(config: RunConfig) -> experiments.Scenario:
-    return experiments.make_scenario(
-        n=config.n,
-        seed=config.seed,
-        reps=config.reps,
-        alpha=config.alpha,
-        beta=config.beta,
-        sigma=config.sigma,
-        c=config.c,
-        a_n=config.a_n,
-        k_n=config.k_n,
-        pretest_form=config.pretest_form,
-        prior_scale=config.prior_scale,
-        prior_p_r=config.prior_p_r,
-    )
-
-
 # Legend label and line style of each plotted column, keyed by the column name
 # after its prefix; a plot draws the columns its rows have, in this order.
 _LEGEND = {
@@ -64,7 +47,20 @@ _LEGEND = {
 
 def _execute(config: RunConfig, target: Callable[[str], Path]) -> None:
     echo_config(config, target("resolved_config.txt"))
-    scenario = _scenario_from_config(config)
+    scenario = experiments.make_scenario(
+        n=config.n,
+        seed=config.seed,
+        reps=config.reps,
+        alpha=config.alpha,
+        beta=config.beta,
+        sigma=config.sigma,
+        c=config.c,
+        a_n=config.a_n,
+        k_n=config.k_n,
+        pretest_form=config.pretest_form,
+        prior_scale=config.prior_scale,
+        prior_p_r=config.prior_p_r,
+    )
     entry = EXPERIMENTS[config.experiment]
     if entry.design:
         write_design_csv(scenario.design, target(f"design_n{config.n}.csv"))

@@ -17,8 +17,10 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConfigError
-from .experiments import EXPERIMENTS
+from .estimators import ESTIMATOR_NAMES, Pipeline
+from .experiments import EXPERIMENTS, KS_MODES, kernel_configs
 from .resampling import STREAM_VERSION
+from .weights import PretestConfig
 
 SEED_ENV_VAR = "MODELAVG_SEED"
 DEFAULT_SEED = 1729
@@ -35,12 +37,12 @@ class RunConfig:
     alpha: float = 1.0
     beta: float = 0.5
     sigma: float = 1.0
-    c: float = math.sqrt(2.0)
-    pretest_form: str = "t"
+    c: float = PretestConfig.c
+    pretest_form: str = PretestConfig.form
     a_n: float | None = None
     k_n: float | None = None
-    prior_scale: float = 1.0
-    prior_p_r: float = 0.5
+    prior_scale: float = Pipeline.prior_scale
+    prior_p_r: float = Pipeline.prior_p_r
     beta_grid: tuple[float, ...] = ()
     b: int = 500
     m: int = 0
@@ -184,28 +186,16 @@ def read_config_file(path, experiment: str | None = None) -> dict:
 
 
 def _validate(config: RunConfig) -> None:
-    if config.n < 2:
-        raise ConfigError(f"n = {config.n} must be >= 2")
+    # The kernel's own objects check its settings, first: m's default follows n.
+    try:
+        pretest, tuning = kernel_configs(config.n, config.c, config.pretest_form, config.a_n, config.k_n)
+        Pipeline(ESTIMATOR_NAMES, config.sigma, pretest, tuning, config.prior_scale, config.prior_p_r)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if config.reps < 1:
         raise ConfigError(f"reps = {config.reps} must be >= 1")
     if config.seed < 0:
         raise ConfigError(f"seed = {config.seed} must be >= 0")
-    if config.sigma < 0:
-        raise ConfigError(f"sigma = {config.sigma} must be >= 0")
-    if config.c < 0:
-        raise ConfigError(f"c = {config.c} must be >= 0")
-    if config.pretest_form not in ("t", "scaled"):
-        raise ConfigError(f"pretest_form must be 't' or 'scaled', got {config.pretest_form!r}")
-    if config.a_n is not None and config.a_n <= 0:
-        raise ConfigError(f"a_n = {config.a_n} must be > 0")
-    if config.k_n is not None and config.k_n <= 0:
-        raise ConfigError(f"k_n = {config.k_n} must be > 0")
-    if config.prior_scale <= 0:
-        raise ConfigError(f"prior_scale = {config.prior_scale} must be > 0")
-    if not 0 < config.prior_p_r < 1:
-        raise ConfigError(f"prior_p_r = {config.prior_p_r} must lie in (0, 1)")
-    if not config.beta_grid:
-        raise ConfigError("beta_grid must be non-empty")
     if config.b < 1:
         raise ConfigError(f"b = {config.b} must be >= 1")
     if not 2 <= config.m <= config.n:
@@ -213,10 +203,10 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError(f"m = {config.m} must lie in [2, n = {config.n}]")
     if config.datasets_per_beta < 1:
         raise ConfigError(f"datasets_per_beta = {config.datasets_per_beta} must be >= 1")
-    if config.ks_mode not in ("per_dataset", "pooled"):
+    if config.ks_mode not in KS_MODES:
         raise ConfigError(f"ks_mode must be 'per_dataset' or 'pooled', got {config.ks_mode!r}")
-    if not config.n_grid or any(n < 2 for n in config.n_grid):
-        raise ConfigError("n_grid must be a non-empty list of integers >= 2")
+    if any(n < 2 for n in config.n_grid):
+        raise ConfigError("n_grid must be a list of integers >= 2")
     if config.workers < 0:
         raise ConfigError(f"workers = {config.workers} must be >= 0")
 

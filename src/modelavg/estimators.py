@@ -95,11 +95,11 @@ class Pipeline:
         if "ama" in self.names and self.adaptive is None:
             raise ValueError("'ama' needs an adaptive config")
         if not 0.0 <= self.sigma < np.inf:
-            raise ValueError("sigma must be finite and >= 0")
+            raise ValueError(f"sigma = {self.sigma} must be finite and >= 0")
         if not 0.0 < self.prior_scale < np.inf:
-            raise ValueError("prior_scale must be finite and > 0")
+            raise ValueError(f"prior_scale = {self.prior_scale} must be finite and > 0")
         if not 0.0 < self.prior_p_r < 1.0:
-            raise ValueError("prior_p_r must lie in (0, 1)")
+            raise ValueError(f"prior_p_r = {self.prior_p_r} must lie in (0, 1)")
 
     def kernel(
         self, n: int, s11, s22, s12, p1, p2, yy=None

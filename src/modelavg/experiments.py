@@ -43,6 +43,8 @@ _TAG_TRUTH = 1
 _TAG_DATASET = 2
 _TAG_RESAMPLE = 3
 
+KS_MODES = ("per_dataset", "pooled")  # figure2's scorings, resampling_error_curve's mode
+
 
 def stream(seed: int, *key: int) -> np.random.Generator:
     """Deterministic substream for a (seed, role, index...) work item."""
@@ -330,7 +332,7 @@ def resampling_error_curve(
     for one KS call per grid point. Datasets whose resampling exhausts the
     plan's redraw budget are excluded and counted.
     """
-    if mode not in ("per_dataset", "pooled"):
+    if mode not in KS_MODES:
         raise ValueError(f"mode must be 'per_dataset' or 'pooled', got {mode!r}")
     if datasets_per_beta < 1:
         raise ValueError("datasets_per_beta must be >= 1")
@@ -405,6 +407,15 @@ def weight_decay_sweep(
     return _grid(_n_cells(n_grid, scenario), workers, row)
 
 
+def kernel_configs(
+    n: int, c: float | None, pretest_form: str, a_n: float | None, k_n: float | None
+) -> tuple[PretestConfig, AdaptiveConfig]:
+    """The pretest and tuning at n; None takes the default (PretestConfig.c, default_tuning(n))."""
+    default = default_tuning(n)
+    tuning = AdaptiveConfig(default.a_n if a_n is None else a_n, default.k_n if k_n is None else k_n)
+    return PretestConfig(PretestConfig.c if c is None else c, pretest_form), tuning
+
+
 def make_scenario(
     n: int,
     seed: int,
@@ -419,17 +430,10 @@ def make_scenario(
     prior_scale: float = 1.0,
     prior_p_r: float = 0.5,
 ) -> Scenario:
-    """Scenario with a frozen uniform design and default tuning for its n."""
-    design = make_uniform_design(n, stream(seed, _TAG_DESIGN, 0))
-    tuning = default_tuning(n)
-    if a_n is not None or k_n is not None:
-        tuning = AdaptiveConfig(
-            a_n=a_n if a_n is not None else tuning.a_n,
-            k_n=k_n if k_n is not None else tuning.k_n,
-        )
-    pretest = PretestConfig(c=c if c is not None else PretestConfig().c, form=pretest_form)
+    """Scenario with a frozen uniform design and the kernel settings of :func:`kernel_configs`."""
+    pretest, tuning = kernel_configs(n, c, pretest_form, a_n, k_n)
     return Scenario(
-        design=design,
+        design=make_uniform_design(n, stream(seed, _TAG_DESIGN, 0)),
         params=TrueParams(alpha=alpha, beta=beta, sigma=sigma),
         pretest=pretest,
         adaptive=tuning,

@@ -46,9 +46,9 @@ class PretestConfig:
 
     def __post_init__(self):
         if not self.c >= 0.0:
-            raise ValueError("c must be >= 0")
+            raise ValueError(f"c = {self.c} must be >= 0")
         if self.form not in ("t", "scaled"):
-            raise ValueError(f"unknown pretest form {self.form!r}")
+            raise ValueError(f"pretest form must be 't' or 'scaled', got {self.form!r}")
 
 
 @dataclass(frozen=True)
@@ -60,9 +60,9 @@ class AdaptiveConfig:
 
     def __post_init__(self):
         if not 0.0 < self.a_n < math.inf:
-            raise ValueError("a_n must be finite and > 0")
+            raise ValueError(f"a_n = {self.a_n} must be finite and > 0")
         if not 0.0 < self.k_n < math.inf:
-            raise ValueError("k_n must be finite and > 0")
+            raise ValueError(f"k_n = {self.k_n} must be finite and > 0")
 
 
 def stable_sigmoid(t):
@@ -111,7 +111,7 @@ def adaptive_weights(beta_u, config: AdaptiveConfig) -> ModelWeights:
 def default_tuning(n: int) -> AdaptiveConfig:
     """a_n = (log n)^2 with a shrinking window k_n = sqrt(log(n) / n)."""
     if n < 2:
-        raise ValueError("n must be >= 2")
+        raise ValueError(f"n = {n} must be >= 2")
     return AdaptiveConfig(a_n=math.log(n) ** 2, k_n=math.sqrt(math.log(n) / n))
 
 

@@ -152,6 +152,14 @@ def test_validation_rejects_bad_combinations():
         {"experiment": "figure1a"},  # checked in a config file, never set
         {"stream_version": str(STREAM_VERSION)},
         {"m": "1"},  # every one-row subsample is singular
+        {"seed": "-1"},
+        {"a_n": "0"},
+        {"k_n": "-1"},
+        {"prior_scale": "0"},
+        {"prior_p_r": "0"},
+        {"b": "0"},
+        {"datasets_per_beta": "0"},
+        {"n_grid": "1,50"},
     ):
         with pytest.raises(ConfigError):
             parse_config("figure1a", overrides=overrides, env={})
@@ -433,6 +441,16 @@ def test_cli_error_reporting_bad_flags(tmp_path, capsys):
     assert _run_cli(["figure2", "--method", "subsample", "--m", "1", "--out", str(out)]) == 2
     assert "m = 1" in capsys.readouterr().err
     assert not out.exists()
+
+    out = tmp_path / "prior"
+    assert _run_cli(["single", "--prior-scale", "0", "--out", str(out)]) == 2
+    assert "prior_scale" in capsys.readouterr().err
+    assert not out.exists()
+
+    # n is checked before m, whose default 2 would exceed n = 1.
+    assert _run_cli(["figure1a", "--n", "1", "--out", str(tmp_path / "n1")]) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"\bn\b", err) and "m = " not in err
 
 
 def test_subcommands_follow_the_experiment_list(monkeypatch):
