@@ -9,7 +9,6 @@ import sys
 from pathlib import Path
 from typing import Callable
 
-from . import experiments
 from .config import EXPERIMENTS, SETTINGS, RunConfig, echo_config, parse_config
 from .errors import ModelAvgError
 from .model import write_design_csv
@@ -47,20 +46,7 @@ _LEGEND = {
 
 def _execute(config: RunConfig, target: Callable[[str], Path]) -> None:
     echo_config(config, target("resolved_config.txt"))
-    scenario = experiments.make_scenario(
-        n=config.n,
-        seed=config.seed,
-        reps=config.reps,
-        alpha=config.alpha,
-        beta=config.beta,
-        sigma=config.sigma,
-        c=config.c,
-        a_n=config.a_n,
-        k_n=config.k_n,
-        pretest_form=config.pretest_form,
-        prior_scale=config.prior_scale,
-        prior_p_r=config.prior_p_r,
-    )
+    scenario = config.scenario()
     entry = EXPERIMENTS[config.experiment]
     if entry.design:
         write_design_csv(scenario.design, target(f"design_n{config.n}.csv"))

@@ -18,8 +18,9 @@ import numpy as np
 
 from .errors import ConfigError
 from .estimators import ESTIMATOR_NAMES, Pipeline
-from .experiments import EXPERIMENTS, KS_MODES, kernel_configs
-from .resampling import STREAM_VERSION
+from .experiments import EXPERIMENTS, KS_MODES, Scenario, make_scenario
+from .model import TrueParams
+from .resampling import STREAM_VERSION, ResamplePlan
 from .weights import PretestConfig
 
 SEED_ENV_VAR = "MODELAVG_SEED"
@@ -36,7 +37,7 @@ class RunConfig:
     seed: int = DEFAULT_SEED
     alpha: float = 1.0
     beta: float = 0.5
-    sigma: float = 1.0
+    sigma: float = TrueParams.sigma
     c: float = PretestConfig.c
     pretest_form: str = PretestConfig.form
     a_n: float | None = None
@@ -47,7 +48,7 @@ class RunConfig:
     b: int = 500
     m: int = 0
     datasets_per_beta: int = 100
-    ks_mode: str = "per_dataset"
+    ks_mode: str = KS_MODES[0]
     n_grid: tuple[int, ...] = (25, 50, 100, 200, 400, 800)
     out: str = "out"
     workers: int = 0
@@ -60,6 +61,15 @@ class RunConfig:
         if hasattr(os, "sched_getaffinity"):
             return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
+
+    def scenario(self) -> Scenario:
+        """The run's :class:`Scenario`: its frozen design and kernel settings."""
+        return make_scenario(
+            n=self.n, seed=self.seed, reps=self.reps, alpha=self.alpha, beta=self.beta,
+            sigma=self.sigma, c=self.c, a_n=self.a_n, k_n=self.k_n,
+            pretest_form=self.pretest_form, prior_scale=self.prior_scale,
+            prior_p_r=self.prior_p_r,
+        )
 
 
 def _parse_float_grid(text: str, key: str) -> tuple[float, ...]:
@@ -186,21 +196,16 @@ def read_config_file(path, experiment: str | None = None) -> dict:
 
 
 def _validate(config: RunConfig) -> None:
-    # The kernel's own objects check its settings, first: m's default follows n.
-    try:
-        pretest, tuning = kernel_configs(config.n, config.c, config.pretest_form, config.a_n, config.k_n)
-        Pipeline(ESTIMATOR_NAMES, config.sigma, pretest, tuning, config.prior_scale, config.prior_p_r)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    if config.reps < 1:
-        raise ConfigError(f"reps = {config.reps} must be >= 1")
+    # numpy's SeedSequence refuses a negative seed without naming it.
     if config.seed < 0:
         raise ConfigError(f"seed = {config.seed} must be >= 0")
-    if config.b < 1:
-        raise ConfigError(f"b = {config.b} must be >= 1")
-    if not 2 <= config.m <= config.n:
-        # A one-row subsample cannot fit the two-regressor model.
-        raise ConfigError(f"m = {config.m} must lie in [2, n = {config.n}]")
+    # The run's own objects check the settings they take, the kernel's (n
+    # first) before the plan's: m's default follows n.
+    try:
+        config.scenario().pipeline(ESTIMATOR_NAMES)
+        ResamplePlan(config.b, config.m).size(config.n)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if config.datasets_per_beta < 1:
         raise ConfigError(f"datasets_per_beta = {config.datasets_per_beta} must be >= 1")
     if config.ks_mode not in KS_MODES:

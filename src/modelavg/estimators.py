@@ -142,8 +142,8 @@ def make_pipeline(
     sigma: float,
     pretest_config: PretestConfig | None = None,
     adaptive_config: AdaptiveConfig | None = None,
-    prior_scale: float = 1.0,
-    prior_p_r: float = 0.5,
+    prior_scale: float = Pipeline.prior_scale,
+    prior_p_r: float = Pipeline.prior_p_r,
 ) -> Pipeline:
     """The pipeline of the one estimator ``name``, as the resampling calls take it."""
     return Pipeline((name,), sigma, pretest_config, adaptive_config, prior_scale, prior_p_r)

@@ -61,12 +61,12 @@ class Scenario:
     adaptive: AdaptiveConfig
     reps: int
     seed: int
-    prior_scale: float = 1.0
-    prior_p_r: float = 0.5
+    prior_scale: float = Pipeline.prior_scale
+    prior_p_r: float = Pipeline.prior_p_r
 
     def __post_init__(self):
         if self.reps < 1:
-            raise ValueError("reps must be >= 1")
+            raise ValueError(f"reps = {self.reps} must be >= 1")
 
     def pipeline(self, names: Sequence[str]) -> Pipeline:
         """The estimators ``names`` with this scenario's kernel settings."""
@@ -315,7 +315,7 @@ def resampling_error_curve(
     scenario: Scenario,
     plan: ResamplePlan,
     datasets_per_beta: int,
-    mode: str = "per_dataset",
+    mode: str = KS_MODES[0],
     workers: int = 1,
 ) -> list[dict]:
     """Accuracy of bootstrap/subsampling approximations along a beta grid.
@@ -407,35 +407,29 @@ def weight_decay_sweep(
     return _grid(_n_cells(n_grid, scenario), workers, row)
 
 
-def kernel_configs(
-    n: int, c: float | None, pretest_form: str, a_n: float | None, k_n: float | None
-) -> tuple[PretestConfig, AdaptiveConfig]:
-    """The pretest and tuning at n; None takes the default (PretestConfig.c, default_tuning(n))."""
-    default = default_tuning(n)
-    tuning = AdaptiveConfig(default.a_n if a_n is None else a_n, default.k_n if k_n is None else k_n)
-    return PretestConfig(PretestConfig.c if c is None else c, pretest_form), tuning
-
-
 def make_scenario(
     n: int,
     seed: int,
     reps: int,
     alpha: float = 1.0,
     beta: float = 0.0,
-    sigma: float = 1.0,
+    sigma: float = TrueParams.sigma,
     c: float | None = None,
     a_n: float | None = None,
     k_n: float | None = None,
-    pretest_form: str = "t",
-    prior_scale: float = 1.0,
-    prior_p_r: float = 0.5,
+    pretest_form: str = PretestConfig.form,
+    prior_scale: float = Pipeline.prior_scale,
+    prior_p_r: float = Pipeline.prior_p_r,
 ) -> Scenario:
-    """Scenario with a frozen uniform design and the kernel settings of :func:`kernel_configs`."""
-    pretest, tuning = kernel_configs(n, c, pretest_form, a_n, k_n)
+    """Scenario with a frozen uniform design. None takes the default c
+    (PretestConfig.c) or tuning (default_tuning(n)), which is built first, so
+    a bad n is refused before the design is drawn."""
+    default = default_tuning(n)
+    tuning = AdaptiveConfig(default.a_n if a_n is None else a_n, default.k_n if k_n is None else k_n)
     return Scenario(
         design=make_uniform_design(n, stream(seed, _TAG_DESIGN, 0)),
         params=TrueParams(alpha=alpha, beta=beta, sigma=sigma),
-        pretest=pretest,
+        pretest=PretestConfig(PretestConfig.c if c is None else c, pretest_form),
         adaptive=tuning,
         reps=reps,
         seed=seed,

@@ -77,8 +77,8 @@ class TrueParams:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if not self.sigma >= 0.0:
-            raise ValueError("sigma must be >= 0")
+        if not 0.0 <= self.sigma < np.inf:
+            raise ValueError(f"sigma = {self.sigma} must be finite and >= 0")
 
 
 @dataclass(frozen=True)

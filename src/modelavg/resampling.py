@@ -87,9 +87,9 @@ class ResamplePlan:
 
     def __post_init__(self):
         if self.b < 1:
-            raise ValueError("b must be >= 1")
+            raise ValueError(f"b = {self.b} must be >= 1")
         if self.m is not None and self.m < 2:
-            raise ValueError(f"m={self.m} must be >= 2: a one-row resample is always singular")
+            raise ValueError(f"m = {self.m} must be >= 2: a one-row resample is always singular")
         if self.max_redraws is not None and self.max_redraws < 0:
             raise ValueError("max_redraws must be >= 0")
 
@@ -102,7 +102,7 @@ class ResamplePlan:
         if self.m is None:
             return n
         if self.m > n:
-            raise ValueError(f"subsample size m={self.m} must lie in [2, n={n}]")
+            raise ValueError(f"m = {self.m} must lie in [2, n = {n}]")
         return self.m
 
 
@@ -274,13 +274,11 @@ def mean_model_bootstrap(
     y = np.array(y, dtype=float)
     if y.ndim != 1 or y.size < 1:
         raise ValueError("y must be a non-empty vector")
-    if b < 1:
-        raise ValueError("b must be >= 1")
     n = y.size
+    idx = ResampleIndices(rng, n, ResamplePlan(b)).block
     root_n = float(np.sqrt(n))
     ybar = float(np.mean(y))
     mu_hat = float(weight_rule(root_n * ybar)) * ybar
-    idx = rng.integers(0, n, size=(b, n))
     ybar_star = y[idx].mean(axis=1)
     mu_star = weight_rule(root_n * (ybar_star - ybar)) * ybar_star
     return EmpiricalSample(root_n * (mu_star - mu_hat))

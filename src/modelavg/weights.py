@@ -133,8 +133,8 @@ def posterior_log_odds(
     s22,
     s12,
     sigma: float,
-    prior_scale: float = 1.0,
-    prior_p_r: float = 0.5,
+    prior_scale: float,
+    prior_p_r: float,
 ):
     """Log posterior odds of the restricted model, vectorized over responses.
 
@@ -170,7 +170,7 @@ def posterior_log_odds(
     return prior_odds + 0.5 * logdet_diff + 0.5 * quad_diff
 
 
-def exact_posterior_p_r(stats, sigma: float, prior_scale=1.0, prior_p_r=0.5):
+def exact_posterior_p_r(stats, sigma: float, prior_scale: float, prior_p_r: float):
     """Exact posterior weight of the restricted model, elementwise.
 
     ``stats`` is the kernel's :class:`~modelavg.estimators.KernelStats`; for

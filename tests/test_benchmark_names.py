@@ -167,8 +167,10 @@ def test_cli_runs_under_the_benchmark_tracer(tmp_path):
     assert engine
     assert all(span[7] == {"replicates": _B} for span in engine)
 
-    # Every run freezes the run's design; the two sweeps freeze one more per n.
-    designs = len(runs) + 2 * len(_N_GRID)
+    # Every run freezes the run's design twice, once when parse_config checks
+    # its settings by building the run's Scenario and once to run it; the two
+    # sweeps freeze one more per n.
+    designs = 2 * len(runs) + 2 * len(_N_GRID)
     mc_draws = 2 * len(_BETA_GRID) + len(_FIGURE2_GRID)  # one truth sample per beta
     sweep_rows = 2 * len(_N_GRID)
     # The runs share one process, which draws each Monte Carlo cell once:

@@ -165,6 +165,16 @@ def test_validation_rejects_bad_combinations():
             parse_config("figure1a", overrides=overrides, env={})
 
 
+@pytest.mark.parametrize("key, value, shown", [
+    ("n", "1", "1"), ("reps", "0", "0"), ("sigma", "-1", "-1.0"), ("b", "0", "0"), ("m", "1", "1"),
+])
+def test_owners_bounds_name_the_value(key, value, shown):
+    # These bounds are checked by the objects parse_config builds for the run
+    # (default_tuning, Scenario, TrueParams, ResamplePlan), in their words.
+    with pytest.raises(ConfigError, match=f"^{key} = {shown} "):
+        parse_config("figure1a", overrides={key: value}, env={})
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("key", [f.name for f in fields(RunConfig) if "float" in f.type])
 def test_non_finite_float_settings_are_refused(key, value):
@@ -180,6 +190,21 @@ NON_DEFAULT_SETTINGS = {
     "prior_p_r": "0.25", "beta_grid": "-1:1:3", "b": "40", "m": "30", "datasets_per_beta": "6",
     "ks_mode": "pooled", "n_grid": "25,75", "out": "runs/#3", "workers": "3",
 }
+
+
+def test_scenario_carries_every_run_setting():
+    cfg = parse_config("figure1a", overrides=NON_DEFAULT_SETTINGS, env={})
+    scenario = cfg.scenario()
+    carried = {
+        "n": scenario.design.n, "seed": scenario.seed, "reps": scenario.reps,
+        "alpha": scenario.params.alpha, "beta": scenario.params.beta,
+        "sigma": scenario.params.sigma, "c": scenario.pretest.c,
+        "pretest_form": scenario.pretest.form, "a_n": scenario.adaptive.a_n,
+        "k_n": scenario.adaptive.k_n, "prior_scale": scenario.prior_scale,
+        "prior_p_r": scenario.prior_p_r,
+    }
+    for key, value in carried.items():
+        assert value == getattr(cfg, key) != getattr(RunConfig, key), key
 
 
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
@@ -445,6 +470,11 @@ def test_cli_error_reporting_bad_flags(tmp_path, capsys):
     out = tmp_path / "prior"
     assert _run_cli(["single", "--prior-scale", "0", "--out", str(out)]) == 2
     assert "prior_scale" in capsys.readouterr().err
+    assert not out.exists()
+
+    out = tmp_path / "sigma"
+    assert _run_cli(["single", "--sigma", "-1", "--out", str(out)]) == 2
+    assert "sigma = -1.0" in capsys.readouterr().err
     assert not out.exists()
 
     # n is checked before m, whose default 2 would exceed n = 1.

@@ -1087,7 +1087,7 @@ def test_subsample_size_one_is_refused_before_any_truth_sample(monkeypatch):
     monkeypatch.setattr(modelavg.experiments, "mc_estimator_draws", no_truth_sample)
     scenario = _uniform_scenario(reps=10, n=20)
     for m in (1, 21):
-        with pytest.raises(ValueError, match=f"m={m} "):
+        with pytest.raises(ValueError, match=f"m = {m} "):
             resampling_error_curve(
                 [0.0, 0.3, 0.6], scenario, ResamplePlan(b=5, m=m), datasets_per_beta=1,
                 workers=3,

@@ -51,6 +51,9 @@ def test_dataset_validation():
         Dataset(design, np.array([1.0, 2.0, 3.0]))
     with pytest.raises(ValueError):
         TrueParams(alpha=0.0, beta=0.0, sigma=-1.0)
+    # Refused where it is built, as Pipeline refuses it, not later in the kernel.
+    with pytest.raises(ValueError, match="sigma = inf must be finite and >= 0"):
+        TrueParams(0.0, 0.0, math.inf)
 
 
 def test_design_stats_orthonormal_columns():

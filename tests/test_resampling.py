@@ -43,13 +43,13 @@ def test_plan_validation():
         ResamplePlan(b=0)
     with pytest.raises(ValueError):
         ResamplePlan(b=5, m=0)
-    with pytest.raises(ValueError, match="m=1"):
+    with pytest.raises(ValueError, match="m = 1 "):
         ResamplePlan(b=5, m=1)
     assert ResamplePlan(b=5).redraw_budget == 500
     assert ResamplePlan(b=5, max_redraws=3).redraw_budget == 3
     assert ResamplePlan(b=5).size(7) == 7
     assert ResamplePlan(b=5, m=3).size(7) == 3
-    with pytest.raises(ValueError, match="m=8"):
+    with pytest.raises(ValueError, match="m = 8 "):
         ResamplePlan(b=5, m=8).size(7)
 
 

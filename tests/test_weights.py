@@ -160,7 +160,7 @@ def test_posterior_defined_for_collinear_design():
     s11, s22, s12 = x1 @ x1, x2 @ x2, x1 @ x2
     # det = 0 and beta_u is undefined; at sigma > 0 the weight reads neither.
     stats = KernelStats(ds.n, s11, s22, s12, x1 @ y, x2 @ y, y @ y, s11 * s22 - s12 * s12, math.nan)
-    p_r = float(exact_posterior_p_r(stats, 1.0))
+    p_r = float(exact_posterior_p_r(stats, 1.0, 1.0, 0.5))
     assert 0.0 <= p_r <= 1.0
     oracle = dense_posterior_oracle(ds, 1.0)
     assert abs(p_r - oracle) < 1e-8
