@@ -8,8 +8,11 @@ of ``resolved_config.txt`` is left out of its digest, since it names the
 temporary directory. A few more runs with non-default flags (``EXTRA_RUNS``)
 reach the kernel's other branches and figure2's other scoring: the sigma = 0
 limits, the scaled pretest, a non-default prior, pooled KS scoring with more
-replicates than truth draws, the scaled pretest on size-m subsamples, and
-bootstrap engine calls on a ragged last chunk of datasets. Their lines read
+replicates than truth draws, the scaled pretest on size-m subsamples,
+bootstrap engine calls on a ragged last chunk of datasets, and Monte Carlo
+cells at reps = 4999 at n = 50 and along the n-grid up to 800, whose last
+noise block is ragged and holds a row count that is not a multiple of 4, so
+BLAS sums its last rows outside its groups of rows. Their lines read
 ``<experiment>[<flags>]/<file>``. Then it prints one
 ``<sha256>  library/...`` line per replicate array of the library's
 resamplers: ``paired_bootstrap`` and ``subsample_distribution`` (m = 20) for
@@ -62,8 +65,9 @@ from modelavg.weights import adaptive_weights
 # path and on the one-dataset path, a scaled pretest with a small c, a
 # non-default prior for bma_exact, two small figure2-subsample runs (pooled
 # scoring of 10 * 50 replicates against 200 truth draws, and the scaled
-# pretest judged at the subsample's m), and a small figure2-bootstrap run
-# whose 7 datasets per beta go to the engine in chunks of 3, 3 and 1.
+# pretest judged at the subsample's m), a small figure2-bootstrap run whose 7
+# datasets per beta go to the engine in chunks of 3, 3 and 1, and Monte Carlo
+# cells whose 4999 rows end in a ragged noise block at n = 50 and at n = 800.
 _SMALL_FIGURE2 = ("--beta-grid", "0,0.3")
 EXTRA_RUNS = (
     ("riskbound", ("--sigma", "0")),
@@ -76,6 +80,8 @@ EXTRA_RUNS = (
                            "--b", "100", "--datasets-per-beta", "5", *_SMALL_FIGURE2)),
     ("figure2-bootstrap", ("--reps", "300", "--b", "100", "--datasets-per-beta", "7",
                            *_SMALL_FIGURE2)),
+    ("figure1a", ("--reps", "4999")),
+    ("riskbound", ("--reps", "4999")),
 )
 LIBRARY_NAMES = ("ms", "bma_exact", "bma_bic", "ama")
 LIBRARY_BETAS = (0.0, 0.2, 1.0)  # one dataset each; also the mean-model mu

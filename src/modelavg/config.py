@@ -21,7 +21,7 @@ from .estimators import ESTIMATOR_NAMES, Pipeline
 from .experiments import EXPERIMENTS, KS_MODES, Scenario, make_scenario
 from .model import TrueParams
 from .resampling import STREAM_VERSION, ResamplePlan
-from .weights import PretestConfig
+from .weights import PretestConfig, default_tuning
 
 SEED_ENV_VAR = "MODELAVG_SEED"
 DEFAULT_SEED = 1729
@@ -200,18 +200,19 @@ def _validate(config: RunConfig) -> None:
     if config.seed < 0:
         raise ConfigError(f"seed = {config.seed} must be >= 0")
     # The run's own objects check the settings they take, the kernel's (n
-    # first) before the plan's: m's default follows n.
+    # first) before the plan's: m's default follows n. Each n of the grid
+    # meets the bound of its cells' tuning.
     try:
         config.scenario().pipeline(ESTIMATOR_NAMES)
         ResamplePlan(config.b, config.m).size(config.n)
+        for n in config.n_grid:
+            default_tuning(n)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if config.datasets_per_beta < 1:
         raise ConfigError(f"datasets_per_beta = {config.datasets_per_beta} must be >= 1")
     if config.ks_mode not in KS_MODES:
-        raise ConfigError(f"ks_mode must be 'per_dataset' or 'pooled', got {config.ks_mode!r}")
-    if any(n < 2 for n in config.n_grid):
-        raise ConfigError("n_grid must be a list of integers >= 2")
+        raise ConfigError(f"ks_mode must be one of {KS_MODES}, got {config.ks_mode!r}")
     if config.workers < 0:
         raise ConfigError(f"workers = {config.workers} must be >= 0")
 

@@ -5,9 +5,12 @@ Replication noise is drawn from substreams keyed by (seed, role, grid index),
 so every output is a deterministic function of its configuration and is
 independent of worker scheduling. Within one grid point all estimators share
 the same simulated responses (common random numbers), so curve differences
-reflect the estimators rather than the noise. A bounded memo keeps each drawn
-cell's response products, so the experiments of one process that read the
-same cell draw it once. ``EXPERIMENTS`` is the table of CLI experiments.
+reflect the estimators rather than the noise. A cell's noise is drawn in
+row blocks of about 256 KiB, each reduced at once to the per-response
+products the kernel reads, so memory does not grow with reps * n. A bounded
+memo keeps each drawn cell's products, so the experiments of one process that
+read the same cell draw it once. ``EXPERIMENTS`` is the table of CLI
+experiments.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .estimators import ESTIMATOR_NAMES, Pipeline
 from .model import (
     Dataset,
     DesignMatrix,
-    DesignStats,
     TrueParams,
     compute_design_stats,
     generate_response,
@@ -82,23 +84,39 @@ def response_products(design: DesignMatrix, y: np.ndarray, sigma: float) -> tupl
     return y @ design.x1, y @ design.x2, yy
 
 
-def batch_estimates(
-    design: DesignMatrix,
-    stats: DesignStats,
-    params: TrueParams,
-    z: np.ndarray,
-    pipeline: Pipeline,
-) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """Vectorized estimates over a (reps, n) block of standard-normal noise.
+# A Monte Carlo cell's noise is drawn about this many values at a time.
+_BLOCK_VALUES = 1 << 15
 
-    Row r of ``z`` yields the response alpha*x1 + beta*x2 + sigma*z[r]. Returns
-    the kernel's pair: one estimate per row for each name, and each name's
-    weight on R (one per row; True for r, False for u). ``z`` is overwritten
-    with the responses. Matches the scalar pipeline to floating round-off.
+
+def block_rows(n: int) -> int:
+    """Rows per noise block at n: about ``_BLOCK_VALUES`` values (256 KiB), in
+    a multiple of 64 rows. BLAS's gemv sums rows in groups (4 in OpenBLAS's
+    Haswell kernel) and the remainder in another order, so every full block
+    must keep the grouping of one whole (reps, n) block for the products to
+    keep their floats."""
+    return 64 * max(1, _BLOCK_VALUES // (64 * n))
+
+
+def _draw_products(scenario: Scenario, grid_index: int) -> tuple:
+    """:func:`response_products` of the cell's reps fresh responses, one (reps,)
+    array each (the third None unless sigma = 0).
+
+    The cell's one noise stream fills :func:`block_rows` rows at a time, in
+    C order, so the blocks hold exactly the rows of one (reps, n) draw.
     """
-    y = responses_in_place(design, params, z)
-    products = response_products(design, y, params.sigma)
-    return pipeline.kernel(design.n, stats.s11, stats.s22, stats.s12, *products)
+    design, params, reps = scenario.design, scenario.params, scenario.reps
+    rng = stream(scenario.seed, _TAG_TRUTH, grid_index)
+    rows = block_rows(design.n)
+    z = np.empty((min(rows, reps), design.n))
+    products = (np.empty(reps), np.empty(reps), np.empty(reps) if params.sigma == 0.0 else None)
+    for start in range(0, reps, rows):
+        block = z[: min(rows, reps - start)]
+        rng.standard_normal(out=block)
+        y = responses_in_place(design, params, block)
+        for out, part in zip(products, response_products(design, y, params.sigma)):
+            if out is not None:
+                out[start : start + len(block)] = part
+    return products
 
 
 # Each Monte Carlo cell drawn in this process: key -> (its read-only response
@@ -122,9 +140,12 @@ def mc_estimator_draws(
 ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
     """The kernel's pair over reps fresh responses on the frozen design.
 
-    Returns reps estimates and the weight on R of each name, as batch_estimates.
-    A cell drawn before in this process (the same seed, grid index, reps,
-    design and params, bit for bit) reruns only the kernel on its products.
+    Response r is alpha*x1 + beta*x2 + sigma*z_r, with z_r row r of the
+    cell's standard-normal noise. Returns one estimate per response for each
+    name, and each name's weight on R (one per response; True for r, False
+    for u). A cell drawn before in this process (the same seed, grid index,
+    reps, design and params, bit for bit) reruns only the kernel on its
+    products.
     """
     global _memo_used
     design, params = scenario.design, scenario.params
@@ -137,23 +158,21 @@ def mc_estimator_draws(
         if entry is not None:
             _memo.move_to_end(key)
     if entry is not None:
-        return pipeline.kernel(design.n, stats.s11, stats.s22, stats.s12, *entry[0])
-    z = stream(scenario.seed, _TAG_TRUTH, grid_index).standard_normal((scenario.reps, design.n))
-    result = batch_estimates(design, stats, params, z, pipeline)
-    # batch_estimates left the responses in z: one helper, so the same floats.
-    products = response_products(design, z, params.sigma)
-    arrays = [a for a in products if a is not None]
-    for a in arrays:
-        a.flags.writeable = False
-    size = sum(a.nbytes for a in arrays)
-    with _memo_lock:
-        if size <= _MEMO_BYTES and key not in _memo:  # another thread may have drawn it
-            _memo[key] = (products, size)
-            _memo_used += size
-        while _memo_used > _MEMO_BYTES:
-            _, (_, evicted) = _memo.popitem(last=False)
-            _memo_used -= evicted
-    return result
+        products = entry[0]
+    else:
+        products = _draw_products(scenario, grid_index)
+        arrays = [a for a in products if a is not None]
+        for a in arrays:
+            a.flags.writeable = False
+        size = sum(a.nbytes for a in arrays)
+        with _memo_lock:
+            if size <= _MEMO_BYTES and key not in _memo:  # another thread may have drawn it
+                _memo[key] = (products, size)
+                _memo_used += size
+            while _memo_used > _MEMO_BYTES:
+                _, (_, evicted) = _memo.popitem(last=False)
+                _memo_used -= evicted
+    return pipeline.kernel(design.n, stats.s11, stats.s22, stats.s12, *products)
 
 
 def _centered_draws(
@@ -333,7 +352,7 @@ def resampling_error_curve(
     plan's redraw budget are excluded and counted.
     """
     if mode not in KS_MODES:
-        raise ValueError(f"mode must be 'per_dataset' or 'pooled', got {mode!r}")
+        raise ValueError(f"mode must be one of {KS_MODES}, got {mode!r}")
     if datasets_per_beta < 1:
         raise ValueError("datasets_per_beta must be >= 1")
     plan.size(scenario.design.n)

@@ -209,7 +209,7 @@ def make_uniform_design(n: int, rng: np.random.Generator) -> DesignMatrix:
     design is numerically collinear.
     """
     if n < 2:
-        raise ValueError("n must be >= 2")
+        raise ValueError(f"n = {n} must be >= 2")
     x1 = np.ones(n)
     for _ in range(100):
         x2 = rng.uniform(0.0, 3.0, size=n)

@@ -129,12 +129,13 @@ def _grid(values):
 
 def test_cli_runs_under_the_benchmark_tracer(tmp_path):
     # perfbench's --trace 1 wraps module-global names of modelavg. It reads
-    # the noise block's row count from experiments.batch_estimates' fourth
-    # positional argument (or "z"), and the replicate count from the ``b`` of
-    # experiments.resampled_estimates' third (or "plan"). A signature change
-    # there would crash every traced unit, and a helper that calls a wrapped
-    # name through a reference it captured, not through the module global,
-    # would silently drop spans.
+    # the replicate count from the ``b`` of experiments.resampled_estimates'
+    # third positional argument (or "plan"). A signature change there would
+    # crash every traced unit, and a helper that calls a wrapped name through
+    # a reference it captured, not through the module global, would silently
+    # drop spans. The tracer also wraps experiments.batch_estimates, which the
+    # blocked Monte Carlo draw replaced; it finds no such name and records no
+    # span for it.
     common = ["--reps", str(_REPS), "--workers", "1"]
     runs = {
         "figure1a": ["figure1a", f"--beta-grid={_grid(_BETA_GRID)}"],
@@ -159,9 +160,6 @@ def test_cli_runs_under_the_benchmark_tracer(tmp_path):
     assert result["codes"] == dict.fromkeys(runs, 0), proc.stderr
     spans = result["spans"]
     assert all(span[6] is None for span in spans)  # no wrapped call raised
-    batch = [span for span in spans if span[1] == "experiments.batch_estimates"]
-    assert batch
-    assert all(span[7] == {"rows": _REPS} for span in batch)
     # The tracer reads the replicate count from the engine's third argument, the plan.
     engine = [span for span in spans if span[1] == "experiments.resampled_estimates"]
     assert engine
@@ -176,8 +174,7 @@ def test_cli_runs_under_the_benchmark_tracer(tmp_path):
     # The runs share one process, which draws each Monte Carlo cell once:
     # figure1b reads figure1a's cells, decay reads riskbound's, and figure2's
     # one cell is figure1a's cell 0 (same seed, design, grid index, reps and
-    # params). A cell read again runs the kernel alone, with no noise stream
-    # and no batch_estimates span.
+    # params). A cell read again runs the kernel alone, with no noise stream.
     assert _FIGURE2_GRID == _BETA_GRID[:1]
     drawn = len(_BETA_GRID) + len(_N_GRID)
     datasets = len(_FIGURE2_GRID) * _DATASETS
@@ -188,7 +185,6 @@ def test_cli_runs_under_the_benchmark_tracer(tmp_path):
         # resolved config, CSV and SVG per run, and each frozen beta-grid design
         "cli.write": 3 * len(runs) + 3,
         "experiments.mc_estimator_draws": mc_draws + sweep_rows,
-        "experiments.batch_estimates": drawn,
         # figure1b: each estimator against R and U; figure2: against the truth,
         # once per chunk of max(1, reps // b) datasets at each grid point
         "experiments.ks": 2 * estimators * len(_BETA_GRID) + estimators * chunks,

@@ -21,9 +21,9 @@ from modelavg.config import (
 )
 from modelavg.errors import ConfigError
 from modelavg.estimators import ESTIMATOR_NAMES
-from modelavg.experiments import draw_dataset, make_scenario
+from modelavg.experiments import KS_MODES, draw_dataset, make_scenario, resampling_error_curve
 from modelavg.model import compute_design_stats, response_stats, solve_normal_equations
-from modelavg.resampling import STREAM_VERSION
+from modelavg.resampling import STREAM_VERSION, ResamplePlan
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +173,21 @@ def test_owners_bounds_name_the_value(key, value, shown):
     # (default_tuning, Scenario, TrueParams, ResamplePlan), in their words.
     with pytest.raises(ConfigError, match=f"^{key} = {shown} "):
         parse_config("figure1a", overrides={key: value}, env={})
+
+
+def test_each_n_of_the_grid_meets_its_tuning_bound():
+    with pytest.raises(ConfigError, match="^n = 1 must be >= 2$"):
+        parse_config("riskbound", overrides={"n_grid": "50,1"}, env={})
+
+
+def test_ks_mode_message_lists_every_mode():
+    with pytest.raises(ConfigError) as err:
+        parse_config("figure1a", overrides={"ks_mode": "sideways"}, env={})
+    assert str(err.value) == f"ks_mode must be one of {KS_MODES}, got 'sideways'"
+    scenario = make_scenario(n=20, seed=1, reps=10)
+    with pytest.raises(ValueError) as err:
+        resampling_error_curve([0.0], scenario, ResamplePlan(b=5), 1, mode="sideways")
+    assert str(err.value) == f"mode must be one of {KS_MODES}, got 'sideways'"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

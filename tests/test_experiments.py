@@ -1,9 +1,13 @@
+import json
+import os
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +22,7 @@ from modelavg.experiments import (
     Scenario,
     _ks_arrays,
     _grid,
-    batch_estimates,
+    block_rows,
     clear_memo,
     draw_dataset,
     ks_ratio_curve,
@@ -192,23 +196,100 @@ def test_ks_rows_equal_the_one_sample_oracle_row_by_row(rng):
 # Monte Carlo sampling distributions
 
 
-def test_batch_matches_scalar_pipeline(rng):
-    scenario = _uniform_scenario(beta=0.3, reps=1, n=20, seed=33)
-    stats = compute_design_stats(scenario.design)
+def test_batch_matches_scalar_pipeline():
+    # Two blocks and a ragged third: every response, replayed from the cell's
+    # noise stream, refits through the scalar pipeline to round-off.
+    scenario = _uniform_scenario(beta=0.3, reps=2 * block_rows(20) + 3, n=20, seed=33)
     names = ("r", "u", "ms", "bma_exact", "bma_bic", "ama")
-    z = rng.standard_normal((25, 20))
-    noise = z.copy()  # batch_estimates overwrites z with the responses
+    clear_memo()
+    batch = mc_estimator_draws(scenario, names, grid_index=2)[0]
+    noise = stream(scenario.seed, 1, 2).standard_normal((scenario.reps, 20))
     pipeline = scenario.pipeline(names)
-    batch = batch_estimates(scenario.design, stats, scenario.params, z, pipeline)[0]
-    for row in range(25):
+    for row in range(scenario.reps):
         y = (
             scenario.params.alpha * scenario.design.x1
             + scenario.params.beta * scenario.design.x2
             + noise[row]
         )
-        est, _ = scenario.pipeline(names).fit(Dataset(scenario.design, y))
+        est, _ = pipeline.fit(Dataset(scenario.design, y))
         for name in names:
             assert batch[name][row] == pytest.approx(est[name], rel=1e-11), name
+
+
+# A cell drawn whole, as one (reps, n) noise block turned into responses in
+# place, against the blocked draw of mc_estimator_draws. Run on one BLAS
+# thread: a threaded gemv over a whole block splits its rows among threads at
+# points that need not keep the kernel's groups of rows, so there the whole
+# block's own floats depend on the thread count.
+_WHOLE_BLOCK_CHECK = """
+import json, sys
+import numpy as np
+from modelavg.estimators import ESTIMATOR_NAMES
+from modelavg.experiments import (
+    _TAG_TRUTH, clear_memo, make_scenario, mc_estimator_draws, response_products, stream,
+)
+from modelavg.model import compute_design_stats, responses_in_place
+
+differ = []
+for reps, n, sigma in json.loads(sys.argv[1]):
+    scenario = make_scenario(n=n, seed=61, reps=reps, beta=0.3, sigma=sigma)
+    design, params = scenario.design, scenario.params
+    pipeline = scenario.pipeline(ESTIMATOR_NAMES)
+    z = stream(scenario.seed, _TAG_TRUTH, 3).standard_normal((reps, n))
+    products = response_products(design, responses_in_place(design, params, z), sigma)
+    stats = compute_design_stats(design)
+    whole = pipeline.kernel(n, stats.s11, stats.s22, stats.s12, *products)
+    clear_memo()
+    blocked = mc_estimator_draws(scenario, ESTIMATOR_NAMES, 3)
+    for part, (a, b) in zip(("estimates", "weights"), zip(whole, blocked)):
+        if a.keys() != b.keys() or not all(np.array_equal(a[k], b[k]) for k in a):
+            differ.append([reps, n, sigma, part])
+print(json.dumps(differ))
+"""
+
+
+def test_blocked_draw_is_bit_identical_to_one_whole_block():
+    # A lone short block, a full block plus a ragged one of 3 rows, and many
+    # blocks ending in a ragged one whose rows are not a multiple of 4; sigma
+    # = 0 adds the <y,y> products.
+    cases = [
+        [reps, n, sigma]
+        for n in (2, 50, 800)
+        for reps in (1, 3, block_rows(n) + 3, 5001)
+        for sigma in (0.0, 1.0)
+    ]
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"),
+                                                       os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _WHOLE_BLOCK_CHECK, json.dumps(cases)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
+def test_block_rows_are_a_multiple_of_64_near_the_block_size():
+    for n in (*range(1, 3000), 4095, 4096, 10**4, 10**5, 10**6):
+        rows = block_rows(n)
+        assert rows % 64 == 0 and rows >= 64
+        assert rows * n <= max(modelavg.experiments._BLOCK_VALUES, 64 * n)
+
+
+def test_a_drawn_cell_holds_no_noise_block_of_its_size():
+    # The noise of a cell at reps = 5000, n = 800 takes 31 MiB whole; drawn
+    # block by block, the cell's peak is its products, estimates and one block.
+    scenario = make_scenario(n=800, seed=17, reps=5000, beta=0.3)
+    clear_memo()
+    tracemalloc.start()
+    try:
+        mc_estimator_draws(scenario, ("r", "u", "ms", "bma_exact", "bma_bic", "ama"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_mc_noiseless_null_draws_exactly_zero():
@@ -284,16 +365,18 @@ def test_outputs_do_not_depend_on_cells_an_earlier_command_cached(
         clear_memo()
         assert main([*argv, *flags, f"--out={tmp_path / 'cold' / str(k)}"]) == 0
         cold[k] = _output_bytes(tmp_path / "cold" / str(k))
-    draws = []
-    real = modelavg.experiments.batch_estimates
-    monkeypatch.setattr(modelavg.experiments, "batch_estimates",
-                        lambda *args: draws.append(1) or real(*args))
+    draws = []  # one entry per cell drawn from its noise stream
+    real = modelavg.experiments._draw_products
+    monkeypatch.setattr(modelavg.experiments, "_draw_products",
+                        lambda *args: draws.append(args[1]) or real(*args))
     clear_memo()
+    drawn = []
     for k, argv in enumerate((first, second)):
         del draws[:]
         assert main([*argv, *flags, f"--out={tmp_path / 'warm' / str(k)}"]) == 0
         assert _output_bytes(tmp_path / "warm" / str(k)) == cold[k]
-    assert draws == []  # the second command read every cell from the memo
+        drawn.append(len(draws))
+    assert drawn[0] > 0 and drawn[1] == 0  # the second command read every cell from the memo
 
 
 def _memo_keys_after(*calls):
@@ -942,8 +1025,8 @@ def _peak_blocks(fn, reps, n):
 
 @pytest.mark.parametrize("path", ["mc_estimator_draws", "risk_bound_sweep", "weight_decay_sweep"])
 def test_monte_carlo_paths_hold_one_noise_block(path):
-    # The responses are formed in the noise block's own buffer, so each grid
-    # point needs one (reps, n) array and nothing else of that size.
+    # The noise is drawn in blocks far smaller than a (reps, n) array, and
+    # nothing else of that size is made.
     reps, n = 2000, 400
     clear_memo()  # a cached cell would need no noise block at all
     scenario = _uniform_scenario(beta=0.3, n=n, reps=reps, seed=12)

@@ -350,7 +350,7 @@ def test_make_uniform_design_properties():
     bigger = make_uniform_design(50, rng)
     stats = compute_design_stats(bigger)
     assert stats.det > 0.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n = 1 must be >= 2$"):
         make_uniform_design(1, rng)
 
 
