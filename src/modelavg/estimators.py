@@ -72,10 +72,11 @@ class Pipeline:
 
     :meth:`fit` refits one dataset from scratch (design stats, fits, weights);
     the Monte Carlo harness and the resampling engine evaluate whole arrays of
-    datasets through :meth:`kernel`. Construction raises on names missing from
-    :data:`P_R_RULES`, missing configs, a sigma that is not finite and >= 0, a
-    prior_scale that is not finite and > 0 (nan fails both) or a prior_p_r
-    outside (0, 1); fitting a singular dataset raises CollinearDesign or ZeroColumn.
+    datasets through :meth:`kernel`. Construction raises on names given as one
+    string or missing from :data:`P_R_RULES`, missing configs, a sigma that is
+    not finite and >= 0, a prior_scale that is not finite and > 0 (nan fails
+    both) or a prior_p_r outside (0, 1); fitting a singular dataset raises
+    CollinearDesign or ZeroColumn.
     """
 
     names: tuple[str, ...]
@@ -86,6 +87,11 @@ class Pipeline:
     prior_p_r: float = 0.5
 
     def __post_init__(self):
+        if isinstance(self.names, str):
+            raise TypeError(
+                f"names = {self.names!r} is a string; pass a tuple of names"
+                f" or call make_pipeline({self.names!r}, ...)"
+            )
         object.__setattr__(self, "names", tuple(self.names))
         unknown = set(self.names) - set(P_R_RULES)
         if unknown:

@@ -313,6 +313,14 @@ def test_pipeline_validation():
         Pipeline(("ama",), 1.0, adaptive=None)
 
 
+@pytest.mark.parametrize("names", ["ms", "ama", "u"])
+def test_pipeline_refuses_a_string_of_names(names):
+    # A string is a sequence of one-letter names: "ms" read as 'm', 's' and
+    # "u" as ('u',), which was accepted.
+    with pytest.raises(TypeError, match=rf"make_pipeline\('{names}', \.\.\.\)"):
+        Pipeline(names, 1.0, PretestConfig(), default_tuning(50))
+
+
 # ---------------------------------------------------------------------------
 # the rule table: every estimate is alpha_u + p_R * (alpha_r - alpha_u)
 
