@@ -11,8 +11,8 @@ limits, the scaled pretest, a non-default prior, pooled KS scoring with more
 replicates than truth draws, the scaled pretest on size-m subsamples,
 bootstrap engine calls on a ragged last chunk of datasets, and Monte Carlo
 cells at reps = 4999 at n = 50 and along the n-grid up to 800, whose last
-noise block is ragged and holds a row count that is not a multiple of 4, so
-BLAS sums its last rows outside its groups of rows. Their lines read
+noise block is ragged (414 of 655 rows at n = 50, 39 of 40 at n = 800).
+Their lines read
 ``<experiment>[<flags>]/<file>``. Then it prints one
 ``<sha256>  library/...`` line per replicate array of the library's
 resamplers: ``paired_bootstrap`` and ``subsample_distribution`` (m = 20) for
@@ -67,7 +67,8 @@ from modelavg.weights import adaptive_weights
 # scoring of 10 * 50 replicates against 200 truth draws, and the scaled
 # pretest judged at the subsample's m), a small figure2-bootstrap run whose 7
 # datasets per beta go to the engine in chunks of 3, 3 and 1, and Monte Carlo
-# cells whose 4999 rows end in a ragged noise block at n = 50 and at n = 800.
+# cells whose 4999 rows end in a ragged noise block at n = 50 and at n = 800
+# (a short last block must give the floats of a full one).
 _SMALL_FIGURE2 = ("--beta-grid", "0,0.3")
 EXTRA_RUNS = (
     ("riskbound", ("--sigma", "0")),

@@ -78,45 +78,37 @@ class Scenario:
         )
 
 
-def response_products(design: DesignMatrix, y: np.ndarray, sigma: float) -> tuple:
-    """Per row of the responses ``y``: <x1,y>, <x2,y>, and <y,y> at sigma = 0 (else None)."""
-    yy = np.einsum("ij,ij->i", y, y) if sigma == 0.0 else None
-    return y @ design.x1, y @ design.x2, yy
-
-
 # A Monte Carlo cell's noise is drawn about this many values at a time.
 _BLOCK_VALUES = 1 << 15
 
 
 def block_rows(n: int) -> int:
-    """Rows per noise block at n: about ``_BLOCK_VALUES`` values (256 KiB), in
-    a multiple of 64 rows. BLAS's gemv sums rows in groups (4 in OpenBLAS's
-    Haswell kernel) and the remainder in another order, so every full block
-    must keep the grouping of one whole (reps, n) block for the products to
-    keep their floats."""
-    return 64 * max(1, _BLOCK_VALUES // (64 * n))
+    """Rows per noise block at n: about ``_BLOCK_VALUES`` values (256 KiB), at least one."""
+    return max(1, _BLOCK_VALUES // n)
 
 
 def _draw_products(scenario: Scenario, grid_index: int) -> tuple:
-    """:func:`response_products` of the cell's reps fresh responses, one (reps,)
-    array each (the third None unless sigma = 0).
+    """Per response of the cell's reps fresh ones: <x1,y>, <x2,y>, and <y,y> at
+    sigma = 0 (else None), one (reps,) array each.
 
-    The cell's one noise stream fills :func:`block_rows` rows at a time, in
-    C order, so the blocks hold exactly the rows of one (reps, n) draw.
+    The cell's one noise stream fills :func:`block_rows` rows at a time, in C order,
+    so the blocks hold exactly the rows of one (reps, n) draw. einsum reduces each
+    row in an order set by n alone: the floats depend on neither block size nor BLAS.
     """
     design, params, reps = scenario.design, scenario.params, scenario.reps
     rng = stream(scenario.seed, _TAG_TRUTH, grid_index)
     rows = block_rows(design.n)
     z = np.empty((min(rows, reps), design.n))
-    products = (np.empty(reps), np.empty(reps), np.empty(reps) if params.sigma == 0.0 else None)
+    p1, p2, yy = np.empty(reps), np.empty(reps), np.empty(reps) if params.sigma == 0.0 else None
     for start in range(0, reps, rows):
         block = z[: min(rows, reps - start)]
-        rng.standard_normal(out=block)
-        y = responses_in_place(design, params, block)
-        for out, part in zip(products, response_products(design, y, params.sigma)):
-            if out is not None:
-                out[start : start + len(block)] = part
-    return products
+        y = responses_in_place(design, params, rng.standard_normal(out=block))
+        part = slice(start, start + len(block))
+        np.einsum("ij,j->i", y, design.x1, out=p1[part])
+        np.einsum("ij,j->i", y, design.x2, out=p2[part])
+        if yy is not None:
+            np.einsum("ij,ij->i", y, y, out=yy[part])
+    return p1, p2, yy
 
 
 # Each Monte Carlo cell drawn in this process: key -> (its read-only response

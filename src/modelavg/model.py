@@ -77,6 +77,9 @@ class TrueParams:
     sigma: float = 1.0
 
     def __post_init__(self):
+        for name, value in (("alpha", self.alpha), ("beta", self.beta)):
+            if not np.isfinite(value):
+                raise ValueError(f"{name} = {value} must be finite")
         if not 0.0 <= self.sigma < np.inf:
             raise ValueError(f"sigma = {self.sigma} must be finite and >= 0")
 

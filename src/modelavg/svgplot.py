@@ -43,6 +43,11 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     return ticks
 
 
+def _too_narrow(lo: float, hi: float) -> bool:
+    """Equal bounds, or too close for a tick step (a fraction of the span) to advance a float."""
+    return hi - lo <= 1024 * math.ulp(max(abs(lo), abs(hi)))
+
+
 def _fmt_tick(v: float) -> str:
     if v == int(v) and abs(v) < 1e15:
         return str(int(v))
@@ -66,9 +71,9 @@ def write_line_plot(
     all_y = [float(v) for _, vals, _ in series for v in vals]
     x_lo, x_hi = min(x), max(x)
     y_lo, y_hi = min(all_y), max(all_y)
-    if x_hi == x_lo:
+    if _too_narrow(x_lo, x_hi):
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-    if y_hi == y_lo:
+    if _too_narrow(y_lo, y_hi):
         pad = abs(y_lo) * 0.1 if y_lo != 0 else 1.0
         y_lo, y_hi = y_lo - pad, y_hi + pad
     # Small headroom so lines do not sit on the frame.

@@ -1,6 +1,11 @@
 import argparse
+import json
 import math
+import os
 import re
+import signal
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -24,6 +29,7 @@ from modelavg.estimators import ESTIMATOR_NAMES
 from modelavg.experiments import KS_MODES, draw_dataset, make_scenario, resampling_error_curve
 from modelavg.model import compute_design_stats, response_stats, solve_normal_equations
 from modelavg.resampling import STREAM_VERSION, ResamplePlan
+from modelavg.svgplot import write_line_plot
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +385,37 @@ def test_worker_count_does_not_change_bytes(tmp_path):
     assert (out1 / "mse_curve.csv").read_bytes() == (out8 / "mse_curve.csv").read_bytes()
 
 
+# Runs each argv of the JSON list argv[2] with --out argv[1]/<its index>.
+_RUN_EACH = """
+import json, sys
+from modelavg.cli import main
+sys.exit(max(main([*a, "--out", f"{sys.argv[1]}/{i}"]) for i, a in enumerate(json.loads(sys.argv[2]))))
+"""
+
+
+def test_outputs_do_not_depend_on_the_blas_kernel(tmp_path):
+    # OPENBLAS_CORETYPE picks OpenBLAS's kernel for one process (a numpy
+    # without OpenBLAS ignores it). The Monte Carlo path reduces with numpy's
+    # own loops, so every kernel writes the same bytes.
+    runs = [["figure1a", "--reps", "999", "--beta-grid=-0.2:0.2:5"],
+            ["riskbound", "--reps", "999", "--n-grid", "50,800"]]
+    src = Path(modelavg.cli.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    outputs = {}
+    for kernel in (None, "Prescott", "Sandybridge"):
+        out = tmp_path / str(kernel)
+        subprocess.run(
+            [sys.executable, "-c", _RUN_EACH, str(out), json.dumps(runs)],
+            env={**env, "OPENBLAS_CORETYPE": kernel} if kernel else env,
+            capture_output=True, timeout=300, check=True,
+        )
+        outputs[kernel] = {p.relative_to(out): p.read_bytes() for p in sorted(out.glob("*/*.csv"))}
+    assert {Path("0/mse_curve.csv"), Path("1/risk_bound.csv")} <= outputs[None].keys()
+    assert outputs["Prescott"] == outputs[None]
+    assert outputs["Sandybridge"] == outputs[None]
+
+
 def test_failed_run_removes_partial_files(tmp_path, monkeypatch):
     # A failed rerun into an existing --out leaves the earlier run's file as
     # it was and leaves no temporary behind.
@@ -619,6 +656,30 @@ def test_svg_is_self_contained(tmp_path):
         assert [(label, dash) for dash, label in _LEGEND_ENTRY.findall(svg)] == legend, name
         # One line per series, drawn in the legend's order and style.
         assert _POLYLINE.findall(svg) == [dash for _, dash in legend], name
+
+
+@pytest.mark.parametrize("ulps", [1, 2])
+@pytest.mark.parametrize("value", [0.5, 1.0, 3.0, 1e6])
+def test_plot_of_a_span_a_few_ulps_wide_is_drawn_like_equal_values(tmp_path, value, ulps):
+    # A tick step of a fraction of such a span does not advance a float, so
+    # the tick loop never ended. A timer turns a hang into a failure.
+    top = value
+    for _ in range(ulps):
+        top = math.nextafter(top, math.inf)
+
+    def hang(signum, frame):
+        raise TimeoutError(f"write_line_plot did not return for [{value!r}, {top!r}]")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        for name, values in (("narrow", [value, top]), ("equal", [value, value])):
+            write_line_plot(tmp_path / f"{name}.svg", "t", "x", "y", [0.0, 1.0],
+                            [("s", values, "solid")])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (tmp_path / "narrow.svg").read_bytes() == (tmp_path / "equal.svg").read_bytes()
 
 
 def test_csv_floats_roundtrip(tmp_path):

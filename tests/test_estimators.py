@@ -13,13 +13,12 @@ from modelavg.estimators import (
     _convex,
     make_pipeline,
 )
-from modelavg.experiments import _TAG_TRUTH, draw_dataset, make_scenario, mc_estimator_draws, stream
+from modelavg.experiments import _draw_products, draw_dataset, make_scenario, mc_estimator_draws
 from modelavg.model import (
     Dataset,
     DesignMatrix,
     compute_design_stats,
     response_stats,
-    responses_in_place,
     slope_sd,
     solve_normal_equations,
 )
@@ -379,13 +378,11 @@ def test_fit_weights_every_name(rng):
 
 def test_selection_is_exact_where_the_average_at_one_misses_alpha_r():
     # On the seed-5050 Monte Carlo draws at beta = 0, alpha_u + 1.0 * (alpha_r
-    # - alpha_u) rounds away from alpha_r in a few rows (7 of 5000). Selection
+    # - alpha_u) rounds away from alpha_r in a few rows (5 of 5000). Selection
     # must still return alpha_r and alpha_u themselves there.
     scenario = make_scenario(50, 5050, 5000)
-    design, stats = scenario.design, compute_design_stats(scenario.design)
-    z = stream(5050, _TAG_TRUTH, 0).standard_normal((5000, 50))
-    y = responses_in_place(design, scenario.params, z)
-    p1, p2 = y @ design.x1, y @ design.x2
+    stats = compute_design_stats(scenario.design)
+    p1, p2, _ = _draw_products(scenario, 0)
     alpha_r = p1 / stats.s11
     alpha_u = solve_normal_equations(stats.s11, stats.s22, stats.s12, stats.det, p1, p2)[0]
     rows = _convex(alpha_r, alpha_u, 1.0) != alpha_r

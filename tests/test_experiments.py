@@ -1,13 +1,9 @@
-import json
-import os
-import subprocess
 import sys
 import threading
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +13,7 @@ from hypothesis import strategies as st
 import modelavg.experiments
 from modelavg.cli import main
 from modelavg.errors import CollinearDesign, TooManySingularResamples, ZeroColumn
-from modelavg.estimators import Pipeline, make_pipeline
+from modelavg.estimators import ESTIMATOR_NAMES, Pipeline, make_pipeline
 from modelavg.experiments import (
     Scenario,
     _ks_arrays,
@@ -216,66 +212,38 @@ def test_batch_matches_scalar_pipeline():
             assert batch[name][row] == pytest.approx(est[name], rel=1e-11), name
 
 
-# A cell drawn whole, as one (reps, n) noise block turned into responses in
-# place, against the blocked draw of mc_estimator_draws. Run on one BLAS
-# thread: a threaded gemv over a whole block splits its rows among threads at
-# points that need not keep the kernel's groups of rows, so there the whole
-# block's own floats depend on the thread count.
-_WHOLE_BLOCK_CHECK = """
-import json, sys
-import numpy as np
-from modelavg.estimators import ESTIMATOR_NAMES
-from modelavg.experiments import (
-    _TAG_TRUTH, clear_memo, make_scenario, mc_estimator_draws, response_products, stream,
-)
-from modelavg.model import compute_design_stats, responses_in_place
-
-differ = []
-for reps, n, sigma in json.loads(sys.argv[1]):
-    scenario = make_scenario(n=n, seed=61, reps=reps, beta=0.3, sigma=sigma)
-    design, params = scenario.design, scenario.params
-    pipeline = scenario.pipeline(ESTIMATOR_NAMES)
-    z = stream(scenario.seed, _TAG_TRUTH, 3).standard_normal((reps, n))
-    products = response_products(design, responses_in_place(design, params, z), sigma)
-    stats = compute_design_stats(design)
-    whole = pipeline.kernel(n, stats.s11, stats.s22, stats.s12, *products)
-    clear_memo()
-    blocked = mc_estimator_draws(scenario, ESTIMATOR_NAMES, 3)
-    for part, (a, b) in zip(("estimates", "weights"), zip(whole, blocked)):
-        if a.keys() != b.keys() or not all(np.array_equal(a[k], b[k]) for k in a):
-            differ.append([reps, n, sigma, part])
-print(json.dumps(differ))
-"""
-
-
-def test_blocked_draw_is_bit_identical_to_one_whole_block():
-    # A lone short block, a full block plus a ragged one of 3 rows, and many
-    # blocks ending in a ragged one whose rows are not a multiple of 4; sigma
-    # = 0 adds the <y,y> products.
+def test_blocked_draw_is_bit_identical_to_one_whole_block(monkeypatch):
+    # One row per block, the default blocks and one whole (reps, n) block give
+    # the same floats. The cases: a lone short block, a full block plus a
+    # ragged one of 3 rows, and many blocks ending in a ragged one; sigma = 0
+    # adds the <y,y> products.
+    default = modelavg.experiments._BLOCK_VALUES
     cases = [
-        [reps, n, sigma]
+        (reps, n, sigma)
         for n in (2, 50, 800)
         for reps in (1, 3, block_rows(n) + 3, 5001)
         for sigma in (0.0, 1.0)
     ]
-    root = Path(__file__).resolve().parents[1]
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-           "MKL_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"),
-                                                       os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-c", _WHOLE_BLOCK_CHECK, json.dumps(cases)],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == []
+    for reps, n, sigma in cases:
+        scenario = make_scenario(n=n, seed=61, reps=reps, beta=0.3, sigma=sigma)
+        draws = []
+        for values in (1, default, reps * n):
+            monkeypatch.setattr(modelavg.experiments, "_BLOCK_VALUES", values)
+            clear_memo()
+            draws.append(mc_estimator_draws(scenario, ESTIMATOR_NAMES, 3))
+        for blocked in draws[:2]:
+            for a, b in zip(blocked, draws[2]):  # the estimates, then the weights
+                assert a.keys() == b.keys(), (reps, n, sigma)
+                assert all(np.array_equal(a[k], b[k]) for k in a), (reps, n, sigma)
+    clear_memo()
 
 
-def test_block_rows_are_a_multiple_of_64_near_the_block_size():
-    for n in (*range(1, 3000), 4095, 4096, 10**4, 10**5, 10**6):
+def test_block_rows_are_at_least_one_and_near_the_block_size():
+    values = modelavg.experiments._BLOCK_VALUES
+    for n in (*range(1, 3000), 4095, 4096, values - 1, values, values + 1, 10**5, 10**6):
         rows = block_rows(n)
-        assert rows % 64 == 0 and rows >= 64
-        assert rows * n <= max(modelavg.experiments._BLOCK_VALUES, 64 * n)
+        assert rows >= 1 and rows * n <= max(values, n)
+        assert rows == 1 or (rows + 1) * n > values
 
 
 def test_a_drawn_cell_holds_no_noise_block_of_its_size():

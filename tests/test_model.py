@@ -54,6 +54,11 @@ def test_dataset_validation():
     # Refused where it is built, as Pipeline refuses it, not later in the kernel.
     with pytest.raises(ValueError, match="sigma = inf must be finite and >= 0"):
         TrueParams(0.0, 0.0, math.inf)
+    # A non-finite alpha or beta would give nan responses on the Monte Carlo path.
+    for alpha, beta, name in ((math.nan, 0.0, "alpha"), (0.0, math.nan, "beta"),
+                              (math.inf, 0.0, "alpha"), (0.0, -math.inf, "beta")):
+        with pytest.raises(ValueError, match=f"{name} = -?(nan|inf) must be finite"):
+            TrueParams(alpha, beta)
 
 
 def test_design_stats_orthonormal_columns():
