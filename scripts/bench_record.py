@@ -11,6 +11,14 @@ median over the run), whether its outputs passed the gate and how many
 operations failed; and, for the whole record, the seed, the git commit (with
 whether the tree differed from it), and the Python and numpy versions. A
 record is one run per workload: compare two records only as one pair of runs.
+
+A parent commit's record is taken in a clone checked out at that commit::
+
+    git clone -q . DIR && git -C DIR checkout -q --detach REV
+    python3 DIR/scripts/bench_record.py --label LABEL-parent
+
+The clone has git metadata, so its record names REV; a ``git archive``
+extraction has none, and its record's commit reads null.
 """
 
 import argparse

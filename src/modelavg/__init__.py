@@ -7,13 +7,10 @@ experiments.
 
 ``import modelavg`` loads the estimation library only: ``errors``, ``model``,
 ``weights``, ``estimators`` and ``resampling``. The harness (``config``,
-``experiments``, ``svgplot`` and ``cli``, with ``concurrent.futures`` and
-``logging``) loads on first use of one of its names, such as
-``modelavg.make_scenario`` or ``modelavg.experiments``; ``import modelavg.cli``
-loads it all. A library user thus skips compiling and running the harness:
-the set-up of perfbench's ``api_resample`` (a cold import without a bytecode
-cache, the reference design and four pipelines) fell from 0.121 s to 0.101 s
-of scaled CPU time, the median of 10 pairs of runs on a 2-core Xeon.
+``experiments``, ``svgplot`` and ``cli``, with ``concurrent.futures``) loads
+on first use of one of its names, such as ``modelavg.make_scenario`` or
+``modelavg.experiments``; ``import modelavg.cli`` loads it all. A library
+user thus skips compiling and running the harness.
 """
 
 import importlib

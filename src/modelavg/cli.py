@@ -4,44 +4,27 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import os
 import sys
 from pathlib import Path
 from typing import Callable
 
-from .config import EXPERIMENTS, SETTINGS, RunConfig, echo_config, parse_config
+from .config import SETTINGS, RunConfig, echo_config, parse_config
 from .errors import ModelAvgError
+from .experiments import EXPERIMENTS, LEGEND
 from .model import write_design_csv
 from .svgplot import write_line_plot
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)  # shortest round-trip representation
-    return str(value)
-
-
 def write_rows_csv(path, rows: list[dict]) -> None:
-    """Write rows as CSV; the first row's keys, in order, are the header."""
+    """Write rows as CSV; the first row's keys, in order, are the header, and a
+    float is written as its shortest round-trip ``repr``."""
     header = list(rows[0])
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[col]) for col in header))
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-# Legend label and line style of each plotted column, keyed by the column name
-# after its prefix; a plot draws the columns its rows have, in this order.
-_LEGEND = {
-    "bma_bic": ("BMA (BIC weights)", "solid"),
-    "ms": ("MS (pretest)", "broken"),
-    "ama": ("AMA (adaptive)", "dotted"),
-    "u": ("U only", "dotdash"),
-    "n_risk": ("n * risk", "solid"),
-    "mean_p_r": ("mean weight on R", "solid"),
-    "mean_sqrtn_p_r": ("sqrt(n) x mean weight", "broken"),
-}
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([row[col] for col in header] for row in rows)
 
 
 def _execute(config: RunConfig, target: Callable[[str], Path]) -> None:
@@ -57,7 +40,7 @@ def _execute(config: RunConfig, target: Callable[[str], Path]) -> None:
         x_label = next(iter(rows[0]))
         series = [
             (label, [r[prefix + key] for r in rows], style)
-            for key, (label, style) in _LEGEND.items()
+            for key, (label, style) in LEGEND.items()
             if prefix + key in rows[0]
         ]
         write_line_plot(

@@ -17,7 +17,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConfigError
-from .estimators import ESTIMATOR_NAMES, Pipeline
+from .estimators import Pipeline
 from .experiments import EXPERIMENTS, KS_MODES, Scenario, make_scenario
 from .model import TrueParams
 from .resampling import STREAM_VERSION, ResamplePlan
@@ -199,11 +199,11 @@ def _validate(config: RunConfig) -> None:
     # numpy's SeedSequence refuses a negative seed without naming it.
     if config.seed < 0:
         raise ConfigError(f"seed = {config.seed} must be >= 0")
-    # The run's own objects check the settings they take, the kernel's (n
-    # first) before the plan's: m's default follows n. Each n of the grid
-    # meets the bound of its cells' tuning.
+    # The run's own objects check the settings they take, the scenario's (n
+    # first, then the kernel's) before the plan's: m's default follows n. Each
+    # n of the grid meets the bound of its cells' tuning.
     try:
-        config.scenario().pipeline(ESTIMATOR_NAMES)
+        config.scenario()
         ResamplePlan(config.b, config.m).size(config.n)
         for n in config.n_grid:
             default_tuning(n)

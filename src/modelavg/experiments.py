@@ -10,7 +10,7 @@ row blocks of about 256 KiB, each reduced at once to the per-response
 products the kernel reads, so memory does not grow with reps * n. A bounded
 memo keeps each drawn cell's products, so the experiments of one process that
 read the same cell draw it once. ``EXPERIMENTS`` is the table of CLI
-experiments.
+experiments, and ``LEGEND`` the label and line style of each plotted column.
 """
 
 from __future__ import annotations
@@ -55,7 +55,9 @@ def stream(seed: int, *key: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A frozen design plus everything needed to replicate one experiment cell."""
+    """A frozen design plus everything needed to replicate one experiment cell.
+    Construction refuses reps below 1 and whatever a :class:`Pipeline` of every
+    estimator refuses (a bad prior, no pretest or tuning), before any draw."""
 
     design: DesignMatrix
     params: TrueParams
@@ -69,6 +71,7 @@ class Scenario:
     def __post_init__(self):
         if self.reps < 1:
             raise ValueError(f"reps = {self.reps} must be >= 1")
+        self.pipeline(ESTIMATOR_NAMES)
 
     def pipeline(self, names: Sequence[str]) -> Pipeline:
         """The estimators ``names`` with this scenario's kernel settings."""
@@ -346,7 +349,7 @@ def resampling_error_curve(
     if mode not in KS_MODES:
         raise ValueError(f"mode must be one of {KS_MODES}, got {mode!r}")
     if datasets_per_beta < 1:
-        raise ValueError("datasets_per_beta must be >= 1")
+        raise ValueError(f"datasets_per_beta = {datasets_per_beta} must be >= 1")
     plan.size(scenario.design.n)
     names, pooled = ("ms", "bma_bic", "ama"), mode == "pooled"
 
@@ -425,22 +428,22 @@ def make_scenario(
     alpha: float = 1.0,
     beta: float = 0.0,
     sigma: float = TrueParams.sigma,
-    c: float | None = None,
+    c: float = PretestConfig.c,
     a_n: float | None = None,
     k_n: float | None = None,
     pretest_form: str = PretestConfig.form,
     prior_scale: float = Pipeline.prior_scale,
     prior_p_r: float = Pipeline.prior_p_r,
 ) -> Scenario:
-    """Scenario with a frozen uniform design. None takes the default c
-    (PretestConfig.c) or tuning (default_tuning(n)), which is built first, so
-    a bad n is refused before the design is drawn."""
+    """Scenario with a frozen uniform design. A None ``a_n`` or ``k_n`` takes the
+    default tuning at n (default_tuning(n)), which is built first, so a bad n is
+    refused before the design is drawn."""
     default = default_tuning(n)
     tuning = AdaptiveConfig(default.a_n if a_n is None else a_n, default.k_n if k_n is None else k_n)
     return Scenario(
         design=make_uniform_design(n, stream(seed, _TAG_DESIGN, 0)),
         params=TrueParams(alpha=alpha, beta=beta, sigma=sigma),
-        pretest=PretestConfig(PretestConfig.c if c is None else c, pretest_form),
+        pretest=PretestConfig(c, pretest_form),
         adaptive=tuning,
         reps=reps,
         seed=seed,
@@ -468,8 +471,9 @@ def single_fit(scenario: Scenario) -> list[dict]:
 class Experiment:
     """One CLI experiment: ``rows(config, scenario, workers)`` gives the rows of
     ``<stem>.csv``; ``plot`` is the (column prefix, title, y label) of
-    ``<stem>.svg``, or None for no plot; ``design`` says whether the run writes
-    its frozen design; ``beta_grid`` is the default beta grid.
+    ``<stem>.svg``, which draws the columns :data:`LEGEND` names, or None for
+    no plot; ``design`` says whether the run writes its frozen design;
+    ``beta_grid`` is the default beta grid.
 
     ``rows`` looks its curve up among this module's globals when called, so a
     name rebound after import (as perfbench's tracer does) is the one called.
@@ -494,6 +498,19 @@ def _figure2(method: str) -> Experiment:
         beta_grid=tuple(float(v) for v in np.linspace(-0.4, 0.4, 17)),
     )
 
+
+# Legend label and line style of each plotted column, keyed by the column name
+# after its experiment's plot prefix; a plot draws the columns its rows have, in
+# this order.
+LEGEND = {
+    "bma_bic": ("BMA (BIC weights)", "solid"),
+    "ms": ("MS (pretest)", "broken"),
+    "ama": ("AMA (adaptive)", "dotted"),
+    "u": ("U only", "dotdash"),
+    "n_risk": ("n * risk", "solid"),
+    "mean_p_r": ("mean weight on R", "solid"),
+    "mean_sqrtn_p_r": ("sqrt(n) x mean weight", "broken"),
+}
 
 # Every CLI experiment by name, in subcommand order; "a-b" is subcommand a with --method b.
 EXPERIMENTS = {

@@ -20,13 +20,12 @@ _MARGIN_LEFT = 78
 _MARGIN_RIGHT = 24
 _MARGIN_TOP = 42
 _MARGIN_BOTTOM = 58
+_TINY = 1e-300  # far above the subnormals, where a tick step keeps few digits
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     if not math.isfinite(lo) or not math.isfinite(hi):
         raise ValueError("axis bounds must be finite")
-    if hi <= lo:
-        hi = lo + (abs(lo) if lo != 0 else 1.0)
     span = hi - lo
     raw = span / max(target - 1, 1)
     mag = 10.0 ** math.floor(math.log10(raw))
@@ -43,9 +42,16 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     return ticks
 
 
-def _too_narrow(lo: float, hi: float) -> bool:
-    """Equal bounds, or too close for a tick step (a fraction of the span) to advance a float."""
-    return hi - lo <= 1024 * math.ulp(max(abs(lo), abs(hi)))
+def _axis(lo: float, hi: float) -> tuple[float, float]:
+    """[lo, hi], padded when a tick step (a fraction of its span) could not advance
+    a float: equal or nearly equal bounds, or a span too small for subnormal floats
+    to hold its ticks. The pad is a tenth of |lo| each side, or 1 where that is tiny."""
+    if hi - lo > max(1024 * math.ulp(max(abs(lo), abs(hi))), _TINY):
+        return lo, hi
+    pad = 0.1 * abs(lo)
+    if pad < _TINY:
+        pad = 1.0
+    return lo - pad, hi + pad
 
 
 def _fmt_tick(v: float) -> str:
@@ -69,13 +75,8 @@ def write_line_plot(
     if not series:
         raise ValueError("need at least one series")
     all_y = [float(v) for _, vals, _ in series for v in vals]
-    x_lo, x_hi = min(x), max(x)
-    y_lo, y_hi = min(all_y), max(all_y)
-    if _too_narrow(x_lo, x_hi):
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-    if _too_narrow(y_lo, y_hi):
-        pad = abs(y_lo) * 0.1 if y_lo != 0 else 1.0
-        y_lo, y_hi = y_lo - pad, y_hi + pad
+    x_lo, x_hi = _axis(min(x), max(x))
+    y_lo, y_hi = _axis(min(all_y), max(all_y))
     # Small headroom so lines do not sit on the frame.
     y_pad = 0.05 * (y_hi - y_lo)
     y_lo -= y_pad

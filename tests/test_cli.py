@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -143,6 +144,14 @@ def test_grid_parsing_forms():
         parse_config("figure1a", overrides={"beta_grid": "a,b"}, env={})
     cfg = parse_config("riskbound", overrides={"n_grid": "25,50"}, env={})
     assert cfg.n_grid == (25, 50)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("beta_grid", "0:1:0"), ("n_grid", "50,x"), ("n_grid", ","), ("a_n", "abc"),
+])
+def test_unreadable_values_name_their_key(key, value):
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        parse_config("riskbound", overrides={key: value}, env={})
 
 
 def test_validation_rejects_bad_combinations():
@@ -587,28 +596,42 @@ def test_readme_names_exactly_the_table():
     assert set(_readme_schemas()) == {_readme_csv_name(e) for e in EXPERIMENTS}
 
 
-@pytest.mark.parametrize("plot", [None, ("y_", "Toy title", "toy y")])
-def test_a_table_entry_is_a_whole_experiment(tmp_path, monkeypatch, plot):
+_TOY_PLOT = ("y_", "Toy title", "toy y")
+
+
+@pytest.mark.parametrize("plot, column", [(None, None), (_TOY_PLOT, None), (_TOY_PLOT, "toy")],
+                         ids=["None", "plot1", "new_column"])
+def test_a_table_entry_is_a_whole_experiment(tmp_path, monkeypatch, plot, column):
     # One entry gives the subcommand, its default grid, its rows and its files.
+    # A new plotted column is one more line of the legend in experiments.
     calls = []
 
     def rows(config, scenario, workers):
         calls.append((config.beta_grid, scenario.design.n, workers))
-        return [{"x": float(k), "y_ms": 2.0 * k, "seed": config.seed} for k in range(3)]
+        extra = [f"y_{column}"] if column else []
+        return [{"x": float(k), "y_ms": 2.0 * k, **{c: 3.0 * k for c in extra}, "seed": config.seed}
+                for k in range(3)]
 
-    design = plot is not None  # each flag on in one case, off in the other
+    design = plot is not None  # each flag on in one case, off in another
     toy = modelavg.experiments.Experiment(rows, "toy", plot, design=design, beta_grid=(0.25,))
     monkeypatch.setitem(EXPERIMENTS, "toy", toy)
+    if column:
+        monkeypatch.setitem(modelavg.experiments.LEGEND, column, ("Toy column", "dotted"))
     out = tmp_path / "toy"
     assert main(["toy", "--n", "7", "--workers", "1", "--seed", "3", "--out", str(out)]) == 0
     assert calls == [((0.25,), 7, 1)]
     files = {"resolved_config.txt", "toy.csv"} | ({"toy.svg", "design_n7.csv"} if design else set())
     assert {p.name for p in out.iterdir()} == files
-    assert (out / "toy.csv").read_text() == "x,y_ms,seed\n0.0,0.0,3\n1.0,2.0,3\n2.0,4.0,3\n"
+    expected = ("x,y_ms,seed\n0.0,0.0,3\n1.0,2.0,3\n2.0,4.0,3\n" if column is None else
+                "x,y_ms,y_toy,seed\n0.0,0.0,0.0,3\n1.0,2.0,3.0,3\n2.0,4.0,6.0,3\n")
+    assert (out / "toy.csv").read_text() == expected
     assert "experiment = toy\n" in (out / "resolved_config.txt").read_text()
     if plot:
         svg = (out / "toy.svg").read_text()
-        assert "Toy title" in svg and "toy y" in svg and "MS (pretest)" in svg
+        assert "Toy title" in svg and "toy y" in svg
+        legend = [("MS (pretest)", _BROKEN)] + ([("Toy column", _DOTTED)] if column else [])
+        assert [(label, dash) for dash, label in _LEGEND_ENTRY.findall(svg)] == legend
+        assert _POLYLINE.findall(svg) == [dash for _, dash in legend]
 
 
 def test_env_seed_through_cli(tmp_path, monkeypatch):
@@ -658,28 +681,64 @@ def test_svg_is_self_contained(tmp_path):
         assert _POLYLINE.findall(svg) == [dash for _, dash in legend], name
 
 
+@contextlib.contextmanager
+def _returns_within(seconds, what):
+    """A timer that turns a hang in the block into a TimeoutError."""
+
+    def hang(signum, frame):
+        raise TimeoutError(f"{what} did not return")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.mark.parametrize("ulps", [1, 2])
 @pytest.mark.parametrize("value", [0.5, 1.0, 3.0, 1e6])
 def test_plot_of_a_span_a_few_ulps_wide_is_drawn_like_equal_values(tmp_path, value, ulps):
     # A tick step of a fraction of such a span does not advance a float, so
-    # the tick loop never ended. A timer turns a hang into a failure.
+    # the tick loop never ended.
     top = value
     for _ in range(ulps):
         top = math.nextafter(top, math.inf)
-
-    def hang(signum, frame):
-        raise TimeoutError(f"write_line_plot did not return for [{value!r}, {top!r}]")
-
-    previous = signal.signal(signal.SIGALRM, hang)
-    signal.setitimer(signal.ITIMER_REAL, 1.0)
-    try:
+    with _returns_within(1.0, f"write_line_plot of [{value!r}, {top!r}]"):
         for name, values in (("narrow", [value, top]), ("equal", [value, value])):
             write_line_plot(tmp_path / f"{name}.svg", "t", "x", "y", [0.0, 1.0],
                             [("s", values, "solid")])
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
     assert (tmp_path / "narrow.svg").read_bytes() == (tmp_path / "equal.svg").read_bytes()
+
+
+_TICK_LABEL = re.compile(r'font-size="12">([^<]*)</text>')
+
+
+@pytest.mark.parametrize("x, y", [
+    ([0.0, 1.0], [3e-323, 3e-323]),  # the tick step underflowed to 0
+    ([0.0, 1.0], [-3e-323, -3e-323]),
+    ([0.0, 1.0], [1e-322, 1e-322]),  # no step multiplier fitted the rounded raw step
+    ([0.0, 1.0], [0.0, 1e-320]),  # apart, but too close for subnormal ticks
+    ([0.0, 1.0], [-5e-324, 0.0]),
+    ([1e20], [1.0]),  # x +- 0.5 did not move it: a zero-width axis
+    ([0.0], [0.0]),
+], ids=["3e-323", "-3e-323", "1e-322", "subnormal_span", "-5e-324_to_0", "x_1e20", "x_0"])
+def test_plot_of_a_degenerate_axis_is_drawn(tmp_path, x, y):
+    path = tmp_path / "p.svg"
+    with _returns_within(1.0, f"write_line_plot of x = {x}, y = {y}"):
+        write_line_plot(path, "t", "x", "y", x, [("s", y, "solid")])
+    svg = path.read_text()
+    assert "nan" not in svg and "inf" not in svg
+    assert len(_TICK_LABEL.findall(svg)) >= 4  # ticks on both axes, besides the legend
+
+
+def test_figure2_at_one_huge_beta_writes_its_plot(tmp_path):
+    out = tmp_path / "huge"
+    argv = ["figure2", "--method", "bootstrap", "--beta-grid", "1e20", "--reps", "40", "--b",
+            "10", "--datasets-per-beta", "2", "--workers", "1", "--out", str(out)]
+    assert _run_cli(argv) == 0
+    assert (out / "resamp_error_bootstrap.svg").exists()
 
 
 def test_csv_floats_roundtrip(tmp_path):

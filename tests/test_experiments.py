@@ -60,7 +60,7 @@ def _integer_scenario(beta=0.0, sigma=0.0, n=8, reps=40, seed=5):
     )
 
 
-def _uniform_scenario(beta=0.0, sigma=1.0, n=50, reps=5000, seed=101, c=None):
+def _uniform_scenario(beta=0.0, sigma=1.0, n=50, reps=5000, seed=101, c=PretestConfig.c):
     return make_scenario(n=n, seed=seed, reps=reps, alpha=1.0, beta=beta, sigma=sigma, c=c)
 
 
@@ -793,6 +793,8 @@ def test_engine_refuses_no_datasets_and_mixed_n_before_any_draw():
     pipeline, plan = scenario.pipeline(_ALL_NAMES), ResamplePlan(b=10)
     with pytest.raises(ValueError, match="got 0 with n in"):
         resampled_estimates([], pipeline, plan, [])
+    with pytest.raises(ValueError, match="^1 datasets but 0 generators$"):
+        resampled_estimates([draw_dataset(scenario)], pipeline, plan, [])
     other = draw_dataset(_uniform_scenario(n=13, reps=10, seed=91))
     datasets = [draw_dataset(scenario), other]
     rngs = _fresh_rngs(2, 3)
@@ -1125,6 +1127,39 @@ def test_empty_grids_rejected():
     for call in calls:
         with pytest.raises(ValueError):
             call()
+
+
+def test_figure2_refuses_no_datasets_and_a_grid_point_that_keeps_none():
+    # A bootstrap resample of n = 2 rows repeats one row (and is singular)
+    # with probability 1/2, so with b = 50 and no redraw budget every dataset
+    # is excluded.
+    scenario = _uniform_scenario(n=2, reps=10, seed=3)
+    with pytest.raises(TooManySingularResamples, match="^all 3 datasets at beta=0.0 were"):
+        resampling_error_curve([0.0], scenario, ResamplePlan(b=50, max_redraws=0), 3)
+    with pytest.raises(ValueError, match="^datasets_per_beta = 0 must be >= 1$"):
+        resampling_error_curve([0.0], scenario, ResamplePlan(b=5), 0)
+
+
+def _scenario_with(**settings):
+    return make_scenario(n=50, seed=1, reps=20, **settings)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: _scenario_with(prior_scale=0.0), "prior_scale = 0.0 must be finite and > 0"),
+    (lambda: _scenario_with(prior_p_r=1.5), "prior_p_r = 1.5 must lie in (0, 1)"),
+    (lambda: replace(_scenario_with(), prior_p_r=1.5), "prior_p_r = 1.5 must lie in (0, 1)"),
+    (lambda: replace(_scenario_with(), pretest=None), "'ms' needs a pretest config"),
+    (lambda: replace(_scenario_with(), adaptive=None), "'ama' needs an adaptive config"),
+], ids=["prior_scale", "prior_p_r", "replaced_prior_p_r", "no_pretest", "no_tuning"])
+def test_a_scenario_refuses_bad_kernel_settings_when_built(monkeypatch, build, message):
+    # The error names the value as the scenario is made, not at a cell's first
+    # draw on a worker thread.
+    drawn = []
+    monkeypatch.setattr(modelavg.experiments, "_draw_products", lambda *a: drawn.append(a))
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+    assert drawn == []
 
 
 def test_subsample_size_one_is_refused_before_any_truth_sample(monkeypatch):
