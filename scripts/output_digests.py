@@ -61,7 +61,7 @@ from modelavg.resampling import (
 )
 from modelavg.weights import adaptive_weights
 
-# (experiment, extra flags): the sigma = 0 limit with <y,y> on the Monte Carlo
+# (experiment, extra flags): bma_exact's sigma = 0 limit on the Monte Carlo
 # path and on the one-dataset path, a scaled pretest with a small c, a
 # non-default prior for bma_exact, two small figure2-subsample runs (pooled
 # scoring of 10 * 50 replicates against 200 truth draws, and the scaled

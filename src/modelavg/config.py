@@ -29,7 +29,12 @@ DEFAULT_SEED = 1729
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved settings for one experiment run."""
+    """Fully resolved settings for one experiment run.
+
+    An empty ``beta_grid`` takes the experiment's default grid, and a None
+    ``m`` the reference subsample size 0.4 n, never below the two rows a fit
+    needs; an unknown experiment raises ConfigError.
+    """
 
     experiment: str
     n: int = 50
@@ -46,12 +51,20 @@ class RunConfig:
     prior_p_r: float = Pipeline.prior_p_r
     beta_grid: tuple[float, ...] = ()
     b: int = 500
-    m: int = 0
+    m: int | None = None
     datasets_per_beta: int = 100
     ks_mode: str = KS_MODES[0]
     n_grid: tuple[int, ...] = (25, 50, 100, 200, 400, 800)
     out: str = "out"
     workers: int = 0
+
+    def __post_init__(self):
+        if self.experiment not in EXPERIMENTS:
+            raise ConfigError(f"unknown experiment {self.experiment!r}")
+        if not self.beta_grid:
+            object.__setattr__(self, "beta_grid", EXPERIMENTS[self.experiment].beta_grid)
+        if self.m is None:
+            object.__setattr__(self, "m", max(2, round(0.4 * self.n)))
 
     def resolved_workers(self) -> int:
         if self.workers > 0:
@@ -136,6 +149,7 @@ def _finite(parse):
 # ``from __future__ import annotations``).
 _PARSER_FOR_TYPE = {
     "int": _scalar(int),
+    "int | None": _scalar(int),
     "float": _finite(_scalar(float)),
     "str": _scalar(str),
     "float | None": _finite(_parse_optional_float),
@@ -224,8 +238,6 @@ def parse_config(
     env: Mapping[str, str] | None = None,
 ) -> RunConfig:
     """Merge defaults, environment seed, config file, and flag overrides."""
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {experiment!r}")
     env = os.environ if env is None else env
     values: dict = {"experiment": experiment}
     if SEED_ENV_VAR in env:
@@ -239,11 +251,6 @@ def parse_config(
         values.update(read_config_file(config_file, experiment))
     for key, raw in (overrides or {}).items():
         values[key] = _convert(key, str(raw))
-    values.setdefault("beta_grid", EXPERIMENTS[experiment].beta_grid)
-    if "m" not in values:
-        # Reference scale ties the subsample size to the sample size (0.4 n),
-        # but never below the two rows a fit needs.
-        values["m"] = max(2, round(0.4 * values.get("n", RunConfig.n)))
     config = RunConfig(**values)
     _validate(config)
     return config

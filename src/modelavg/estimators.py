@@ -34,7 +34,7 @@ from .weights import (
 # to its rule for p_R, the weight on the restricted model, from the Pipeline and
 # the kernel's KernelStats: the sufficient statistics of n observations (scalars
 # or arrays of datasets) plus det and the unrestricted slope beta_u.
-KernelStats = namedtuple("KernelStats", "n s11 s22 s12 p1 p2 yy det beta_u")
+KernelStats = namedtuple("KernelStats", "n s11 s22 s12 p1 p2 det beta_u")
 P_R_RULES = {
     "r": lambda s, pipe: True,
     "u": lambda s, pipe: False,
@@ -108,14 +108,13 @@ class Pipeline:
             raise ValueError(f"prior_p_r = {self.prior_p_r} must lie in (0, 1)")
 
     def kernel(
-        self, n: int, s11, s22, s12, p1, p2, yy=None
+        self, n: int, s11, s22, s12, p1, p2
     ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
         """Every estimator in ``names`` from the sufficient statistics, elementwise.
 
         ``s11``, ``s22``, ``s12`` are the design inner products and ``p1``,
         ``p2`` the products <x1,y>, <x2,y> of n observations; each may be a
-        scalar or an array of datasets. ``yy`` = <y,y> is needed only for
-        ``bma_exact`` at sigma = 0. The design must be non-singular (det > 0).
+        scalar or an array of datasets. The design must be non-singular (det > 0).
         Each name's rule in :data:`P_R_RULES` gives its weight p_R on R; a
         boolean p_R selects alpha_r or alpha_u exactly, a float one averages
         them. Returns the estimates and p_R per name (True for r, False for u).
@@ -123,15 +122,14 @@ class Pipeline:
         det = s11 * s22 - s12 * s12
         alpha_r = p1 / s11
         alpha_u, beta_u = solve_normal_equations(s11, s22, s12, det, p1, p2)
-        stats = KernelStats(n, s11, s22, s12, p1, p2, yy, det, beta_u)
+        stats = KernelStats(n, s11, s22, s12, p1, p2, det, beta_u)
         p_r = {name: P_R_RULES[name](stats, self) for name in self.names}
         return {name: _combine(alpha_r, alpha_u, p) for name, p in p_r.items()}, p_r
 
     def fit(self, dataset: Dataset) -> tuple[dict[str, float], dict[str, float]]:
         """The estimate and the weight on R of each name, as floats (1.0 for r, 0.0 for u)."""
         stats = compute_design_stats(dataset.design)
-        p1, p2, yy = response_stats(dataset)
-        est, p_r = self.kernel(dataset.n, stats.s11, stats.s22, stats.s12, p1, p2, yy)
+        est, p_r = self.kernel(dataset.n, stats.s11, stats.s22, stats.s12, *response_stats(dataset))
         return (
             {name: float(value) for name, value in est.items()},
             {name: float(value) for name, value in p_r.items()},

@@ -90,9 +90,8 @@ def block_rows(n: int) -> int:
     return max(1, _BLOCK_VALUES // n)
 
 
-def _draw_products(scenario: Scenario, grid_index: int) -> tuple:
-    """Per response of the cell's reps fresh ones: <x1,y>, <x2,y>, and <y,y> at
-    sigma = 0 (else None), one (reps,) array each.
+def _draw_products(scenario: Scenario, grid_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per response of the cell's reps fresh ones: <x1,y> and <x2,y>, one (reps,) array each.
 
     The cell's one noise stream fills :func:`block_rows` rows at a time, in C order,
     so the blocks hold exactly the rows of one (reps, n) draw. einsum reduces each
@@ -102,16 +101,14 @@ def _draw_products(scenario: Scenario, grid_index: int) -> tuple:
     rng = stream(scenario.seed, _TAG_TRUTH, grid_index)
     rows = block_rows(design.n)
     z = np.empty((min(rows, reps), design.n))
-    p1, p2, yy = np.empty(reps), np.empty(reps), np.empty(reps) if params.sigma == 0.0 else None
+    p1, p2 = np.empty(reps), np.empty(reps)
     for start in range(0, reps, rows):
         block = z[: min(rows, reps - start)]
         y = responses_in_place(design, params, rng.standard_normal(out=block))
         part = slice(start, start + len(block))
         np.einsum("ij,j->i", y, design.x1, out=p1[part])
         np.einsum("ij,j->i", y, design.x2, out=p2[part])
-        if yy is not None:
-            np.einsum("ij,ij->i", y, y, out=yy[part])
-    return p1, p2, yy
+    return p1, p2
 
 
 # Each Monte Carlo cell drawn in this process: key -> (its read-only response
@@ -156,10 +153,9 @@ def mc_estimator_draws(
         products = entry[0]
     else:
         products = _draw_products(scenario, grid_index)
-        arrays = [a for a in products if a is not None]
-        for a in arrays:
+        for a in products:
             a.flags.writeable = False
-        size = sum(a.nbytes for a in arrays)
+        size = sum(a.nbytes for a in products)
         with _memo_lock:
             if size <= _MEMO_BYTES and key not in _memo:  # another thread may have drawn it
                 _memo[key] = (products, size)
@@ -457,7 +453,7 @@ def single_fit(scenario: Scenario) -> list[dict]:
     dataset = draw_dataset(scenario)
     est, p_r = scenario.pipeline(ESTIMATOR_NAMES).fit(dataset)
     stats = compute_design_stats(dataset.design)
-    p1, p2, _ = response_stats(dataset)
+    p1, p2 = response_stats(dataset)
     beta_u = solve_normal_equations(stats.s11, stats.s22, stats.s12, stats.det, p1, p2)[1]
     return [{
         "alpha_r": est["r"], "alpha_u": est["u"], "beta_u": beta_u, "ms": est["ms"],

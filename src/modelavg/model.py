@@ -179,10 +179,9 @@ def rss_gap(beta_u, s11, det):
     return beta_u * beta_u * det / s11
 
 
-def response_stats(dataset: Dataset) -> tuple[float, float, float]:
-    """<x1, y>, <x2, y> and <y, y>: with the design's Gram matrix, all the estimators need."""
-    y = dataset.y
-    return _inner(dataset.design.x1, y), _inner(dataset.design.x2, y), _inner(y, y)
+def response_stats(dataset: Dataset) -> tuple[float, float]:
+    """<x1, y> and <x2, y>: with the design's Gram matrix, all the estimators need."""
+    return _inner(dataset.design.x1, dataset.y), _inner(dataset.design.x2, dataset.y)
 
 
 def responses_in_place(design: DesignMatrix, params: TrueParams, z: np.ndarray) -> np.ndarray:

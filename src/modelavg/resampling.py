@@ -179,9 +179,9 @@ def resampled_estimates(
         raise ValueError(f"needs datasets of one n, got {len(datasets)} with n in {ns}")
     n, b = ns[0], plan.b
     cols = np.stack([(ds.design.x1, ds.design.x2, ds.y) for ds in datasets], axis=1)
-    # x1*x1, x2*x2, x1*x2, x1*y, x2*y and y*y, a row per dataset, each summed along
+    # x1*x1, x2*x2, x1*x2, x1*y and x2*y, a row per dataset, each summed along
     # its contiguous last axis as model._inner sums (Pipeline.fit's floats).
-    products = cols[[0, 1, 0, 0, 1, 2]] * cols[[0, 1, 1, 2, 2, 2]]
+    products = cols[[0, 1, 0, 0, 1]] * cols[[0, 1, 1, 2, 2]]
     full = products.sum(axis=-1)
     for d in np.flatnonzero(singular_design(*full[:3]))[:1]:  # the first singular dataset
         compute_design_stats(datasets[d].design)  # raises, as Pipeline.fit does
@@ -190,7 +190,7 @@ def resampled_estimates(
     def gather(d, index, out):
         np.take(products[:, d], index, axis=1).sum(axis=-1, out=out)
 
-    sums, draws = np.empty((6, len(datasets), b)), []
+    sums, draws = np.empty((5, len(datasets), b)), []
     for d, rng in enumerate(rngs):
         draws.append(ResampleIndices(rng, n, plan))
         gather(d, draws[d].block, sums[:, d])
@@ -203,7 +203,7 @@ def resampled_estimates(
         except TooManySingularResamples:
             kept[d] = False
     size = plan.size(n)
-    estimates, _ = pipeline.kernel(size, *sums[:, kept].reshape(6, -1))
+    estimates, _ = pipeline.kernel(size, *sums[:, kept].reshape(5, -1))
     return kept, {
         name: np.sqrt(size) * (estimates[name].reshape(-1, b) - originals[name][kept, None])
         for name in pipeline.names
@@ -274,6 +274,8 @@ def mean_model_bootstrap(
     y = np.array(y, dtype=float)
     if y.ndim != 1 or y.size < 1:
         raise ValueError("y must be a non-empty vector")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("y must be finite")
     n = y.size
     idx = ResampleIndices(rng, n, ResamplePlan(b)).block
     root_n = float(np.sqrt(n))

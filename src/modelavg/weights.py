@@ -176,15 +176,16 @@ def exact_posterior_p_r(stats, sigma: float, prior_scale: float, prior_p_r: floa
     ``stats`` is the kernel's :class:`~modelavg.estimators.KernelStats`; for
     sigma > 0 only its Gram entries, p1 and p2 enter. For sigma = 0 the
     sigma -> 0 limit is returned: all weight on R when both models interpolate
-    y equally well (RSS_R - RSS_U within 1e-9 (1 + <y,y>)), otherwise all
-    weight on U. Only that limit reads ``det``, ``beta_u`` and ``yy``, and it
-    needs a non-collinear design. The priors are checked where a Pipeline is built.
+    y equally well (the gap RSS_R - RSS_U within 1e-9 (1 + p1^2 / s11 + gap),
+    the fitted sum of squares, which is <y,y> to round-off for y in the
+    design's column space, as every noiseless response is; for noisy y it is
+    smaller), otherwise all weight on U. Only that limit reads ``det`` and
+    ``beta_u``, and it needs a non-collinear design. The priors are checked
+    where a Pipeline is built.
     """
     if sigma != 0.0:
         return stable_sigmoid(posterior_log_odds(
             stats.p1, stats.p2, stats.s11, stats.s22, stats.s12, sigma, prior_scale, prior_p_r
         ))
-    if stats.yy is None:
-        raise ValueError("the sigma = 0 limit of the posterior weight needs <y,y>")
     gap = rss_gap(stats.beta_u, stats.s11, stats.det)
-    return np.where(gap <= 1e-9 * (1.0 + stats.yy), 1.0, 0.0)
+    return np.where(gap <= 1e-9 * (1.0 + stats.p1 * stats.p1 / stats.s11 + gap), 1.0, 0.0)

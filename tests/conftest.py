@@ -111,7 +111,7 @@ def ks_oracle(x, y):
 
 def stacked_sums_engine(datasets, pipeline, plan, rngs):
     """The resampling engine one dataset at a time, with each statistic gathered
-    and summed on its own: three fancy-indexes, six products and six sums per
+    and summed on its own: three fancy-indexes, five products and five sums per
     resample block. Returns the engine's ``(kept, blocks)``: the mask of
     datasets that kept their redraw budget and, per name, a row per kept one."""
     rows = [_stacked_sums_one(ds, pipeline, plan, rng) for ds, rng in zip(datasets, rngs)]
@@ -134,7 +134,7 @@ def _stacked_sums_one(dataset, pipeline, plan, rng):
         y = y_full[index]
         return np.stack([
             np.sum(x1 * x1, axis=-1), np.sum(x2 * x2, axis=-1), np.sum(x1 * x2, axis=-1),
-            np.sum(x1 * y, axis=-1), np.sum(x2 * y, axis=-1), np.sum(y * y, axis=-1),
+            np.sum(x1 * y, axis=-1), np.sum(x2 * y, axis=-1),
         ])
 
     sums = gather(indices.block)

@@ -61,7 +61,7 @@ def test_criterion_01_closed_form_identity():
     for _ in range(10_000):
         ds = random_dataset(rng)
         stats = compute_design_stats(ds.design)
-        p1, p2, _ = response_stats(ds)
+        p1, p2 = response_stats(ds)
         alpha_u, beta_u = solve_normal_equations(
             stats.s11, stats.s22, stats.s12, stats.det, p1, p2
         )
@@ -82,7 +82,7 @@ def test_criterion_02_oracle_equivalence():
     for _ in range(1000):
         ds = random_dataset(rng)
         stats = compute_design_stats(ds.design)
-        p1, p2, _ = response_stats(ds)
+        p1, p2 = response_stats(ds)
         alpha_u, beta_u = solve_normal_equations(
             stats.s11, stats.s22, stats.s12, stats.det, p1, p2
         )

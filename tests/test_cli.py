@@ -7,7 +7,7 @@ import re
 import signal
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -78,6 +78,21 @@ def test_unknown_experiment_is_a_config_error():
     for overrides in ({}, {"beta_grid": "0,1"}):
         with pytest.raises(ConfigError, match="unknown experiment 'figure3'"):
             parse_config("figure3", overrides=overrides, env={})
+    for grid in ((), (0.0, 1.0)):
+        with pytest.raises(ConfigError, match="unknown experiment 'figure3'"):
+            RunConfig("figure3", beta_grid=grid)
+
+
+@pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+def test_a_run_config_of_its_own_defaults_is_the_parsed_one_and_runs(tmp_path, experiment):
+    # The beta grid and m follow the experiment and n in RunConfig itself, so
+    # a config built in code needs no parse_config to run.
+    config = RunConfig(experiment)
+    assert config == parse_config(experiment, env={})
+    assert RunConfig(experiment, n=60).m == 24
+    tiny = replace(config, reps=30, b=10, datasets_per_beta=2, n_grid=(25, 50), workers=1,
+                   out=str(tmp_path / "out"))
+    assert run(tiny) == 0
 
 
 def test_flags_override_file(tmp_path):
@@ -360,7 +375,7 @@ def test_single_row_is_the_pipeline_fit_of_one_dataset(tmp_path):
     dataset = draw_dataset(scenario)
     est, p_r = scenario.pipeline(ESTIMATOR_NAMES).fit(dataset)
     stats = compute_design_stats(dataset.design)
-    p1, p2, _ = response_stats(dataset)
+    p1, p2 = response_stats(dataset)
     expected = {
         "alpha_r": est["r"],
         "alpha_u": est["u"],
@@ -723,7 +738,11 @@ _TICK_LABEL = re.compile(r'font-size="12">([^<]*)</text>')
     ([0.0, 1.0], [-5e-324, 0.0]),
     ([1e20], [1.0]),  # x +- 0.5 did not move it: a zero-width axis
     ([0.0], [0.0]),
-], ids=["3e-323", "-3e-323", "1e-322", "subnormal_span", "-5e-324_to_0", "x_1e20", "x_0"])
+    ([0.0, 1.0], [1.7e308, 1.7e308]),  # the pad and the headroom overflowed
+    ([0.0, 1.0], [-1e308, 1e308]),  # the headroom overflowed
+    ([-1e308, 1e308], [0.0, 1.0]),  # the span overflowed
+], ids=["3e-323", "-3e-323", "1e-322", "subnormal_span", "-5e-324_to_0", "x_1e20", "x_0",
+        "y_1.7e308", "y_+-1e308", "x_+-1e308"])
 def test_plot_of_a_degenerate_axis_is_drawn(tmp_path, x, y):
     path = tmp_path / "p.svg"
     with _returns_within(1.0, f"write_line_plot of x = {x}, y = {y}"):

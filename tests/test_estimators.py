@@ -40,7 +40,7 @@ def _fit_all(ds, pretest, adaptive, sigma):
     """All six estimates and the weights behind them, plus beta_u from the normal equations."""
     est, p_r = Pipeline(ESTIMATOR_NAMES, sigma, pretest, adaptive).fit(ds)
     stats = compute_design_stats(ds.design)
-    p1, p2, _ = response_stats(ds)
+    p1, p2 = response_stats(ds)
     est["beta_u"] = solve_normal_equations(stats.s11, stats.s22, stats.s12, stats.det, p1, p2)[1]
     return est, p_r
 
@@ -293,9 +293,9 @@ def test_pipeline_matches_direct_computation(rng):
     for _ in range(25):
         ds = random_dataset(rng)
         stats = compute_design_stats(ds.design)
-        p1, p2, yy = response_stats(ds)
+        p1, p2 = response_stats(ds)
         est, _ = Pipeline(ESTIMATOR_NAMES, 1.0, pretest, adaptive).kernel(
-            ds.n, stats.s11, stats.s22, stats.s12, p1, p2, yy=yy
+            ds.n, stats.s11, stats.s22, stats.s12, p1, p2
         )
         got, _ = multi.fit(ds)
         for name in procs:
@@ -345,10 +345,10 @@ def _assert_combined(est, p_r, alpha_r, alpha_u):
 def test_array_kernel_weights_every_name_and_combines_by_type(rng, sigma):
     datasets = [random_dataset(rng, n=20) for _ in range(200)]
     sums = np.array([
-        (x1 @ x1, x2 @ x2, x1 @ x2, x1 @ y, x2 @ y, y @ y)
+        (x1 @ x1, x2 @ x2, x1 @ x2, x1 @ y, x2 @ y)
         for x1, x2, y in ((d.design.x1, d.design.x2, d.y) for d in datasets)
     ]).T
-    s11, s22, s12, p1, p2, _ = sums
+    s11, s22, s12, p1, p2 = sums
     alpha_r = p1 / s11
     alpha_u = solve_normal_equations(s11, s22, s12, s11 * s22 - s12 * s12, p1, p2)[0]
     pipeline = Pipeline(ESTIMATOR_NAMES, sigma, PretestConfig(), default_tuning(20))
@@ -382,7 +382,7 @@ def test_selection_is_exact_where_the_average_at_one_misses_alpha_r():
     # must still return alpha_r and alpha_u themselves there.
     scenario = make_scenario(50, 5050, 5000)
     stats = compute_design_stats(scenario.design)
-    p1, p2, _ = _draw_products(scenario, 0)
+    p1, p2 = _draw_products(scenario, 0)
     alpha_r = p1 / stats.s11
     alpha_u = solve_normal_equations(stats.s11, stats.s22, stats.s12, stats.det, p1, p2)[0]
     rows = _convex(alpha_r, alpha_u, 1.0) != alpha_r

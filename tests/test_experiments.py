@@ -15,6 +15,7 @@ from modelavg.cli import main
 from modelavg.errors import CollinearDesign, TooManySingularResamples, ZeroColumn
 from modelavg.estimators import ESTIMATOR_NAMES, Pipeline, make_pipeline
 from modelavg.experiments import (
+    _TAG_TRUTH,
     Scenario,
     _ks_arrays,
     _grid,
@@ -215,8 +216,8 @@ def test_batch_matches_scalar_pipeline():
 def test_blocked_draw_is_bit_identical_to_one_whole_block(monkeypatch):
     # One row per block, the default blocks and one whole (reps, n) block give
     # the same floats. The cases: a lone short block, a full block plus a
-    # ragged one of 3 rows, and many blocks ending in a ragged one; sigma = 0
-    # adds the <y,y> products.
+    # ragged one of 3 rows, and many blocks ending in a ragged one; at sigma = 0
+    # and 1.
     default = modelavg.experiments._BLOCK_VALUES
     cases = [
         (reps, n, sigma)
@@ -397,7 +398,7 @@ def test_memo_stays_within_its_byte_budget(monkeypatch):
     for cell, i in [(scenario, i) for i in range(6)] + [(big, 0)]:
         clear_memo()
         cold.append(mc_estimator_draws(cell, names, i)[0])
-    entry = 2 * scenario.reps * 8  # p1 and p2; no yy at sigma = 1
+    entry = 2 * scenario.reps * 8  # p1 and p2
     budget = 2 * entry + 1
     monkeypatch.setattr(modelavg.experiments, "_MEMO_BYTES", budget)
     clear_memo()
@@ -417,26 +418,27 @@ def test_memo_stays_within_its_byte_budget(monkeypatch):
     assert [key[1] for key in memo] == [5, 4]
 
 
-def test_memo_entries_are_read_only_and_carry_yy_at_sigma_zero():
+@pytest.mark.parametrize("sigma", [0.0, 1.0])
+def test_memo_entries_are_two_read_only_product_arrays(sigma):
     clear_memo()
-    noisy = _uniform_scenario(beta=0.1, reps=30, n=20, seed=19)
-    exact = _integer_scenario(beta=0.5, sigma=0.0)
+    scenario = _uniform_scenario(beta=0.1, sigma=sigma, reps=30, n=20, seed=19)
     names = ("bma_exact", "ama")
-    mc_estimator_draws(noisy, names)
-    mc_estimator_draws(exact, names)
-    (noisy_products, _), (exact_products, _) = modelavg.experiments._memo.values()
-    assert noisy_products[2] is None
-    p1, p2, yy = exact_products
-    y = exact.params.alpha * exact.design.x1 + exact.params.beta * exact.design.x2
-    assert np.array_equal(yy, np.full(exact.reps, y @ y))
-    assert np.array_equal(p1, np.full(exact.reps, exact.design.x1 @ y))
-    for a in (*noisy_products[:2], p1, p2, yy):
+    cold = mc_estimator_draws(scenario, names)
+    ((products, size),) = modelavg.experiments._memo.values()
+    assert len(products) == 2 and size == 2 * scenario.reps * 8
+    # <x1,y> and <x2,y> of each row of one whole (reps, n) draw of the cell's stream.
+    design, params = scenario.design, scenario.params
+    z = stream(scenario.seed, _TAG_TRUTH, 0).standard_normal((scenario.reps, design.n))
+    y = params.alpha * design.x1 + params.beta * design.x2 + params.sigma * z
+    for a, x in zip(products, (design.x1, design.x2)):
+        assert np.array_equal(a, np.einsum("ij,j->i", y, x))
         with pytest.raises(ValueError):
             a[0] = 0.0
-    # A read of the cached sigma = 0 cell takes bma_exact's <y,y> from it.
-    hit = mc_estimator_draws(exact, names)[0]["bma_exact"]
+    # A read of the cached cell gives the floats of its first draw.
+    hit = mc_estimator_draws(scenario, names)
+    for a, b in zip(hit, cold):
+        assert all(np.array_equal(a[k], b[k]) for k in names)
     clear_memo()
-    assert np.array_equal(hit, mc_estimator_draws(exact, names)[0]["bma_exact"])
 
 
 def test_memo_keeps_its_byte_count_under_threads(monkeypatch):

@@ -165,7 +165,7 @@ def test_fit_hand_example():
     design = DesignMatrix(np.array([1.0, 1.0, 1.0]), np.array([0.0, 1.0, 2.0]))
     ds = Dataset(design, np.array([1.0, 2.0, 3.0]))
     stats = compute_design_stats(design)
-    p1, p2, _ = response_stats(ds)
+    p1, p2 = response_stats(ds)
     alpha_u, beta_u = solve_normal_equations(stats.s11, stats.s22, stats.s12, stats.det, p1, p2)
     assert alpha_u == pytest.approx(1.0, abs=1e-12)
     assert beta_u == pytest.approx(1.0, abs=1e-12)
@@ -182,7 +182,7 @@ def test_fit_noiseless_recovers_truth_exactly(rng):
         y = alpha * ds.design.x1 + beta * ds.design.x2
         noiseless = Dataset(ds.design, y)
         stats = compute_design_stats(ds.design)
-        p1, p2, _ = response_stats(noiseless)
+        p1, p2 = response_stats(noiseless)
         alpha_u, beta_u = solve_normal_equations(
             stats.s11, stats.s22, stats.s12, stats.det, p1, p2
         )
@@ -197,7 +197,7 @@ def test_fit_refit_bit_identical(rng):
     assert R_AND_U.fit(ds) == R_AND_U.fit(ds)
     stats = compute_design_stats(ds.design)
     fits = [
-        solve_normal_equations(stats.s11, stats.s22, stats.s12, stats.det, *response_stats(ds)[:2])
+        solve_normal_equations(stats.s11, stats.s22, stats.s12, stats.det, *response_stats(ds))
         for _ in range(2)
     ]
     assert fits[0] == fits[1]
@@ -207,7 +207,7 @@ def test_fits_match_normal_equation_oracle(rng):
     for _ in range(1000):
         ds = random_dataset(rng)
         stats = compute_design_stats(ds.design)
-        p1, p2, _ = response_stats(ds)
+        p1, p2 = response_stats(ds)
         alpha_u, beta_u = solve_normal_equations(
             stats.s11, stats.s22, stats.s12, stats.det, p1, p2
         )
@@ -222,7 +222,7 @@ def test_restricted_unrestricted_identity(rng):
     for _ in range(1000):
         ds = random_dataset(rng)
         stats = compute_design_stats(ds.design)
-        p1, p2, _ = response_stats(ds)
+        p1, p2 = response_stats(ds)
         alpha_u, beta_u = solve_normal_equations(
             stats.s11, stats.s22, stats.s12, stats.det, p1, p2
         )
@@ -237,7 +237,7 @@ def test_identity_holds_for_long_designs():
     design = DesignMatrix(rng.normal(1.0, 1.0, n), rng.normal(-0.5, 2.0, n))
     ds = Dataset(design, rng.normal(0.0, 1.0, n))
     stats = compute_design_stats(design)
-    p1, p2, _ = response_stats(ds)
+    p1, p2 = response_stats(ds)
     alpha_u, beta_u = solve_normal_equations(stats.s11, stats.s22, stats.s12, stats.det, p1, p2)
     alpha_r = R_AND_U.fit(ds)[0]["r"]
     rhs = alpha_u + beta_u * stats.s12 / stats.s11
@@ -274,7 +274,7 @@ def test_latent_coordinates_reproduce_fits(rng):
             / (params.sigma * root_det)
         )
         alpha_r = R_AND_U.fit(ds)[0]["r"]
-        p1, p2, _ = response_stats(ds)
+        p1, p2 = response_stats(ds)
         alpha_u, beta_u = solve_normal_equations(
             stats.s11, stats.s22, stats.s12, stats.det, p1, p2
         )
@@ -317,7 +317,7 @@ def test_identity_property_hypothesis(data):
     except (ZeroColumn, CollinearDesign):
         return
     ds = Dataset(design, y)
-    p1, p2, _ = response_stats(ds)
+    p1, p2 = response_stats(ds)
     alpha_u, beta_u = solve_normal_equations(stats.s11, stats.s22, stats.s12, stats.det, p1, p2)
     alpha_r = R_AND_U.fit(ds)[0]["r"]
     rhs = alpha_u + beta_u * stats.s12 / stats.s11
@@ -339,7 +339,7 @@ def test_unrestricted_fit_with_tiny_x1_does_not_underflow():
     a = 2.3288848677721623e-141
     ds = Dataset(DesignMatrix(np.array([0.0, a]), np.array([1.0, 1.0])), np.array([a, 0.0]))
     stats = compute_design_stats(ds.design)
-    p1, p2, _ = response_stats(ds)
+    p1, p2 = response_stats(ds)
     alpha_u, beta_u = solve_normal_equations(stats.s11, stats.s22, stats.s12, stats.det, p1, p2)
     assert alpha_u == pytest.approx(-1.0, rel=1e-12)
     assert beta_u == pytest.approx(a, rel=1e-12, abs=0.0)

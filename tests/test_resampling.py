@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -341,3 +342,14 @@ def test_mean_model_bootstrap_validation():
             mean_model_bootstrap(y, lambda t: 1.0, 5, np.random.default_rng(0))
     with pytest.raises(ValueError):
         mean_model_bootstrap(np.array([1.0]), lambda t: 1.0, 0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_mean_model_bootstrap_refuses_a_non_finite_y_before_any_draw(bad):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way to the refusal
+        with pytest.raises(ValueError, match="y must be finite"):
+            mean_model_bootstrap([1.0, bad, 2.0], lambda t: 1.0, 5, rng)
+    assert rng.bit_generator.state == state

@@ -5,14 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modelavg.estimators import KernelStats, Pipeline
+from modelavg.estimators import P_R_RULES, KernelStats, Pipeline
+from modelavg.experiments import _draw_products, make_scenario, mc_estimator_draws
 from modelavg.model import (
     Dataset,
     DesignMatrix,
+    TrueParams,
     compute_design_stats,
+    load_reference_design,
     response_stats,
+    rss_gap,
     solve_normal_equations,
 )
+from modelavg.resampling import ResampleIndices, ResamplePlan, resampled_estimates
 from modelavg.weights import (
     AdaptiveConfig,
     ModelWeights,
@@ -78,7 +83,7 @@ def test_pretest_matches_penalized_rss_comparison(rng):
         est, _ = Pipeline(("r", "u", "ms"), 1.0, cfg).fit(ds)
         assert est["r"] != est["u"]
         keeps_u = est["ms"] == est["u"]
-        p1, p2, _ = response_stats(ds)
+        p1, p2 = response_stats(ds)
         beta_u = solve_normal_equations(stats.s11, stats.s22, stats.s12, stats.det, p1, p2)[1]
         rss_r = float(np.sum((ds.y - est["r"] * ds.design.x1) ** 2))
         rss_u = float(np.sum((ds.y - est["u"] * ds.design.x1 - beta_u * ds.design.x2) ** 2))
@@ -159,7 +164,7 @@ def test_posterior_defined_for_collinear_design():
     x1, x2, y = design.x1, design.x2, ds.y
     s11, s22, s12 = x1 @ x1, x2 @ x2, x1 @ x2
     # det = 0 and beta_u is undefined; at sigma > 0 the weight reads neither.
-    stats = KernelStats(ds.n, s11, s22, s12, x1 @ y, x2 @ y, y @ y, s11 * s22 - s12 * s12, math.nan)
+    stats = KernelStats(ds.n, s11, s22, s12, x1 @ y, x2 @ y, s11 * s22 - s12 * s12, math.nan)
     p_r = float(exact_posterior_p_r(stats, 1.0, 1.0, 0.5))
     assert 0.0 <= p_r <= 1.0
     oracle = dense_posterior_oracle(ds, 1.0)
@@ -174,6 +179,51 @@ def test_posterior_sigma_zero_limit():
     # Only the unrestricted model interpolates.
     ds_slope = Dataset(design, 2.0 * design.x1 + design.x2)
     assert _bma_exact_p_r(ds_slope, 0.0) == 0.0
+
+
+def _y_y_rule(s11, s22, s12, p1, p2, yy):
+    """bma_exact's sigma = 0 weight as defined on <y,y>: all weight on R where
+    RSS_R - RSS_U lies within 1e-9 (1 + <y,y>), else all on U."""
+    det = s11 * s22 - s12 * s12
+    beta_u = solve_normal_equations(s11, s22, s12, det, p1, p2)[1]
+    return np.where(rss_gap(beta_u, s11, det) <= 1e-9 * (1.0 + yy), 1.0, 0.0)
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+def test_sigma_zero_posterior_weight_equals_the_rule_on_y_y(monkeypatch, scale):
+    # The sigma = 0 tolerance reads the fitted sum of squares, which equals
+    # <y,y> to round-off for a noiseless response: on the fit, Monte Carlo
+    # and resampling paths the weights are those of the <y,y> rule.
+    rule, calls = P_R_RULES["bma_exact"], []
+
+    def spy(stats, pipe):  # keeps each kernel call's stats and weights
+        calls.append((stats, rule(stats, pipe)))
+        return calls[-1][1]
+
+    monkeypatch.setitem(P_R_RULES, "bma_exact", spy)
+    pipeline, weights = Pipeline(("bma_exact",), 0.0), set()
+    for beta in (0.0, 1e-5, 0.2):
+        # Seed 5050 at n = 50 freezes the shipped design.
+        scenario = make_scenario(50, 5050, reps=7, alpha=scale, beta=scale * beta, sigma=0.0)
+        design, params = scenario.design, scenario.params
+        assert np.array_equal(design.x2, load_reference_design().x2)
+        y = params.alpha * design.x1 + params.beta * design.x2
+        ds = Dataset(design, y)
+        stats = compute_design_stats(design)
+        grams = (stats.s11, stats.s22, stats.s12)
+        expected = _y_y_rule(*grams, *response_stats(ds), np.sum(y * y))
+        assert pipeline.fit(ds)[1]["bma_exact"] == expected, beta
+        rows = np.broadcast_to(y, (scenario.reps, design.n))
+        mc = _y_y_rule(*grams, *_draw_products(scenario, 0), np.einsum("ij,ij->i", rows, rows))
+        assert np.array_equal(mc_estimator_draws(scenario, ("bma_exact",))[1]["bma_exact"], mc)
+        for plan in (ResamplePlan(40), ResamplePlan(40, m=20)):
+            resampled_estimates([ds], pipeline, plan, [np.random.default_rng(8)])
+            s, got = calls[-1]
+            resampled = y[ResampleIndices(np.random.default_rng(8), design.n, plan).block]
+            expected_rows = _y_y_rule(*s[1:6], np.sum(resampled * resampled, axis=-1))
+            assert np.array_equal(got, expected_rows), (beta, plan)
+            weights.update(got)
+    assert weights == ({1.0} if scale < 1.0 else {0.0, 1.0})
 
 
 def test_posterior_extreme_responses_stay_in_unit_interval(rng):
@@ -191,7 +241,7 @@ def test_posterior_extreme_responses_stay_in_unit_interval(rng):
 def _bic_weight(ds):
     """The kernel's bma_bic weight on R, from the inner products the pipeline uses."""
     stats = compute_design_stats(ds.design)
-    p1, p2, _ = response_stats(ds)
+    p1, p2 = response_stats(ds)
     _, p_r = Pipeline(("bma_bic",), 1.0).kernel(ds.n, stats.s11, stats.s22, stats.s12, p1, p2)
     return ModelWeights(float(p_r["bma_bic"]))
 
@@ -349,7 +399,7 @@ def test_every_rule_valid_for_rough_inputs(rng):
             ModelWeights(_bma_exact_p_r(ds, 1.0)),
             adaptive_weights(
                 solve_normal_equations(
-                    stats.s11, stats.s22, stats.s12, stats.det, *response_stats(ds)[:2]
+                    stats.s11, stats.s22, stats.s12, stats.det, *response_stats(ds)
                 )[1],
                 cfg_a,
             ),
