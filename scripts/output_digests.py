@@ -66,9 +66,10 @@ from modelavg.weights import adaptive_weights
 # non-default prior for bma_exact, two small figure2-subsample runs (pooled
 # scoring of 10 * 50 replicates against 200 truth draws, and the scaled
 # pretest judged at the subsample's m), a small figure2-bootstrap run whose 7
-# datasets per beta go to the engine in chunks of 3, 3 and 1, and Monte Carlo
-# cells whose 4999 rows end in a ragged noise block at n = 50 and at n = 800
-# (a short last block must give the floats of a full one).
+# datasets per beta go to the engine in chunks of 5 and 2 (b = 3000 against a
+# budget of 2^14 replicates per call), and Monte Carlo cells whose 4999 rows
+# end in a ragged noise block at n = 50 and at n = 800 (a short last block
+# must give the floats of a full one).
 _SMALL_FIGURE2 = ("--beta-grid", "0,0.3")
 EXTRA_RUNS = (
     ("riskbound", ("--sigma", "0")),
@@ -79,7 +80,7 @@ EXTRA_RUNS = (
                            "--datasets-per-beta", "10", *_SMALL_FIGURE2)),
     ("figure2-subsample", ("--pretest-form", "scaled", "--c", "0.3", "--reps", "500",
                            "--b", "100", "--datasets-per-beta", "5", *_SMALL_FIGURE2)),
-    ("figure2-bootstrap", ("--reps", "300", "--b", "100", "--datasets-per-beta", "7",
+    ("figure2-bootstrap", ("--reps", "300", "--b", "3000", "--datasets-per-beta", "7",
                            *_SMALL_FIGURE2)),
     ("figure1a", ("--reps", "4999")),
     ("riskbound", ("--reps", "4999")),

@@ -28,6 +28,7 @@ def write_rows_csv(path, rows: list[dict]) -> None:
 
 
 def _execute(config: RunConfig, target: Callable[[str], Path]) -> None:
+    config = config.resolved()
     echo_config(config, target("resolved_config.txt"))
     scenario = config.scenario()
     entry = EXPERIMENTS[config.experiment]

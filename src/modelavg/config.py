@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Mapping
 
 import numpy as np
@@ -29,11 +29,11 @@ DEFAULT_SEED = 1729
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved settings for one experiment run.
+    """Settings for one experiment run; an unknown experiment raises ConfigError.
 
-    An empty ``beta_grid`` takes the experiment's default grid, and a None
-    ``m`` the reference subsample size 0.4 n, never below the two rows a fit
-    needs; an unknown experiment raises ConfigError.
+    An empty ``beta_grid`` and a None ``m`` stay unset until :meth:`resolved`
+    fills them, so ``dataclasses.replace`` of ``n`` or ``experiment`` moves
+    their defaults along.
     """
 
     experiment: str
@@ -61,10 +61,16 @@ class RunConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
-        if not self.beta_grid:
-            object.__setattr__(self, "beta_grid", EXPERIMENTS[self.experiment].beta_grid)
-        if self.m is None:
-            object.__setattr__(self, "m", max(2, round(0.4 * self.n)))
+
+    def resolved(self) -> RunConfig:
+        """This config with the unset values filled: an empty ``beta_grid`` takes
+        the experiment's default grid, and a None ``m`` the reference subsample
+        size 0.4 n, never below the two rows a fit needs."""
+        return replace(
+            self,
+            beta_grid=self.beta_grid or EXPERIMENTS[self.experiment].beta_grid,
+            m=max(2, round(0.4 * self.n)) if self.m is None else self.m,
+        )
 
     def resolved_workers(self) -> int:
         if self.workers > 0:
@@ -218,7 +224,7 @@ def _validate(config: RunConfig) -> None:
     # n of the grid meets the bound of its cells' tuning.
     try:
         config.scenario()
-        ResamplePlan(config.b, config.m).size(config.n)
+        ResamplePlan(config.b, config.resolved().m).size(config.n)
         for n in config.n_grid:
             default_tuning(n)
     except ValueError as exc:
@@ -257,7 +263,7 @@ def parse_config(
 
 
 def echo_config(config: RunConfig, path) -> None:
-    """Write the fully resolved configuration, one 'key = value' line per field.
+    """Write the :meth:`RunConfig.resolved` configuration, one 'key = value' line per field.
 
     A last line records the resample stream layout the outputs were drawn with.
     Raises ConfigError, naming the key, for a value that
@@ -265,6 +271,7 @@ def echo_config(config: RunConfig, path) -> None:
     or trailing whitespace, a line break, or a '#' that starts a comment.
     """
     lines = []
+    config = config.resolved()
     for f in fields(config):
         value = getattr(config, f.name)
         if isinstance(value, tuple):

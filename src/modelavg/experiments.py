@@ -83,6 +83,8 @@ class Scenario:
 
 # A Monte Carlo cell's noise is drawn about this many values at a time.
 _BLOCK_VALUES = 1 << 15
+# A figure2 engine call resamples about this many replicates per estimator.
+_CALL_REPLICATES = 1 << 14
 
 
 def block_rows(n: int) -> int:
@@ -333,9 +335,11 @@ def resampling_error_curve(
     ``plan`` names the scheme (bootstrap without ``m``, subsampling with it);
     an ``m`` above n is refused before any truth sample. Per grid point: a
     Monte Carlo truth sample of sqrt(n) * (estimate - alpha) per estimator,
-    then ``datasets_per_beta`` datasets, max(1, reps // b) to a call of
-    :func:`resampled_estimates`, which returns a (kept datasets, b) block of
-    centred replicates per estimator. ``mode="per_dataset"`` reports 100 x
+    then ``datasets_per_beta`` datasets, max(1, ``_CALL_REPLICATES`` // b)
+    to a call of :func:`resampled_estimates` (32 at b = 500), which returns a
+    (kept datasets, b) block of centred replicates per estimator. The rows
+    do not depend on that budget: each dataset's replicates and distance are
+    the floats a call on it alone gives. ``mode="per_dataset"`` reports 100 x
     the mean KS distance between truth and each kept dataset's replicates,
     one KS call per estimator on each call's block as returned;
     ``mode="pooled"`` concatenates every block into one row per estimator
@@ -353,8 +357,8 @@ def resampling_error_curve(
         truth = _centered_draws(cell, names, i)
         pipeline = cell.pipeline(names)
         # An engine call, and so a per-dataset KS block, holds at most
-        # max(reps, b) replicates per estimator.
-        batch = max(1, cell.reps // plan.b)
+        # max(_CALL_REPLICATES, b) replicates per estimator, whatever reps is.
+        batch = max(1, _CALL_REPLICATES // plan.b)
         scored, included = {k: [] for k in names}, 0  # distances, or pooled blocks
         for start in range(0, datasets_per_beta, batch):
             ids = range(start, min(start + batch, datasets_per_beta))
@@ -466,10 +470,11 @@ def single_fit(scenario: Scenario) -> list[dict]:
 @dataclass(frozen=True)
 class Experiment:
     """One CLI experiment: ``rows(config, scenario, workers)`` gives the rows of
-    ``<stem>.csv``; ``plot`` is the (column prefix, title, y label) of
-    ``<stem>.svg``, which draws the columns :data:`LEGEND` names, or None for
-    no plot; ``design`` says whether the run writes its frozen design;
-    ``beta_grid`` is the default beta grid.
+    ``<stem>.csv`` for a resolved config (its beta grid and ``m`` filled in);
+    ``plot`` is the (column prefix, title, y label) of ``<stem>.svg``, which
+    draws the columns :data:`LEGEND` names, or None for no plot; ``design``
+    says whether the run writes its frozen design; ``beta_grid`` is the
+    default beta grid.
 
     ``rows`` looks its curve up among this module's globals when called, so a
     name rebound after import (as perfbench's tracer does) is the one called.

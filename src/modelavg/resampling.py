@@ -203,7 +203,8 @@ def resampled_estimates(
         except TooManySingularResamples:
             kept[d] = False
     size = plan.size(n)
-    estimates, _ = pipeline.kernel(size, *sums[:, kept].reshape(5, -1))
+    # Every dataset kept is the common case: a view, not a copy of the sums.
+    estimates, _ = pipeline.kernel(size, *(sums if kept.all() else sums[:, kept]).reshape(5, -1))
     return kept, {
         name: np.sqrt(size) * (estimates[name].reshape(-1, b) - originals[name][kept, None])
         for name in pipeline.names

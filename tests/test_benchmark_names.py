@@ -178,7 +178,8 @@ def test_cli_runs_under_the_benchmark_tracer(tmp_path):
     assert _FIGURE2_GRID == _BETA_GRID[:1]
     drawn = len(_BETA_GRID) + len(_N_GRID)
     datasets = len(_FIGURE2_GRID) * _DATASETS
-    chunks = len(_FIGURE2_GRID) * -(-_DATASETS // max(1, _REPS // _B))
+    per_call = max(1, modelavg.experiments._CALL_REPLICATES // _B)
+    chunks = len(_FIGURE2_GRID) * -(-_DATASETS // per_call)
     estimators = 3  # ms, bma_bic, ama
     assert Counter(span[1] for span in spans) == {
         "config.parse_config": len(runs),
@@ -186,7 +187,7 @@ def test_cli_runs_under_the_benchmark_tracer(tmp_path):
         "cli.write": 3 * len(runs) + 3,
         "experiments.mc_estimator_draws": mc_draws + sweep_rows,
         # figure1b: each estimator against R and U; figure2: against the truth,
-        # once per chunk of max(1, reps // b) datasets at each grid point
+        # once per chunk of max(1, _CALL_REPLICATES // b) datasets at each grid point
         "experiments.ks": 2 * estimators * len(_BETA_GRID) + estimators * chunks,
         "experiments.resampled_estimates": chunks,
         "model.generate_response": datasets,

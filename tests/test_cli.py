@@ -42,14 +42,16 @@ def test_defaults_reproduce_reference_scale():
     assert cfg.n == 50
     assert cfg.reps == 5000
     assert cfg.c == pytest.approx(math.sqrt(2.0))
-    assert cfg.m == 20  # 0.4 * n
+    assert cfg.m is None and cfg.resolved().m == 20  # 0.4 * n
     for n in (2, 3):  # never below the two rows a fit needs
-        assert parse_config("figure2-subsample", overrides={"n": str(n)}, env={}).m == 2
+        config = parse_config("figure2-subsample", overrides={"n": str(n)}, env={})
+        assert config.resolved().m == 2
     assert cfg.b == 500
     assert cfg.datasets_per_beta == 100
     assert cfg.seed == DEFAULT_SEED
-    assert len(cfg.beta_grid) == 41
-    assert cfg.beta_grid[0] == -1.0 and cfg.beta_grid[-1] == 1.0
+    grid = cfg.resolved().beta_grid
+    assert cfg.beta_grid == () and len(grid) == 41
+    assert grid[0] == -1.0 and grid[-1] == 1.0
     assert cfg.a_n is None  # resolved to (log n)^2 downstream
 
 
@@ -67,7 +69,7 @@ def test_all_workers_means_the_cpus_this_process_may_use(monkeypatch):
 
 def test_figure2_default_grid_is_restricted():
     for method in ("bootstrap", "subsample"):
-        grid = parse_config(f"figure2-{method}", env={}).beta_grid
+        grid = parse_config(f"figure2-{method}", env={}).resolved().beta_grid
         assert len(grid) == 17
         assert grid[0] == -0.4 and grid[-1] == 0.4
 
@@ -89,10 +91,28 @@ def test_a_run_config_of_its_own_defaults_is_the_parsed_one_and_runs(tmp_path, e
     # a config built in code needs no parse_config to run.
     config = RunConfig(experiment)
     assert config == parse_config(experiment, env={})
-    assert RunConfig(experiment, n=60).m == 24
+    assert RunConfig(experiment, n=60).resolved().m == 24
     tiny = replace(config, reps=30, b=10, datasets_per_beta=2, n_grid=(25, 50), workers=1,
                    out=str(tmp_path / "out"))
     assert run(tiny) == 0
+
+
+def test_replacing_n_moves_the_default_m_along(tmp_path):
+    config = replace(RunConfig("figure2-subsample"), n=10)
+    assert config.resolved().m == 4  # 0.4 * 10, not the 20 of n = 50
+    assert replace(RunConfig("figure2-subsample", m=3), n=10).resolved().m == 3
+    tiny = replace(config, reps=30, b=10, datasets_per_beta=2, beta_grid=(0.0,), workers=1,
+                   out=str(tmp_path / "out"))
+    assert run(tiny) == 0
+    assert "m = 4\n" in (tmp_path / "out" / "resolved_config.txt").read_text()
+
+
+def test_replacing_the_experiment_moves_the_default_grid_along():
+    config = replace(RunConfig("figure1a"), experiment="figure2-bootstrap")
+    assert config.resolved().beta_grid == EXPERIMENTS["figure2-bootstrap"].beta_grid
+    assert config.resolved().beta_grid != RunConfig("figure1a").resolved().beta_grid
+    own = replace(RunConfig("figure1a", beta_grid=(0.0, 0.5)), experiment="decay")
+    assert own.resolved().beta_grid == (0.0, 0.5)  # a grid that was set stays
 
 
 def test_flags_override_file(tmp_path):
@@ -510,9 +530,11 @@ def test_outputs_appear_only_when_the_run_succeeds(tmp_path, monkeypatch):
 
 def test_interrupted_run_removes_partial_files_and_propagates(tmp_path, monkeypatch):
     # Ctrl-C while figure2 resamples its second chunk of datasets (3 and 1 at
-    # reps // b = 3): the interrupt reaches the caller, and the --out
-    # directory the run created is gone with the files it had begun.
+    # a budget of 30 replicates per call, b = 10): the interrupt reaches the
+    # caller, and the --out directory the run created is gone with the files
+    # it had begun.
     out = tmp_path / "interrupted"
+    monkeypatch.setattr(modelavg.experiments, "_CALL_REPLICATES", 30)
     real = modelavg.experiments.resampled_estimates
     calls = {"count": 0}
 
@@ -884,7 +906,7 @@ def test_flag_spellings_parse_to_the_same_config(monkeypatch):
             ks_mode="pooled", n_grid=(25, 75), out="somewhere", workers=3,
         ),
         RunConfig(
-            experiment="figure2-bootstrap", beta_grid=(0.0, 0.1), m=20, datasets_per_beta=7,
+            experiment="figure2-bootstrap", beta_grid=(0.0, 0.1), datasets_per_beta=7,
             k_n=4.5, workers=1,
         ),
     ]

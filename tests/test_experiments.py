@@ -826,9 +826,8 @@ def test_engine_spawns_a_redraw_generator_only_for_a_dataset_that_redraws():
         assert rng.bit_generator.seed_seq.n_children_spawned == spawned
 
 
-def test_engine_calls_hold_at_most_reps_over_b_datasets(monkeypatch):
-    # figure2 hands the engine max(1, reps // b) datasets to a call in both
-    # scoring modes, so pooling every replicate does not grow an engine call.
+def _engine_call_sizes(monkeypatch) -> list[int]:
+    """The dataset count of every engine call figure2 makes from now on, in call order."""
     real = modelavg.experiments.resampled_estimates
     sizes = []
 
@@ -837,11 +836,33 @@ def test_engine_calls_hold_at_most_reps_over_b_datasets(monkeypatch):
         return real(datasets, *args)
 
     monkeypatch.setattr(modelavg.experiments, "resampled_estimates", spy)
+    return sizes
+
+
+def test_engine_calls_hold_at_most_the_replicate_budget_in_datasets(monkeypatch):
+    # figure2 hands the engine max(1, _CALL_REPLICATES // b) datasets to a
+    # call in both scoring modes, so pooling every replicate does not grow an
+    # engine call.
+    sizes = _engine_call_sizes(monkeypatch)
+    monkeypatch.setattr(modelavg.experiments, "_CALL_REPLICATES", 30)
     scenario = _uniform_scenario(n=12, reps=30, seed=8)
     for mode in ("per_dataset", "pooled"):
         sizes.clear()
         resampling_error_curve([0.0, 0.3], scenario, ResamplePlan(b=10), 7, mode=mode)
         assert sizes == 2 * [3, 3, 1], mode
+
+
+def test_engine_call_sizes_do_not_follow_reps(monkeypatch):
+    # The same calls at reps = 5 and 5000, and one dataset to a call once b
+    # exceeds the budget.
+    sizes = _engine_call_sizes(monkeypatch)
+    budget = modelavg.experiments._CALL_REPLICATES
+    for b, expected in ((budget // 3, [3, 3, 1]), (budget + 1, 7 * [1])):
+        for reps in (5, 5000):
+            sizes.clear()
+            scenario = _uniform_scenario(n=12, reps=reps, seed=8)
+            resampling_error_curve([0.3], scenario, ResamplePlan(b=b, m=6), 7)
+            assert sizes == expected, (b, reps)
 
 
 def _checked_error_rows(monkeypatch, scenario, grid, plan, datasets, mode="per_dataset"):
@@ -864,11 +885,12 @@ def _checked_error_rows(monkeypatch, scenario, grid, plan, datasets, mode="per_d
 
 def test_chunked_error_rows_equal_rows_scored_one_dataset_at_a_time(monkeypatch):
     # figure2 scores each engine call's block, a row per kept dataset of a
-    # chunk of max(1, reps // b), in one KS call per estimator. Its rows must
-    # be the very floats of scoring each dataset alone: here 7 datasets in
-    # chunks of 3, 3 and 1, and on the n = 3 design with no redraws, 20
-    # datasets in 7 chunks whose blocks lose the excluded datasets, two of
-    # them every dataset.
+    # chunk of max(1, _CALL_REPLICATES // b), in one KS call per estimator.
+    # Its rows must be the very floats of scoring each dataset alone: here,
+    # at a budget of 30 replicates, 7 datasets in chunks of 3, 3 and 1, and
+    # on the n = 3 design with no redraws, 20 datasets in 7 chunks whose
+    # blocks lose the excluded datasets, two of them every dataset.
+    monkeypatch.setattr(modelavg.experiments, "_CALL_REPLICATES", 30)
     scenario = _uniform_scenario(n=12, reps=30, seed=8)
     for m in (None, 6):
         _, blocks = _checked_error_rows(
