@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 from typing import Callable
 
-from .config import SETTINGS, RunConfig, echo_config, parse_config
+from .config import SETTINGS, RunConfig, echo_config, experiment_settings, parse_config
 from .errors import ModelAvgError
 from .experiments import EXPERIMENTS, LEGEND
 from .model import write_design_csv
@@ -32,7 +32,7 @@ def _execute(config: RunConfig, target: Callable[[str], Path]) -> None:
     echo_config(config, target("resolved_config.txt"))
     scenario = config.scenario()
     entry = EXPERIMENTS[config.experiment]
-    if entry.design:
+    if "n" in entry.settings:  # an experiment that reads n runs on the run's design
         write_design_csv(scenario.design, target(f"design_n{config.n}.csv"))
     rows = entry.rows(config, scenario, config.resolved_workers())
     write_rows_csv(target(f"{entry.stem}.csv"), rows)
@@ -95,8 +95,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="experiment", required=True)
     # The experiment "a-b" is the subcommand "a" with "--method b".
     for name in dict.fromkeys(e.partition("-")[0] for e in EXPERIMENTS):
-        choices = [e.partition("-")[2] for e in EXPERIMENTS if e.startswith(name + "-")]
-        p = sub.add_parser(name, help=f"run the {name} experiment")
+        experiments = [e for e in EXPERIMENTS if e.partition("-")[0] == name]
+        choices = [e.partition("-")[2] for e in experiments if "-" in e]
+        p = sub.add_parser(name, help=f"run the {name} experiment",
+                           description=f"Run the {name} experiment; it takes these flags only.")
         p.add_argument("--config", type=str, default=None, help="config file (key = value lines)")
         if choices:
             p.add_argument(
@@ -104,7 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
                 help=f"resampling scheme (default: {choices[0]})",
             )
         for key in SETTINGS:
-            p.add_argument("--" + key.replace("_", "-"), dest=key, default=None)
+            if any(key in experiment_settings(e) for e in experiments):
+                p.add_argument("--" + key.replace("_", "-"), dest=key, default=None)
     return parser
 
 
@@ -113,7 +116,7 @@ def main(argv=None) -> int:
     experiment = args.experiment
     if "method" in args:
         experiment += "-" + args.method
-    overrides = {key: getattr(args, key) for key in SETTINGS if getattr(args, key) is not None}
+    overrides = {k: v for k, v in vars(args).items() if k in SETTINGS and v is not None}
     try:
         config = parse_config(experiment, config_file=args.config, overrides=overrides)
     except (ModelAvgError, OSError) as exc:

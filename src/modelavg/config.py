@@ -31,6 +31,9 @@ DEFAULT_SEED = 1729
 class RunConfig:
     """Settings for one experiment run; an unknown experiment raises ConfigError.
 
+    A run reads only its experiment's :func:`experiment_settings`; set in code,
+    any other changes no output, and :func:`parse_config` refuses it.
+
     An empty ``beta_grid`` and a None ``m`` stay unset until :meth:`resolved`
     fills them, so ``dataclasses.replace`` of ``n`` or ``experiment`` moves
     their defaults along.
@@ -163,15 +166,30 @@ _PARSER_FOR_TYPE = {
     "tuple[int, ...]": _parse_int_grid,
 }
 
-# Config key -> parser, one per RunConfig field. Each key is also a CLI flag.
+# Config key -> parser, one per RunConfig field. Each key is also a CLI flag
+# of the subcommands whose experiments take it.
 SETTINGS = {
     f.name: _PARSER_FOR_TYPE[f.type] for f in fields(RunConfig) if f.name != "experiment"
 }
 
 
-def _convert(key: str, raw: str):
+def experiment_settings(experiment: str) -> tuple[str, ...]:
+    """The config keys ``experiment`` takes, in field order: the settings its
+    table entry reads, and ``out`` and ``workers``, which every run takes."""
+    if experiment not in EXPERIMENTS:
+        raise ConfigError(f"unknown experiment {experiment!r}")
+    reads = EXPERIMENTS[experiment].settings
+    return tuple(key for key in SETTINGS if key in reads or key in ("out", "workers"))
+
+
+def _convert(key: str, raw: str, experiment: str | None):
+    """``raw`` as the value of ``key``, which ``experiment`` (if not None) must take."""
     if key not in SETTINGS:
         raise ConfigError(f"unknown config key {key!r}")
+    takes = SETTINGS if experiment is None else experiment_settings(experiment)
+    if key not in takes:
+        raise ConfigError(f"{key}: {experiment} does not read this setting; "
+                          f"it takes {', '.join(takes)}")
     return SETTINGS[key](raw, key)
 
 
@@ -188,7 +206,8 @@ def read_config_file(path, experiment: str | None = None) -> dict:
     The two lines :func:`echo_config` adds besides the settings are checked,
     not set: ``experiment`` must name ``experiment`` and ``stream_version``
     must equal ``STREAM_VERSION``, so a resolved config loads back only into
-    a run that reproduces it.
+    a run that reproduces it. A key that ``experiment`` does not take is
+    refused, like an unknown one; with no ``experiment``, every key is read.
     """
     checked = {"experiment": experiment, "stream_version": str(STREAM_VERSION)}
     values = {}
@@ -209,7 +228,7 @@ def read_config_file(path, experiment: str | None = None) -> dict:
                     )
                 continue
             try:
-                values[key] = _convert(key, raw)
+                values[key] = _convert(key, raw, experiment)
             except ConfigError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return values
@@ -243,7 +262,8 @@ def parse_config(
     overrides: Mapping[str, str] | None = None,
     env: Mapping[str, str] | None = None,
 ) -> RunConfig:
-    """Merge defaults, environment seed, config file, and flag overrides."""
+    """Merge defaults, environment seed, config file, and flag overrides; a key
+    the experiment does not take (:func:`experiment_settings`) is refused."""
     env = os.environ if env is None else env
     values: dict = {"experiment": experiment}
     if SEED_ENV_VAR in env:
@@ -256,14 +276,15 @@ def parse_config(
     if config_file is not None:
         values.update(read_config_file(config_file, experiment))
     for key, raw in (overrides or {}).items():
-        values[key] = _convert(key, str(raw))
+        values[key] = _convert(key, str(raw), experiment)
     config = RunConfig(**values)
     _validate(config)
     return config
 
 
 def echo_config(config: RunConfig, path) -> None:
-    """Write the :meth:`RunConfig.resolved` configuration, one 'key = value' line per field.
+    """Write the :meth:`RunConfig.resolved` configuration: the experiment, then
+    one 'key = value' line per setting it takes (:func:`experiment_settings`).
 
     A last line records the resample stream layout the outputs were drawn with.
     Raises ConfigError, naming the key, for a value that
@@ -272,16 +293,16 @@ def echo_config(config: RunConfig, path) -> None:
     """
     lines = []
     config = config.resolved()
-    for f in fields(config):
-        value = getattr(config, f.name)
+    for key in ("experiment", *experiment_settings(config.experiment)):
+        value = getattr(config, key)
         if isinstance(value, tuple):
             value = ",".join(repr(v) if isinstance(v, float) else str(v) for v in value)
         elif isinstance(value, float):
             value = repr(value)
         value = str(value)
         if value != value.strip() or "\n" in value or "\r" in value or _COMMENT.search(value):
-            raise ConfigError(f"{f.name}: {value!r} cannot be written to a config file and read back")
-        lines.append(f"{f.name} = {value}")
+            raise ConfigError(f"{key}: {value!r} cannot be written to a config file and read back")
+        lines.append(f"{key} = {value}")
     lines.append(f"stream_version = {STREAM_VERSION}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -471,10 +471,12 @@ def single_fit(scenario: Scenario) -> list[dict]:
 class Experiment:
     """One CLI experiment: ``rows(config, scenario, workers)`` gives the rows of
     ``<stem>.csv`` for a resolved config (its beta grid and ``m`` filled in);
-    ``plot`` is the (column prefix, title, y label) of ``<stem>.svg``, which
-    draws the columns :data:`LEGEND` names, or None for no plot; ``design``
-    says whether the run writes its frozen design; ``beta_grid`` is the
-    default beta grid.
+    ``settings`` names the ``RunConfig`` fields those rows read, which with
+    ``out`` and ``workers`` are the experiment's flags, config keys and lines of
+    ``resolved_config.txt``; one that reads ``n`` runs on (and writes) the
+    run's frozen design. ``plot`` is the (column prefix, title, y label) of
+    ``<stem>.svg``, which draws the columns :data:`LEGEND` names, or None for
+    no plot; ``beta_grid`` is the default beta grid.
 
     ``rows`` looks its curve up among this module's globals when called, so a
     name rebound after import (as perfbench's tracer does) is the one called.
@@ -482,9 +484,14 @@ class Experiment:
 
     rows: Callable[..., list[dict]]
     stem: str
+    settings: tuple[str, ...]
     plot: tuple[str, str, str] | None = None
-    design: bool = True
     beta_grid: tuple[float, ...] = tuple(float(v) for v in np.linspace(-1.0, 1.0, 41))
+
+
+# The settings a beta curve on the run's design reads, and an n sweep's.
+_CURVE = ("n", "reps", "seed", "alpha", "sigma", "c", "pretest_form", "a_n", "k_n", "beta_grid")
+_SWEEP = ("reps", "seed", "alpha", "beta", "sigma", "n_grid")
 
 
 def _figure2(method: str) -> Experiment:
@@ -494,8 +501,11 @@ def _figure2(method: str) -> Experiment:
                                       mode=config.ks_mode, workers=workers)
 
     title = f"{method} approximation error (100 x mean KS distance)"
+    settings = (*_CURVE, "b", "datasets_per_beta", "ks_mode")
+    if method == "subsample":
+        settings += ("m",)
     return Experiment(  # the grid keeps to |beta| <= 0.4, where the methods actually differ
-        rows, f"resamp_error_{method}", ("err_", title, "100 * KS(truth, resampling)"),
+        rows, f"resamp_error_{method}", settings, ("err_", title, "100 * KS(truth, resampling)"),
         beta_grid=tuple(float(v) for v in np.linspace(-0.4, 0.4, 17)),
     )
 
@@ -516,22 +526,27 @@ LEGEND = {
 # Every CLI experiment by name, in subcommand order; "a-b" is subcommand a with --method b.
 EXPERIMENTS = {
     "figure1a": Experiment(
-        lambda c, s, w: mse_curve(c.beta_grid, s, workers=w),
-        "mse_curve", ("mse_", "Mean squared error by estimator", "MSE"),
+        lambda c, s, w: mse_curve(c.beta_grid, s, workers=w), "mse_curve", _CURVE,
+        ("mse_", "Mean squared error by estimator", "MSE"),
     ),
     "figure1b": Experiment(
-        lambda c, s, w: ks_ratio_curve(c.beta_grid, s, workers=w), "ks_ratio",
+        lambda c, s, w: ks_ratio_curve(c.beta_grid, s, workers=w), "ks_ratio", _CURVE,
         ("ratio_", "KS location ratio between R and U references", "100 * KS_R / (KS_R + KS_U)"),
     ),
     "figure2-bootstrap": _figure2("bootstrap"),
     "figure2-subsample": _figure2("subsample"),
     "riskbound": Experiment(
         lambda c, s, w: risk_bound_sweep(c.n_grid, s, workers=w), "risk_bound",
-        ("", "Normalized risk of the exact-posterior model average", "n * MSE"), design=False,
+        (*_SWEEP, "prior_scale", "prior_p_r"),
+        ("", "Normalized risk of the exact-posterior model average", "n * MSE"),
     ),
     "decay": Experiment(
-        lambda c, s, w: weight_decay_sweep(c.n_grid, s, workers=w), "weight_decay",
-        ("", "Adaptive weight decay", "weight"), design=False,
+        lambda c, s, w: weight_decay_sweep(c.n_grid, s, workers=w), "weight_decay", _SWEEP,
+        ("", "Adaptive weight decay", "weight"),
     ),
-    "single": Experiment(lambda c, s, w: single_fit(s), "single"),
+    "single": Experiment(
+        lambda c, s, w: single_fit(s), "single",
+        ("n", "seed", "alpha", "beta", "sigma", "c", "pretest_form", "a_n", "k_n", "prior_scale",
+         "prior_p_r"),
+    ),
 }

@@ -26,8 +26,6 @@ _MAX = sys.float_info.max
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
-    if not math.isfinite(lo) or not math.isfinite(hi):
-        raise ValueError("axis bounds must be finite")
     span = hi - lo
     if math.isinf(span):  # bounds near the float maximum: tick their halves
         return [2.0 * t for t in _nice_ticks(lo / 2.0, hi / 2.0, target)]
@@ -84,13 +82,19 @@ def write_line_plot(
     x: Sequence[float],
     series: Sequence[tuple[str, Sequence[float], str]],
 ) -> None:
-    """Write one SVG with shared x values and several (label, values, style) series."""
+    """Write one SVG with shared x values and several (label, values, style) series;
+    a nan or an infinity, which no axis holds, raises ValueError naming its series."""
     x = [float(v) for v in x]
     if not x:
         raise ValueError("x must be non-empty")
     if not series:
         raise ValueError("need at least one series")
-    all_y = [float(v) for _, vals, _ in series for v in vals]
+    series = [(label, [float(v) for v in values], style) for label, values, style in series]
+    for name, values in [("x", x), *((f"series {label!r}", values) for label, values, _ in series)]:
+        bad = next((v for v in values if not math.isfinite(v)), None)
+        if bad is not None:
+            raise ValueError(f"{name} holds {bad!r}, which cannot be plotted")
+    all_y = [v for _, values, _ in series for v in values]
     x_lo, x_hi = _axis(min(x), max(x))
     y_lo, y_hi = _axis(min(all_y), max(all_y))
     # Small headroom so lines do not sit on the frame.
@@ -156,7 +160,6 @@ def write_line_plot(
     )
 
     for label, values, style in series:
-        values = [float(v) for v in values]
         if len(values) != len(x):
             raise ValueError(f"series {label!r} has {len(values)} points, expected {len(x)}")
         dash = DASH_STYLES[style]

@@ -4,6 +4,7 @@ The benchmark cannot change together with the library, so a removed or renamed
 name would fail every unit of a workload. These tests make it fail here first.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -94,6 +95,30 @@ def test_benchmark_check_calls_a_one_estimator_pipeline_on_a_dataset():
         assert float(pipe(ds)) == pipe.fit(ds)[0][name]
     with pytest.raises(ValueError):
         modelavg.Pipeline(("r", "u"), 1.0)(ds)
+
+
+@pytest.mark.parametrize("scale", ["reference", "tiny"])
+def test_benchmark_commands_parse(monkeypatch, scale):
+    # perfbench/run.py's plans hold each CLI unit's commands; a unit parses them
+    # with parse_config in set-up and runs them as flags through cli.main. A
+    # command given a setting its experiment does not take would fail every unit.
+    monkeypatch.setattr(sys, "path", list(sys.path))  # run.py adds perfbench/ to it
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("perfbench_run", root / "perfbench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    parser = modelavg.cli.build_parser()
+    for workload in bench.WORKLOADS:
+        plan = bench.make_plan(workload, 1, scale)
+        assert plan["kind"] != "cli" or plan["commands"], workload
+        for command in plan.get("commands", []):
+            experiment, flags = command["experiment"], command["flags"]
+            config = modelavg.config.parse_config(experiment, overrides=flags, env={})
+            assert config.experiment == experiment
+            args = parser.parse_args(
+                command["argv"] + [f"--{key.replace('_', '-')}={v}" for key, v in flags.items()]
+            )
+            assert {key: getattr(args, key) for key in flags} == flags, experiment
 
 
 # Runs in a fresh interpreter, because the tracer replaces module globals of

@@ -22,6 +22,7 @@ from modelavg.config import (
     SETTINGS,
     RunConfig,
     echo_config,
+    experiment_settings,
     parse_config,
     read_config_file,
 )
@@ -35,6 +36,11 @@ from modelavg.svgplot import write_line_plot
 
 # ---------------------------------------------------------------------------
 # config parsing
+
+
+def _reader(key):
+    """The first experiment of the table that takes the setting ``key``."""
+    return next(e for e in EXPERIMENTS if key in experiment_settings(e))
 
 
 def test_defaults_reproduce_reference_scale():
@@ -186,7 +192,7 @@ def test_grid_parsing_forms():
 ])
 def test_unreadable_values_name_their_key(key, value):
     with pytest.raises(ConfigError, match=f"^{key}: "):
-        parse_config("riskbound", overrides={key: value}, env={})
+        parse_config(_reader(key), overrides={key: value}, env={})
 
 
 def test_validation_rejects_bad_combinations():
@@ -199,8 +205,6 @@ def test_validation_rejects_bad_combinations():
         {"workers": "-2"},
         {"ks_mode": "sideways"},
         {"pretest_form": "zform"},
-        {"experiment": "figure1a"},  # checked in a config file, never set
-        {"stream_version": str(STREAM_VERSION)},
         {"m": "1"},  # every one-row subsample is singular
         {"seed": "-1"},
         {"a_n": "0"},
@@ -211,8 +215,13 @@ def test_validation_rejects_bad_combinations():
         {"datasets_per_beta": "0"},
         {"n_grid": "1,50"},
     ):
+        [key] = overrides  # refused by its bound, for an experiment that reads it
         with pytest.raises(ConfigError):
-            parse_config("figure1a", overrides=overrides, env={})
+            parse_config(_reader(key), overrides=overrides, env={})
+    # Checked in a config file, never set.
+    for key, value in (("experiment", "figure1a"), ("stream_version", str(STREAM_VERSION))):
+        with pytest.raises(ConfigError, match=f"^unknown config key '{key}'$"):
+            parse_config("figure1a", overrides={key: value}, env={})
 
 
 @pytest.mark.parametrize("key, value, shown", [
@@ -222,7 +231,7 @@ def test_owners_bounds_name_the_value(key, value, shown):
     # These bounds are checked by the objects parse_config builds for the run
     # (default_tuning, Scenario, TrueParams, ResamplePlan), in their words.
     with pytest.raises(ConfigError, match=f"^{key} = {shown} "):
-        parse_config("figure1a", overrides={key: value}, env={})
+        parse_config(_reader(key), overrides={key: value}, env={})
 
 
 def test_each_n_of_the_grid_meets_its_tuning_bound():
@@ -232,7 +241,7 @@ def test_each_n_of_the_grid_meets_its_tuning_bound():
 
 def test_ks_mode_message_lists_every_mode():
     with pytest.raises(ConfigError) as err:
-        parse_config("figure1a", overrides={"ks_mode": "sideways"}, env={})
+        parse_config("figure2-bootstrap", overrides={"ks_mode": "sideways"}, env={})
     assert str(err.value) == f"ks_mode must be one of {KS_MODES}, got 'sideways'"
     scenario = make_scenario(n=20, seed=1, reps=10)
     with pytest.raises(ValueError) as err:
@@ -244,8 +253,8 @@ def test_ks_mode_message_lists_every_mode():
 @pytest.mark.parametrize("key", [f.name for f in fields(RunConfig) if "float" in f.type])
 def test_non_finite_float_settings_are_refused(key, value):
     # Every bound check compares with < or <=, which a nan passes.
-    with pytest.raises(ConfigError, match=f"^{key}: "):
-        parse_config("figure1a", overrides={key: value}, env={})
+    with pytest.raises(ConfigError, match=f"^{key}: values must be finite"):
+        parse_config(_reader(key), overrides={key: value}, env={})
 
 
 # A value for every setting, each different from its default.
@@ -257,10 +266,9 @@ NON_DEFAULT_SETTINGS = {
 }
 
 
-def test_scenario_carries_every_run_setting():
-    cfg = parse_config("figure1a", overrides=NON_DEFAULT_SETTINGS, env={})
-    scenario = cfg.scenario()
-    carried = {
+def _carried(scenario):
+    """Each run setting a scenario holds, by config key."""
+    return {
         "n": scenario.design.n, "seed": scenario.seed, "reps": scenario.reps,
         "alpha": scenario.params.alpha, "beta": scenario.params.beta,
         "sigma": scenario.params.sigma, "c": scenario.pretest.c,
@@ -268,25 +276,35 @@ def test_scenario_carries_every_run_setting():
         "k_n": scenario.adaptive.k_n, "prior_scale": scenario.prior_scale,
         "prior_p_r": scenario.prior_p_r,
     }
-    for key, value in carried.items():
-        assert value == getattr(cfg, key) != getattr(RunConfig, key), key
+
+
+def test_scenario_carries_every_run_setting():
+    # Each setting parsed for an experiment that reads it.
+    for key in _carried(RunConfig("figure1a").scenario()):
+        cfg = parse_config(_reader(key), overrides={key: NON_DEFAULT_SETTINGS[key]}, env={})
+        assert _carried(cfg.scenario())[key] == getattr(cfg, key) != getattr(RunConfig, key), key
 
 
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
 def test_echo_config_roundtrips(tmp_path, experiment):
-    cfg = parse_config(experiment, overrides=NON_DEFAULT_SETTINGS, env={})
+    # Every setting the experiment takes, each away from its default; across
+    # the table every setting is taken.
+    takes = experiment_settings(experiment)
+    assert set(NON_DEFAULT_SETTINGS) == set(SETTINGS) == {
+        key for e in EXPERIMENTS for key in experiment_settings(e)
+    }
+    cfg = parse_config(experiment, overrides={k: NON_DEFAULT_SETTINGS[k] for k in takes}, env={})
     defaults = parse_config(experiment, env={})
-    assert set(NON_DEFAULT_SETTINGS) == set(SETTINGS)
-    for key in SETTINGS:
+    for key in takes:
         assert getattr(cfg, key) != getattr(defaults, key), key
     path = tmp_path / "resolved_config.txt"
     echo_config(cfg, path)
-    text = path.read_text()
-    assert text.splitlines()[0] == f"experiment = {experiment}"
-    assert "n = 60" in text
-    assert "a_n = 12.5" in text
-    assert "beta_grid = -1.0,0.0,1.0" in text
-    assert text.splitlines()[-1] == f"stream_version = {STREAM_VERSION}"
+    lines = path.read_text().splitlines()
+    assert [line.partition(" = ")[0] for line in lines] == ["experiment", *takes, "stream_version"]
+    assert lines[0] == f"experiment = {experiment}"
+    for line in ("n = 60", "a_n = 12.5", "beta_grid = -1.0,0.0,1.0", "n_grid = 25,75", "m = 30"):
+        assert (line in lines) == (line.partition(" = ")[0] in takes), line
+    assert lines[-1] == f"stream_version = {STREAM_VERSION}"
     assert parse_config(experiment, config_file=path, env={}) == cfg
 
 
@@ -306,6 +324,64 @@ def test_hash_inside_a_value_is_not_a_comment(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("out = runs/#3\t# tab comment\n  # indented comment\nreps = 7 #8\n")
     assert read_config_file(cfg_file) == {"out": "runs/#3", "reps": 7}
+
+
+# ---------------------------------------------------------------------------
+# the settings each experiment takes
+
+
+# Values to try for each setting in place of the tiny run's: the first for a
+# setting the experiment does not read, each in turn for one it reads, until
+# an output byte moves.
+_TRIED = {
+    "n": (30,), "reps": (40,), "seed": (9,), "alpha": (2.5, -40.0), "beta": (-0.3,),
+    "sigma": (2.0,), "c": (0.0, 100.0), "pretest_form": ("scaled",), "a_n": (100.0, 0.1),
+    "k_n": (0.5, 0.01), "prior_scale": (3.0,), "prior_p_r": (0.25,), "beta_grid": ((0.1, 0.2),),
+    "b": (12,), "m": (9,), "datasets_per_beta": (3,), "ks_mode": ("pooled",),
+    "n_grid": ((25, 75),),
+}
+
+# Settings an experiment reads whose outputs the algebra leaves unchanged.
+_INVARIANT = {
+    # figure1b and figure2 write KS distances between centred estimates,
+    # sqrt(n) (estimate - alpha). Every estimate is alpha plus terms free of
+    # alpha, and every weight reads beta_u alone, so alpha cancels but for
+    # round-off, which does not reorder the samples the distances compare.
+    ("figure1b", "alpha"), ("figure2-bootstrap", "alpha"), ("figure2-subsample", "alpha"),
+}
+
+
+def _outputs(config, out):
+    """The bytes of every file a run of ``config`` into ``out`` writes, but its config."""
+    assert run(replace(config, out=str(out))) == 0
+    return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "resolved_config.txt"}
+
+
+def _text(value):
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+@pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+def test_an_experiment_takes_exactly_the_settings_it_reads(tmp_path, experiment):
+    takes = experiment_settings(experiment)
+    assert set(EXPERIMENTS[experiment].settings) < set(SETTINGS) == {*_TRIED, "out", "workers"}
+    base = replace(RunConfig(experiment), n=20, reps=60, b=10, datasets_per_beta=2,
+                   beta_grid=(0.0, 0.3), n_grid=(25, 50), workers=1)
+    expected = _outputs(base, tmp_path / "base")
+    for key, values in _TRIED.items():
+        if key not in takes:
+            # Refused when parsed, and changes no output when set in code.
+            with pytest.raises(ConfigError, match=f"^{key}: {experiment} does not read "):
+                parse_config(experiment, overrides={key: _text(values[0])}, env={})
+            assert _outputs(replace(base, **{key: values[0]}), tmp_path / key) == expected, key
+            continue
+        parsed = parse_config(experiment, overrides={key: _text(values[0])}, env={})
+        assert getattr(parsed, key) == values[0]
+        if (experiment, key) not in _INVARIANT:
+            assert any(
+                _outputs(replace(base, **{key: value}), tmp_path / f"{key}{i}") != expected
+                for i, value in enumerate(values)
+            ), key
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +657,22 @@ def test_cli_error_reporting_bad_flags(tmp_path, capsys):
     assert re.search(r"\bn\b", err) and "m = " not in err
 
 
+def test_a_setting_the_experiment_does_not_read_exits_2(tmp_path, capsys):
+    out = tmp_path / "x"
+    with pytest.raises(SystemExit) as exc:  # decay's subcommand has no such flag
+        main(["decay", "--a-n", "100", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--a-n" in capsys.readouterr().err
+    cfg_file = tmp_path / "decay.cfg"
+    cfg_file.write_text("reps = 20\na_n = 100\n")
+    assert main(["decay", "--config", str(cfg_file), "--out", str(out)]) == 2
+    assert f"{cfg_file}:2: a_n: decay does not read this setting" in capsys.readouterr().err
+    # figure2 has --m for its subsample method, which the bootstrap refuses.
+    assert main(["figure2", "--method", "bootstrap", "--m", "20", "--out", str(out)]) == 2
+    assert "m: figure2-bootstrap does not read this setting" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_subcommands_follow_the_experiment_list(monkeypatch):
     seen = []
     monkeypatch.setattr(modelavg.cli, "run", lambda cfg: seen.append(cfg.experiment) or 0)
@@ -600,8 +692,8 @@ def test_subcommands_follow_the_experiment_list(monkeypatch):
 
 
 _README = Path(__file__).resolve().parents[1] / "README.md"
-_TINY_FLAGS = ["--reps", "20", "--beta-grid", "0", "--n-grid", "25", "--b", "10",
-               "--datasets-per-beta", "2", "--workers", "1"]
+_TINY = {"reps": "20", "beta_grid": "0", "n_grid": "25", "b": "10", "datasets_per_beta": "2",
+         "workers": "1"}
 
 
 def _readme_csv_name(experiment: str) -> str:
@@ -619,7 +711,9 @@ def _readme_schemas() -> dict:
 @pytest.mark.parametrize("experiment", list(EXPERIMENTS))
 def test_csv_header_is_the_readme_schema(tmp_path, experiment):
     name, _, method = experiment.partition("-")
-    argv = [name, *(["--method", method] if method else []), *_TINY_FLAGS, "--out", str(tmp_path)]
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in _TINY.items()
+             if key in experiment_settings(experiment)]
+    argv = [name, *(["--method", method] if method else []), *flags, "--out", str(tmp_path)]
     assert main(argv) == 0
     header = (tmp_path / f"{EXPERIMENTS[experiment].stem}.csv").read_text().splitlines()[0]
     assert header == _readme_schemas()[_readme_csv_name(experiment)]
@@ -649,16 +743,23 @@ def test_a_table_entry_is_a_whole_experiment(tmp_path, monkeypatch, plot, column
         return [{"x": float(k), "y_ms": 2.0 * k, **{c: 3.0 * k for c in extra}, "seed": config.seed}
                 for k in range(3)]
 
-    design = plot is not None  # each flag on in one case, off in another
-    toy = modelavg.experiments.Experiment(rows, "toy", plot, design=design, beta_grid=(0.25,))
+    # With a plot the toy reads n, and so writes its design; without one it does not.
+    design = plot is not None
+    settings = ("n", "seed") if design else ("seed",)
+    toy = modelavg.experiments.Experiment(rows, "toy", settings, plot, beta_grid=(0.25,))
     monkeypatch.setitem(EXPERIMENTS, "toy", toy)
     if column:
         monkeypatch.setitem(modelavg.experiments.LEGEND, column, ("Toy column", "dotted"))
     out = tmp_path / "toy"
-    assert main(["toy", "--n", "7", "--workers", "1", "--seed", "3", "--out", str(out)]) == 0
-    assert calls == [((0.25,), 7, 1)]
+    n_flag = ["--n", "7"] if design else []
+    assert main(["toy", *n_flag, "--workers", "1", "--seed", "3", "--out", str(out)]) == 0
+    assert calls == [((0.25,), 7 if design else 50, 1)]
     files = {"resolved_config.txt", "toy.csv"} | ({"toy.svg", "design_n7.csv"} if design else set())
     assert {p.name for p in out.iterdir()} == files
+    echoed = (out / "resolved_config.txt").read_text().splitlines()
+    assert [line.partition(" = ")[0] for line in echoed] == [
+        "experiment", *settings, "out", "workers", "stream_version"
+    ]
     expected = ("x,y_ms,seed\n0.0,0.0,3\n1.0,2.0,3\n2.0,4.0,3\n" if column is None else
                 "x,y_ms,y_toy,seed\n0.0,0.0,0.0,3\n1.0,2.0,3.0,3\n2.0,4.0,6.0,3\n")
     assert (out / "toy.csv").read_text() == expected
@@ -772,6 +873,29 @@ def test_plot_of_a_degenerate_axis_is_drawn(tmp_path, x, y):
     svg = path.read_text()
     assert "nan" not in svg and "inf" not in svg
     assert len(_TICK_LABEL.findall(svg)) >= 4  # ticks on both axes, besides the legend
+
+
+@pytest.mark.parametrize("x, y, shown", [
+    ([0.0, math.inf], [1.0, 2.0], "x holds inf"),
+    ([0.0, 1.0], [1.0, math.nan], "series 's' holds nan"),
+    ([0.0, 1.0], [-math.inf, 2.0], "series 's' holds -inf"),
+])
+def test_plot_of_a_non_finite_value_is_refused_by_name(tmp_path, x, y, shown):
+    path = tmp_path / "p.svg"
+    with pytest.raises(ValueError, match=f"^{re.escape(shown)}, which cannot be plotted$"):
+        write_line_plot(path, "t", "x", "y", x, [("ok", [0.0, 0.0], "solid"), ("s", y, "solid")])
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("flag", [["--sigma", "1e160"], ["--alpha", "1e200"]])
+def test_a_run_whose_mse_overflows_names_the_series(tmp_path, capsys, flag):
+    # Every MSE is inf, which no axis can hold: the run fails and writes nothing.
+    out = tmp_path / "inf"
+    assert main(["figure1a", *flag, "--reps", "5", "--beta-grid", "0", "--out", str(out)]) == 1
+    assert "error: series 'BMA (BIC weights)' holds inf, which cannot be plotted" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
 
 
 def test_figure2_at_one_huge_beta_writes_its_plot(tmp_path):
@@ -888,25 +1012,31 @@ def test_flag_spellings_parse_to_the_same_config(monkeypatch):
     seen = []
     monkeypatch.setattr(modelavg.cli, "run", lambda cfg: seen.append(cfg) or 0)
     monkeypatch.delenv("MODELAVG_SEED", raising=False)
+    # figure2-subsample takes every setting but the four riskbound is given.
     assert main([
         "figure2", "--method", "subsample", "--n", "60", "--reps", "70", "--seed", "8",
-        "--alpha", "1.5", "--beta", "-0.25", "--sigma", "2.0", "--c", "1.25",
-        "--pretest-form", "scaled", "--a-n", "12.5", "--k-n", "none", "--prior-scale", "3.0",
-        "--prior-p-r", "0.25", "--beta-grid=-0.2:0.2:3", "--b", "40", "--m", "30",
-        "--datasets-per-beta", "6", "--ks-mode", "pooled", "--n-grid", "25,75",
+        "--alpha", "1.5", "--sigma", "2.0", "--c", "1.25",
+        "--pretest-form", "scaled", "--a-n", "12.5", "--k-n", "none",
+        "--beta-grid=-0.2:0.2:3", "--b", "40", "--m", "30",
+        "--datasets-per-beta", "6", "--ks-mode", "pooled",
         "--out", "somewhere", "--workers", "3",
     ]) == 0
     assert main(["figure2", "--datasets-per-beta=7", "--beta-grid=0.0,0.1", "--workers=1",
                  "--k-n=4.5"]) == 0
+    assert main(["riskbound", "--beta", "-0.25", "--prior-scale", "3.0", "--prior-p-r=0.25",
+                 "--n-grid", "25,75"]) == 0
     assert seen == [
         RunConfig(
-            experiment="figure2-subsample", n=60, reps=70, seed=8, alpha=1.5, beta=-0.25,
-            sigma=2.0, c=1.25, pretest_form="scaled", a_n=12.5, k_n=None, prior_scale=3.0,
-            prior_p_r=0.25, beta_grid=(-0.2, 0.0, 0.2), b=40, m=30, datasets_per_beta=6,
-            ks_mode="pooled", n_grid=(25, 75), out="somewhere", workers=3,
+            experiment="figure2-subsample", n=60, reps=70, seed=8, alpha=1.5,
+            sigma=2.0, c=1.25, pretest_form="scaled", a_n=12.5, k_n=None,
+            beta_grid=(-0.2, 0.0, 0.2), b=40, m=30, datasets_per_beta=6,
+            ks_mode="pooled", out="somewhere", workers=3,
         ),
         RunConfig(
             experiment="figure2-bootstrap", beta_grid=(0.0, 0.1), datasets_per_beta=7,
             k_n=4.5, workers=1,
+        ),
+        RunConfig(
+            experiment="riskbound", beta=-0.25, prior_scale=3.0, prior_p_r=0.25, n_grid=(25, 75),
         ),
     ]

@@ -327,8 +327,9 @@ def _output_bytes(out):
 def test_outputs_do_not_depend_on_cells_an_earlier_command_cached(
     tmp_path, monkeypatch, first, second, workers
 ):
-    flags = ["--reps=200", "--beta-grid=0.0,0.3", "--n-grid=50,25", "--datasets-per-beta=3",
-             "--b=20", "--seed=11", f"--workers={workers}"]
+    flags = ["--reps=200", "--seed=11", f"--workers={workers}",
+             *(["--n-grid=50,25"] if first == ["riskbound"] else ["--beta-grid=0.0,0.3"]),
+             *(["--datasets-per-beta=3", "--b=20"] if first[0] == "figure2" else [])]
     cold = {}
     for k, argv in enumerate((first, second)):
         clear_memo()
