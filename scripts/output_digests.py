@@ -9,10 +9,11 @@ temporary directory. A few more runs with non-default flags (``EXTRA_RUNS``)
 reach the kernel's other branches and figure2's other scoring: the sigma = 0
 limits, the scaled pretest, a non-default prior, pooled KS scoring with more
 replicates than truth draws, the scaled pretest on size-m subsamples,
-bootstrap engine calls on a ragged last chunk of datasets, and Monte Carlo
-cells at reps = 4999 at n = 50 and along the n-grid up to 800, whose last
-noise block is ragged (414 of 655 rows at n = 50, 39 of 40 at n = 800).
-Their lines read
+bootstrap engine calls on a ragged last chunk of datasets, bootstrap
+resamples of n = 3 datasets, where the engine's redraw loop replaces singular
+resamples, and Monte Carlo cells at reps = 4999 at n = 50 and along the
+n-grid up to 800, whose last noise block is ragged (414 of 655 rows at
+n = 50, 39 of 40 at n = 800). Their lines read
 ``<experiment>[<flags>]/<file>``. Then it prints one
 ``<sha256>  library/...`` line per replicate array of the library's
 resamplers: ``paired_bootstrap`` and ``subsample_distribution`` (m = 20) for
@@ -67,9 +68,11 @@ from modelavg.weights import adaptive_weights
 # scoring of 10 * 50 replicates against 200 truth draws, and the scaled
 # pretest judged at the subsample's m), a small figure2-bootstrap run whose 7
 # datasets per beta go to the engine in chunks of 5 and 2 (b = 3000 against a
-# budget of 2^14 replicates per call), and Monte Carlo cells whose 4999 rows
-# end in a ragged noise block at n = 50 and at n = 800 (a short last block
-# must give the floats of a full one).
+# budget of 2^14 replicates per call), a figure2-bootstrap run at n = 3, the
+# one here whose resamples are singular (a row drawn three times) and so go
+# through the engine's redraw loop, and Monte Carlo cells whose 4999 rows end
+# in a ragged noise block at n = 50 and at n = 800 (a short last block must
+# give the floats of a full one).
 _SMALL_FIGURE2 = ("--beta-grid", "0,0.3")
 EXTRA_RUNS = (
     ("riskbound", ("--sigma", "0")),
@@ -81,6 +84,8 @@ EXTRA_RUNS = (
     ("figure2-subsample", ("--pretest-form", "scaled", "--c", "0.3", "--reps", "500",
                            "--b", "100", "--datasets-per-beta", "5", *_SMALL_FIGURE2)),
     ("figure2-bootstrap", ("--reps", "300", "--b", "3000", "--datasets-per-beta", "7",
+                           *_SMALL_FIGURE2)),
+    ("figure2-bootstrap", ("--n", "3", "--b", "50", "--datasets-per-beta", "5", "--reps", "200",
                            *_SMALL_FIGURE2)),
     ("figure1a", ("--reps", "4999")),
     ("riskbound", ("--reps", "4999")),

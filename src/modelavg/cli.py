@@ -105,14 +105,20 @@ def build_parser() -> argparse.ArgumentParser:
                 "--method", choices=choices, default=choices[0],
                 help=f"resampling scheme (default: {choices[0]})",
             )
+        # A setting none of its experiments reads is a hidden flag, so that
+        # parse_config refuses it by name rather than argparse by usage.
         for key in SETTINGS:
-            if any(key in experiment_settings(e) for e in experiments):
-                p.add_argument("--" + key.replace("_", "-"), dest=key, default=None)
+            reads = any(key in experiment_settings(e) for e in experiments)
+            p.add_argument("--" + key.replace("_", "-"), dest=key, default=None,
+                           help=None if reads else argparse.SUPPRESS)
+        p.set_defaults(usage_error=p.error)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:  # with the subcommand's usage, not the top level's
+        args.usage_error(f"unrecognized arguments: {' '.join(unknown)}")
     experiment = args.experiment
     if "method" in args:
         experiment += "-" + args.method

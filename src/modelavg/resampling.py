@@ -5,9 +5,9 @@ bootstrap, with ``m`` subsampling. One engine, :func:`resampled_estimates`,
 serves both, on one dataset (library calls) or a chunk of them (figure2), and
 returns per estimator one block of centred replicates sqrt(size) *
 (theta_star - theta_hat), a row per dataset that kept its redraw budget.
-A dataset's indices come from :class:`ResampleIndices`: one (b, size) block
-drawn from its own generator, plus singular-row redraws from one generator
-spawned from it at the first redraw. One call of a
+A dataset's indices come from :meth:`ResamplePlan.indices`: one (b, size)
+block drawn from its own generator; the engine's redraw loop replaces singular
+rows from one generator spawned from it at the first redraw. One call of a
 :class:`~modelavg.estimators.Pipeline`'s kernel evaluates a chunk's resamples
 from their sufficient statistics, as :func:`mean_model_bootstrap` calls its
 weight rule once on all b resampled means. Each dataset's row is a
@@ -105,45 +105,18 @@ class ResamplePlan:
             raise ValueError(f"m = {self.m} must lie in [2, n = {n}]")
         return self.m
 
+    def indices(self, rng: np.random.Generator, n: int, rows: int) -> np.ndarray:
+        """A (rows, size(n)) block of row indices into an n-row dataset, one draw from ``rng``.
 
-class ResampleIndices:
-    """Row indices of one dataset's ``plan.b`` resamples.
-
-    ``block`` holds one row of indices per replicate, all drawn at once from
-    ``rng``: n draws with replacement for the bootstrap; for subsampling, the
-    first ``size`` entries of a random permutation per row, sorted. Sorted
-    rows make a subsample a row set, so size = n reproduces the dataset
-    bit-for-bit. :meth:`redraw` replaces a singular row from one generator
-    that the first redraw spawns from ``rng``, so a reused ``rng``'s spawn
-    counter advances only on calls that redraw. :func:`resampled_estimates`
-    redraws singular rows in ascending row order, so any refit of the same
-    rows that redraws in that order, and agrees on which designs are
-    singular, gets every replicate.
-    """
-
-    def __init__(self, rng: np.random.Generator, n: int, plan: ResamplePlan):
-        self.n = n
-        self.size = plan.size(n)
-        self.subsample = plan.m is not None
-        self.budget = plan.redraw_budget
-        self.redraws = 0
-        self.block = self._draw(rng, plan.b)
-        self._rng = rng
-
-    def _draw(self, rng: np.random.Generator, rows: int) -> np.ndarray:
-        if self.subsample:
-            perm = np.argsort(rng.random((rows, self.n)), axis=1)
-            return np.sort(perm[:, : self.size], axis=1)
-        return rng.integers(0, self.n, size=(rows, self.n))
-
-    def redraw(self) -> np.ndarray:
-        """A fresh index row; raises once the redraw budget is spent."""
-        self.redraws += 1
-        if self.redraws > self.budget:
-            raise TooManySingularResamples(f"exceeded {self.budget} singular redraws")
-        if self.redraws == 1:
-            self._rng = self._rng.spawn(1)[0]
-        return self._draw(self._rng, 1)[0]
+        The bootstrap draws n indices with replacement per row; subsampling
+        takes the first m entries of an argsort of n uniforms per row, sorted,
+        so a subsample is a row set and m = n reproduces the dataset
+        bit-for-bit. ``size(n)`` refuses m > n before ``rng`` is touched.
+        """
+        size = self.size(n)
+        if self.m is None:
+            return rng.integers(0, n, size=(rows, n))
+        return np.sort(np.argsort(rng.random((rows, n)), axis=1)[:, :size], axis=1)
 
 
 def _require_pipeline(pipeline) -> None:
@@ -164,12 +137,16 @@ def resampled_estimates(
     the (kept.sum(), b) array of sqrt(size) * (theta_star - theta_hat), a row
     per kept dataset in dataset order.
 
-    Dataset d (at least one, all of one n) draws its :class:`ResampleIndices`
-    from ``rngs[d]``. A resample's sufficient statistics are one take of its
-    dataset's row of a products table and one sum; theta_hat sums the whole
-    row, so a singular dataset raises before any draw. Singular rows are
-    redrawn per dataset in ascending order. One kernel call fits every
-    dataset, one every kept resample.
+    Dataset d (at least one, all of one n) draws its (b, size) block with
+    :meth:`ResamplePlan.indices` from ``rngs[d]``. A resample's sufficient
+    statistics are one take of its dataset's row of a products table and one
+    sum; theta_hat sums the whole row, so a singular dataset, or an m > n,
+    raises before any draw. The redraw loop replaces a dataset's singular rows
+    in ascending row order, each from one generator spawned from ``rngs[d]`` at
+    the dataset's first redraw, and drops the dataset once it has spent
+    ``plan.redraw_budget`` redraws. So any refit of the same rows that redraws
+    in that order, and agrees on which designs are singular, gets every
+    replicate. One kernel call fits every dataset, one every kept resample.
     """
     _require_pipeline(pipeline)
     if len(datasets) != len(rngs):
@@ -177,7 +154,7 @@ def resampled_estimates(
     ns = sorted({ds.n for ds in datasets})
     if len(ns) != 1:
         raise ValueError(f"needs datasets of one n, got {len(datasets)} with n in {ns}")
-    n, b = ns[0], plan.b
+    n, b, size = ns[0], plan.b, plan.size(ns[0])
     cols = np.stack([(ds.design.x1, ds.design.x2, ds.y) for ds in datasets], axis=1)
     # x1*x1, x2*x2, x1*x2, x1*y and x2*y, a row per dataset, each summed along
     # its contiguous last axis as model._inner sums (Pipeline.fit's floats).
@@ -190,19 +167,19 @@ def resampled_estimates(
     def gather(d, index, out):
         np.take(products[:, d], index, axis=1).sum(axis=-1, out=out)
 
-    sums, draws = np.empty((5, len(datasets), b)), []
+    sums = np.empty((5, len(datasets), b))
     for d, rng in enumerate(rngs):
-        draws.append(ResampleIndices(rng, n, plan))
-        gather(d, draws[d].block, sums[:, d])
-        draws[d].block = None  # one index block alive at a time
+        gather(d, plan.indices(rng, n, b), sums[:, d])
     kept = np.ones(len(datasets), bool)
+    redraws, redraw_rngs = np.zeros(len(datasets), int), {}
     for d, i in zip(*np.nonzero(singular_design(*sums[:3]))):
-        try:
-            while kept[d] and singular_design(*sums[:3, d, i]):
-                gather(d, draws[d].redraw(), sums[:, d, i])
-        except TooManySingularResamples:
-            kept[d] = False
-    size = plan.size(n)
+        while kept[d] and singular_design(*sums[:3, d, i]):
+            kept[d] = redraws[d] < plan.redraw_budget
+            if kept[d]:
+                if redraws[d] == 0:
+                    redraw_rngs[d] = rngs[d].spawn(1)[0]
+                redraws[d] += 1
+                gather(d, plan.indices(redraw_rngs[d], n, 1)[0], sums[:, d, i])
     # Every dataset kept is the common case: a view, not a copy of the sums.
     estimates, _ = pipeline.kernel(size, *(sums if kept.all() else sums[:, kept]).reshape(5, -1))
     return kept, {
@@ -278,7 +255,7 @@ def mean_model_bootstrap(
     if not np.all(np.isfinite(y)):
         raise ValueError("y must be finite")
     n = y.size
-    idx = ResampleIndices(rng, n, ResamplePlan(b)).block
+    idx = ResamplePlan(b).indices(rng, n, b)
     root_n = float(np.sqrt(n))
     ybar = float(np.mean(y))
     mu_hat = float(weight_rule(root_n * ybar)) * ybar

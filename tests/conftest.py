@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from modelavg.errors import TooManySingularResamples
 from modelavg.experiments import _TAG_RESAMPLE, _centered_draws, draw_dataset, stream
 from modelavg.model import Dataset, DesignMatrix, singular_design
-from modelavg.resampling import ResampleIndices, resampled_estimates
+from modelavg.resampling import resampled_estimates
 
 # Every @given test draws the same examples on each run and in each checkout:
 # a seed derived from the test itself, and no database of earlier failures to
@@ -123,10 +122,36 @@ def stacked_sums_engine(datasets, pipeline, plan, rngs):
     return kept, blocks
 
 
+def layout_indices(rng, n, plan):
+    """Stream layout 2 written out on its own, for the reference engines.
+
+    Returns ``(block, redraws)``. ``block`` is the (b, size) index block drawn
+    from ``rng``: n indices with replacement per row for the bootstrap, the
+    sorted first m entries of an argsort of n uniforms per row for
+    subsampling. ``redraws`` yields up to ``plan.redraw_budget`` replacement
+    rows for singular ones, drawn the same way, one at a time, from one
+    generator spawned from ``rng`` at the first redraw.
+    """
+    size = plan.size(n)
+
+    def draw(gen, rows):
+        if plan.m is None:
+            return gen.integers(0, n, size=(rows, n))
+        return np.sort(np.argsort(gen.random((rows, n)), axis=1)[:, :size], axis=1)
+
+    def redraws():  # the body, and so the spawn, runs at the first redraw
+        if plan.redraw_budget:
+            child = rng.spawn(1)[0]
+            for _ in range(plan.redraw_budget):
+                yield draw(child, 1)[0]
+
+    return draw(rng, plan.b), redraws()
+
+
 def _stacked_sums_one(dataset, pipeline, plan, rng):
     originals, _ = pipeline.fit(dataset)
     x1_full, x2_full, y_full = dataset.design.x1, dataset.design.x2, dataset.y
-    indices = ResampleIndices(rng, dataset.n, plan)
+    block, redraws = layout_indices(rng, dataset.n, plan)
 
     def gather(index):
         x1 = x1_full[index]
@@ -137,15 +162,16 @@ def _stacked_sums_one(dataset, pipeline, plan, rng):
             np.sum(x1 * y, axis=-1), np.sum(x2 * y, axis=-1),
         ])
 
-    sums = gather(indices.block)
-    try:
-        for i in np.nonzero(singular_design(*sums[:3]))[0]:
-            while singular_design(*sums[:3, i]):
-                sums[:, i] = gather(indices.redraw())
-    except TooManySingularResamples:
-        return None
-    estimates, _ = pipeline.kernel(indices.size, *sums)
-    scale = float(np.sqrt(indices.size))
+    sums = gather(block)
+    for i in np.nonzero(singular_design(*sums[:3]))[0]:
+        while singular_design(*sums[:3, i]):
+            row = next(redraws, None)
+            if row is None:  # the redraw budget is spent
+                return None
+            sums[:, i] = gather(row)
+    size = plan.size(dataset.n)
+    estimates, _ = pipeline.kernel(size, *sums)
+    scale = float(np.sqrt(size))
     return {name: scale * (estimates[name] - originals[name]) for name in pipeline.names}
 
 

@@ -659,10 +659,19 @@ def test_cli_error_reporting_bad_flags(tmp_path, capsys):
 
 def test_a_setting_the_experiment_does_not_read_exits_2(tmp_path, capsys):
     out = tmp_path / "x"
-    with pytest.raises(SystemExit) as exc:  # decay's subcommand has no such flag
-        main(["decay", "--a-n", "100", "--out", str(out)])
+    # A setting flag decay's subcommand does not show is refused by name; an
+    # exact --n is not read as an abbreviation of --n-grid.
+    for flag, key in (("--a-n", "a_n"), ("--n", "n")):
+        assert main(["decay", flag, "100", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}: decay does not read this setting; it takes reps, ")
+    # Any other flag gets the subcommand's own usage.
+    with pytest.raises(SystemExit) as exc:
+        main(["decay", "--bogus", "1", "--out", str(out)])
     assert exc.value.code == 2
-    assert "--a-n" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("usage: modelavg decay ")
+    assert "modelavg decay: error: unrecognized arguments: --bogus 1" in err
     cfg_file = tmp_path / "decay.cfg"
     cfg_file.write_text("reps = 20\na_n = 100\n")
     assert main(["decay", "--config", str(cfg_file), "--out", str(out)]) == 2

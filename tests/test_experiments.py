@@ -38,7 +38,6 @@ from modelavg.model import (
     compute_design_stats,
 )
 from modelavg.resampling import (
-    ResampleIndices,
     ResamplePlan,
     paired_bootstrap,
     resampled_estimates,
@@ -46,7 +45,7 @@ from modelavg.resampling import (
 )
 from modelavg.weights import AdaptiveConfig, PretestConfig, default_tuning
 
-from conftest import error_row_reference, ks_oracle, stacked_sums_engine
+from conftest import error_row_reference, ks_oracle, layout_indices, stacked_sums_engine
 
 
 def _integer_scenario(beta=0.0, sigma=0.0, n=8, reps=40, seed=5):
@@ -570,23 +569,25 @@ def test_resampling_error_subsample_and_pooled_modes():
 def _generic_engine(ds, pipeline, plan, seed):
     """Per-row reference for the resampling engine, one refit per replicate.
 
-    Takes the ResampleIndices block of ``seed``, redraws singular rows in
+    Takes the layout_indices block of ``seed``, redraws singular rows in
     ascending order, refits the dataset of each row's (x, y) rows through
     ``pipeline.fit`` and returns sqrt(size) * (theta_star - theta_hat) per name.
+    The dataset must keep its redraw budget.
     """
-    indices = ResampleIndices(np.random.default_rng(seed), ds.n, plan)
+    block, redraws = layout_indices(np.random.default_rng(seed), ds.n, plan)
     originals, _ = pipeline.fit(ds)
     x1, x2, y = ds.design.x1, ds.design.x2, ds.y
+    scale = np.sqrt(plan.size(ds.n))
     out = {name: [] for name in pipeline.names}
-    for row in indices.block:
+    for row in block:
         while True:
             try:
                 star, _ = pipeline.fit(Dataset(DesignMatrix(x1[row], x2[row]), y[row]))
                 break
             except (CollinearDesign, ZeroColumn):
-                row = indices.redraw()
+                row = next(redraws)
         for name in pipeline.names:
-            out[name].append(np.sqrt(indices.size) * (star[name] - originals[name]))
+            out[name].append(scale * (star[name] - originals[name]))
     return {name: np.array(values) for name, values in out.items()}
 
 
@@ -669,7 +670,7 @@ def test_singular_redraw_leaves_other_rows_on_their_block_row():
     ds = draw_dataset(tiny)
     pipeline = Pipeline(("u",), 1.0, tiny.pretest, tiny.adaptive)
     plan = ResamplePlan(b=60)
-    block = ResampleIndices(np.random.default_rng(4), 3, plan).block
+    block = plan.indices(np.random.default_rng(4), 3, plan.b)
     singular = np.array([len(set(row)) == 1 for row in block])
     assert 0 < singular.sum() < plan.b
 
@@ -722,8 +723,8 @@ def test_engine_replicates_equal_the_stacked_sums_engine():
     pipeline3 = Pipeline(names, 1.0, tiny.pretest, tiny.adaptive)
     for m in (None, 3):
         plan = ResamplePlan(b=60, m=m)
-        indices = ResampleIndices(np.random.default_rng(4), 3, plan)
-        assert (m is None) == bool(np.any([len(set(row)) == 1 for row in indices.block]))
+        block = plan.indices(np.random.default_rng(4), 3, plan.b)
+        assert (m is None) == bool(np.any([len(set(row)) == 1 for row in block]))
         _, expected = stacked_sums_engine([ds3], pipeline3, plan, [np.random.default_rng(4)])
         got = _engine(ds3, pipeline3, plan, 4)
         for name in names:
@@ -825,6 +826,33 @@ def test_engine_spawns_a_redraw_generator_only_for_a_dataset_that_redraws():
         kept, _ = resampled_estimates([draw_dataset(tiny)], tiny.pipeline(("u",)), plan, [rng])
         assert kept[0] == (budget is None)
         assert rng.bit_generator.seed_seq.n_children_spawned == spawned
+
+
+def test_redraw_budget_boundary_on_the_tiny_design():
+    # A dataset that needs k redraws keeps a budget of exactly k, spawning one
+    # redraw generator; with k - 1 the engine drops it after spending them all
+    # from that one generator, and the library call raises.
+    tiny = _tiny_scenario()
+    ds, pipeline = draw_dataset(tiny), tiny.pipeline(("u",))
+    block, redraws = layout_indices(np.random.default_rng(4), 3, ResamplePlan(b=60))
+    needed = 0
+    for row in block:
+        while len(set(row)) == 1:
+            row, needed = next(redraws), needed + 1
+    assert needed > 1
+    lib = make_pipeline("u", tiny.params.sigma, adaptive_config=tiny.adaptive)
+    for budget, keeps in ((needed, True), (needed - 1, False)):
+        plan, rng = ResamplePlan(b=60, max_redraws=budget), np.random.default_rng(4)
+        (kept,), blocks = resampled_estimates([ds], pipeline, plan, [rng])
+        assert kept == keeps and blocks["u"].shape == (int(keeps), 60)
+        assert rng.bit_generator.seed_seq.n_children_spawned == 1
+        if keeps:
+            assert np.array_equal(
+                paired_bootstrap(ds, lib, plan, np.random.default_rng(4)).values, blocks["u"][0]
+            )
+        else:
+            with pytest.raises(TooManySingularResamples, match=f"^exceeded {budget} singular"):
+                paired_bootstrap(ds, lib, plan, np.random.default_rng(4))
 
 
 def _engine_call_sizes(monkeypatch) -> list[int]:

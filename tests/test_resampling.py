@@ -10,10 +10,10 @@ from modelavg.estimators import Pipeline, make_pipeline
 from modelavg.model import Dataset, DesignMatrix
 from modelavg.resampling import (
     EmpiricalSample,
-    ResampleIndices,
     ResamplePlan,
     mean_model_bootstrap,
     paired_bootstrap,
+    resampled_estimates,
     subsample_distribution,
 )
 from modelavg.weights import PretestConfig, adaptive_weights, default_tuning
@@ -106,7 +106,7 @@ def test_bootstrap_first_index_marginal_uniform():
     # chi-square GOF at significance 1e-6.
     n = 10
     draws = 100_000
-    block = ResampleIndices(np.random.default_rng(3), n, ResamplePlan(b=draws)).block
+    block = ResamplePlan(b=draws).indices(np.random.default_rng(3), n, draws)
     counts = np.bincount(block[:, 0], minlength=n)
     assert counts.sum() == draws
     expected = draws / n
@@ -134,7 +134,7 @@ def test_subsample_full_size_is_degenerate():
 
 @pytest.mark.parametrize("n,m", [(9, 2), (9, 4), (12, 12), (50, 20)])
 def test_subsample_rows_are_sorted_sets_of_distinct_indices(n, m):
-    block = ResampleIndices(np.random.default_rng(n + m), n, ResamplePlan(b=300, m=m)).block
+    block = ResamplePlan(b=300, m=m).indices(np.random.default_rng(n + m), n, 300)
     assert block.shape == (300, m)
     assert block.min() >= 0 and block.max() < n
     assert np.all(np.diff(block, axis=1) > 0)  # strictly increasing: sorted and distinct
@@ -144,9 +144,9 @@ def test_subsample_rows_are_sorted_sets_of_distinct_indices(n, m):
 
 def test_index_block_is_one_draw_from_the_callers_generator():
     # Stream layout 2: a change here moves every resampling output.
-    boot = ResampleIndices(np.random.default_rng(3), 7, ResamplePlan(b=40)).block
+    boot = ResamplePlan(b=40).indices(np.random.default_rng(3), 7, 40)
     assert np.array_equal(boot, np.random.default_rng(3).integers(0, 7, size=(40, 7)))
-    sub = ResampleIndices(np.random.default_rng(3), 7, ResamplePlan(b=40, m=3)).block
+    sub = ResamplePlan(b=40, m=3).indices(np.random.default_rng(3), 7, 40)
     perm = np.argsort(np.random.default_rng(3).random((40, 7)), axis=1)
     assert np.array_equal(sub, np.sort(perm[:, :3], axis=1))
 
@@ -159,6 +159,22 @@ def test_subsample_size_contract_and_validation():
     for m in (7, 1):  # m = 1: every one-row design is singular
         with pytest.raises(ValueError):
             subsample_distribution(ds, proc, ResamplePlan(b=2, m=m), np.random.default_rng(0))
+
+
+def test_m_above_n_is_refused_before_any_draw():
+    # size(n) refuses m > n before the plan draws from the caller's generator.
+    ds = _integer_dataset(n=6)
+    proc = make_pipeline("r", 1.0)
+    plan = ResamplePlan(b=5, m=7)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="m = 7 must lie in"):
+        subsample_distribution(ds, proc, plan, rng)
+    with pytest.raises(ValueError, match="m = 7 must lie in"):
+        resampled_estimates([ds, ds], proc, plan, [rng, rng])
+    with pytest.raises(ValueError, match="m = 7 must lie in"):
+        plan.indices(rng, 6, 5)
+    assert rng.bit_generator.state == state
 
 
 def test_subsample_deterministic():

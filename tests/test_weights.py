@@ -17,7 +17,7 @@ from modelavg.model import (
     rss_gap,
     solve_normal_equations,
 )
-from modelavg.resampling import ResampleIndices, ResamplePlan, resampled_estimates
+from modelavg.resampling import ResamplePlan, resampled_estimates
 from modelavg.weights import (
     AdaptiveConfig,
     ModelWeights,
@@ -219,7 +219,7 @@ def test_sigma_zero_posterior_weight_equals_the_rule_on_y_y(monkeypatch, scale):
         for plan in (ResamplePlan(40), ResamplePlan(40, m=20)):
             resampled_estimates([ds], pipeline, plan, [np.random.default_rng(8)])
             s, got = calls[-1]
-            resampled = y[ResampleIndices(np.random.default_rng(8), design.n, plan).block]
+            resampled = y[plan.indices(np.random.default_rng(8), design.n, plan.b)]
             expected_rows = _y_y_rule(*s[1:6], np.sum(resampled * resampled, axis=-1))
             assert np.array_equal(got, expected_rows), (beta, plan)
             weights.update(got)
