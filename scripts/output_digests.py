@@ -7,16 +7,15 @@ one ``<sha256>  <experiment>/<file>`` line per output. The ``out = ...`` line
 of ``resolved_config.txt`` is left out of its digest, since it names the
 temporary directory. A few more runs with non-default flags (``EXTRA_RUNS``)
 reach the kernel's other branches and figure2's other scoring: the sigma = 0
-limits, the scaled pretest, a non-default prior, pooled KS scoring with more
-replicates than truth draws, the scaled pretest on size-m subsamples,
-bootstrap engine calls on a ragged last chunk of datasets, bootstrap
-resamples of n = 3 datasets, where the engine's redraw loop replaces singular
-resamples, and Monte Carlo cells at reps = 4999 at n = 50 and along the
-n-grid up to 800, whose last noise block is ragged (414 of 655 rows at
-n = 50, 39 of 40 at n = 800). Their lines read
-``<experiment>[<flags>]/<file>``. Then it prints one
-``<sha256>  library/...`` line per replicate array of the library's
-resamplers: ``paired_bootstrap`` and ``subsample_distribution`` (m = 20) for
+limits (one at beta = 1e160, where the RSS gap overflows), the scaled
+pretest, a non-default prior, pooled KS scoring with more replicates than
+truth draws, the scaled pretest on size-m subsamples, bootstrap engine calls
+on a ragged last chunk of datasets, bootstrap resamples of n = 3 datasets,
+where the engine's redraw loop replaces singular resamples, and Monte Carlo
+cells at reps = 4999 at n = 50 and along the n-grid up to 800, whose last
+noise block is ragged (414 of 655 rows at n = 50, 39 of 40 at n = 800).
+Their lines read ``<experiment>[<flags>]/<file>``. Then it prints one
+``<sha256>  library/...`` line per replicate array of the library's resamplers: ``paired_bootstrap`` and ``subsample_distribution`` (m = 20) for
 four estimators on the shipped design at sigma = 1 and sigma = 0, and
 ``mean_model_bootstrap`` with the adaptive weight rule, over three datasets
 each with b = 500. Every generator derives from ``--seed``.
@@ -63,20 +62,22 @@ from modelavg.resampling import (
 from modelavg.weights import adaptive_weights
 
 # (experiment, extra flags): bma_exact's sigma = 0 limit on the Monte Carlo
-# path and on the one-dataset path, a scaled pretest with a small c, a
-# non-default prior for bma_exact, two small figure2-subsample runs (pooled
-# scoring of 10 * 50 replicates against 200 truth draws, and the scaled
-# pretest judged at the subsample's m), a small figure2-bootstrap run whose 7
-# datasets per beta go to the engine in chunks of 5 and 2 (b = 3000 against a
-# budget of 2^14 replicates per call), a figure2-bootstrap run at n = 3, the
-# one here whose resamples are singular (a row drawn three times) and so go
-# through the engine's redraw loop, and Monte Carlo cells whose 4999 rows end
-# in a ragged noise block at n = 50 and at n = 800 (a short last block must
-# give the floats of a full one).
+# path and on the one-dataset path, there also at beta = 1e160, where the RSS
+# gap and p1^2 / s11 overflow (all weight on U, the one model that interpolates
+# y), a scaled pretest with a small c, a non-default prior for bma_exact, two
+# small figure2-subsample runs (pooled scoring of 10 * 50 replicates against
+# 200 truth draws, and the scaled pretest judged at the subsample's m), a
+# small figure2-bootstrap run whose 7 datasets per beta go to the engine in
+# chunks of 5 and 2 (b = 3000 against a budget of 2^14 replicates per call), a
+# figure2-bootstrap run at n = 3, the one here whose resamples are singular (a
+# row drawn three times) and so go through the engine's redraw loop, and Monte
+# Carlo cells whose 4999 rows end in a ragged noise block at n = 50 and at
+# n = 800 (a short last block must give the floats of a full one).
 _SMALL_FIGURE2 = ("--beta-grid", "0,0.3")
 EXTRA_RUNS = (
     ("riskbound", ("--sigma", "0")),
     ("single", ("--sigma", "0")),
+    ("single", ("--sigma", "0", "--beta", "1e160")),
     ("figure1a", ("--pretest-form", "scaled", "--c", "0.3")),
     ("single", ("--prior-scale", "2", "--prior-p-r", "0.3")),
     ("figure2-subsample", ("--ks-mode", "pooled", "--reps", "200", "--b", "50",

@@ -15,7 +15,6 @@ import numpy as np
 
 from .model import (
     Dataset,
-    compute_design_stats,
     response_stats,
     rss_gap,
     slope_sd,
@@ -29,6 +28,14 @@ from .weights import (
     exact_posterior_p_r,
     pretest_threshold,
 )
+
+
+def _bic_rule(s, pipe):
+    # A gap that overflows to inf (a huge slope) is the intended limit: weight 0 on R.
+    with np.errstate(over="ignore"):
+        gap = rss_gap(s.beta_u, s.s11, s.det)
+    return bic_p_r(gap, s.n)
+
 
 # Every estimator is alpha_u + p_R * (alpha_r - alpha_u). P_R_RULES maps each name
 # to its rule for p_R, the weight on the restricted model, from the Pipeline and
@@ -45,7 +52,7 @@ P_R_RULES = {
     "bma_exact": lambda s, pipe: exact_posterior_p_r(
         s, pipe.sigma, pipe.prior_scale, pipe.prior_p_r
     ),
-    "bma_bic": lambda s, pipe: bic_p_r(rss_gap(s.beta_u, s.s11, s.det), s.n),
+    "bma_bic": _bic_rule,
     "ama": lambda s, pipe: adaptive_p_r(s.beta_u, pipe.adaptive.a_n, pipe.adaptive.k_n),
 }
 ESTIMATOR_NAMES = tuple(P_R_RULES)
@@ -70,13 +77,13 @@ def _combine(alpha_r, alpha_u, p_r):
 class Pipeline:
     """The estimators ``names`` and the kernel settings they run with.
 
-    :meth:`fit` refits one dataset from scratch (design stats, fits, weights);
-    the Monte Carlo harness and the resampling engine evaluate whole arrays of
+    :meth:`fit` refits one dataset (its design's stats, fits, weights); the
+    Monte Carlo harness and the resampling engine evaluate whole arrays of
     datasets through :meth:`kernel`. Construction raises on names given as one
     string or missing from :data:`P_R_RULES`, missing configs, a sigma that is
     not finite and >= 0, a prior_scale that is not finite and > 0 (nan fails
-    both) or a prior_p_r outside (0, 1); fitting a singular dataset raises
-    CollinearDesign or ZeroColumn.
+    both) or a prior_p_r outside (0, 1). Every dataset can be fitted: its
+    DesignMatrix refused a singular design when it was built.
     """
 
     names: tuple[str, ...]
@@ -128,7 +135,7 @@ class Pipeline:
 
     def fit(self, dataset: Dataset) -> tuple[dict[str, float], dict[str, float]]:
         """The estimate and the weight on R of each name, as floats (1.0 for r, 0.0 for u)."""
-        stats = compute_design_stats(dataset.design)
+        stats = dataset.design.stats
         est, p_r = self.kernel(dataset.n, stats.s11, stats.s22, stats.s12, *response_stats(dataset))
         return (
             {name: float(value) for name, value in est.items()},

@@ -29,7 +29,6 @@ from .model import (
     Dataset,
     DesignMatrix,
     TrueParams,
-    compute_design_stats,
     generate_response,
     make_uniform_design,
     response_stats,
@@ -143,7 +142,7 @@ def mc_estimator_draws(
     """
     global _memo_used
     design, params = scenario.design, scenario.params
-    stats = compute_design_stats(design)
+    stats = design.stats
     pipeline = scenario.pipeline(names)
     key = (scenario.seed, grid_index, scenario.reps, design.x1.tobytes(), design.x2.tobytes(),
            np.array([params.alpha, params.beta, params.sigma], float).tobytes())
@@ -456,7 +455,7 @@ def single_fit(scenario: Scenario) -> list[dict]:
     """One dataset's row: every estimate, the slope beta_u and each average's weight on R."""
     dataset = draw_dataset(scenario)
     est, p_r = scenario.pipeline(ESTIMATOR_NAMES).fit(dataset)
-    stats = compute_design_stats(dataset.design)
+    stats = dataset.design.stats
     p1, p2 = response_stats(dataset)
     beta_u = solve_normal_equations(stats.s11, stats.s22, stats.s12, stats.det, p1, p2)[1]
     return [{

@@ -2,15 +2,15 @@
 
 The data model is y_t = alpha * x_t1 + beta * x_t2 + e_t with e_t iid N(0, sigma^2)
 and a fixed (non-random) design. Everything downstream (weights, estimators,
-resampling) is built on the cached design inner products held in
-``DesignStats`` and the closed-form normal-equation solve below.
+resampling) is built on the design inner products each ``DesignMatrix`` keeps
+as its ``DesignStats`` and the closed-form normal-equation solve below.
 """
 
 from __future__ import annotations
 
 import csv
 import importlib.resources
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -44,10 +44,15 @@ def _validated_column(x, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Fixed regressor columns x1 and x2 of common length n >= 2."""
+    """Fixed regressor columns x1 and x2 of common length n >= 2, fittable by construction.
+
+    A zero column raises ZeroColumn; then :func:`compute_design_stats` runs once,
+    refusing a singular design, and its result is kept as ``stats``.
+    """
 
     x1: np.ndarray
     x2: np.ndarray
+    stats: DesignStats = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         x1 = _validated_column(self.x1, "x1")
@@ -62,6 +67,7 @@ class DesignMatrix:
             raise ZeroColumn("x2 is identically zero")
         object.__setattr__(self, "x1", x1)
         object.__setattr__(self, "x2", x2)
+        object.__setattr__(self, "stats", compute_design_stats(self))
 
     @property
     def n(self) -> int:
@@ -135,7 +141,7 @@ def singular_design(s11, s22, s12):
 
 
 def compute_design_stats(design: DesignMatrix) -> DesignStats:
-    """Exact design inner products.
+    """Exact design inner products, which a DesignMatrix computes once, as ``stats``.
 
     Raises ZeroColumn when ||x1||^2 vanishes and CollinearDesign when the Gram
     determinant is zero up to the scale-relative tolerance (see
@@ -207,20 +213,17 @@ def generate_response(
 def make_uniform_design(n: int, rng: np.random.Generator) -> DesignMatrix:
     """Intercept column plus n Uniform(0, 3) draws, frozen thereafter.
 
-    The uniform column is redrawn on the measure-zero event that the resulting
-    design is numerically collinear.
+    The uniform column is redrawn, one draw per attempt, on the measure-zero
+    event that the design's construction refuses it as collinear.
     """
     if n < 2:
         raise ValueError(f"n = {n} must be >= 2")
     x1 = np.ones(n)
     for _ in range(100):
-        x2 = rng.uniform(0.0, 3.0, size=n)
-        design = DesignMatrix(x1, x2)
         try:
-            compute_design_stats(design)
+            return DesignMatrix(x1, rng.uniform(0.0, 3.0, size=n))
         except CollinearDesign:
             continue
-        return design
     raise CollinearDesign("could not draw a non-collinear uniform design")
 
 

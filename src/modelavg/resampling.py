@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import TooManySingularResamples
 from .estimators import Pipeline
-from .model import Dataset, compute_design_stats, singular_design
+from .model import Dataset, singular_design
 
 # Redraw budget for singular resampled designs, as a multiple of the number of
 # requested resamples.
@@ -140,10 +140,11 @@ def resampled_estimates(
     Dataset d (at least one, all of one n) draws its (b, size) block with
     :meth:`ResamplePlan.indices` from ``rngs[d]``. A resample's sufficient
     statistics are one take of its dataset's row of a products table and one
-    sum; theta_hat sums the whole row, so a singular dataset, or an m > n,
-    raises before any draw. The redraw loop replaces a dataset's singular rows
-    in ascending row order, each from one generator spawned from ``rngs[d]`` at
-    the dataset's first redraw, and drops the dataset once it has spent
+    sum; theta_hat sums the whole row, and an m > n raises before any draw.
+    A dataset's design is non-singular by construction, so only resamples can
+    be: the redraw loop replaces a dataset's singular rows in ascending row
+    order, each from one generator spawned from ``rngs[d]`` at the dataset's
+    first redraw, and drops the dataset once it has spent
     ``plan.redraw_budget`` redraws. So any refit of the same rows that redraws
     in that order, and agrees on which designs are singular, gets every
     replicate. One kernel call fits every dataset, one every kept resample.
@@ -159,10 +160,7 @@ def resampled_estimates(
     # x1*x1, x2*x2, x1*x2, x1*y and x2*y, a row per dataset, each summed along
     # its contiguous last axis as model._inner sums (Pipeline.fit's floats).
     products = cols[[0, 1, 0, 0, 1]] * cols[[0, 1, 1, 2, 2]]
-    full = products.sum(axis=-1)
-    for d in np.flatnonzero(singular_design(*full[:3]))[:1]:  # the first singular dataset
-        compute_design_stats(datasets[d].design)  # raises, as Pipeline.fit does
-    originals, _ = pipeline.kernel(n, *full)
+    originals, _ = pipeline.kernel(n, *products.sum(axis=-1))
 
     def gather(d, index, out):
         np.take(products[:, d], index, axis=1).sum(axis=-1, out=out)

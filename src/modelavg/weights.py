@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import rss_gap
-
 
 @dataclass(frozen=True)
 class ModelWeights:
@@ -179,13 +177,16 @@ def exact_posterior_p_r(stats, sigma: float, prior_scale: float, prior_p_r: floa
     y equally well (the gap RSS_R - RSS_U within 1e-9 (1 + p1^2 / s11 + gap),
     the fitted sum of squares, which is <y,y> to round-off for y in the
     design's column space, as every noiseless response is; for noisy y it is
-    smaller), otherwise all weight on U. Only that limit reads ``det`` and
-    ``beta_u``, and it needs a non-collinear design. The priors are checked
-    where a Pipeline is built.
+    smaller), otherwise all weight on U. Both sides are compared in square
+    roots, |beta_u| sqrt(det / s11) against sqrt(1e-9) hypot(1, |p1| / sqrt(s11),
+    sqrt(gap)), so a gap that would overflow (a huge slope) still gives U.
+    Only that limit reads ``det`` and ``beta_u``, and it needs a non-collinear
+    design. The priors are checked where a Pipeline is built.
     """
     if sigma != 0.0:
         return stable_sigmoid(posterior_log_odds(
             stats.p1, stats.p2, stats.s11, stats.s22, stats.s12, sigma, prior_scale, prior_p_r
         ))
-    gap = rss_gap(stats.beta_u, stats.s11, stats.det)
-    return np.where(gap <= 1e-9 * (1.0 + stats.p1 * stats.p1 / stats.s11 + gap), 1.0, 0.0)
+    root_gap = np.abs(stats.beta_u) * np.sqrt(stats.det / stats.s11)
+    root_fitted = np.hypot(np.hypot(1.0, np.abs(stats.p1) / np.sqrt(stats.s11)), root_gap)
+    return np.where(root_gap <= math.sqrt(1e-9) * root_fitted, 1.0, 0.0)

@@ -44,15 +44,20 @@ def ols_normal_equation_oracle(dataset):
 
 def dense_posterior_oracle(dataset, sigma, prior_scale=1.0, prior_p_r=0.5):
     """Posterior weight of the restricted model from full n x n Gaussian marginal likelihoods."""
-    x1 = dataset.design.x1
-    x = np.column_stack([x1, dataset.design.x2])
-    n = dataset.n
+    design = dataset.design
+    return posterior_oracle(design.x1, design.x2, dataset.y, sigma, prior_scale, prior_p_r)
+
+
+def posterior_oracle(x1, x2, y, sigma, prior_scale=1.0, prior_p_r=0.5):
+    """:func:`dense_posterior_oracle` on the columns and response as arrays."""
+    x = np.column_stack([x1, x2])
+    n = y.size
     t2 = prior_scale ** 2
 
     def log_density(cov):
         sign, logdet = np.linalg.slogdet(cov)
         assert sign > 0
-        quad = float(dataset.y @ np.linalg.solve(cov, dataset.y))
+        quad = float(y @ np.linalg.solve(cov, y))
         return -0.5 * (n * math.log(2 * math.pi) + logdet + quad)
 
     log_m_r = log_density(sigma ** 2 * np.eye(n) + t2 * np.outer(x1, x1))

@@ -219,7 +219,6 @@ def test_cli_runs_under_the_benchmark_tracer(tmp_path):
         "experiments.sweep": 2,
         # a design, noise and dataset/resample stream per unit of work
         "experiments.stream": designs + drawn + 2 * datasets,
-        # each design once when drawn, then once per truth sample and sweep
-        # row; the engine takes its datasets' full fits from its products table
-        "model.compute_design_stats": designs + mc_draws + sweep_rows,
+        # once per design built; every fit reads the design's stats
+        "model.compute_design_stats": designs,
     }

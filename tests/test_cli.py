@@ -7,6 +7,7 @@ import re
 import signal
 import subprocess
 import sys
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -905,6 +906,21 @@ def test_a_run_whose_mse_overflows_names_the_series(tmp_path, capsys, flag):
         capsys.readouterr().err
     )
     assert not out.exists()
+
+
+def test_an_overflowing_rss_gap_warns_nothing(tmp_path, capsys):
+    # The BIC weight's gap overflows to inf, its intended limit (weight 0 on
+    # R), without a warning; the MSE's overflow still warns, since it is real.
+    argv = ["figure1a", "--sigma", "1e160", "--reps", "5", "--beta-grid", "0"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--out", str(tmp_path / "errors")]) == 1
+    # The run's first warning, raised as an error, is the MSE's square.
+    assert capsys.readouterr().err == "error: overflow encountered in square\n"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([*argv, "--out", str(tmp_path / "recorded")]) == 1
+    assert {Path(w.filename).name for w in caught} == {"experiments.py"}
 
 
 def test_figure2_at_one_huge_beta_writes_its_plot(tmp_path):

@@ -10,7 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import modelavg.estimators
 import modelavg.experiments
+import modelavg.model
+import modelavg.resampling
 from modelavg.cli import main
 from modelavg.errors import CollinearDesign, TooManySingularResamples, ZeroColumn
 from modelavg.estimators import ESTIMATOR_NAMES, Pipeline, make_pipeline
@@ -28,6 +31,7 @@ from modelavg.experiments import (
     mse_curve,
     resampling_error_curve,
     risk_bound_sweep,
+    single_fit,
     stream,
     weight_decay_sweep,
 )
@@ -779,17 +783,43 @@ def test_a_chunk_equals_one_dataset_calls_bit_for_bit():
 
 
 def test_a_singular_dataset_fails_its_chunk_before_any_draw():
+    # Its design is refused when built, before the chunk reaches the engine.
     scenario = _uniform_scenario(n=12, reps=10, seed=91)
     x1 = scenario.design.x1
-    singular = Dataset(DesignMatrix(x1, 2.0 * x1), draw_dataset(scenario).y)
-    datasets = [draw_dataset(scenario, 0, d) for d in range(3)]
-    datasets.insert(2, singular)
     rngs = _fresh_rngs(4, 3)
     states = [rng.bit_generator.state for rng in rngs]
     with pytest.raises(CollinearDesign):
+        datasets = [draw_dataset(scenario, 0, d) for d in range(3)]
+        datasets.insert(2, Dataset(DesignMatrix(x1, 2.0 * x1), draw_dataset(scenario).y))
         resampled_estimates(datasets, scenario.pipeline(_ALL_NAMES), ResamplePlan(b=10), rngs)
     assert [rng.bit_generator.state for rng in rngs] == states
     assert all(rng.bit_generator.seed_seq.n_children_spawned == 0 for rng in rngs)
+
+
+def test_datasets_drawn_on_one_design_share_its_one_stats_object():
+    scenario = _uniform_scenario(n=12, reps=10, seed=91)
+    datasets = [draw_dataset(scenario, 0, d) for d in range(3)]
+    assert all(ds.design.stats is scenario.design.stats for ds in datasets)
+
+
+def test_no_fit_rechecks_a_built_design(monkeypatch):
+    # Once a design is built, every path reads design.stats: the fit, the
+    # Monte Carlo draw, the one-dataset row and the resampling engine.
+    scenario = _uniform_scenario(n=12, reps=10, seed=91)
+    ds = draw_dataset(scenario)
+
+    def refuse(design):
+        raise AssertionError("a built design was checked again")
+
+    for module in (modelavg.model, modelavg.estimators, modelavg.experiments, modelavg.resampling):
+        monkeypatch.setattr(module, "compute_design_stats", refuse, raising=False)
+    pipeline = scenario.pipeline(_ALL_NAMES)
+    pipeline.fit(ds)
+    clear_memo()
+    mc_estimator_draws(scenario, _ALL_NAMES)
+    single_fit(scenario)
+    for plan in (ResamplePlan(b=10), ResamplePlan(b=10, m=6)):
+        resampled_estimates([ds], pipeline, plan, [np.random.default_rng(0)])
 
 
 def test_engine_refuses_no_datasets_and_mixed_n_before_any_draw():

@@ -72,9 +72,8 @@ def test_design_stats_orthonormal_columns():
 
 
 def test_design_stats_collinear_raises():
-    design = DesignMatrix(np.array([1.0, 2.0]), np.array([2.0, 4.0]))
     with pytest.raises(CollinearDesign):
-        compute_design_stats(design)
+        DesignMatrix(np.array([1.0, 2.0]), np.array([2.0, 4.0]))
 
 
 def test_singular_design_is_true_exactly_where_design_stats_raise():
@@ -83,18 +82,15 @@ def test_singular_design_is_true_exactly_where_design_stats_raise():
     # underflows to zero (DesignMatrix refuses an identically zero column).
     rng = np.random.default_rng(31)
     x1, z = rng.normal(size=20), rng.normal(size=20)
-    designs = [DesignMatrix(x1, x1 + eps * z) for eps in np.logspace(-9, -3, 121)]
-    designs.append(DesignMatrix(np.full(20, 1e-170), rng.normal(size=20)))
+    columns = [(x1, x1 + eps * z) for eps in np.logspace(-9, -3, 121)]
+    columns.append((np.full(20, 1e-170), rng.normal(size=20)))
     flags = []
-    for design in designs:
-        s11, s22, s12 = (
-            float(np.sum(a * b))
-            for a, b in ((design.x1, design.x1), (design.x2, design.x2), (design.x1, design.x2))
-        )
+    for c1, c2 in columns:
+        s11, s22, s12 = (float(np.sum(a * b)) for a, b in ((c1, c1), (c2, c2), (c1, c2)))
         flag = bool(singular_design(s11, s22, s12))
         assert flag == (s11 <= 0.0 or s11 * s22 - s12 * s12 <= COLLINEARITY_RTOL * s11 * s22)
-        try:
-            compute_design_stats(design)
+        try:  # a design runs the rule once, when it is built
+            DesignMatrix(c1, c2)
             raised = None
         except (ZeroColumn, CollinearDesign) as exc:
             raised = type(exc)
@@ -329,9 +325,8 @@ def test_identity_property_hypothesis(data):
 def test_design_with_a_subnormal_residual_is_collinear():
     # s11 * s22 underflows, so the relative test alone passes det = 5e-324, and
     # the slope's divisor det / s11 would be 0.
-    design = DesignMatrix(np.array([0.0, 8.0]), np.array([0.0, 9.371365988562309e-159]))
     with pytest.raises(CollinearDesign):
-        compute_design_stats(design)
+        DesignMatrix(np.array([0.0, 8.0]), np.array([0.0, 9.371365988562309e-159]))
 
 
 def test_unrestricted_fit_with_tiny_x1_does_not_underflow():
@@ -359,11 +354,54 @@ def test_make_uniform_design_properties():
         make_uniform_design(1, rng)
 
 
+class _FirstDrawCollinear:
+    """A generator whose first uniform column equals x1 (ones), then rng's draws."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def uniform(self, low, high, size):
+        self.calls += 1
+        return np.ones(size) if self.calls == 1 else self.rng.uniform(low, high, size=size)
+
+
+def test_make_uniform_design_redraws_a_design_its_construction_refuses():
+    rng = _FirstDrawCollinear(np.random.default_rng(4))
+    design = make_uniform_design(6, rng)
+    assert rng.calls == 2  # one draw per attempt
+    assert np.array_equal(design.x2, np.random.default_rng(4).uniform(0.0, 3.0, size=6))
+
+
+@pytest.mark.parametrize("x1, x2, error", [
+    (np.ones(3), 2.0 * np.ones(3), CollinearDesign),
+    (np.array([0.0, 8.0]), np.array([0.0, 9.371365988562309e-159]), CollinearDesign),
+    (np.full(20, 1e-170), np.arange(1.0, 21.0), ZeroColumn),  # ||x1||^2 underflows to 0
+], ids=["collinear", "subnormal-residual", "underflowing-x1"])
+def test_a_singular_design_is_refused_when_built(tmp_path, x1, x2, error):
+    with pytest.raises(error):
+        DesignMatrix(x1, x2)
+    # read_design_csv builds its design with the same constructor.
+    path = tmp_path / "design.csv"
+    path.write_text("i,x1,x2\n" + "".join(
+        f"{i + 1},{a!r},{b!r}\n" for i, (a, b) in enumerate(zip(x1.tolist(), x2.tolist()))
+    ))
+    with pytest.raises(error):
+        read_design_csv(path)
+
+
+def test_a_design_keeps_the_stats_of_its_one_check():
+    design = DesignMatrix(np.array([1.0, 1.0, 1.0]), np.array([0.0, 1.0, 2.0]))
+    assert design.stats == compute_design_stats(design)
+    assert "stats" not in repr(design)
+
+
 def test_reference_design_matches_documented_seed():
     ref = load_reference_design()
     regen = make_uniform_design(50, stream(REFERENCE_DESIGN_SEED, 0, 0))
-    assert np.array_equal(ref.x1, regen.x1)
-    assert np.array_equal(ref.x2, regen.x2)
+    # Bit for bit: the draw and its retry rule are unchanged.
+    assert ref.x1.tobytes() == regen.x1.tobytes()
+    assert ref.x2.tobytes() == regen.x2.tobytes()
+    assert ref.stats == regen.stats
     assert ref.n == 50
 
 

@@ -252,10 +252,13 @@ def test_several_estimators_are_refused_before_any_draw():
 
 
 def test_original_collinearity_propagates():
-    bad = Dataset(DesignMatrix(np.array([1.0, 2.0]), np.array([2.0, 4.0])), np.array([1.0, 0.0]))
-    proc = make_pipeline("u", 1.0)
+    # The design is refused when it is built, before the bootstrap draws.
+    proc, rng = make_pipeline("u", 1.0), np.random.default_rng(0)
+    state = rng.bit_generator.state
     with pytest.raises(CollinearDesign):
-        paired_bootstrap(bad, proc, ResamplePlan(b=3), np.random.default_rng(0))
+        bad = Dataset(DesignMatrix(np.array([1.0, 2.0]), np.array([2.0, 4.0])), np.array([1.0, 0.0]))
+        paired_bootstrap(bad, proc, ResamplePlan(b=3), rng)
+    assert rng.bit_generator.state == state
 
 
 def test_mean_model_bootstrap_constant_data_point_mass():

@@ -31,7 +31,12 @@ from modelavg.weights import (
     stable_sigmoid,
 )
 
-from conftest import dense_posterior_oracle, random_dataset, stable_sigmoid_reference
+from conftest import (
+    dense_posterior_oracle,
+    posterior_oracle,
+    random_dataset,
+    stable_sigmoid_reference,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -159,15 +164,14 @@ def test_posterior_matches_dense_oracle_nondefault_priors(rng):
 
 
 def test_posterior_defined_for_collinear_design():
-    design = DesignMatrix(np.array([1.0, 2.0]), np.array([2.0, 4.0]))
-    ds = Dataset(design, np.array([0.5, -0.25]))
-    x1, x2, y = design.x1, design.x2, ds.y
+    # A DesignMatrix refuses these columns, so the weight gets them as arrays.
+    x1, x2, y = np.array([1.0, 2.0]), np.array([2.0, 4.0]), np.array([0.5, -0.25])
     s11, s22, s12 = x1 @ x1, x2 @ x2, x1 @ x2
     # det = 0 and beta_u is undefined; at sigma > 0 the weight reads neither.
-    stats = KernelStats(ds.n, s11, s22, s12, x1 @ y, x2 @ y, s11 * s22 - s12 * s12, math.nan)
+    stats = KernelStats(y.size, s11, s22, s12, x1 @ y, x2 @ y, s11 * s22 - s12 * s12, math.nan)
     p_r = float(exact_posterior_p_r(stats, 1.0, 1.0, 0.5))
     assert 0.0 <= p_r <= 1.0
-    oracle = dense_posterior_oracle(ds, 1.0)
+    oracle = posterior_oracle(x1, x2, y, 1.0)
     assert abs(p_r - oracle) < 1e-8
 
 
@@ -224,6 +228,24 @@ def test_sigma_zero_posterior_weight_equals_the_rule_on_y_y(monkeypatch, scale):
             assert np.array_equal(got, expected_rows), (beta, plan)
             weights.update(got)
     assert weights == ({1.0} if scale < 1.0 else {0.0, 1.0})
+
+
+def test_sigma_zero_posterior_gives_u_when_the_rss_gap_overflows():
+    # At beta = 1e160 the gap RSS_R - RSS_U and p1^2 / s11 overflow to inf.
+    # Only U interpolates y, so every path puts all weight on U.
+    scenario = make_scenario(50, 5050, reps=7, beta=1e160, sigma=0.0)
+    design, params = scenario.design, scenario.params
+    ds = Dataset(design, params.alpha * design.x1 + params.beta * design.x2)
+    pipeline = Pipeline(("bma_exact", "u"), 0.0)
+    with np.errstate(all="raise"):
+        est, p_r = pipeline.fit(ds)
+        assert p_r["bma_exact"] == 0.0 and est["bma_exact"] == est["u"]
+        est, p_r = mc_estimator_draws(scenario, pipeline.names)
+        assert not p_r["bma_exact"].any()
+        assert np.array_equal(est["bma_exact"], est["u"])
+        for plan in (ResamplePlan(40), ResamplePlan(40, m=20)):
+            (kept,), blocks = resampled_estimates([ds], pipeline, plan, [np.random.default_rng(8)])
+            assert kept and np.array_equal(blocks["bma_exact"], blocks["u"])
 
 
 def test_posterior_extreme_responses_stay_in_unit_interval(rng):
