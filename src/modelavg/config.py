@@ -182,11 +182,11 @@ def experiment_settings(experiment: str) -> tuple[str, ...]:
     return tuple(key for key in SETTINGS if key in reads or key in ("out", "workers"))
 
 
-def _convert(key: str, raw: str, experiment: str | None):
-    """``raw`` as the value of ``key``, which ``experiment`` (if not None) must take."""
+def _convert(key: str, raw: str, experiment: str):
+    """``raw`` as the value of ``key``, which ``experiment`` must take."""
     if key not in SETTINGS:
         raise ConfigError(f"unknown config key {key!r}")
-    takes = SETTINGS if experiment is None else experiment_settings(experiment)
+    takes = experiment_settings(experiment)
     if key not in takes:
         raise ConfigError(f"{key}: {experiment} does not read this setting; "
                           f"it takes {', '.join(takes)}")
@@ -196,7 +196,7 @@ def _convert(key: str, raw: str, experiment: str | None):
 _COMMENT = re.compile(r"(?:^|\s)#")
 
 
-def read_config_file(path, experiment: str | None = None) -> dict:
+def read_config_file(path, experiment: str) -> dict:
     """Parse 'key = value' lines; blank lines are ignored.
 
     A '#' at the start of a line or after whitespace starts a comment, so
@@ -207,7 +207,7 @@ def read_config_file(path, experiment: str | None = None) -> dict:
     not set: ``experiment`` must name ``experiment`` and ``stream_version``
     must equal ``STREAM_VERSION``, so a resolved config loads back only into
     a run that reproduces it. A key that ``experiment`` does not take is
-    refused, like an unknown one; with no ``experiment``, every key is read.
+    refused, like an unknown one.
     """
     checked = {"experiment": experiment, "stream_version": str(STREAM_VERSION)}
     values = {}

@@ -79,14 +79,15 @@ class Pipeline:
 
     :meth:`fit` refits one dataset (its design's stats, fits, weights); the
     Monte Carlo harness and the resampling engine evaluate whole arrays of
-    datasets through :meth:`kernel`. Construction raises on names given as one
-    string or missing from :data:`P_R_RULES`, missing configs, a sigma that is
-    not finite and >= 0, a prior_scale that is not finite and > 0 (nan fails
-    both) or a prior_p_r outside (0, 1). Every dataset can be fitted: its
-    DesignMatrix refused a singular design when it was built.
+    datasets through :meth:`kernel`. ``names`` is a sequence of names or one
+    name as a string: ``Pipeline("ms", ...)`` runs ``("ms",)``. Construction
+    raises on names missing from :data:`P_R_RULES`, missing configs, a sigma
+    that is not finite and >= 0, a prior_scale that is not finite and > 0
+    (nan fails both) or a prior_p_r outside (0, 1). Every dataset can be
+    fitted: its DesignMatrix refused a singular design when it was built.
     """
 
-    names: tuple[str, ...]
+    names: tuple[str, ...] | str
     sigma: float
     pretest: PretestConfig | None = None
     adaptive: AdaptiveConfig | None = None
@@ -94,12 +95,8 @@ class Pipeline:
     prior_p_r: float = 0.5
 
     def __post_init__(self):
-        if isinstance(self.names, str):
-            raise TypeError(
-                f"names = {self.names!r} is a string; pass a tuple of names"
-                f" or call make_pipeline({self.names!r}, ...)"
-            )
-        object.__setattr__(self, "names", tuple(self.names))
+        names = (self.names,) if isinstance(self.names, str) else tuple(self.names)
+        object.__setattr__(self, "names", names)
         unknown = set(self.names) - set(P_R_RULES)
         if unknown:
             raise ValueError(f"unknown estimator names: {sorted(unknown)}")
@@ -148,13 +145,6 @@ class Pipeline:
         return self.fit(dataset)[0][name]
 
 
-def make_pipeline(
-    name: str,
-    sigma: float,
-    pretest_config: PretestConfig | None = None,
-    adaptive_config: AdaptiveConfig | None = None,
-    prior_scale: float = Pipeline.prior_scale,
-    prior_p_r: float = Pipeline.prior_p_r,
-) -> Pipeline:
-    """The pipeline of the one estimator ``name``, as the resampling calls take it."""
-    return Pipeline((name,), sigma, pretest_config, adaptive_config, prior_scale, prior_p_r)
+# Another name for Pipeline: perfbench's api_resample builds its pipelines as
+# make_pipeline(name, sigma, pretest, tuning).
+make_pipeline = Pipeline

@@ -206,11 +206,15 @@ def _ks_arrays(x: np.ndarray, rows: np.ndarray) -> float | np.ndarray:
     one at a point of the row, with the same row count and an ``x`` count no
     closer; rounding i/n and subtracting are monotone, so counting into sorted
     ``x`` at the row's own points gives the floats of the merged-sample ECDFs,
-    whichever sample is larger. Samples must be finite.
+    whichever sample is larger. A sample that holds nan or inf raises
+    ValueError.
     """
     rows = np.asarray(rows)
     s = np.sort(rows.reshape(-1, rows.shape[-1]), axis=1)
     t = np.sort(x)
+    # Sorted, nan is last and -inf first, so the ends decide finiteness.
+    if not (np.isfinite(t[[0, -1]]).all() and np.isfinite(s[:, [0, -1]]).all()):
+        raise ValueError("KS distance needs finite samples; one holds nan or inf")
     own = [c / s.shape[1] for c in _own_counts(s)]
     # Counts of ``x`` <= and < each point: a second search only where it ties
     # t[right - 1], the largest value <= it (at right = 0 t's last, above it).
@@ -274,11 +278,11 @@ def _beta_cells(beta_grid: Sequence[float], scenario: Scenario) -> list[tuple[di
 
 def _n_cells(n_grid: Sequence[int], scenario: Scenario) -> list[tuple[dict, Scenario]]:
     """``scenario`` at each n, led by an ``n`` column: a design freshly frozen from
-    grid point i's substream, the default pretest and :func:`default_tuning` at n."""
+    grid point i's substream and :func:`default_tuning` at n."""
     return [
         ({"n": n}, replace(
             scenario, design=make_uniform_design(n, stream(scenario.seed, _TAG_DESIGN, i)),
-            pretest=PretestConfig(), adaptive=default_tuning(n),
+            adaptive=default_tuning(n),
         ))
         for i, n in enumerate(n_grid)
     ]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import importlib.resources
+from collections import namedtuple
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -90,23 +91,9 @@ class TrueParams:
             raise ValueError(f"sigma = {self.sigma} must be finite and >= 0")
 
 
-@dataclass(frozen=True)
-class DesignStats:
-    """Cached design inner products.
-
-    s11 = <x1, x1>, s22 = <x2, x2>, s12 = <x1, x2> and det = s11 * s22 - s12**2.
-    """
-
-    s11: float
-    s22: float
-    s12: float
-    det: float
-
-    def __post_init__(self):
-        if not self.s11 > 0.0:
-            raise ZeroColumn("s11 must be positive")
-        if not self.det >= 0.0:
-            raise ValueError("det must be non-negative")
+# Cached design inner products: s11 = <x1, x1>, s22 = <x2, x2>, s12 = <x1, x2>
+# and det = s11 * s22 - s12**2, all finite, as compute_design_stats returns them.
+DesignStats = namedtuple("DesignStats", "s11 s22 s12 det")
 
 
 @dataclass(frozen=True)
@@ -143,16 +130,23 @@ def singular_design(s11, s22, s12):
 def compute_design_stats(design: DesignMatrix) -> DesignStats:
     """Exact design inner products, which a DesignMatrix computes once, as ``stats``.
 
-    Raises ZeroColumn when ||x1||^2 vanishes and CollinearDesign when the Gram
-    determinant is zero up to the scale-relative tolerance (see
+    Raises ValueError when an inner product or the Gram determinant overflows
+    (is not finite), ZeroColumn when ||x1||^2 vanishes and CollinearDesign when
+    the determinant is zero up to the scale-relative tolerance (see
     :func:`singular_design`).
     """
-    s11 = _inner(design.x1, design.x1)
-    s22 = _inner(design.x2, design.x2)
-    s12 = _inner(design.x1, design.x2)
+    with np.errstate(over="ignore"):  # an overflow is refused, by name, below
+        s11 = _inner(design.x1, design.x1)
+        s22 = _inner(design.x2, design.x2)
+        s12 = _inner(design.x1, design.x2)
+    det = s11 * s22 - s12 * s12
+    if not np.isfinite([s11, s22, s12, det]).all():
+        raise ValueError(
+            f"design inner products overflow: s11 = {s11!r}, s22 = {s22!r},"
+            f" s12 = {s12!r}, det = {det!r}; rescale the columns"
+        )
     if s11 <= 0.0:
         raise ZeroColumn("||x1||^2 is zero")
-    det = s11 * s22 - s12 * s12
     if singular_design(s11, s22, s12):
         raise CollinearDesign(f"design determinant {det!r} is zero up to tolerance")
     return DesignStats(s11=s11, s22=s22, s12=s12, det=det)

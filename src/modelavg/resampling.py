@@ -122,7 +122,8 @@ class ResamplePlan:
 def _require_pipeline(pipeline) -> None:
     if not isinstance(pipeline, Pipeline):
         raise TypeError(
-            f"resampling needs a Pipeline (see make_pipeline), not {type(pipeline).__name__}"
+            "resampling needs a Pipeline, such as Pipeline(name, sigma),"
+            f" not {type(pipeline).__name__}"
         )
 
 
@@ -188,7 +189,7 @@ def resampled_estimates(
 
 def _distribution(dataset, pipeline, plan, rng) -> EmpiricalSample:
     if len(pipeline.names) != 1:
-        raise ValueError("needs the pipeline of one estimator, from make_pipeline")
+        raise ValueError("needs the pipeline of one estimator, such as Pipeline(name, sigma)")
     (kept,), blocks = resampled_estimates([dataset], pipeline, plan, [rng])
     if not kept:
         raise TooManySingularResamples(f"exceeded {plan.redraw_budget} singular redraws")
@@ -205,7 +206,7 @@ def paired_bootstrap(
     """Simple random sampling of (x, y) pairs with replacement, b times.
 
     The returned sample holds sqrt(n) * (theta_star - theta_hat) for the one
-    estimator of ``pipeline`` (from :func:`make_pipeline`). ``plan`` must be
+    estimator of ``pipeline``, such as ``Pipeline(name, sigma)``. ``plan`` must be
     a bootstrap plan, without ``m``.
     """
     _require_pipeline(pipeline)

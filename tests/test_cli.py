@@ -165,13 +165,13 @@ def test_config_file_errors_carry_line_numbers(tmp_path):
     bad_syntax = tmp_path / "bad_syntax.cfg"
     bad_syntax.write_text("just words\n")
     with pytest.raises(ConfigError) as err:
-        read_config_file(bad_syntax)
+        read_config_file(bad_syntax, "figure1a")
     assert "bad_syntax.cfg:1" in str(err.value)
 
     bad_value = tmp_path / "bad_value.cfg"
     bad_value.write_text("reps = many\n")
     with pytest.raises(ConfigError) as err:
-        read_config_file(bad_value)
+        read_config_file(bad_value, "figure1a")
     assert "reps" in str(err.value)
 
 
@@ -324,7 +324,7 @@ def test_echo_config_rejects_values_it_cannot_write_back(tmp_path, out):
 def test_hash_inside_a_value_is_not_a_comment(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("out = runs/#3\t# tab comment\n  # indented comment\nreps = 7 #8\n")
-    assert read_config_file(cfg_file) == {"out": "runs/#3", "reps": 7}
+    assert read_config_file(cfg_file, "figure1a") == {"out": "runs/#3", "reps": 7}
 
 
 # ---------------------------------------------------------------------------
@@ -921,6 +921,24 @@ def test_an_overflowing_rss_gap_warns_nothing(tmp_path, capsys):
         warnings.simplefilter("always")
         assert main([*argv, "--out", str(tmp_path / "recorded")]) == 1
     assert {Path(w.filename).name for w in caught} == {"experiments.py"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["figure1b", "--sigma", "1e307", "--reps", "50", "--beta-grid", "0,0.5"],
+    ["figure2", "--method", "bootstrap", "--sigma", "1e307", "--reps", "50", "--b", "20",
+     "--datasets-per-beta", "2", "--beta-grid", "0"],
+], ids=["figure1b", "figure2"])
+def test_a_run_whose_estimates_overflow_writes_no_ks_distance(tmp_path, capsys, argv):
+    # Every bound accepts sigma = 1e307, but the estimates overflow to nan or
+    # inf; the KS distance refuses them instead of writing a finite number.
+    out = tmp_path / "overflow"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main([*argv, "--workers", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: KS distance needs finite samples; one holds nan or inf\n"
+    )
+    assert not out.exists()
 
 
 def test_figure2_at_one_huge_beta_writes_its_plot(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import modelavg
 from modelavg.errors import CollinearDesign
 from modelavg.estimators import (
     ESTIMATOR_NAMES,
@@ -68,7 +69,7 @@ def test_post_model_selection_exact_tie_keeps_r():
 
 def test_collinear_design_propagates_through_pipeline():
     # The design is refused when it is built, so no pipeline can meet it.
-    proc = make_pipeline("ms", 1.0, pretest_config=PretestConfig())
+    proc = make_pipeline("ms", 1.0, pretest=PretestConfig())
     with pytest.raises(CollinearDesign):
         proc.fit(Dataset(
             DesignMatrix(np.array([1.0, 2.0]), np.array([2.0, 4.0])), np.array([1.0, 2.0])
@@ -310,12 +311,25 @@ def test_pipeline_validation():
         Pipeline(("ama",), 1.0, adaptive=None)
 
 
-@pytest.mark.parametrize("names", ["ms", "ama", "u"])
-def test_pipeline_refuses_a_string_of_names(names):
-    # A string is a sequence of one-letter names: "ms" read as 'm', 's' and
-    # "u" as ('u',), which was accepted.
-    with pytest.raises(TypeError, match=rf"make_pipeline\('{names}', \.\.\.\)"):
-        Pipeline(names, 1.0, PretestConfig(), default_tuning(50))
+@pytest.mark.parametrize("name", ["ms", "ama", "u"])
+def test_pipeline_reads_a_string_as_one_name(name, rng):
+    # A string names one estimator, never a sequence of one-letter names:
+    # Pipeline("ms", ...) is Pipeline(("ms",), ...) and fits the same floats.
+    one = Pipeline(name, 1.0, PretestConfig(), default_tuning(50))
+    assert one.names == (name,)
+    assert one == Pipeline((name,), 1.0, PretestConfig(), default_tuning(50))
+    ds = random_dataset(rng)
+    assert one.fit(ds) == Pipeline((name,), 1.0, PretestConfig(), default_tuning(50)).fit(ds)
+    assert one(ds) == one.fit(ds)[0][name]
+
+
+def test_make_pipeline_is_pipeline():
+    # One constructor: make_pipeline is another name for Pipeline, with its keywords.
+    assert make_pipeline is Pipeline
+    assert modelavg.make_pipeline is modelavg.Pipeline
+    assert make_pipeline("ms", 1.0, PretestConfig()) == Pipeline(("ms",), 1.0, PretestConfig())
+    with pytest.raises(TypeError):
+        make_pipeline("ms", 1.0, pretest_config=PretestConfig())
 
 
 # ---------------------------------------------------------------------------

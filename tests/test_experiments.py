@@ -22,6 +22,7 @@ from modelavg.experiments import (
     Scenario,
     _ks_arrays,
     _grid,
+    _n_cells,
     block_rows,
     clear_memo,
     draw_dataset,
@@ -190,6 +191,20 @@ def test_ks_rows_equal_the_one_sample_oracle_row_by_row(rng):
     # An engine call that keeps no dataset gives a (0, b) block: no distances.
     none = _ks_arrays(normal(30), np.empty((0, 40)))
     assert isinstance(none, np.ndarray) and none.shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ks_refuses_a_sample_that_is_not_finite(bad, rng):
+    # A distance from a sample holding nan or inf would be a finite number
+    # that measures nothing; sorted, the bad value sits at an end of its row.
+    x, rows = rng.normal(size=30), rng.normal(size=(4, 20))
+    bad_x, bad_rows = x.copy(), rows.copy()
+    bad_x[7] = bad
+    bad_rows[2, 5] = bad
+    for args in ((bad_x, rows), (bad_x, rows[0]), (x, bad_rows), (x, bad_rows[2])):
+        with pytest.raises(ValueError, match="KS distance needs finite samples"):
+            _ks_arrays(*args)
+    assert _ks_arrays(x, np.empty((0, 20))).shape == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -764,7 +779,7 @@ def test_a_chunk_equals_one_dataset_calls_bit_for_bit():
         assert kept.shape == (7,) and kept.dtype == bool
         assert [blocks[name].shape for name in _ALL_NAMES] == 6 * [(kept.sum(), plan.b)]
         resampler = paired_bootstrap if plan.m is None else subsample_distribution
-        lib = make_pipeline("ama", scenario.params.sigma, adaptive_config=scenario.adaptive)
+        lib = make_pipeline("ama", scenario.params.sigma, adaptive=scenario.adaptive)
         rows = iter(range(kept.sum()))
         for ds, rng, k, lib_rng in zip(datasets, _fresh_rngs(7, 3), kept, _fresh_rngs(7, 3)):
             (alone_kept,), alone = resampled_estimates([ds], pipeline, plan, [rng])
@@ -870,7 +885,7 @@ def test_redraw_budget_boundary_on_the_tiny_design():
         while len(set(row)) == 1:
             row, needed = next(redraws), needed + 1
     assert needed > 1
-    lib = make_pipeline("u", tiny.params.sigma, adaptive_config=tiny.adaptive)
+    lib = make_pipeline("u", tiny.params.sigma, adaptive=tiny.adaptive)
     for budget, keeps in ((needed, True), (needed - 1, False)):
         plan, rng = ResamplePlan(b=60, max_redraws=budget), np.random.default_rng(4)
         (kept,), blocks = resampled_estimates([ds], pipeline, plan, [rng])
@@ -1136,6 +1151,16 @@ def test_mse_curve_even_for_symmetrized_design():
 
 # ---------------------------------------------------------------------------
 # sweeps
+
+
+def test_n_cells_keep_the_run_s_pretest():
+    # An n cell replaces the design and tuning only; like a beta cell it
+    # keeps the run's pretest, so an 'ms' column on n cells reads the run's c.
+    scenario = make_scenario(n=20, seed=3, reps=10, c=2.5, pretest_form="scaled")
+    for (lead, cell), n in zip(_n_cells([10, 30], scenario), (10, 30)):
+        assert lead == {"n": n} and cell.design.n == n
+        assert cell.pretest == scenario.pretest != PretestConfig()
+        assert cell.adaptive == default_tuning(n)
 
 
 def test_risk_bound_sweep_null_envelope():

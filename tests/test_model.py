@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -372,21 +373,31 @@ def test_make_uniform_design_redraws_a_design_its_construction_refuses():
     assert np.array_equal(design.x2, np.random.default_rng(4).uniform(0.0, 3.0, size=6))
 
 
-@pytest.mark.parametrize("x1, x2, error", [
-    (np.ones(3), 2.0 * np.ones(3), CollinearDesign),
-    (np.array([0.0, 8.0]), np.array([0.0, 9.371365988562309e-159]), CollinearDesign),
-    (np.full(20, 1e-170), np.arange(1.0, 21.0), ZeroColumn),  # ||x1||^2 underflows to 0
-], ids=["collinear", "subnormal-residual", "underflowing-x1"])
-def test_a_singular_design_is_refused_when_built(tmp_path, x1, x2, error):
-    with pytest.raises(error):
-        DesignMatrix(x1, x2)
-    # read_design_csv builds its design with the same constructor.
+_OVERFLOW = "^design inner products overflow: "
+
+
+@pytest.mark.parametrize("x1, x2, error, match", [
+    (np.ones(3), 2.0 * np.ones(3), CollinearDesign, None),
+    (np.array([0.0, 8.0]), np.array([0.0, 9.371365988562309e-159]), CollinearDesign, None),
+    (np.full(20, 1e-170), np.arange(1.0, 21.0), ZeroColumn, None),  # ||x1||^2 underflows to 0
+    (np.ones(3) * 1e200, np.array([1.0, 2.0, 3.0]) * 1e200, ValueError, _OVERFLOW),  # det = nan
+    (np.ones(3), np.array([1.0, 2.0, 3.0]) * 1e160, ValueError, _OVERFLOW),  # s22 = inf
+    (np.array([1e100, 0.0]), np.array([0.0, 1e150]), ValueError, _OVERFLOW),  # det = inf
+], ids=["collinear", "subnormal-residual", "underflowing-x1", "overflow-both-columns",
+        "overflow-x2", "overflow-determinant"])
+def test_a_singular_design_is_refused_when_built(tmp_path, x1, x2, error, match):
+    # An overflow is refused by name, without a warning, before the singularity checks.
     path = tmp_path / "design.csv"
     path.write_text("i,x1,x2\n" + "".join(
         f"{i + 1},{a!r},{b!r}\n" for i, (a, b) in enumerate(zip(x1.tolist(), x2.tolist()))
     ))
-    with pytest.raises(error):
-        read_design_csv(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=match):
+            DesignMatrix(x1, x2)
+        # read_design_csv builds its design with the same constructor.
+        with pytest.raises(error, match=match):
+            read_design_csv(path)
 
 
 def test_a_design_keeps_the_stats_of_its_one_check():

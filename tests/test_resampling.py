@@ -75,7 +75,7 @@ def test_bootstrap_noiseless_null_point_mass_at_zero():
     # Integer-exact data: every non-collinear resample refits alpha exactly,
     # so each replicate is exactly zero.
     ds = _integer_dataset(n=10, alpha=2.0)
-    proc = make_pipeline("ama", 0.0, adaptive_config=default_tuning(10))
+    proc = make_pipeline("ama", 0.0, adaptive=default_tuning(10))
     sample = paired_bootstrap(ds, proc, ResamplePlan(b=200), np.random.default_rng(42))
     assert np.all(sample.values == 0.0)
 
@@ -83,7 +83,7 @@ def test_bootstrap_noiseless_null_point_mass_at_zero():
 def test_bootstrap_deterministic_given_seed():
     ds = _integer_dataset(n=12, alpha=1.0)
     noisy = Dataset(ds.design, ds.y + np.sin(np.arange(12.0)))
-    proc = make_pipeline("ms", 1.0, pretest_config=PretestConfig())
+    proc = make_pipeline("ms", 1.0, pretest=PretestConfig())
     plan = ResamplePlan(b=64)
     s1 = paired_bootstrap(noisy, proc, plan, np.random.default_rng(9))
     s2 = paired_bootstrap(noisy, proc, plan, np.random.default_rng(9))
@@ -181,7 +181,7 @@ def test_subsample_deterministic():
     rng_data = np.random.default_rng(13)
     design = DesignMatrix(np.ones(12), rng_data.uniform(0, 3, 12))
     ds = Dataset(design, rng_data.normal(size=12))
-    proc = make_pipeline("ama", 1.0, adaptive_config=default_tuning(12))
+    proc = make_pipeline("ama", 1.0, adaptive=default_tuning(12))
     plan = ResamplePlan(b=40, m=5)
     s1 = subsample_distribution(ds, proc, plan, np.random.default_rng(77))
     s2 = subsample_distribution(ds, proc, plan, np.random.default_rng(77))
@@ -216,7 +216,7 @@ def test_callable_that_is_not_a_pipeline_is_refused():
     ds = _integer_dataset()
     plan = ResamplePlan(b=3)
     for engine in (paired_bootstrap, subsample_distribution):
-        with pytest.raises(TypeError, match="make_pipeline"):
+        with pytest.raises(TypeError, match=r"Pipeline\(name, sigma\)"):
             engine(ds, lambda d: float(d.y[0]), plan, np.random.default_rng(0))
     with pytest.raises(ValueError, match="one estimator"):
         paired_bootstrap(ds, Pipeline(("r", "u"), 1.0), plan, np.random.default_rng(0))
