@@ -6,10 +6,10 @@ in the table's order, at reference scale into a temporary directory and prints
 one ``<sha256>  <experiment>/<file>`` line per output. The ``out = ...`` line
 of ``resolved_config.txt`` is left out of its digest, since it names the
 temporary directory. A few more runs with non-default flags (``EXTRA_RUNS``)
-reach the kernel's other branches and figure2's other scoring: the sigma = 0
-limits (one at beta = 1e160, where the RSS gap overflows), the scaled
-pretest, a non-default prior, pooled KS scoring with more replicates than
-truth draws, the scaled pretest on size-m subsamples, bootstrap engine calls
+reach the kernel's other branches: the sigma = 0 limits, bma_exact at a
+tiny sigma (1e-80), the scaled pretest, a non-default prior, a
+figure2-subsample run with more replicates than truth draws, the scaled
+pretest on size-m subsamples, bootstrap engine calls
 on a ragged last chunk of datasets, bootstrap resamples of n = 3 datasets,
 where the engine's redraw loop replaces singular resamples, and Monte Carlo
 cells at reps = 4999 at n = 50 and along the n-grid up to 800, whose last
@@ -18,7 +18,10 @@ Their lines read ``<experiment>[<flags>]/<file>``. Then it prints one
 ``<sha256>  library/...`` line per replicate array of the library's resamplers: ``paired_bootstrap`` and ``subsample_distribution`` (m = 20) for
 four estimators on the shipped design at sigma = 1 and sigma = 0, and
 ``mean_model_bootstrap`` with the adaptive weight rule, over three datasets
-each with b = 500. Every generator derives from ``--seed``.
+each with b = 500, and one ``paired_bootstrap`` of ``bma_exact`` at sigma = 0
+on a beta = 1e160 dataset, where the RSS gap and p1^2 / s11 overflow (all
+weight on U, the one model that interpolates y), a slope beyond the CLI's
+magnitude bound. Every generator derives from ``--seed``.
 
 All runs share one process, so most Monte Carlo cells are read from the
 memo of :func:`modelavg.experiments.mc_estimator_draws` after their first
@@ -62,11 +65,10 @@ from modelavg.resampling import (
 from modelavg.weights import adaptive_weights
 
 # (experiment, extra flags): bma_exact's sigma = 0 limit on the Monte Carlo
-# path and on the one-dataset path, there also at beta = 1e160, where the RSS
-# gap and p1^2 / s11 overflow (all weight on U, the one model that interpolates
-# y), a scaled pretest with a small c, a non-default prior for bma_exact, two
-# small figure2-subsample runs (pooled scoring of 10 * 50 replicates against
-# 200 truth draws, and the scaled pretest judged at the subsample's m), a
+# path and on the one-dataset path, bma_exact at sigma = 1e-80, where 1 + G/u
+# would overflow, a scaled pretest with a small c, a non-default prior for
+# bma_exact, two small figure2-subsample runs (10 * 50 replicates scored
+# against 200 truth draws, and the scaled pretest judged at the subsample's m), a
 # small figure2-bootstrap run whose 7 datasets per beta go to the engine in
 # chunks of 5 and 2 (b = 3000 against a budget of 2^14 replicates per call), a
 # figure2-bootstrap run at n = 3, the one here whose resamples are singular (a
@@ -77,11 +79,11 @@ _SMALL_FIGURE2 = ("--beta-grid", "0,0.3")
 EXTRA_RUNS = (
     ("riskbound", ("--sigma", "0")),
     ("single", ("--sigma", "0")),
-    ("single", ("--sigma", "0", "--beta", "1e160")),
+    ("single", ("--sigma", "1e-80")),
     ("figure1a", ("--pretest-form", "scaled", "--c", "0.3")),
     ("single", ("--prior-scale", "2", "--prior-p-r", "0.3")),
-    ("figure2-subsample", ("--ks-mode", "pooled", "--reps", "200", "--b", "50",
-                           "--datasets-per-beta", "10", *_SMALL_FIGURE2)),
+    ("figure2-subsample", ("--reps", "200", "--b", "50", "--datasets-per-beta", "10",
+                           *_SMALL_FIGURE2)),
     ("figure2-subsample", ("--pretest-form", "scaled", "--c", "0.3", "--reps", "500",
                            "--b", "100", "--datasets-per-beta", "5", *_SMALL_FIGURE2)),
     ("figure2-bootstrap", ("--reps", "300", "--b", "3000", "--datasets-per-beta", "7",
@@ -134,6 +136,12 @@ def library_samples(seed: int):
         yield f"mean_model/dataset{d}", mean_model_bootstrap(
             y, weight_u, LIBRARY_B, np.random.default_rng([seed, 2, d, 3])
         )
+    huge = generate_response(design, TrueParams(alpha=1.0, beta=1e160, sigma=0.0),
+                             np.random.default_rng([seed, 3]))
+    yield "sigma=0/beta=1e160/bootstrap/bma_exact", paired_bootstrap(
+        huge, make_pipeline("bma_exact", 0.0), ResamplePlan(b=LIBRARY_B),
+        np.random.default_rng([seed, 3, 1]),
+    )
 
 
 def emit_digests(seed: str, workers: str, emit) -> int:

@@ -18,13 +18,17 @@ import numpy as np
 
 from .errors import ConfigError
 from .estimators import Pipeline
-from .experiments import EXPERIMENTS, KS_MODES, Scenario, make_scenario
+from .experiments import EXPERIMENTS, Scenario, make_scenario
 from .model import TrueParams
 from .resampling import STREAM_VERSION, ResamplePlan
 from .weights import PretestConfig, default_tuning
 
 SEED_ENV_VAR = "MODELAVG_SEED"
 DEFAULT_SEED = 1729
+# The largest |alpha|, |beta|, |beta_grid| value and sigma a run takes: below it every
+# square the experiments compute is finite, riskbound's mc_se (a spread of squared
+# errors, which overflows at 1e100) too. Library objects take any finite value.
+MAGNITUDE_BOUND = 1e50
 
 
 @dataclass(frozen=True)
@@ -56,7 +60,6 @@ class RunConfig:
     b: int = 500
     m: int | None = None
     datasets_per_beta: int = 100
-    ks_mode: str = KS_MODES[0]
     n_grid: tuple[int, ...] = (25, 50, 100, 200, 400, 800)
     out: str = "out"
     workers: int = 0
@@ -238,6 +241,11 @@ def _validate(config: RunConfig) -> None:
     # numpy's SeedSequence refuses a negative seed without naming it.
     if config.seed < 0:
         raise ConfigError(f"seed = {config.seed} must be >= 0")
+    for key in ("alpha", "beta", "sigma", "beta_grid"):
+        value = getattr(config, key)
+        for v in value if isinstance(value, tuple) else (value,):
+            if abs(v) > MAGNITUDE_BOUND:
+                raise ConfigError(f"{key}: |{v!r}| must be <= {MAGNITUDE_BOUND:g}")
     # The run's own objects check the settings they take, the scenario's (n
     # first, then the kernel's) before the plan's: m's default follows n. Each
     # n of the grid meets the bound of its cells' tuning.
@@ -250,8 +258,6 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError(str(exc)) from None
     if config.datasets_per_beta < 1:
         raise ConfigError(f"datasets_per_beta = {config.datasets_per_beta} must be >= 1")
-    if config.ks_mode not in KS_MODES:
-        raise ConfigError(f"ks_mode must be one of {KS_MODES}, got {config.ks_mode!r}")
     if config.workers < 0:
         raise ConfigError(f"workers = {config.workers} must be >= 0")
 

@@ -44,8 +44,6 @@ _TAG_TRUTH = 1
 _TAG_DATASET = 2
 _TAG_RESAMPLE = 3
 
-KS_MODES = ("per_dataset", "pooled")  # figure2's scorings, resampling_error_curve's mode
-
 
 def stream(seed: int, *key: int) -> np.random.Generator:
     """Deterministic substream for a (seed, role, index...) work item."""
@@ -330,7 +328,6 @@ def resampling_error_curve(
     scenario: Scenario,
     plan: ResamplePlan,
     datasets_per_beta: int,
-    mode: str = KS_MODES[0],
     workers: int = 1,
 ) -> list[dict]:
     """Accuracy of bootstrap/subsampling approximations along a beta grid.
@@ -340,21 +337,17 @@ def resampling_error_curve(
     Monte Carlo truth sample of sqrt(n) * (estimate - alpha) per estimator,
     then ``datasets_per_beta`` datasets, max(1, ``_CALL_REPLICATES`` // b)
     to a call of :func:`resampled_estimates` (32 at b = 500), which returns a
-    (kept datasets, b) block of centred replicates per estimator. The rows
-    do not depend on that budget: each dataset's replicates and distance are
-    the floats a call on it alone gives. ``mode="per_dataset"`` reports 100 x
-    the mean KS distance between truth and each kept dataset's replicates,
-    one KS call per estimator on each call's block as returned;
-    ``mode="pooled"`` concatenates every block into one row per estimator
-    for one KS call per grid point. Datasets whose resampling exhausts the
-    plan's redraw budget are excluded and counted.
+    (kept datasets, b) block of centred replicates per estimator. Each row
+    reports 100 x the mean KS distance between truth and each kept dataset's
+    replicates, one KS call per estimator on each call's block as returned.
+    The rows do not depend on that budget: each dataset's replicates and
+    distance are the floats a call on it alone gives. Datasets whose
+    resampling exhausts the plan's redraw budget are excluded and counted.
     """
-    if mode not in KS_MODES:
-        raise ValueError(f"mode must be one of {KS_MODES}, got {mode!r}")
     if datasets_per_beta < 1:
         raise ValueError(f"datasets_per_beta = {datasets_per_beta} must be >= 1")
     plan.size(scenario.design.n)
-    names, pooled = ("ms", "bma_bic", "ama"), mode == "pooled"
+    names = ("ms", "bma_bic", "ama")
 
     def row(i: int, cell: Scenario) -> dict:
         truth = _centered_draws(cell, names, i)
@@ -362,7 +355,7 @@ def resampling_error_curve(
         # An engine call, and so a per-dataset KS block, holds at most
         # max(_CALL_REPLICATES, b) replicates per estimator, whatever reps is.
         batch = max(1, _CALL_REPLICATES // plan.b)
-        scored, included = {k: [] for k in names}, 0  # distances, or pooled blocks
+        scored, included = {k: [] for k in names}, 0
         for start in range(0, datasets_per_beta, batch):
             ids = range(start, min(start + batch, datasets_per_beta))
             kept, blocks = resampled_estimates(
@@ -371,14 +364,11 @@ def resampling_error_curve(
             )
             included += int(kept.sum())
             for k in names:
-                scored[k].append(blocks[k] if pooled else _ks_arrays(truth[k], blocks[k]))
+                scored[k].append(_ks_arrays(truth[k], blocks[k]))
         if included == 0:
             raise TooManySingularResamples(
                 f"all {datasets_per_beta} datasets at beta={cell.params.beta} were excluded"
             )
-        if pooled:
-            scored = {k: [_ks_arrays(truth[k], np.concatenate(v).reshape(1, -1))]
-                      for k, v in scored.items()}
         errors = {f"err_{k}": 100.0 * float(np.mean(np.concatenate(v))) for k, v in scored.items()}
         excluded = datasets_per_beta - included
         return {**errors, "datasets": included, "b": plan.b, "excluded": excluded}
@@ -501,10 +491,10 @@ def _figure2(method: str) -> Experiment:
     def rows(config, scenario: Scenario, workers: int) -> list[dict]:
         plan = ResamplePlan(b=config.b, m=config.m if method == "subsample" else None)
         return resampling_error_curve(config.beta_grid, scenario, plan, config.datasets_per_beta,
-                                      mode=config.ks_mode, workers=workers)
+                                      workers=workers)
 
     title = f"{method} approximation error (100 x mean KS distance)"
-    settings = (*_CURVE, "b", "datasets_per_beta", "ks_mode")
+    settings = (*_CURVE, "b", "datasets_per_beta")
     if method == "subsample":
         settings += ("m",)
     return Experiment(  # the grid keeps to |beta| <= 0.4, where the methods actually differ

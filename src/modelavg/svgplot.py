@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import sys
 from typing import Sequence
 
 # Stroke dash patterns; line style carries the series identity, as in the
@@ -22,13 +21,10 @@ _MARGIN_RIGHT = 24
 _MARGIN_TOP = 42
 _MARGIN_BOTTOM = 58
 _TINY = 1e-300  # far above the subnormals, where a tick step keeps few digits
-_MAX = sys.float_info.max
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     span = hi - lo
-    if math.isinf(span):  # bounds near the float maximum: tick their halves
-        return [2.0 * t for t in _nice_ticks(lo / 2.0, hi / 2.0, target)]
     raw = span / max(target - 1, 1)
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
@@ -38,7 +34,7 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     first = math.ceil(lo / step) * step
     ticks = []
     t = first
-    while t <= _clamp(hi + 1e-9 * span):  # past the float maximum t is inf, which ends it
+    while t - hi <= 1e-9 * span:  # past the float maximum t is inf, which ends it
         ticks.append(0.0 if abs(t) < 1e-12 * span else t)
         t += step
     return ticks
@@ -53,19 +49,7 @@ def _axis(lo: float, hi: float) -> tuple[float, float]:
     pad = 0.1 * abs(lo)
     if pad < _TINY:
         pad = 1.0
-    return _clamp(lo - pad), _clamp(hi + pad)
-
-
-def _clamp(v: float) -> float:
-    """v, with an overflow to +-inf brought back to the largest finite float."""
-    return min(max(v, -_MAX), _MAX)
-
-
-def _frac(v: float, lo: float, hi: float) -> float:
-    """Where v lies on the axis [lo, hi], as a fraction; halves overflowing spans."""
-    if math.isinf(hi - lo):
-        return (v / 2.0 - lo / 2.0) / (hi / 2.0 - lo / 2.0)
-    return (v - lo) / (hi - lo)
+    return lo - pad, hi + pad
 
 
 def _fmt_tick(v: float) -> str:
@@ -83,7 +67,8 @@ def write_line_plot(
     series: Sequence[tuple[str, Sequence[float], str]],
 ) -> None:
     """Write one SVG with shared x values and several (label, values, style) series;
-    a nan or an infinity, which no axis holds, raises ValueError naming its series."""
+    a nan or an infinity raises ValueError naming its series, and an axis whose
+    padded span exceeds the largest float one naming the axis."""
     x = [float(v) for v in x]
     if not x:
         raise ValueError("x must be non-empty")
@@ -99,16 +84,20 @@ def write_line_plot(
     y_lo, y_hi = _axis(min(all_y), max(all_y))
     # Small headroom so lines do not sit on the frame.
     y_pad = 0.05 * (y_hi - y_lo)
-    y_lo, y_hi = _clamp(y_lo - y_pad), _clamp(y_hi + y_pad)
+    y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
+    for name, lo, hi in (("x", x_lo, x_hi), ("y", y_lo, y_hi)):
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"the {name} axis, padded to [{lo!r}, {hi!r}], "
+                             "spans more than any float")
 
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     def px(v: float) -> float:
-        return _MARGIN_LEFT + _frac(v, x_lo, x_hi) * plot_w
+        return _MARGIN_LEFT + (v - x_lo) / (x_hi - x_lo) * plot_w
 
     def py(v: float) -> float:
-        return _MARGIN_TOP + _frac(-v, -y_hi, -y_lo) * plot_h  # down from the top
+        return _MARGIN_TOP + (y_hi - v) / (y_hi - y_lo) * plot_h  # down from the top
 
     out = []
     out.append(

@@ -144,25 +144,33 @@ def posterior_log_odds(
     matrix is ever formed. ``p1``, ``p2`` are <x1,y>, <x2,y>. Both quadratic
     forms start from <y,y>/sigma^2, which cancels in their difference, so <y,y>
     is not an argument.
+
+    The 2x2 systems are solved in the units of the larger of sigma^2 and
+    prior_scale^2, as k I + rho G with k = min(u, 1), rho = min(1, 1 / u) and
+    u = (sigma / prior_scale)^2, and log u is taken from the logs of sigma and
+    prior_scale. So every sigma > 0 gives a finite log determinant, however
+    small u or sigma^2 underflows, and where the quadratic form overflows to
+    -inf (a tiny sigma) that is its limit, weight 0 on R.
     """
     if not sigma > 0.0:
         raise ValueError("posterior log odds need sigma > 0")
-    s2 = sigma * sigma
-    t2 = prior_scale * prior_scale
-    a11 = t2 * s11 / s2
-    a22 = t2 * s22 / s2
-    a12 = t2 * s12 / s2
-    logdet_diff = np.log((1.0 + a11) * (1.0 + a22) - a12 * a12) - np.log1p(a11)
+    r = sigma / prior_scale
+    if r <= 1.0:
+        k, rho, log_k = r * r, 1.0, 2.0 * (math.log(sigma) - math.log(prior_scale))
+    else:
+        k, rho, log_k = 1.0, 1.0 / r / r, 0.0
+    k11 = k + rho * s11
+    k22 = k + rho * s22
+    k12 = rho * s12
+    det_k = k11 * k22 - k12 * k12
+    logdet_diff = np.log(det_k) - np.log(k11) - log_k
 
-    # 2x2 solve of (sigma^2 I + tau^2 G) z = p, written out explicitly.
-    m11 = s2 + t2 * s11
-    m22 = s2 + t2 * s22
-    m12 = t2 * s12
-    det_m = m11 * m22 - m12 * m12
-    z1 = (m22 * p1 - m12 * p2) / det_m
-    z2 = (m11 * p2 - m12 * p1) / det_m
+    # 2x2 solve of (k I + rho G) z = p, written out explicitly.
+    z1 = (k22 * p1 - k12 * p2) / det_k
+    z2 = (k11 * p2 - k12 * p1) / det_k
     # quad_u - quad_r with the common <y,y>/sigma^2 term cancelled.
-    quad_diff = t2 * (p1 * p1 / m11 - (p1 * z1 + p2 * z2)) / s2
+    with np.errstate(over="ignore"):
+        quad_diff = rho * (p1 * p1 / k11 - (p1 * z1 + p2 * z2)) / sigma / sigma
 
     prior_odds = math.log(prior_p_r) - math.log1p(-prior_p_r)
     return prior_odds + 0.5 * logdet_diff + 0.5 * quad_diff

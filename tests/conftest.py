@@ -180,10 +180,9 @@ def _stacked_sums_one(dataset, pipeline, plan, rng):
     return {name: scale * (estimates[name] - originals[name]) for name in pipeline.names}
 
 
-def error_row_reference(cell, grid_index, plan, datasets_per_beta, mode="per_dataset"):
-    """A resampling-error row scored with :func:`ks_oracle`: per dataset, one
-    call on each dataset's replicates alone; pooled, one call on the
-    concatenation of every included dataset's replicates."""
+def error_row_reference(cell, grid_index, plan, datasets_per_beta):
+    """A resampling-error row scored with :func:`ks_oracle`, one call on each
+    dataset's replicates alone."""
     names = ("ms", "bma_bic", "ama")
     truth = _centered_draws(cell, names, grid_index)
     pipeline = cell.pipeline(names)
@@ -198,13 +197,10 @@ def error_row_reference(cell, grid_index, plan, datasets_per_beta, mode="per_dat
             continue
         for k in names:
             held[k].append(blocks[k][0])
-    if mode == "per_dataset":
-        errors = {
-            f"err_{k}": 100.0 * float(np.mean([ks_oracle(truth[k], v) for v in held[k]]))
-            for k in names
-        }
-    else:
-        errors = {f"err_{k}": 100.0 * ks_oracle(truth[k], np.concatenate(held[k])) for k in names}
+    errors = {
+        f"err_{k}": 100.0 * float(np.mean([ks_oracle(truth[k], v) for v in held[k]]))
+        for k in names
+    }
     return {**errors, "datasets": datasets_per_beta - excluded, "b": plan.b, "excluded": excluded}
 
 

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -20,6 +21,7 @@ from modelavg.cli import main, run
 from modelavg.config import (
     DEFAULT_SEED,
     EXPERIMENTS,
+    MAGNITUDE_BOUND,
     SETTINGS,
     RunConfig,
     echo_config,
@@ -29,7 +31,7 @@ from modelavg.config import (
 )
 from modelavg.errors import ConfigError
 from modelavg.estimators import ESTIMATOR_NAMES
-from modelavg.experiments import KS_MODES, draw_dataset, make_scenario, resampling_error_curve
+from modelavg.experiments import draw_dataset, make_scenario
 from modelavg.model import compute_design_stats, response_stats, solve_normal_equations
 from modelavg.resampling import STREAM_VERSION, ResamplePlan
 from modelavg.svgplot import write_line_plot
@@ -204,7 +206,6 @@ def test_validation_rejects_bad_combinations():
         {"c": "-0.1"},
         {"prior_p_r": "1.5"},
         {"workers": "-2"},
-        {"ks_mode": "sideways"},
         {"pretest_form": "zform"},
         {"m": "1"},  # every one-row subsample is singular
         {"seed": "-1"},
@@ -240,16 +241,6 @@ def test_each_n_of_the_grid_meets_its_tuning_bound():
         parse_config("riskbound", overrides={"n_grid": "50,1"}, env={})
 
 
-def test_ks_mode_message_lists_every_mode():
-    with pytest.raises(ConfigError) as err:
-        parse_config("figure2-bootstrap", overrides={"ks_mode": "sideways"}, env={})
-    assert str(err.value) == f"ks_mode must be one of {KS_MODES}, got 'sideways'"
-    scenario = make_scenario(n=20, seed=1, reps=10)
-    with pytest.raises(ValueError) as err:
-        resampling_error_curve([0.0], scenario, ResamplePlan(b=5), 1, mode="sideways")
-    assert str(err.value) == f"mode must be one of {KS_MODES}, got 'sideways'"
-
-
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("key", [f.name for f in fields(RunConfig) if "float" in f.type])
 def test_non_finite_float_settings_are_refused(key, value):
@@ -263,7 +254,7 @@ NON_DEFAULT_SETTINGS = {
     "n": "60", "reps": "70", "seed": "8", "alpha": "1.5", "beta": "-0.25", "sigma": "2.0",
     "c": "1.25", "pretest_form": "scaled", "a_n": "12.5", "k_n": "4.5", "prior_scale": "3.0",
     "prior_p_r": "0.25", "beta_grid": "-1:1:3", "b": "40", "m": "30", "datasets_per_beta": "6",
-    "ks_mode": "pooled", "n_grid": "25,75", "out": "runs/#3", "workers": "3",
+    "n_grid": "25,75", "out": "runs/#3", "workers": "3",
 }
 
 
@@ -338,8 +329,7 @@ _TRIED = {
     "n": (30,), "reps": (40,), "seed": (9,), "alpha": (2.5, -40.0), "beta": (-0.3,),
     "sigma": (2.0,), "c": (0.0, 100.0), "pretest_form": ("scaled",), "a_n": (100.0, 0.1),
     "k_n": (0.5, 0.01), "prior_scale": (3.0,), "prior_p_r": (0.25,), "beta_grid": ((0.1, 0.2),),
-    "b": (12,), "m": (9,), "datasets_per_beta": (3,), "ks_mode": ("pooled",),
-    "n_grid": ((25, 75),),
+    "b": (12,), "m": (9,), "datasets_per_beta": (3,), "n_grid": ((25, 75),),
 }
 
 # Settings an experiment reads whose outputs the algebra leaves unchanged.
@@ -871,11 +861,7 @@ _TICK_LABEL = re.compile(r'font-size="12">([^<]*)</text>')
     ([0.0, 1.0], [-5e-324, 0.0]),
     ([1e20], [1.0]),  # x +- 0.5 did not move it: a zero-width axis
     ([0.0], [0.0]),
-    ([0.0, 1.0], [1.7e308, 1.7e308]),  # the pad and the headroom overflowed
-    ([0.0, 1.0], [-1e308, 1e308]),  # the headroom overflowed
-    ([-1e308, 1e308], [0.0, 1.0]),  # the span overflowed
-], ids=["3e-323", "-3e-323", "1e-322", "subnormal_span", "-5e-324_to_0", "x_1e20", "x_0",
-        "y_1.7e308", "y_+-1e308", "x_+-1e308"])
+], ids=["3e-323", "-3e-323", "1e-322", "subnormal_span", "-5e-324_to_0", "x_1e20", "x_0"])
 def test_plot_of_a_degenerate_axis_is_drawn(tmp_path, x, y):
     path = tmp_path / "p.svg"
     with _returns_within(1.0, f"write_line_plot of x = {x}, y = {y}"):
@@ -883,6 +869,18 @@ def test_plot_of_a_degenerate_axis_is_drawn(tmp_path, x, y):
     svg = path.read_text()
     assert "nan" not in svg and "inf" not in svg
     assert len(_TICK_LABEL.findall(svg)) >= 4  # ticks on both axes, besides the legend
+
+
+@pytest.mark.parametrize("x, y, axis", [
+    ([0.0, 1.0], [1.7e308, 1.7e308], "y"),  # the pad overflows
+    ([0.0, 1.0], [-1e308, 1e308], "y"),  # the headroom overflows
+    ([-1e308, 1e308], [0.0, 1.0], "x"),  # the span overflows
+], ids=["y_1.7e308", "y_+-1e308", "x_+-1e308"])
+def test_plot_of_an_axis_beyond_the_float_range_is_refused(tmp_path, x, y, axis):
+    path = tmp_path / "p.svg"
+    with pytest.raises(ValueError, match=f"^the {axis} axis, padded to .* spans more than "):
+        write_line_plot(path, "t", "x", "y", x, [("s", y, "solid")])
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("x, y, shown", [
@@ -897,30 +895,37 @@ def test_plot_of_a_non_finite_value_is_refused_by_name(tmp_path, x, y, shown):
     assert not path.exists()
 
 
-@pytest.mark.parametrize("flag", [["--sigma", "1e160"], ["--alpha", "1e200"]])
-def test_a_run_whose_mse_overflows_names_the_series(tmp_path, capsys, flag):
-    # Every MSE is inf, which no axis can hold: the run fails and writes nothing.
-    out = tmp_path / "inf"
-    assert main(["figure1a", *flag, "--reps", "5", "--beta-grid", "0", "--out", str(out)]) == 1
-    assert "error: series 'BMA (BIC weights)' holds inf, which cannot be plotted" in (
-        capsys.readouterr().err
-    )
+def _refused_before_any_draw(monkeypatch, capsys, tmp_path, argv, key):
+    """``argv`` exits 2 with one error line naming ``key`` and the magnitude
+    bound, before any stream is drawn: no warning and no output directory."""
+
+    def no_draw(*args):
+        raise AssertionError("a refused run drew a stream")
+
+    monkeypatch.setattr(modelavg.experiments, "stream", no_draw)
+    out = tmp_path / "refused"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--workers", "1", "--out", str(out)]) == 2
+    assert re.fullmatch(rf"error: {key}: \|[^|\n]+\| must be <= 1e\+50\n", capsys.readouterr().err)
     assert not out.exists()
 
 
-def test_an_overflowing_rss_gap_warns_nothing(tmp_path, capsys):
-    # The BIC weight's gap overflows to inf, its intended limit (weight 0 on
-    # R), without a warning; the MSE's overflow still warns, since it is real.
-    argv = ["figure1a", "--sigma", "1e160", "--reps", "5", "--beta-grid", "0"]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main([*argv, "--out", str(tmp_path / "errors")]) == 1
-    # The run's first warning, raised as an error, is the MSE's square.
-    assert capsys.readouterr().err == "error: overflow encountered in square\n"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert main([*argv, "--out", str(tmp_path / "recorded")]) == 1
-    assert {Path(w.filename).name for w in caught} == {"experiments.py"}
+@pytest.mark.parametrize("flag", [["--sigma", "1e160"], ["--alpha", "1e200"]])
+def test_a_run_whose_mse_overflows_names_the_series(tmp_path, capsys, monkeypatch, flag):
+    # Settings that overflow every MSE lie beyond the magnitude bound: the run
+    # is refused, naming the setting, before its grid is drawn.
+    argv = ["figure1a", *flag, "--reps", "5", "--beta-grid", "0"]
+    _refused_before_any_draw(monkeypatch, capsys, tmp_path, argv, flag[0][2:])
+
+
+def test_an_overflowing_rss_gap_warns_nothing(tmp_path, capsys, monkeypatch):
+    # A slope whose RSS gap overflows lies beyond the magnitude bound, and a
+    # negative one needs the --flag=value form. The library's BIC and sigma = 0
+    # rules still take it (test_estimators, test_weights).
+    for beta in ("1e160", "-1e160"):
+        argv = ["single", "--sigma", "0", f"--beta={beta}"]
+        _refused_before_any_draw(monkeypatch, capsys, tmp_path, argv, "beta")
 
 
 @pytest.mark.parametrize("argv", [
@@ -928,17 +933,88 @@ def test_an_overflowing_rss_gap_warns_nothing(tmp_path, capsys):
     ["figure2", "--method", "bootstrap", "--sigma", "1e307", "--reps", "50", "--b", "20",
      "--datasets-per-beta", "2", "--beta-grid", "0"],
 ], ids=["figure1b", "figure2"])
-def test_a_run_whose_estimates_overflow_writes_no_ks_distance(tmp_path, capsys, argv):
-    # Every bound accepts sigma = 1e307, but the estimates overflow to nan or
-    # inf; the KS distance refuses them instead of writing a finite number.
-    out = tmp_path / "overflow"
+def test_a_run_whose_estimates_overflow_writes_no_ks_distance(tmp_path, capsys, monkeypatch, argv):
+    # Estimates that overflow to nan or inf need a sigma beyond the magnitude
+    # bound, which the run refuses; the KS distance's own refusal of them is
+    # tested on the library (test_experiments).
+    _refused_before_any_draw(monkeypatch, capsys, tmp_path, argv, "sigma")
+
+
+def _argv(experiment, settings):
+    """The command line of ``experiment`` with each setting as --flag=value."""
+    name, _, method = experiment.partition("-")
+    flags = [f"--{key.replace('_', '-')}={_text(value)}" for key, value in settings.items()]
+    return [name, *(["--method", method] if method else []), *flags]
+
+
+_ABOVE = math.nextafter(MAGNITUDE_BOUND, math.inf)
+
+
+@pytest.mark.parametrize("key", ["alpha", "beta", "sigma", "beta_grid"])
+def test_a_magnitude_just_above_the_bound_exits_2_and_the_bound_is_taken(
+    tmp_path, capsys, monkeypatch, key
+):
+    experiment = _reader(key)
+    signs = (1.0,) if key == "sigma" else (1.0, -1.0)  # sigma >= 0 is its own bound
+    for sign in signs:
+        value = (0.0, sign * MAGNITUDE_BOUND) if key == "beta_grid" else sign * MAGNITUDE_BOUND
+        config = parse_config(experiment, overrides={key: _text(value)}, env={})
+        assert getattr(config, key) == value
+    with monkeypatch.context() as patched:
+        for sign in signs:
+            value = (0.0, sign * _ABOVE) if key == "beta_grid" else sign * _ABOVE
+            _refused_before_any_draw(patched, capsys, tmp_path, _argv(experiment, {key: value}),
+                                     key)
+
+
+def _finite_outputs(out):
+    """Every CSV number and SVG coordinate ``out`` holds is finite."""
+    names = sorted(p.name for p in out.iterdir())
+    assert any(name.endswith(".csv") for name in names), names
+    for path in out.iterdir():
+        if path.suffix == ".csv":
+            for cell in ",".join(path.read_text().splitlines()[1:]).split(","):
+                assert math.isfinite(float(cell)), (path.name, cell)
+        elif path.suffix == ".svg":
+            text = path.read_text()
+            assert "nan" not in text and "inf" not in text, path.name
+
+
+@pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+def test_every_setting_within_the_magnitude_bound_runs_without_a_warning(tmp_path, experiment):
+    # The bound's edges, zero and one for each bounded setting the experiment
+    # takes, at tiny scale, with numpy's warnings raised as errors: each run
+    # writes finite rows and plots. beta_grid holds -B, 0 and B in one run.
+    takes = experiment_settings(experiment)
+    bound = MAGNITUDE_BOUND
+    values = {"alpha": (-bound, 1.0, bound), "beta": (-bound, 0.0, bound),
+              "sigma": (0.0, 1.0, bound)}
+    tiny = {key: value for key, value in (
+        ("reps", 20), ("b", 10), ("datasets_per_beta", 2), ("n_grid", (25, 800)),
+        ("beta_grid", (-bound, 0.0, bound)),
+    ) if key in takes}
+    scanned = [key for key in values if key in takes]
+    for i, combo in enumerate(itertools.product(*(values[key] for key in scanned))):
+        out = tmp_path / str(i)
+        argv = _argv(experiment, {**tiny, **dict(zip(scanned, combo))})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--workers", "1", "--out", str(out)]) == 0, argv
+        _finite_outputs(out)
+
+
+@pytest.mark.parametrize("experiment", ["single", "riskbound"])
+def test_bma_exact_runs_at_a_tiny_sigma(tmp_path, experiment):
+    # (1 + G/u) overflowed and sigma^2 underflowed, so single wrote nan and
+    # riskbound failed at its plot.
+    settings = {"sigma": 1e-80, "reps": 20, "n_grid": (25, 50)}
+    argv = _argv(experiment, {k: v for k, v in settings.items() if k in experiment_settings(
+        experiment)})
+    out = tmp_path / "tiny_sigma"
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        assert main([*argv, "--workers", "1", "--out", str(out)]) == 1
-    assert capsys.readouterr().err == (
-        "error: KS distance needs finite samples; one holds nan or inf\n"
-    )
-    assert not out.exists()
+        warnings.simplefilter("error")
+        assert main([*argv, "--workers", "1", "--out", str(out)]) == 0
+    _finite_outputs(out)
 
 
 def test_figure2_at_one_huge_beta_writes_its_plot(tmp_path):
@@ -1061,7 +1137,7 @@ def test_flag_spellings_parse_to_the_same_config(monkeypatch):
         "--alpha", "1.5", "--sigma", "2.0", "--c", "1.25",
         "--pretest-form", "scaled", "--a-n", "12.5", "--k-n", "none",
         "--beta-grid=-0.2:0.2:3", "--b", "40", "--m", "30",
-        "--datasets-per-beta", "6", "--ks-mode", "pooled",
+        "--datasets-per-beta", "6",
         "--out", "somewhere", "--workers", "3",
     ]) == 0
     assert main(["figure2", "--datasets-per-beta=7", "--beta-grid=0.0,0.1", "--workers=1",
@@ -1073,7 +1149,7 @@ def test_flag_spellings_parse_to_the_same_config(monkeypatch):
             experiment="figure2-subsample", n=60, reps=70, seed=8, alpha=1.5,
             sigma=2.0, c=1.25, pretest_form="scaled", a_n=12.5, k_n=None,
             beta_grid=(-0.2, 0.0, 0.2), b=40, m=30, datasets_per_beta=6,
-            ks_mode="pooled", out="somewhere", workers=3,
+            out="somewhere", workers=3,
         ),
         RunConfig(
             experiment="figure2-bootstrap", beta_grid=(0.0, 0.1), datasets_per_beta=7,

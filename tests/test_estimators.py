@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from modelavg.experiments import _draw_products, draw_dataset, make_scenario, mc
 from modelavg.model import (
     Dataset,
     DesignMatrix,
+    TrueParams,
     compute_design_stats,
+    generate_response,
     response_stats,
     slope_sd,
     solve_normal_equations,
@@ -74,6 +77,35 @@ def test_collinear_design_propagates_through_pipeline():
         proc.fit(Dataset(
             DesignMatrix(np.array([1.0, 2.0]), np.array([2.0, 4.0])), np.array([1.0, 2.0])
         ))
+
+
+def test_bma_bic_at_an_overflowing_rss_gap_is_u_without_a_warning():
+    # At beta_u = 1e160 the RSS gap beta_u^2 det / s11 overflows to inf, the
+    # BIC rule's intended limit: all weight on U, and no warning.
+    design = modelavg.load_reference_design()
+    s11, s22, s12 = design.stats.s11, design.stats.s22, design.stats.s12
+    beta = np.array([1e160, -1e160])
+    p1, p2 = s11 + beta * s12, s12 + beta * s22  # y = x1 + beta x2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est, p_r = Pipeline(("bma_bic", "u"), 1.0).kernel(design.n, s11, s22, s12, p1, p2)
+    assert np.array_equal(p_r["bma_bic"], [0.0, 0.0])
+    assert np.array_equal(est["bma_bic"], est["u"])
+
+
+@pytest.mark.parametrize("sigma", [1e-60, 1e-78, 1e-100, 1e-170, 5e-324])
+def test_bma_exact_at_a_tiny_sigma_is_the_sigma_zero_limit(sigma):
+    # (1 + G/u) overflowed to nan from 1e-78 down, and sigma^2 underflowed to
+    # a division by zero from ~1e-162 down; on a beta = 0.5 response the
+    # weight on R is 0, as at the sigma = 0 limit.
+    design = modelavg.load_reference_design()
+    ds = generate_response(design, TrueParams(1.0, 0.5, sigma), np.random.default_rng(11))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est, p_r = Pipeline("bma_exact", sigma).fit(ds)
+    limit_est, limit_p_r = Pipeline("bma_exact", 0.0).fit(ds)
+    assert p_r == limit_p_r == {"bma_exact": 0.0}
+    assert est == limit_est
 
 
 @pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf")])

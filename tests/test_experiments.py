@@ -207,6 +207,15 @@ def test_ks_refuses_a_sample_that_is_not_finite(bad, rng):
     assert _ks_arrays(x, np.empty((0, 20))).shape == (0,)
 
 
+def test_a_ks_ratio_curve_whose_estimates_overflow_is_refused():
+    # Library objects take any finite sigma; at 1e307 the products overflow
+    # and every estimate is nan or inf, which the KS distance refuses.
+    scenario = make_scenario(n=20, seed=3, reps=50, sigma=1e307)
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match="^KS distance needs finite samples"):
+            ks_ratio_curve([0.0, 0.5], scenario)
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo sampling distributions
 
@@ -572,15 +581,10 @@ def test_resampling_error_noiseless_zero():
     assert rows[0]["b"] == 20
 
 
-def test_resampling_error_subsample_and_pooled_modes():
+def test_resampling_error_subsample():
     scenario = _uniform_scenario(reps=300, seed=44, n=20)
     rows_b = resampling_error_curve([0.0], scenario, ResamplePlan(b=30, m=8), datasets_per_beta=2)
     assert rows_b[0]["err_ama"] > 0.0
-    rows_p = resampling_error_curve(
-        [0.0], scenario, ResamplePlan(b=30), datasets_per_beta=2, mode="pooled"
-    )
-    expected = error_row_reference(scenario, 0, ResamplePlan(b=30), 2, mode="pooled")
-    assert rows_p == [{"beta": 0.0, **expected, "seed": scenario.seed}]
     with pytest.raises(ValueError):
         resampling_error_curve([0.0], scenario, ResamplePlan(b=5, m=99), datasets_per_beta=1)
 
@@ -914,16 +918,12 @@ def _engine_call_sizes(monkeypatch) -> list[int]:
 
 
 def test_engine_calls_hold_at_most_the_replicate_budget_in_datasets(monkeypatch):
-    # figure2 hands the engine max(1, _CALL_REPLICATES // b) datasets to a
-    # call in both scoring modes, so pooling every replicate does not grow an
-    # engine call.
+    # figure2 hands the engine max(1, _CALL_REPLICATES // b) datasets to a call.
     sizes = _engine_call_sizes(monkeypatch)
     monkeypatch.setattr(modelavg.experiments, "_CALL_REPLICATES", 30)
     scenario = _uniform_scenario(n=12, reps=30, seed=8)
-    for mode in ("per_dataset", "pooled"):
-        sizes.clear()
-        resampling_error_curve([0.0, 0.3], scenario, ResamplePlan(b=10), 7, mode=mode)
-        assert sizes == 2 * [3, 3, 1], mode
+    resampling_error_curve([0.0, 0.3], scenario, ResamplePlan(b=10), 7)
+    assert sizes == 2 * [3, 3, 1]
 
 
 def test_engine_call_sizes_do_not_follow_reps(monkeypatch):
@@ -939,7 +939,7 @@ def test_engine_call_sizes_do_not_follow_reps(monkeypatch):
             assert sizes == expected, (b, reps)
 
 
-def _checked_error_rows(monkeypatch, scenario, grid, plan, datasets, mode="per_dataset"):
+def _checked_error_rows(monkeypatch, scenario, grid, plan, datasets):
     """resampling_error_curve's rows, each asserted equal to error_row_reference's,
     and the shape of every block it passed to _ks_arrays, in call order."""
     blocks = []
@@ -949,10 +949,10 @@ def _checked_error_rows(monkeypatch, scenario, grid, plan, datasets, mode="per_d
         return _ks_arrays(x, rows)
 
     monkeypatch.setattr(modelavg.experiments, "_ks_arrays", recording)
-    rows = resampling_error_curve(grid, scenario, plan, datasets, mode=mode)
+    rows = resampling_error_curve(grid, scenario, plan, datasets)
     for i, (beta, row) in enumerate(zip(grid, rows)):
         cell = replace(scenario, params=replace(scenario.params, beta=beta))
-        expected = error_row_reference(cell, i, plan, datasets, mode)
+        expected = error_row_reference(cell, i, plan, datasets)
         assert row == {"beta": beta, **expected, "seed": scenario.seed}
     return rows, blocks
 
@@ -977,25 +977,6 @@ def test_chunked_error_rows_equal_rows_scored_one_dataset_at_a_time(monkeypatch)
     )
     assert row["excluded"] > 0 and row["datasets"] == 6
     assert blocks == [(kept, 10) for kept in (1, 1, 0, 1, 2, 1, 0) for _ in range(3)]
-
-
-def test_pooled_error_rows_are_one_ks_call_on_all_included_replicates(monkeypatch):
-    # Pooled mode scores one row of every included dataset's replicates: one
-    # KS call per estimator per grid point, with more replicates than truth
-    # draws, on subsamples and, on the n = 3 design with no redraws, with
-    # datasets excluded.
-    cases = [
-        (_uniform_scenario(n=12, reps=30, seed=8), ResamplePlan(b=10, m=6), 7),
-        (replace(_tiny_scenario(), reps=30), ResamplePlan(b=10, max_redraws=0), 20),
-    ]
-    for scenario, plan, datasets in cases:
-        rows, blocks = _checked_error_rows(
-            monkeypatch, scenario, [0.0, 0.3], plan, datasets, mode="pooled"
-        )
-        widths = [row["datasets"] * plan.b for row in rows]
-        assert blocks == [(1, w) for w in widths for _ in range(3)]
-        assert min(widths) > scenario.reps
-    assert rows[1]["excluded"] > 0
 
 
 def test_resampling_error_counts_excluded_datasets():
