@@ -1,7 +1,7 @@
 """Run configuration: plain-text config files, flag overrides, scale defaults.
 
-Precedence, lowest to highest: built-in defaults, the MODELAVG_SEED environment
-variable (seed only), the config file, explicit flag overrides. Defaults
+Precedence, lowest to highest: built-in defaults, the config file, explicit
+flag overrides; a run reads nothing else, the environment included. Defaults
 reproduce the reference simulation scale: n = 50, 5000 replications,
 pretest threshold sqrt(2), subsample size 0.4 n, a_n = (log n)^2.
 """
@@ -23,7 +23,6 @@ from .model import TrueParams
 from .resampling import STREAM_VERSION, ResamplePlan
 from .weights import PretestConfig, default_tuning
 
-SEED_ENV_VAR = "MODELAVG_SEED"
 DEFAULT_SEED = 1729
 # The largest |alpha|, |beta|, |beta_grid| value and sigma a run takes: below it every
 # square the experiments compute is finite, riskbound's mc_se (a spread of squared
@@ -266,19 +265,10 @@ def parse_config(
     experiment: str,
     config_file=None,
     overrides: Mapping[str, str] | None = None,
-    env: Mapping[str, str] | None = None,
 ) -> RunConfig:
-    """Merge defaults, environment seed, config file, and flag overrides; a key
-    the experiment does not take (:func:`experiment_settings`) is refused."""
-    env = os.environ if env is None else env
+    """Merge defaults, config file, and flag overrides; a key the experiment
+    does not take (:func:`experiment_settings`) is refused."""
     values: dict = {"experiment": experiment}
-    if SEED_ENV_VAR in env:
-        try:
-            values["seed"] = int(env[SEED_ENV_VAR])
-        except ValueError:
-            raise ConfigError(
-                f"{SEED_ENV_VAR}: expected an integer, got {env[SEED_ENV_VAR]!r}"
-            ) from None
     if config_file is not None:
         values.update(read_config_file(config_file, experiment))
     for key, raw in (overrides or {}).items():

@@ -113,7 +113,7 @@ def test_benchmark_commands_parse(monkeypatch, scale):
         assert plan["kind"] != "cli" or plan["commands"], workload
         for command in plan.get("commands", []):
             experiment, flags = command["experiment"], command["flags"]
-            config = modelavg.config.parse_config(experiment, overrides=flags, env={})
+            config = modelavg.config.parse_config(experiment, overrides=flags)
             assert config.experiment == experiment
             args = parser.parse_args(
                 command["argv"] + [f"--{key.replace('_', '-')}={v}" for key, v in flags.items()]

@@ -47,13 +47,13 @@ def _reader(key):
 
 
 def test_defaults_reproduce_reference_scale():
-    cfg = parse_config("figure1a", env={})
+    cfg = parse_config("figure1a")
     assert cfg.n == 50
     assert cfg.reps == 5000
     assert cfg.c == pytest.approx(math.sqrt(2.0))
     assert cfg.m is None and cfg.resolved().m == 20  # 0.4 * n
     for n in (2, 3):  # never below the two rows a fit needs
-        config = parse_config("figure2-subsample", overrides={"n": str(n)}, env={})
+        config = parse_config("figure2-subsample", overrides={"n": str(n)})
         assert config.resolved().m == 2
     assert cfg.b == 500
     assert cfg.datasets_per_beta == 100
@@ -68,9 +68,9 @@ def test_all_workers_means_the_cpus_this_process_may_use(monkeypatch):
     # --workers 0 counts the CPUs of the process's affinity mask, not the machine's.
     monkeypatch.setattr(modelavg.config.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(modelavg.config.os, "cpu_count", lambda: 8)
-    cfg = parse_config("figure1a", overrides={"workers": "0"}, env={})
+    cfg = parse_config("figure1a", overrides={"workers": "0"})
     assert cfg.resolved_workers() == 1
-    assert parse_config("figure1a", overrides={"workers": "3"}, env={}).resolved_workers() == 3
+    assert parse_config("figure1a", overrides={"workers": "3"}).resolved_workers() == 3
     # Where the platform has no affinity mask, the machine's count stands.
     monkeypatch.delattr(modelavg.config.os, "sched_getaffinity")
     assert cfg.resolved_workers() == 8
@@ -78,7 +78,7 @@ def test_all_workers_means_the_cpus_this_process_may_use(monkeypatch):
 
 def test_figure2_default_grid_is_restricted():
     for method in ("bootstrap", "subsample"):
-        grid = parse_config(f"figure2-{method}", env={}).resolved().beta_grid
+        grid = parse_config(f"figure2-{method}").resolved().beta_grid
         assert len(grid) == 17
         assert grid[0] == -0.4 and grid[-1] == 0.4
 
@@ -88,7 +88,7 @@ def test_unknown_experiment_is_a_config_error():
     # without a grid of its own.
     for overrides in ({}, {"beta_grid": "0,1"}):
         with pytest.raises(ConfigError, match="unknown experiment 'figure3'"):
-            parse_config("figure3", overrides=overrides, env={})
+            parse_config("figure3", overrides=overrides)
     for grid in ((), (0.0, 1.0)):
         with pytest.raises(ConfigError, match="unknown experiment 'figure3'"):
             RunConfig("figure3", beta_grid=grid)
@@ -99,7 +99,7 @@ def test_a_run_config_of_its_own_defaults_is_the_parsed_one_and_runs(tmp_path, e
     # The beta grid and m follow the experiment and n in RunConfig itself, so
     # a config built in code needs no parse_config to run.
     config = RunConfig(experiment)
-    assert config == parse_config(experiment, env={})
+    assert config == parse_config(experiment)
     assert RunConfig(experiment, n=60).resolved().m == 24
     tiny = replace(config, reps=30, b=10, datasets_per_beta=2, n_grid=(25, 50), workers=1,
                    out=str(tmp_path / "out"))
@@ -127,30 +127,15 @@ def test_replacing_the_experiment_moves_the_default_grid_along():
 def test_flags_override_file(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("n = 50\nseed = 9  # comment\n\n# full line comment\nreps = 100\n")
-    cfg = parse_config(
-        "figure1a", config_file=cfg_file, overrides={"n": "100", "seed": "7"}, env={}
-    )
+    cfg = parse_config("figure1a", config_file=cfg_file, overrides={"n": "100", "seed": "7"})
     assert cfg.n == 100
     assert cfg.seed == 7
     assert cfg.reps == 100
 
 
-def test_env_seed_is_lowest_precedence(tmp_path):
-    env = {"MODELAVG_SEED": "33"}
-    assert parse_config("decay", env=env).seed == 33
-    cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text("seed = 44\n")
-    assert parse_config("decay", config_file=cfg_file, env=env).seed == 44
-    assert (
-        parse_config("decay", config_file=cfg_file, overrides={"seed": "55"}, env=env).seed == 55
-    )
-    with pytest.raises(ConfigError):
-        parse_config("decay", env={"MODELAVG_SEED": "not-a-number"})
-
-
 def test_m_larger_than_n_names_both_keys():
     with pytest.raises(ConfigError) as err:
-        parse_config("figure2-subsample", overrides={"m": "60", "n": "50"}, env={})
+        parse_config("figure2-subsample", overrides={"m": "60", "n": "50"})
     message = str(err.value)
     assert "m = 60" in message
     assert "n = 50" in message
@@ -160,7 +145,7 @@ def test_config_file_errors_carry_line_numbers(tmp_path):
     bad_key = tmp_path / "bad_key.cfg"
     bad_key.write_text("n = 50\nbogus = 3\n")
     with pytest.raises(ConfigError) as err:
-        parse_config("figure1a", config_file=bad_key, env={})
+        parse_config("figure1a", config_file=bad_key)
     assert "bad_key.cfg:2" in str(err.value)
     assert "bogus" in str(err.value)
 
@@ -178,15 +163,15 @@ def test_config_file_errors_carry_line_numbers(tmp_path):
 
 
 def test_grid_parsing_forms():
-    cfg = parse_config("figure1a", overrides={"beta_grid": "-1:1:5"}, env={})
+    cfg = parse_config("figure1a", overrides={"beta_grid": "-1:1:5"})
     assert cfg.beta_grid == (-1.0, -0.5, 0.0, 0.5, 1.0)
-    cfg = parse_config("figure1a", overrides={"beta_grid": "0.1,0.2"}, env={})
+    cfg = parse_config("figure1a", overrides={"beta_grid": "0.1,0.2"})
     assert cfg.beta_grid == (0.1, 0.2)
     with pytest.raises(ConfigError):
-        parse_config("figure1a", overrides={"beta_grid": ""}, env={})
+        parse_config("figure1a", overrides={"beta_grid": ""})
     with pytest.raises(ConfigError):
-        parse_config("figure1a", overrides={"beta_grid": "a,b"}, env={})
-    cfg = parse_config("riskbound", overrides={"n_grid": "25,50"}, env={})
+        parse_config("figure1a", overrides={"beta_grid": "a,b"})
+    cfg = parse_config("riskbound", overrides={"n_grid": "25,50"})
     assert cfg.n_grid == (25, 50)
 
 
@@ -195,7 +180,7 @@ def test_grid_parsing_forms():
 ])
 def test_unreadable_values_name_their_key(key, value):
     with pytest.raises(ConfigError, match=f"^{key}: "):
-        parse_config(_reader(key), overrides={key: value}, env={})
+        parse_config(_reader(key), overrides={key: value})
 
 
 def test_validation_rejects_bad_combinations():
@@ -219,11 +204,11 @@ def test_validation_rejects_bad_combinations():
     ):
         [key] = overrides  # refused by its bound, for an experiment that reads it
         with pytest.raises(ConfigError):
-            parse_config(_reader(key), overrides=overrides, env={})
+            parse_config(_reader(key), overrides=overrides)
     # Checked in a config file, never set.
     for key, value in (("experiment", "figure1a"), ("stream_version", str(STREAM_VERSION))):
         with pytest.raises(ConfigError, match=f"^unknown config key '{key}'$"):
-            parse_config("figure1a", overrides={key: value}, env={})
+            parse_config("figure1a", overrides={key: value})
 
 
 @pytest.mark.parametrize("key, value, shown", [
@@ -233,12 +218,12 @@ def test_owners_bounds_name_the_value(key, value, shown):
     # These bounds are checked by the objects parse_config builds for the run
     # (default_tuning, Scenario, TrueParams, ResamplePlan), in their words.
     with pytest.raises(ConfigError, match=f"^{key} = {shown} "):
-        parse_config(_reader(key), overrides={key: value}, env={})
+        parse_config(_reader(key), overrides={key: value})
 
 
 def test_each_n_of_the_grid_meets_its_tuning_bound():
     with pytest.raises(ConfigError, match="^n = 1 must be >= 2$"):
-        parse_config("riskbound", overrides={"n_grid": "50,1"}, env={})
+        parse_config("riskbound", overrides={"n_grid": "50,1"})
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -246,7 +231,7 @@ def test_each_n_of_the_grid_meets_its_tuning_bound():
 def test_non_finite_float_settings_are_refused(key, value):
     # Every bound check compares with < or <=, which a nan passes.
     with pytest.raises(ConfigError, match=f"^{key}: values must be finite"):
-        parse_config(_reader(key), overrides={key: value}, env={})
+        parse_config(_reader(key), overrides={key: value})
 
 
 # A value for every setting, each different from its default.
@@ -273,7 +258,7 @@ def _carried(scenario):
 def test_scenario_carries_every_run_setting():
     # Each setting parsed for an experiment that reads it.
     for key in _carried(RunConfig("figure1a").scenario()):
-        cfg = parse_config(_reader(key), overrides={key: NON_DEFAULT_SETTINGS[key]}, env={})
+        cfg = parse_config(_reader(key), overrides={key: NON_DEFAULT_SETTINGS[key]})
         assert _carried(cfg.scenario())[key] == getattr(cfg, key) != getattr(RunConfig, key), key
 
 
@@ -285,8 +270,8 @@ def test_echo_config_roundtrips(tmp_path, experiment):
     assert set(NON_DEFAULT_SETTINGS) == set(SETTINGS) == {
         key for e in EXPERIMENTS for key in experiment_settings(e)
     }
-    cfg = parse_config(experiment, overrides={k: NON_DEFAULT_SETTINGS[k] for k in takes}, env={})
-    defaults = parse_config(experiment, env={})
+    cfg = parse_config(experiment, overrides={k: NON_DEFAULT_SETTINGS[k] for k in takes})
+    defaults = parse_config(experiment)
     for key in takes:
         assert getattr(cfg, key) != getattr(defaults, key), key
     path = tmp_path / "resolved_config.txt"
@@ -297,7 +282,7 @@ def test_echo_config_roundtrips(tmp_path, experiment):
     for line in ("n = 60", "a_n = 12.5", "beta_grid = -1.0,0.0,1.0", "n_grid = 25,75", "m = 30"):
         assert (line in lines) == (line.partition(" = ")[0] in takes), line
     assert lines[-1] == f"stream_version = {STREAM_VERSION}"
-    assert parse_config(experiment, config_file=path, env={}) == cfg
+    assert parse_config(experiment, config_file=path) == cfg
 
 
 @pytest.mark.parametrize("out", [" sp ", "sp ", " sp", "a\nb", "a\rb", "runs #3", "runs\t#3", "#3"])
@@ -305,7 +290,7 @@ def test_echo_config_rejects_values_it_cannot_write_back(tmp_path, out):
     # Each of these would load back as a different value: surrounding
     # whitespace is stripped, a line break splits the line, and '#' at the
     # start of the value or after whitespace starts a comment.
-    cfg = parse_config("figure1a", overrides={"out": out}, env={})
+    cfg = parse_config("figure1a", overrides={"out": out})
     path = tmp_path / "resolved_config.txt"
     with pytest.raises(ConfigError, match="^out: "):
         echo_config(cfg, path)
@@ -363,10 +348,10 @@ def test_an_experiment_takes_exactly_the_settings_it_reads(tmp_path, experiment)
         if key not in takes:
             # Refused when parsed, and changes no output when set in code.
             with pytest.raises(ConfigError, match=f"^{key}: {experiment} does not read "):
-                parse_config(experiment, overrides={key: _text(values[0])}, env={})
+                parse_config(experiment, overrides={key: _text(values[0])})
             assert _outputs(replace(base, **{key: values[0]}), tmp_path / key) == expected, key
             continue
-        parsed = parse_config(experiment, overrides={key: _text(values[0])}, env={})
+        parsed = parse_config(experiment, overrides={key: _text(values[0])})
         assert getattr(parsed, key) == values[0]
         if (experiment, key) not in _INVARIANT:
             assert any(
@@ -539,7 +524,7 @@ def test_failed_run_removes_partial_files(tmp_path, monkeypatch):
         raise RuntimeError("forced failure")
 
     monkeypatch.setattr(modelavg.experiments, "mse_curve", boom)
-    code = run(parse_config("figure1a", overrides={"reps": "10", "out": str(out)}, env={}))
+    code = run(parse_config("figure1a", overrides={"reps": "10", "out": str(out)}))
     assert code == 1
     assert not (out / "resolved_config.txt").exists()
     assert not (out / "design_n50.csv").exists()
@@ -556,7 +541,7 @@ def test_failed_run_into_a_new_out_leaves_no_directory(tmp_path, monkeypatch):
         raise RuntimeError("forced failure")
 
     monkeypatch.setattr(modelavg.experiments, "mse_curve", boom)
-    code = run(parse_config("figure1a", overrides={"reps": "10", "out": str(out)}, env={}))
+    code = run(parse_config("figure1a", overrides={"reps": "10", "out": str(out)}))
     assert code == 1
     assert list(tmp_path.iterdir()) == []
 
@@ -588,7 +573,7 @@ def test_outputs_appear_only_when_the_run_succeeds(tmp_path, monkeypatch):
         raise OSError("disk full")
 
     monkeypatch.setattr(modelavg.cli, "write_line_plot", failing_plot)
-    code = run(parse_config("figure1a", overrides={"reps": "10", "out": str(out)}, env={}))
+    code = run(parse_config("figure1a", overrides={"reps": "10", "out": str(out)}))
     assert code == 1
     new = [name for name in seen if name not in old]
     assert len(new) == 3 and all(name.startswith(".") for name in new)
@@ -772,11 +757,14 @@ def test_a_table_entry_is_a_whole_experiment(tmp_path, monkeypatch, plot, column
         assert _POLYLINE.findall(svg) == [dash for _, dash in legend]
 
 
-def test_env_seed_through_cli(tmp_path, monkeypatch):
-    monkeypatch.setenv("MODELAVG_SEED", "999")
+def test_the_environment_sets_no_setting(tmp_path, monkeypatch):
+    # A run reads its flags and config file only: MODELAVG_SEED, once a seed
+    # source, moves neither the parsed seed nor the recorded one.
+    monkeypatch.setenv("MODELAVG_SEED", "7")
+    assert parse_config("decay").seed == DEFAULT_SEED
     out = tmp_path / "env"
-    assert _run_cli(["decay", "--reps", "20", "--n-grid", "25", "--out", str(out)]) == 0
-    assert "seed = 999" in (out / "resolved_config.txt").read_text()
+    assert main(["decay", "--reps", "20", "--n-grid", "25", "--out", str(out)]) == 0
+    assert f"seed = {DEFAULT_SEED}\n" in (out / "resolved_config.txt").read_text()
 
 
 # Dash patterns as the SVG writes them; "" is a solid line.
@@ -958,7 +946,7 @@ def test_a_magnitude_just_above_the_bound_exits_2_and_the_bound_is_taken(
     signs = (1.0,) if key == "sigma" else (1.0, -1.0)  # sigma >= 0 is its own bound
     for sign in signs:
         value = (0.0, sign * MAGNITUDE_BOUND) if key == "beta_grid" else sign * MAGNITUDE_BOUND
-        config = parse_config(experiment, overrides={key: _text(value)}, env={})
+        config = parse_config(experiment, overrides={key: _text(value)})
         assert getattr(config, key) == value
     with monkeypatch.context() as patched:
         for sign in signs:
@@ -1130,7 +1118,6 @@ def test_flag_spellings_parse_to_the_same_config(monkeypatch):
     # what the argparse front end with one hand-written flag table produced.
     seen = []
     monkeypatch.setattr(modelavg.cli, "run", lambda cfg: seen.append(cfg) or 0)
-    monkeypatch.delenv("MODELAVG_SEED", raising=False)
     # figure2-subsample takes every setting but the four riskbound is given.
     assert main([
         "figure2", "--method", "subsample", "--n", "60", "--reps", "70", "--seed", "8",

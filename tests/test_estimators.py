@@ -154,7 +154,7 @@ def test_model_average_stays_in_hull(alpha_r, alpha_u, p):
     assert min(alpha_r, alpha_u) <= value <= max(alpha_r, alpha_u)
 
 
-def test_estimate_all_noiseless_null_all_equal():
+def test_pipeline_fit_noiseless_null_all_equal():
     # Integer-valued design and response: every intermediate is exact, so all
     # six estimates equal alpha bit-for-bit.
     design = DesignMatrix(np.ones(6), np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0]))
@@ -165,7 +165,7 @@ def test_estimate_all_noiseless_null_all_equal():
     assert est["beta_u"] == 0.0
 
 
-def test_estimate_all_orthogonal_design_collapses_to_u(rng):
+def test_pipeline_fit_orthogonal_design_collapses_to_u(rng):
     design = DesignMatrix(np.array([1.0, 1.0, 1.0, 1.0]), np.array([-3.0, -1.0, 1.0, 3.0]))
     for _ in range(10):
         ds = Dataset(design, rng.normal(size=4))
@@ -174,7 +174,7 @@ def test_estimate_all_orthogonal_design_collapses_to_u(rng):
             assert est[name] == pytest.approx(est["u"], rel=1e-13, abs=1e-13)
 
 
-def test_estimate_all_zero_slope_estimate_all_equal():
+def test_pipeline_fit_zero_slope_all_equal():
     design = DesignMatrix(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     ds = Dataset(design, np.array([0.37, 0.0]))  # beta_u = y2 = 0 exactly
     est, p_r = _fit_all(ds, PretestConfig(), AdaptiveConfig(16.0, 0.25), sigma=1.0)
@@ -183,7 +183,7 @@ def test_estimate_all_zero_slope_estimate_all_equal():
     assert p_r["ama"] == 0.5
 
 
-def test_estimate_all_hull_and_ms_membership(rng):
+def test_pipeline_fit_hull_and_ms_membership(rng):
     pretest = PretestConfig()
     adaptive = default_tuning(20)
     for _ in range(200):
