@@ -6,9 +6,11 @@ in the table's order, at reference scale into a temporary directory and prints
 one ``<sha256>  <experiment>/<file>`` line per output. The ``out = ...`` line
 of ``resolved_config.txt`` is left out of its digest, since it names the
 temporary directory. A few more runs with non-default flags (``EXTRA_RUNS``)
-reach the kernel's other branches: the sigma = 0 limits, bma_exact at a
-tiny sigma (1e-80), the scaled pretest, a non-default prior, a
-figure2-subsample run with more replicates than truth draws, the scaled
+reach the kernel's other branches: the sigma = 0 limits (in figure1b at
+alpha = 0 every centred sample is a point mass, so KS takes its tie path,
+and at beta = 0 all of them are exactly 0, so each ratio is 0/0, mapped to
+50), bma_exact at a tiny sigma (1e-80), the scaled pretest, a non-default
+prior, a figure2-subsample run with more replicates than truth draws, the scaled
 pretest on size-m subsamples, bootstrap engine calls
 on a ragged last chunk of datasets, bootstrap resamples of n = 3 datasets,
 where the engine's redraw loop replaces singular resamples, and Monte Carlo
@@ -65,10 +67,13 @@ from modelavg.resampling import (
 from modelavg.weights import adaptive_weights
 
 # (experiment, extra flags): bma_exact's sigma = 0 limit on the Monte Carlo
-# path and on the one-dataset path, bma_exact at sigma = 1e-80, where 1 + G/u
-# would overflow, a scaled pretest with a small c, a non-default prior for
-# bma_exact, two small figure2-subsample runs (10 * 50 replicates scored
-# against 200 truth draws, and the scaled pretest judged at the subsample's m), a
+# path and on the one-dataset path, figure1b at sigma = 0 and alpha = 0, where
+# every sample KS sees is one value repeated and at beta = 0 every estimate is
+# exactly alpha (at alpha = 1 U's carries rounding, so no ratio there is 0/0),
+# bma_exact at sigma = 1e-80, where 1 + G/u would overflow, a scaled pretest
+# with a small c, a non-default prior for bma_exact, two small figure2-subsample
+# runs (10 * 50 replicates scored against 200 truth draws, and the scaled
+# pretest judged at the subsample's m), a
 # small figure2-bootstrap run whose 7 datasets per beta go to the engine in
 # chunks of 5 and 2 (b = 3000 against a budget of 2^14 replicates per call), a
 # figure2-bootstrap run at n = 3, the one here whose resamples are singular (a
@@ -78,6 +83,7 @@ from modelavg.weights import adaptive_weights
 _SMALL_FIGURE2 = ("--beta-grid", "0,0.3")
 EXTRA_RUNS = (
     ("riskbound", ("--sigma", "0")),
+    ("figure1b", ("--sigma", "0", "--alpha", "0", "--reps", "40")),
     ("single", ("--sigma", "0")),
     ("single", ("--sigma", "1e-80")),
     ("figure1a", ("--pretest-form", "scaled", "--c", "0.3")),

@@ -182,10 +182,14 @@ def draw_dataset(scenario: Scenario, grid_index: int = 0, dataset_index: int = 0
 
 def _own_counts(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """At each value of the sorted rows ``s``: how many values of its row are
-    <= it and < it, the index past its run of ties and the index where it starts."""
+    <= it and < it, the index past its run of ties and the index where it starts.
+    Rows with no tie at all skip the two accumulate passes and share one
+    row of plain ranks, which broadcasts over them."""
     n = s.shape[-1]
     idx = np.arange(n)
     tie = s[..., 1:] == s[..., :-1]
+    if not tie.any():
+        return idx + 1, idx
     edge = np.zeros(s.shape[:-1] + (1,), bool)
     starts = np.where(np.concatenate([edge, tie], axis=-1), 0, idx)
     ends = np.where(np.concatenate([tie, edge], axis=-1), n, idx + 1)
@@ -197,7 +201,10 @@ def _ks_arrays(x: np.ndarray, rows: np.ndarray) -> float | np.ndarray:
     """Exact two-sample KS distance sup_t |F_x(t) - F_row(t)| for each row of ``rows``.
 
     A 1-D ``rows`` is one sample and gives a float; a 2-D block gives one
-    float per row. Between consecutive points of a row F_row is constant and
+    float per row. A 2-D ``x`` is a stack of reference samples and gives the
+    (len(x), len(rows)) table of every reference against every row: each row
+    is sorted and counted against itself once, each reference sorted once.
+    Between consecutive points of a row F_row is constant and
     F_x only rises, so |F_x - F_row| peaks at the right value of the lower
     point or the left limit at the upper one (before the first point F_row is
     0, after the last 1). So every plateau of the merged samples is bounded by
@@ -207,22 +214,26 @@ def _ks_arrays(x: np.ndarray, rows: np.ndarray) -> float | np.ndarray:
     whichever sample is larger. A sample that holds nan or inf raises
     ValueError.
     """
-    rows = np.asarray(rows)
+    x, rows = np.asarray(x), np.asarray(rows)
     s = np.sort(rows.reshape(-1, rows.shape[-1]), axis=1)
-    t = np.sort(x)
+    refs = np.sort(x.reshape(-1, x.shape[-1]), axis=1)
     # Sorted, nan is last and -inf first, so the ends decide finiteness.
-    if not (np.isfinite(t[[0, -1]]).all() and np.isfinite(s[:, [0, -1]]).all()):
+    if not (np.isfinite(refs[:, [0, -1]]).all() and np.isfinite(s[:, [0, -1]]).all()):
         raise ValueError("KS distance needs finite samples; one holds nan or inf")
-    own = [c / s.shape[1] for c in _own_counts(s)]
-    # Counts of ``x`` <= and < each point: a second search only where it ties
-    # t[right - 1], the largest value <= it (at right = 0 t's last, above it).
-    right = np.searchsorted(t, s, "right")
-    left = right.copy()
-    tied = t[right - 1] == s
-    left[tied] = np.searchsorted(t, s[tied], "left")
-    other = [right / t.size, left / t.size]
-    sup = np.max([np.max(np.abs(a - b), axis=-1) for a, b in zip(own, other)], axis=0)
-    return float(sup[0]) if rows.ndim == 1 else sup
+    own_le, own_lt = (c / s.shape[1] for c in _own_counts(s))
+    sup = np.empty((len(refs), len(s)))
+    for out, t in zip(sup, refs):
+        # Counts of ``t`` <= each point, then < it: a second search only where
+        # it ties t[count - 1], the largest value <= it (at count = 0 t's last,
+        # above it).
+        count = np.searchsorted(t, s, "right")
+        tied = t[count - 1] == s
+        np.max(np.abs(own_le - count / t.size), axis=-1, out=out)
+        count[tied] = np.searchsorted(t, s[tied], "left")
+        np.maximum(out, np.max(np.abs(own_lt - count / t.size), axis=-1), out=out)
+    if x.ndim > 1:
+        return sup
+    return float(sup[0, 0]) if rows.ndim == 1 else sup[0]
 
 
 def _ks_ratio(ks_r: float, ks_u: float) -> float:
@@ -307,15 +318,18 @@ def ks_ratio_curve(
 
     Per grid point the R and U reference samples come from the same
     replications as the estimator samples; the ratio is
-    100 * KS(j, R) / (KS(j, R) + KS(j, U)), with 0/0 mapped to 50.
+    100 * KS(j, R) / (KS(j, R) + KS(j, U)), with 0/0 mapped to 50. A cell
+    makes one KS call, the (R, U) stack against the (MS, BMA-BIC, AMA) stack,
+    so each sample is sorted once; the distances are the one-pair floats.
     """
+    names = ("ms", "bma_bic", "ama")
 
     def row(i: int, cell: Scenario) -> dict:
-        centered = _centered_draws(cell, ("r", "u", "ms", "bma_bic", "ama"), i)
+        c = _centered_draws(cell, ("r", "u", *names), i)
+        table = _ks_arrays(np.stack([c["r"], c["u"]]), np.stack([c[k] for k in names]))
         ratios, distances = {}, {}
-        for name, col in (("ms", "ms"), ("bma_bic", "bma"), ("ama", "ama")):
-            ks_r = _ks_arrays(centered[name], centered["r"])
-            ks_u = _ks_arrays(centered[name], centered["u"])
+        for name, (ks_r, ks_u) in zip(names, table.T.tolist()):
+            col = "bma" if name == "bma_bic" else name
             ratios[f"ratio_{name}"] = _ks_ratio(ks_r, ks_u)
             distances[f"ks_{col}_r"], distances[f"ks_{col}_u"] = ks_r, ks_u
         return {**ratios, **distances, "reps": cell.reps}

@@ -211,9 +211,10 @@ def test_cli_runs_under_the_benchmark_tracer(tmp_path):
         # resolved config, CSV and SVG per run, and each frozen beta-grid design
         "cli.write": 3 * len(runs) + 3,
         "experiments.mc_estimator_draws": mc_draws + sweep_rows,
-        # figure1b: each estimator against R and U; figure2: against the truth,
-        # once per chunk of max(1, _CALL_REPLICATES // b) datasets at each grid point
-        "experiments.ks": 2 * estimators * len(_BETA_GRID) + estimators * chunks,
+        # figure1b: one call per beta, the (R, U) stack against the estimators;
+        # figure2: each estimator against the truth, once per chunk of
+        # max(1, _CALL_REPLICATES // b) datasets at each grid point
+        "experiments.ks": len(_BETA_GRID) + estimators * chunks,
         "experiments.resampled_estimates": chunks,
         "model.generate_response": datasets,
         "experiments.sweep": 2,

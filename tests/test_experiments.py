@@ -21,6 +21,7 @@ from modelavg.experiments import (
     _TAG_TRUTH,
     Scenario,
     _ks_arrays,
+    _own_counts,
     _grid,
     _n_cells,
     block_rows,
@@ -191,6 +192,51 @@ def test_ks_rows_equal_the_one_sample_oracle_row_by_row(rng):
     # An engine call that keeps no dataset gives a (0, b) block: no distances.
     none = _ks_arrays(normal(30), np.empty((0, 40)))
     assert isinstance(none, np.ndarray) and none.shape == (0,)
+
+
+def test_ks_table_entries_equal_the_one_pair_call_and_the_oracle(rng):
+    # A 2-D x is a stack of references (figure1b's R and U): entry (i, j) of
+    # the table must be the very float of reference i against row j alone.
+    def normal(shape):
+        return rng.normal(0.2, 1.1, size=shape)
+
+    def tied(shape):
+        return rng.integers(-3, 4, size=shape).astype(float)
+
+    constant = np.full((2, 20), 0.5)
+    cases = [
+        (normal((2, 300)), normal((3, 40))),  # references larger
+        (normal((2, 25)), normal((3, 90))),  # references smaller
+        (tied((2, 60)), tied((3, 60))),  # integer ties, equal sizes
+        (tied((3, 30)), normal((2, 50))),
+        (constant, np.vstack([constant[0], np.zeros(20), normal(20)])),
+        (normal((1, 50)), tied((4, 50))),  # one reference
+    ]
+    for refs, rows in cases:
+        table = _ks_arrays(refs, rows)
+        assert table.shape == (len(refs), len(rows))
+        for i, ref in enumerate(refs):
+            for j, row in enumerate(rows):
+                assert table[i, j] == _ks_arrays(ref, row) == ks_oracle(ref, row)
+    # An empty (0, b) block, as an engine call that keeps no dataset returns,
+    # gives a table with no columns.
+    empty = _ks_arrays(normal((2, 30)), np.empty((0, 40)))
+    assert isinstance(empty, np.ndarray) and empty.shape == (2, 0)
+
+
+def test_own_counts_equal_a_search_of_each_row_in_itself(rng):
+    # Tie-free rows take the plain ranks and tied ones the accumulate passes;
+    # both must count what searching each sorted row in itself counts.
+    blocks = (
+        rng.normal(size=(4, 30)),
+        rng.integers(-3, 4, size=(4, 30)).astype(float),
+        np.vstack([rng.normal(size=30), np.zeros(30)]),  # one tied row of two
+    )
+    for block in blocks:
+        s = np.sort(block, axis=1)
+        le, lt = (np.broadcast_to(c, s.shape) for c in _own_counts(s))
+        assert np.array_equal(le, [np.searchsorted(row, row, "right") for row in s])
+        assert np.array_equal(lt, [np.searchsorted(row, row, "left") for row in s])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
