@@ -150,20 +150,27 @@ def library_samples(seed: int):
     )
 
 
+def digest_runs() -> list[tuple[str, tuple[str, ...]]]:
+    """(experiment, extra flags) of each CLI run: the table's entries, then ``EXTRA_RUNS``."""
+    return [(experiment, ()) for experiment in EXPERIMENTS] + list(EXTRA_RUNS)
+
+
+def cli_argv(experiment: str, flags, seed: str, workers: str, out) -> list[str]:
+    """The ``modelavg.cli.main`` arguments of one run into ``out``."""
+    name, _, method = experiment.partition("-")
+    return [name, *(["--method", method] if method else []), *flags,
+            "--seed", seed, "--workers", workers, "--out", str(out)]
+
+
 def emit_digests(seed: str, workers: str, emit) -> int:
     """Pass every digest line at ``seed`` and ``workers`` to ``emit``; return the
     CLI runs' exit statuses or-ed together."""
-    runs = [(experiment, ()) for experiment in EXPERIMENTS] + list(EXTRA_RUNS)
     rc = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for k, (experiment, flags) in enumerate(runs):
-            name, _, method = experiment.partition("-")
+        for k, (experiment, flags) in enumerate(digest_runs()):
             label = f"{experiment}[{' '.join(flags)}]" if flags else experiment
             out = Path(tmp) / f"{k}-{experiment}"
-            code = main([
-                name, *(["--method", method] if method else []), *flags,
-                "--seed", seed, "--workers", workers, "--out", str(out),
-            ])
+            code = main(cli_argv(experiment, flags, seed, workers, out))
             rc |= code
             if code:  # a failed run leaves no files
                 continue

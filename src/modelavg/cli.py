@@ -28,9 +28,9 @@ def write_rows_csv(path, rows: list[dict]) -> None:
 
 
 def _execute(config: RunConfig, target: Callable[[str], Path]) -> None:
+    scenario = config.scenario  # before resolved(), so the one parse_config built
     config = config.resolved()
     echo_config(config, target("resolved_config.txt"))
-    scenario = config.scenario()
     entry = EXPERIMENTS[config.experiment]
     if "n" in entry.settings:  # an experiment that reads n runs on the run's design
         write_design_csv(scenario.design, target(f"design_n{config.n}.csv"))

@@ -12,6 +12,7 @@ import math
 import os
 import re
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -86,8 +87,11 @@ class RunConfig:
             return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
 
+    @cached_property
     def scenario(self) -> Scenario:
-        """The run's :class:`Scenario`: its frozen design and kernel settings."""
+        """The run's :class:`Scenario`: its frozen design and kernel settings,
+        built once per config, by :func:`parse_config`'s check of the settings
+        (:meth:`resolved` returns a new config, which would build its own)."""
         return make_scenario(
             n=self.n, seed=self.seed, reps=self.reps, alpha=self.alpha, beta=self.beta,
             sigma=self.sigma, c=self.c, a_n=self.a_n, k_n=self.k_n,
@@ -246,10 +250,11 @@ def _validate(config: RunConfig) -> None:
             if abs(v) > MAGNITUDE_BOUND:
                 raise ConfigError(f"{key}: |{v!r}| must be <= {MAGNITUDE_BOUND:g}")
     # The run's own objects check the settings they take, the scenario's (n
-    # first, then the kernel's) before the plan's: m's default follows n. Each
-    # n of the grid meets the bound of its cells' tuning.
+    # first, then the kernel's) before the plan's: m's default follows n. The
+    # scenario is built here once and kept for the run. Each n of the grid
+    # meets the bound of its cells' tuning.
     try:
-        config.scenario()
+        config.scenario
         ResamplePlan(config.b, config.resolved().m).size(config.n)
         for n in config.n_grid:
             default_tuning(n)

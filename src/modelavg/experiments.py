@@ -16,7 +16,6 @@ experiments, and ``LEGEND`` the label and line style of each plotted column.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -110,20 +109,20 @@ def _draw_products(scenario: Scenario, grid_index: int) -> tuple[np.ndarray, np.
     return p1, p2
 
 
-# Each Monte Carlo cell drawn in this process: key -> (its read-only response
-# products, their bytes), least recently used first, evicted past _MEMO_BYTES.
+# Each Monte Carlo cell drawn in this process: key -> its two read-only response
+# products. A cell that would take the held bytes past _MEMO_BYTES empties the
+# memo first and is then kept, so a long process (a seed study's figure1a then
+# figure1b at each seed) keeps its later hits; a cell larger than the whole
+# budget is not kept.
 _MEMO_BYTES = 32 << 20
-_memo: OrderedDict = OrderedDict()
-_memo_used = 0
+_memo: dict = {}
 _memo_lock = threading.Lock()
 
 
 def clear_memo() -> None:
     """Forget every cached Monte Carlo cell."""
-    global _memo_used
     with _memo_lock:
         _memo.clear()
-        _memo_used = 0
 
 
 def mc_estimator_draws(
@@ -134,34 +133,27 @@ def mc_estimator_draws(
     Response r is alpha*x1 + beta*x2 + sigma*z_r, with z_r row r of the
     cell's standard-normal noise. Returns one estimate per response for each
     name, and each name's weight on R (one per response; True for r, False
-    for u). A cell drawn before in this process (the same seed, grid index,
-    reps, design and params, bit for bit) reruns only the kernel on its
-    products.
+    for u). A cell the memo holds (drawn before in this process with the same
+    seed, grid index, reps, design and params, bit for bit) reruns only the
+    kernel on its products.
     """
-    global _memo_used
     design, params = scenario.design, scenario.params
     stats = design.stats
     pipeline = scenario.pipeline(names)
     key = (scenario.seed, grid_index, scenario.reps, design.x1.tobytes(), design.x2.tobytes(),
            np.array([params.alpha, params.beta, params.sigma], float).tobytes())
     with _memo_lock:
-        entry = _memo.get(key)
-        if entry is not None:
-            _memo.move_to_end(key)
-    if entry is not None:
-        products = entry[0]
-    else:
+        products = _memo.get(key)
+    if products is None:
         products = _draw_products(scenario, grid_index)
         for a in products:
             a.flags.writeable = False
         size = sum(a.nbytes for a in products)
         with _memo_lock:
             if size <= _MEMO_BYTES and key not in _memo:  # another thread may have drawn it
-                _memo[key] = (products, size)
-                _memo_used += size
-            while _memo_used > _MEMO_BYTES:
-                _, (_, evicted) = _memo.popitem(last=False)
-                _memo_used -= evicted
+                if size + sum(a.nbytes for cell in _memo.values() for a in cell) > _MEMO_BYTES:
+                    _memo.clear()
+                _memo[key] = products
     return pipeline.kernel(design.n, stats.s11, stats.s22, stats.s12, *products)
 
 

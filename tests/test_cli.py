@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import importlib.util
 import itertools
 import json
 import math
@@ -257,9 +258,9 @@ def _carried(scenario):
 
 def test_scenario_carries_every_run_setting():
     # Each setting parsed for an experiment that reads it.
-    for key in _carried(RunConfig("figure1a").scenario()):
+    for key in _carried(RunConfig("figure1a").scenario):
         cfg = parse_config(_reader(key), overrides={key: NON_DEFAULT_SETTINGS[key]})
-        assert _carried(cfg.scenario())[key] == getattr(cfg, key) != getattr(RunConfig, key), key
+        assert _carried(cfg.scenario)[key] == getattr(cfg, key) != getattr(RunConfig, key), key
 
 
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
@@ -317,14 +318,13 @@ _TRIED = {
     "b": (12,), "m": (9,), "datasets_per_beta": (3,), "n_grid": ((25, 75),),
 }
 
-# Settings an experiment reads whose outputs the algebra leaves unchanged.
-_INVARIANT = {
-    # figure1b and figure2 write KS distances between centred estimates,
-    # sqrt(n) (estimate - alpha). Every estimate is alpha plus terms free of
-    # alpha, and every weight reads beta_u alone, so alpha cancels but for
-    # round-off, which does not reorder the samples the distances compare.
-    ("figure1b", "alpha"), ("figure2-bootstrap", "alpha"), ("figure2-subsample", "alpha"),
-}
+# Settings tried on a second base as well, when no value moves a byte of the
+# tiny run's: figure1b and figure2 write KS distances between centred
+# estimates, sqrt(n) (estimate - alpha). Every estimate is alpha plus terms
+# free of alpha, and every weight reads beta_u alone, so alpha cancels but for
+# round-off. At sigma = 1 that round-off reorders no sample; at sigma = 0
+# every sample is a point mass, and it moves the distances.
+_ALSO_TRIED_ON = {"alpha": {"sigma": 0.0}}
 
 
 def _outputs(config, out):
@@ -353,11 +353,15 @@ def test_an_experiment_takes_exactly_the_settings_it_reads(tmp_path, experiment)
             continue
         parsed = parse_config(experiment, overrides={key: _text(values[0])})
         assert getattr(parsed, key) == values[0]
-        if (experiment, key) not in _INVARIANT:
-            assert any(
-                _outputs(replace(base, **{key: value}), tmp_path / f"{key}{i}") != expected
-                for i, value in enumerate(values)
-            ), key
+        starts = [(base, expected)]
+        if key in _ALSO_TRIED_ON:
+            other = replace(base, **_ALSO_TRIED_ON[key])
+            starts.append((other, _outputs(other, tmp_path / f"{key}-base")))
+        assert any(
+            _outputs(replace(start, **{key: value}), tmp_path / f"{key}{j}-{i}") != outputs
+            for j, (start, outputs) in enumerate(starts)
+            for i, value in enumerate(values)
+        ), key
 
 
 # ---------------------------------------------------------------------------
@@ -1146,3 +1150,30 @@ def test_flag_spellings_parse_to_the_same_config(monkeypatch):
             experiment="riskbound", beta=-0.25, prior_scale=3.0, prior_p_r=0.25, n_grid=(25, 75),
         ),
     ]
+
+
+# ---------------------------------------------------------------------------
+# the digest script
+
+
+def test_every_run_of_the_digest_script_parses(monkeypatch):
+    # scripts/output_digests.py is the byte-identity check of a change. Each of
+    # its runs, as the argv it passes to cli.main, parses with every flag it
+    # gives reaching the run's config, so a settings change that breaks one
+    # fails here rather than at digest time.
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "output_digests", root / "scripts" / "output_digests.py"
+    )
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    seen = []
+    monkeypatch.setattr(modelavg.cli, "run", lambda cfg: seen.append(cfg) or 0)
+    for experiment, flags in digests.digest_runs():
+        assert main(digests.cli_argv(experiment, flags, "5050", "2", "digests")) == 0
+        config = seen.pop()
+        assert (config.experiment, config.seed, config.workers) == (experiment, 5050, 2)
+        assert len(flags) % 2 == 0, flags
+        for flag, raw in zip(flags[::2], flags[1::2]):
+            key = flag.removeprefix("--").replace("-", "_")
+            assert getattr(config, key) == SETTINGS[key](raw, key), (experiment, flag)

@@ -464,6 +464,12 @@ def test_memo_key_holds_every_input_of_the_draw_and_nothing_else():
         assert _memo_keys_after((base, names, 0), (other, other_names, 0)) == 1, label
 
 
+def _memo_bytes():
+    """The bytes of every product array the memo holds."""
+    with modelavg.experiments._memo_lock:
+        return sum(a.nbytes for cell in modelavg.experiments._memo.values() for a in cell)
+
+
 def test_memo_stays_within_its_byte_budget(monkeypatch):
     scenario = _uniform_scenario(beta=0.2, reps=100, n=20, seed=13)
     names = ("ms", "ama")
@@ -481,15 +487,14 @@ def test_memo_stays_within_its_byte_budget(monkeypatch):
         draws = mc_estimator_draws(scenario, names, i)[0]
         assert draws.keys() == cold[i].keys()
         assert all(np.array_equal(v, cold[i][k]) for k, v in draws.items())
-        assert modelavg.experiments._memo_used == sum(size for _, size in memo.values())
-        assert modelavg.experiments._memo_used <= budget
-        held.append([key[1] for key in memo])  # grid indices, least recent first
-    # Least recently used goes first: reading cell 0 again keeps it over cell 1.
-    assert held == [[0], [0, 1], [1, 0], [0, 2], [2, 3], [3, 4], [4, 5], [5, 4]]
-    # An entry above the whole budget is not stored, and evicts nothing.
+        assert _memo_bytes() <= budget
+        held.append([key[1] for key in memo])  # grid indices, in the order kept
+    # Two cells fit. A third empties the memo and is then kept; a hit changes nothing.
+    assert held == [[0], [0, 1], [0, 1], [2], [2, 3], [4], [4, 5], [4, 5]]
+    # A cell above the whole budget is not kept, and empties nothing.
     draws = mc_estimator_draws(big, names, 0)[0]
     assert all(np.array_equal(v, cold[-1][k]) for k, v in draws.items())
-    assert [key[1] for key in memo] == [5, 4]
+    assert [key[1] for key in memo] == [4, 5]
 
 
 @pytest.mark.parametrize("sigma", [0.0, 1.0])
@@ -498,8 +503,8 @@ def test_memo_entries_are_two_read_only_product_arrays(sigma):
     scenario = _uniform_scenario(beta=0.1, sigma=sigma, reps=30, n=20, seed=19)
     names = ("bma_exact", "ama")
     cold = mc_estimator_draws(scenario, names)
-    ((products, size),) = modelavg.experiments._memo.values()
-    assert len(products) == 2 and size == 2 * scenario.reps * 8
+    (products,) = modelavg.experiments._memo.values()
+    assert len(products) == 2 and _memo_bytes() == 2 * scenario.reps * 8
     # <x1,y> and <x2,y> of each row of one whole (reps, n) draw of the cell's stream.
     design, params = scenario.design, scenario.params
     z = stream(scenario.seed, _TAG_TRUTH, 0).standard_normal((scenario.reps, design.n))
@@ -517,8 +522,9 @@ def test_memo_entries_are_two_read_only_product_arrays(sigma):
 
 def test_memo_keeps_its_byte_count_under_threads(monkeypatch):
     # More threads than cores read and draw overlapping cells under a budget
-    # of three cells, switching often: a lost update of the byte count, or a
-    # cell stored or evicted twice, breaks the totals.
+    # of three cells, switching often: a cell kept past the budget, or one
+    # kept whole after another thread emptied the memo, shows in the bytes
+    # held after a draw.
     scenario = _uniform_scenario(beta=0.1, reps=20, n=10, seed=23)
     names = ("ms", "ama")
     cold = {}
@@ -529,20 +535,23 @@ def test_memo_keeps_its_byte_count_under_threads(monkeypatch):
     monkeypatch.setattr(modelavg.experiments, "_MEMO_BYTES", budget)
     clear_memo()
     cells = [i % 5 for i in range(200)]
+
+    def draw(i):
+        return mc_estimator_draws(scenario, names, i)[0], _memo_bytes()
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(
-                lambda i: mc_estimator_draws(scenario, names, i)[0], cells, timeout=60
-            ))
+            results = list(pool.map(draw, cells, timeout=60))
     finally:
         sys.setswitchinterval(interval)
-    for i, draws in zip(cells, results):
+    for i, (draws, held) in zip(cells, results):
         assert all(np.array_equal(v, cold[i][k]) for k, v in draws.items())
+        assert 0 < held <= budget
     memo = modelavg.experiments._memo
-    assert modelavg.experiments._memo_used == sum(size for _, size in memo.values())
     assert 0 < len(memo) <= 3
+    assert all(len(products) == 2 for products in memo.values())
 
 
 # ---------------------------------------------------------------------------
